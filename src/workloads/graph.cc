@@ -7,6 +7,23 @@
 
 namespace ndpext {
 
+namespace {
+
+/** Whether rmatThreshold(k) is k * 2^53 exactly (no rounding). */
+constexpr bool
+exactThreshold(double k)
+{
+    return static_cast<double>(rmatThreshold(k)) == k * 0x1p53;
+}
+
+// rmatQuadrant() picks the quadrant nextDouble() would only while every
+// bound is an integer at 2^53; a bound below 0.5 may not be.
+static_assert(exactThreshold(kRmatA) && exactThreshold(kRmatA + kRmatB)
+                  && exactThreshold(kRmatA + kRmatB + kRmatC),
+              "R-MAT bound * 2^53 must be an integer");
+
+} // namespace
+
 CsrGraph
 makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
               std::uint64_t seed)
@@ -16,11 +33,8 @@ makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
     const std::uint64_t v_count = 1ULL << scale;
     const std::uint64_t e_count = v_count * avg_degree;
 
-    // R-MAT quadrant probabilities (Graph500 defaults).
-    constexpr double kA = 0.57;
-    constexpr double kB = 0.19;
-    constexpr double kC = 0.19;
-
+    // Branch-free on purpose: a branch on each random draw mispredicts
+    // often, and this loop makes scale * e_count draws.
     Rng rng(seed);
     std::vector<std::uint32_t> src(e_count);
     std::vector<std::uint32_t> dst(e_count);
@@ -28,19 +42,9 @@ makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
         std::uint64_t s = 0;
         std::uint64_t d = 0;
         for (std::uint32_t bit = 0; bit < scale; ++bit) {
-            const double p = rng.nextDouble();
-            s <<= 1;
-            d <<= 1;
-            if (p < kA) {
-                // top-left: no bits set
-            } else if (p < kA + kB) {
-                d |= 1;
-            } else if (p < kA + kB + kC) {
-                s |= 1;
-            } else {
-                s |= 1;
-                d |= 1;
-            }
+            const std::uint64_t q = rmatQuadrant(rng.next());
+            s = (s << 1) | (q >> 1);
+            d = (d << 1) | (q & 1);
         }
         src[e] = static_cast<std::uint32_t>(s);
         dst[e] = static_cast<std::uint32_t>(d);

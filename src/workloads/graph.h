@@ -31,10 +31,44 @@ struct CsrGraph
     }
 };
 
+/** R-MAT quadrant probabilities a, b, c (Graph500 defaults); d = rest. */
+inline constexpr double kRmatA = 0.57;
+inline constexpr double kRmatB = 0.19;
+inline constexpr double kRmatC = 0.19;
+
+/**
+ * Integer form of a quadrant bound k: a 53-bit draw x satisfies
+ * x * 2^-53 < k exactly when x < rmatThreshold(k), provided k * 2^53 is
+ * an integer (true for every double in [0.5, 1); graph.cc asserts it).
+ */
+constexpr std::uint64_t
+rmatThreshold(double k)
+{
+    return static_cast<std::uint64_t>(k * 0x1p53);
+}
+
+/**
+ * The quadrant one Rng::next() draw selects: how many of the cumulative
+ * bounds a, a+b, a+b+c its top 53 bits reach. Bit 1 is the source bit,
+ * bit 0 the destination bit. Equal to comparing Rng::nextDouble() of the
+ * same draw against the bounds as doubles.
+ */
+inline std::uint64_t
+rmatQuadrant(std::uint64_t draw)
+{
+    constexpr std::uint64_t kT1 = rmatThreshold(kRmatA);
+    constexpr std::uint64_t kT2 = rmatThreshold(kRmatA + kRmatB);
+    constexpr std::uint64_t kT3 = rmatThreshold(kRmatA + kRmatB + kRmatC);
+    const std::uint64_t x = draw >> 11;
+    return std::uint64_t{x >= kT1} + (x >= kT2) + (x >= kT3);
+}
+
 /**
  * Generate an R-MAT graph with 2^scale vertices and
  * 2^scale * avg_degree directed edges (self-loops allowed, duplicates
- * kept -- both exist in real edge lists).
+ * kept -- both exist in real edge lists). Each edge takes `scale`
+ * consecutive draws of an Rng seeded with `seed`, one per bit, most
+ * significant bit first; rmatQuadrant() maps a draw to its bits.
  */
 CsrGraph makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
                        std::uint64_t seed);

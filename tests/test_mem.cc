@@ -2,9 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mem/dram.h"
 
 namespace ndpext {
+
+/**
+ * Print a preset by name. gtest's default dumps the raw bytes, which
+ * include the address of the name's buffer, so the parameterised test
+ * names would change from one run to the next.
+ */
+void PrintTo(const DramTimingParams& p, std::ostream* os)
+{
+    *os << p.name;
+}
+
 namespace {
 
 constexpr std::uint64_t kFreq = 2000; // 2 GHz core clock

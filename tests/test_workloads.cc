@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/rng.h"
 #include "workloads/gap_workloads.h"
 #include "workloads/graph.h"
 #include "workloads/workload.h"
@@ -21,6 +22,141 @@ smallParams()
     p.accessesPerCore = 2000;
     p.seed = 42;
     return p;
+}
+
+/**
+ * Test-only oracle: makeRmatGraph as it was written before quadrant
+ * selection became integer arithmetic, kept verbatim. One nextDouble()
+ * draw per bit, MSB first, picks the quadrant through a three-way
+ * branch on the double.
+ */
+CsrGraph
+branchyRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
+                 std::uint64_t seed)
+{
+    NDP_ASSERT(scale >= 4 && scale <= 28, "scale=", scale);
+    NDP_ASSERT(avg_degree >= 1);
+    const std::uint64_t v_count = 1ULL << scale;
+    const std::uint64_t e_count = v_count * avg_degree;
+
+    // R-MAT quadrant probabilities (Graph500 defaults).
+    constexpr double kA = 0.57;
+    constexpr double kB = 0.19;
+    constexpr double kC = 0.19;
+
+    Rng rng(seed);
+    std::vector<std::uint32_t> src(e_count);
+    std::vector<std::uint32_t> dst(e_count);
+    for (std::uint64_t e = 0; e < e_count; ++e) {
+        std::uint64_t s = 0;
+        std::uint64_t d = 0;
+        for (std::uint32_t bit = 0; bit < scale; ++bit) {
+            const double p = rng.nextDouble();
+            s <<= 1;
+            d <<= 1;
+            if (p < kA) {
+                // top-left: no bits set
+            } else if (p < kA + kB) {
+                d |= 1;
+            } else if (p < kA + kB + kC) {
+                s |= 1;
+            } else {
+                s |= 1;
+                d |= 1;
+            }
+        }
+        src[e] = static_cast<std::uint32_t>(s);
+        dst[e] = static_cast<std::uint32_t>(d);
+    }
+
+    // Counting sort into CSR.
+    CsrGraph g;
+    g.numVertices = v_count;
+    g.numEdges = e_count;
+    g.offsets.assign(v_count + 1, 0);
+    for (const auto s : src) {
+        ++g.offsets[s + 1];
+    }
+    for (std::uint64_t v = 0; v < v_count; ++v) {
+        g.offsets[v + 1] += g.offsets[v];
+    }
+    g.edges.resize(e_count);
+    std::vector<std::uint64_t> cursor(g.offsets.begin(),
+                                      g.offsets.end() - 1);
+    for (std::uint64_t e = 0; e < e_count; ++e) {
+        g.edges[cursor[src[e]]++] = dst[e];
+    }
+    return g;
+}
+
+/** 64-bit digest of a CSR graph: its offsets, then its edges. */
+std::uint64_t
+csrDigest(const CsrGraph& g)
+{
+    std::uint64_t h = 0;
+    for (const std::uint64_t o : g.offsets) {
+        h = mix64(h ^ o);
+    }
+    for (const std::uint32_t e : g.edges) {
+        h = mix64(h ^ e);
+    }
+    return h;
+}
+
+TEST(Graph, RmatMatchesBranchyOracle)
+{
+    for (std::uint32_t scale = 4; scale <= 14; ++scale) {
+        for (const std::uint32_t degree : {1u, 3u, 16u}) {
+            for (const std::uint64_t seed :
+                 {1ULL, 55ULL, 0x9e3779b97f4a7c15ULL}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "scale " << scale << " degree " << degree
+                             << " seed " << seed);
+                const CsrGraph want = branchyRmatGraph(scale, degree, seed);
+                const CsrGraph got = makeRmatGraph(scale, degree, seed);
+                ASSERT_EQ(got.numVertices, want.numVertices);
+                ASSERT_EQ(got.numEdges, want.numEdges);
+                ASSERT_EQ(got.offsets, want.offsets);
+                ASSERT_EQ(got.edges, want.edges);
+            }
+        }
+    }
+}
+
+TEST(Graph, RmatThresholdsMatchDoubleComparison)
+{
+    // A random draw lands next to a bound with probability ~2^-53, so
+    // the oracle test never reaches these cases; check them directly.
+    const double bounds[] = {kRmatA, kRmatA + kRmatB,
+                             kRmatA + kRmatB + kRmatC};
+    const std::uint64_t pinned[] = {5134103575202365ULL,
+                                    6845471433603154ULL,
+                                    8556839292003942ULL};
+    for (int i = 0; i < 3; ++i) {
+        const std::uint64_t t = rmatThreshold(bounds[i]);
+        EXPECT_EQ(t, pinned[i]);
+        for (const std::uint64_t x : {t - 1, t, t + 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "bound " << i << " x " << x);
+            const double p = static_cast<double>(x) * 0x1p-53;
+            EXPECT_EQ(p < bounds[i], x < t);
+            // The quadrant counts the bounds p reaches, whatever the
+            // draw's low 11 bits (nextDouble() drops them too).
+            const std::uint64_t want = std::uint64_t{p >= bounds[0]}
+                + (p >= bounds[1]) + (p >= bounds[2]);
+            for (const std::uint64_t low : {0ULL, 0x7ffULL}) {
+                EXPECT_EQ(rmatQuadrant((x << 11) | low), want);
+            }
+        }
+    }
+}
+
+TEST(Graph, RmatDigestsArePinned)
+{
+    // Pinned from the branchy generator. (19, 16, 55) is the default pr
+    // graph: 96 MiB footprint, workload seed 42 + 13.
+    EXPECT_EQ(csrDigest(makeRmatGraph(10, 8, 1)), 0xfb8f80b130c64d83ULL);
+    EXPECT_EQ(csrDigest(makeRmatGraph(19, 16, 55)), 0x1bd19faee1e7b248ULL);
 }
 
 TEST(Graph, RmatShapeAndDegrees)

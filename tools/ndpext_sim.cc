@@ -78,6 +78,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -523,7 +524,8 @@ parseArgs(int argc, char** argv)
 }
 
 void
-printResult(const RunResult& r, bool dump_stats)
+printResult(const RunResult& r, std::uint64_t prepare_micros,
+            bool dump_stats)
 {
     std::printf("workload        %s\n", r.workload.c_str());
     std::printf("policy          %s\n", r.policy.c_str());
@@ -542,9 +544,11 @@ printResult(const RunResult& r, bool dump_stats)
     std::printf("reconfigs       %llu\n",
                 static_cast<unsigned long long>(r.reconfigurations));
     std::printf("energy          %.3f mJ\n", r.energy.totalNj() * 1e-6);
+    // stderr: stdout reports are byte-identical across runs (a
+    // documented contract); wall-clock times are host-dependent.
+    std::fprintf(stderr, "prepare         %.1f ms\n",
+                 static_cast<double>(prepare_micros) * 1e-3);
     if (r.engineWallMicros != 0) {
-        // stderr: stdout reports are byte-identical across runs (a
-        // documented contract); the wall-clock rate is host-dependent.
         std::fprintf(stderr, "engine rate     %.0f accesses/s (%.1f ms)\n",
                      r.engineAccessesPerSec(),
                      static_cast<double>(r.engineWallMicros) * 1e-3);
@@ -582,18 +586,21 @@ printResult(const RunResult& r, bool dump_stats)
  * scalars first, then every StatGroup counter under "stats". Crash-safe:
  * temp-file + rename, so the file is never observably torn.
  */
-void writeStatsJsonBody(const RunResult& r, std::ostream& out);
+void writeStatsJsonBody(const RunResult& r, std::uint64_t prepare_micros,
+                        std::ostream& out);
 
 bool
-writeStatsJson(const RunResult& r, const std::string& path)
+writeStatsJson(const RunResult& r, std::uint64_t prepare_micros,
+               const std::string& path)
 {
-    return writeFileAtomic(path, [&r](std::ostream& out) {
-        writeStatsJsonBody(r, out);
+    return writeFileAtomic(path, [&r, prepare_micros](std::ostream& out) {
+        writeStatsJsonBody(r, prepare_micros, out);
     });
 }
 
 void
-writeStatsJsonBody(const RunResult& r, std::ostream& out)
+writeStatsJsonBody(const RunResult& r, std::uint64_t prepare_micros,
+                   std::ostream& out)
 {
     out << "{\n";
     out << "  \"workload\": \"" << r.workload << "\",\n";
@@ -609,9 +616,10 @@ writeStatsJsonBody(const RunResult& r, std::ostream& out)
     std::snprintf(buf, sizeof(buf), "%.17g", r.energy.totalNj());
     out << "  \"energyNj\": " << buf << ",\n";
     out << "  \"reconfigurations\": " << r.reconfigurations << ",\n";
-    // Host-dependent engine throughput: top-level only (never under
-    // "stats" except the Micros-suffixed twin), so bit-identity checks
-    // stay clean while CI can gate on the rate.
+    // Host-dependent phase times and engine throughput: top-level only
+    // (never under "stats" except the Micros-suffixed engine twin), so
+    // bit-identity checks stay clean while CI can gate on the rate.
+    out << "  \"prepareWallMicros\": " << prepare_micros << ",\n";
     out << "  \"engineWallMicros\": " << r.engineWallMicros << ",\n";
     std::snprintf(buf, sizeof(buf), "%.17g", r.engineAccessesPerSec());
     out << "  \"engineAccessesPerSec\": " << buf << ",\n";
@@ -728,6 +736,9 @@ main(int argc, char** argv)
     }
     cfg.finalize();
 
+    // Prepare phase: building the workload's inputs (R-MAT graphs,
+    // tables, a parsed trace) before the first simulated access.
+    const auto prepare_start = std::chrono::steady_clock::now();
     std::unique_ptr<Workload> workload;
     if (cfg.serving.enabled()) {
         auto serving = std::make_unique<ServingWorkload>(
@@ -768,6 +779,10 @@ main(int argc, char** argv)
         params.seed = opt.seed;
         workload->prepare(params);
     }
+    const auto prepare_micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - prepare_start)
+            .count());
 
     // Crash marker: dropped before the run, removed only once every
     // output artifact is complete. A leftover marker tells consumers
@@ -847,9 +862,9 @@ main(int argc, char** argv)
             }
         }
     }
-    printResult(result, opt.dumpStats);
+    printResult(result, prepare_micros, opt.dumpStats);
     if (!opt.statsJson.empty()
-        && !writeStatsJson(result, opt.statsJson)) {
+        && !writeStatsJson(result, prepare_micros, opt.statsJson)) {
         std::fprintf(stderr, "ndpext_sim: cannot write --stats-json file '%s'\n",
                      opt.statsJson.c_str());
         return 1;
