@@ -28,8 +28,7 @@ main(int argc, char** argv)
                 workload.c_str());
     bench::Table table(
         {"cycles", "extRowHitRate", "extStallCyc", "engineAccPerSec"});
-    for (const std::string& name :
-         MemBackendRegistry::instance().names()) {
+    for (const std::string& name : memBackends().names()) {
         SystemConfig cfg = bench::benchConfig(args);
         cfg.memBackendExt.backend = name;
         cfg.finalize();

@@ -76,8 +76,7 @@ runWith(const SystemConfig& cfg, const Workload& workload,
     std::vector<InOrderCore> cores;
     std::vector<std::unique_ptr<AccessGenerator>> gens;
     for (CoreId c = 0; c < cfg.numUnits(); ++c) {
-        cores.emplace_back(c, cfg.core);
-        cores.back().memPort().bind(cache.port("cpu_side"));
+        cores.emplace_back(c, cfg.core, cache);
         gens.push_back(workload.makeGenerator(c));
     }
     runtime.start();

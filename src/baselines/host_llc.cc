@@ -8,8 +8,7 @@
 namespace ndpext {
 
 HostLlcController::HostLlcController(const HostParams& params)
-    : MemObject("host_llc"), params_(params),
-      dram_(createMemBackend(params.dram, params.coreFreqMhz))
+    : params_(params), dram_(createMemBackend(params.dram, params.coreFreqMhz))
 {
     NDP_ASSERT(params.numCores == params.meshX * params.meshY,
                "host mesh must match core count");
@@ -21,7 +20,7 @@ HostLlcController::HostLlcController(const HostParams& params)
 }
 
 void
-HostLlcController::handleRequest(Packet& pkt)
+HostLlcController::recvAtomic(Packet& pkt)
 {
     if (pkt.op == MemOp::Writeback) {
         writeback(pkt.src, pkt.addr, pkt.ready);

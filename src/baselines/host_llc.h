@@ -20,7 +20,7 @@
 #include "cpu/core.h"
 #include "mem/mem_backend.h"
 #include "sim/breakdown.h"
-#include "sim/port.h"
+#include "sim/packet.h"
 #include "sim/stats.h"
 
 namespace ndpext {
@@ -41,7 +41,7 @@ struct HostParams
     double hopPjPerBit = 0.4;
 };
 
-class HostLlcController : public MemObject
+class HostLlcController : public MemSink
 {
   public:
     explicit HostLlcController(const HostParams& params);
@@ -49,8 +49,8 @@ class HostLlcController : public MemObject
     HostLlcController(const HostLlcController&) = delete;
     HostLlcController& operator=(const HostLlcController&) = delete;
 
-    /** Port entry ("cpu_side"): dispatches reads/writes and writebacks. */
-    void handleRequest(Packet& pkt);
+    /** Core entry point: dispatches reads/writes and writebacks. */
+    void recvAtomic(Packet& pkt) final;
 
     MemResult access(CoreId core, const Access& access, Cycles now);
     void writeback(CoreId core, Addr line_addr, Cycles now);
@@ -69,33 +69,8 @@ class HostLlcController : public MemObject
 
     void report(StatGroup& stats, const std::string& prefix) const;
 
-  protected:
-    MemPort* getPort(const std::string& port_name) override
-    {
-        return port_name == "cpu_side" ? &cpuSide_ : nullptr;
-    }
-
   private:
-    /** Response port adapter forwarding into handleRequest(). */
-    class CpuSidePort final : public MemPort
-    {
-      public:
-        explicit CpuSidePort(HostLlcController& owner)
-            : MemPort("host_llc.cpu_side"), owner_(owner)
-        {
-        }
-        void recvAtomic(Packet& pkt) final
-        {
-            owner_.handleRequest(pkt);
-        }
-
-      private:
-        HostLlcController& owner_;
-    };
-
     std::uint32_t hopsBetween(std::uint32_t a, std::uint32_t b) const;
-
-    CpuSidePort cpuSide_{*this};
 
     HostParams params_;
     std::vector<SetAssocCache> banks_;

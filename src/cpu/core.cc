@@ -9,9 +9,8 @@
 
 namespace ndpext {
 
-InOrderCore::InOrderCore(CoreId id, const CoreParams& params)
-    : MemObject("core" + std::to_string(id)), id_(id), params_(params),
-      memPort_("core" + std::to_string(id) + ".mem"),
+InOrderCore::InOrderCore(CoreId id, const CoreParams& params, MemSink& mem)
+    : id_(id), params_(params), mem_(mem),
       l1d_(SetAssocCache::fromCapacity(params.l1dCapacityBytes,
                                        params.lineBytes, params.l1dWays)),
       mshr_(std::max<std::uint32_t>(1, params.mshrs))
@@ -201,7 +200,7 @@ InOrderCore::step(AccessGenerator& gen)
     pkt->elem = acc.elem;
     pkt->src = id_;
     pkt->ready = issue;
-    memPort_.sendAtomic(*pkt);
+    mem_.recvAtomic(*pkt);
     NDP_ASSERT(pkt->ready >= issue);
     if (telSink_ != nullptr && telSink_->tick()) {
         PacketSample s;
@@ -248,7 +247,7 @@ InOrderCore::step(AccessGenerator& gen)
         wb->op = MemOp::Writeback;
         wb->src = id_;
         wb->ready = issue;
-        memPort_.sendAtomic(*wb);
+        mem_.recvAtomic(*wb);
         pool_.release(wb);
     }
     return true;

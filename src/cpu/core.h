@@ -23,13 +23,14 @@
 #include "common/types.h"
 #include "cpu/access_generator.h"
 #include "sim/breakdown.h"
+#include "sim/packet.h"
 #include "sim/packet_pool.h"
-#include "sim/port.h"
 #include "sim/stats.h"
 #include "telemetry/request_trace.h"
 
 namespace ndpext {
 
+class MetricRegistry;      // telemetry/metric_registry.h
 struct PacketSampleBuffer; // telemetry/telemetry.h
 
 /**
@@ -90,21 +91,15 @@ struct MemResult
     Cycles done = 0;
 };
 
-class InOrderCore : public MemObject
+class InOrderCore
 {
   public:
-    InOrderCore(CoreId id, const CoreParams& params);
+    /** L1 misses and dirty writebacks go to `mem` as Packets. */
+    InOrderCore(CoreId id, const CoreParams& params, MemSink& mem);
 
     InOrderCore(const InOrderCore&) = delete;
     InOrderCore& operator=(const InOrderCore&) = delete;
     InOrderCore(InOrderCore&&) = default;
-
-    /**
-     * The core's memory-side request port ("mem"): L1 misses and dirty
-     * writebacks are sent through it as Packets. Must be bound to the
-     * memory system's cpu_side port before the first step().
-     */
-    RequestPort& memPort() { return memPort_; }
 
     /**
      * Execute the next access from `gen`.
@@ -185,7 +180,7 @@ class InOrderCore : public MemObject
     void setRequestTraceSink(RequestTraceBuffer* sink) { reqSink_ = sink; }
 
     /** Registers aggregate series under "cores.*" (sums across cores). */
-    void registerMetrics(MetricRegistry& registry) override;
+    void registerMetrics(MetricRegistry& registry);
 
     /** The core's private packet pool (engine telemetry). */
     const PacketPool& packetPool() const { return pool_; }
@@ -297,13 +292,6 @@ class InOrderCore : public MemObject
         req_.mshrQueue = r.u64();
     }
 
-  protected:
-    MemPort* getPort(const std::string& port_name) override
-    {
-        (void)port_name; // the core has only the request side
-        return nullptr;
-    }
-
   private:
     /**
      * One MSHR: completion time plus the occupying packet (for stall
@@ -329,7 +317,7 @@ class InOrderCore : public MemObject
 
     CoreId id_;
     CoreParams params_;
-    RequestPort memPort_;
+    MemSink& mem_;
     SetAssocCache l1d_;
     /** Pool behind the MSHR packets and writeback scratch packets. */
     PacketPool pool_;

@@ -9,8 +9,7 @@ namespace ndpext {
 ExtendedMemory::ExtendedMemory(const CxlParams& cxl,
                                const MemBackendConfig& dram,
                                std::uint64_t core_freq_mhz)
-    : MemObject("ext"), cxl_(cxl),
-      dram_(createMemBackend(dram, core_freq_mhz)),
+    : cxl_(cxl), dram_(createMemBackend(dram, core_freq_mhz)),
       link_(cxl.linkBytesPerCycle)
 {
 }

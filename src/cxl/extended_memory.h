@@ -24,7 +24,7 @@
 #include "common/types.h"
 #include "fault/fault_injector.h"
 #include "mem/mem_backend.h"
-#include "sim/port.h"
+#include "sim/packet.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
 
@@ -53,7 +53,7 @@ struct CxlResult
  * every access pays one round trip: request over the link, DDR5 access,
  * response over the link.
  */
-class ExtendedMemory : public MemObject
+class ExtendedMemory
 {
   public:
     /**
@@ -70,9 +70,9 @@ class ExtendedMemory : public MemObject
     void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
 
     /**
-     * Port protocol (response port "in"): service pkt at the CXL attach
-     * point, advancing pkt.ready, charging the extMem bucket, and setting
-     * pkt.poisoned on a poisoned read.
+     * Packet protocol: service pkt at the CXL attach point, advancing
+     * pkt.ready, charging the extMem bucket, and setting pkt.poisoned on
+     * a poisoned read.
      */
     void recvAtomic(Packet& pkt);
 
@@ -131,7 +131,7 @@ class ExtendedMemory : public MemObject
     void reset();
 
     /** Registers "ext.*" series (shard clones sum into one series). */
-    void registerMetrics(MetricRegistry& registry) override;
+    void registerMetrics(MetricRegistry& registry);
 
     /** Checkpoint hooks (link/DRAM parameters are configuration). */
     void
@@ -178,27 +178,7 @@ class ExtendedMemory : public MemObject
         poisonedReads_ = r.u64();
     }
 
-  protected:
-    MemPort* getPort(const std::string& port_name) override
-    {
-        return port_name == "in" ? &in_ : nullptr;
-    }
-
   private:
-    /** Response port adapter forwarding into recvAtomic(). */
-    class InPort final : public MemPort
-    {
-      public:
-        explicit InPort(ExtendedMemory& owner)
-            : MemPort("ext.in"), owner_(owner)
-        {
-        }
-        void recvAtomic(Packet& pkt) final { owner_.recvAtomic(pkt); }
-
-      private:
-        ExtendedMemory& owner_;
-    };
-
     /** Integer cost counters of one stream (exact across any sharding). */
     struct StreamCounters
     {
@@ -230,7 +210,6 @@ class ExtendedMemory : public MemObject
             * dram_->params().actPreNj;
     }
 
-    InPort in_{*this};
     CxlParams cxl_;
     std::unique_ptr<MemBackend> dram_;
     BandwidthResource link_;

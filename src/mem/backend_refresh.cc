@@ -1,10 +1,8 @@
 #include "mem/backend_refresh.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/logging.h"
-#include "mem/mem_backend_registry.h"
 #include "telemetry/metric_registry.h"
 
 namespace ndpext {
@@ -226,37 +224,5 @@ RefreshDramBackend::deserialize(ckpt::Reader& r)
     pdResidencyCycles_ = r.u64();
     srResidencyCycles_ = r.u64();
 }
-
-// Link anchor called from forceLinkMemBackends(): an out-of-line
-// function call the optimizer cannot fold away, so static-library links
-// always pull this TU (and its registrar) in.
-int
-linkMemBackendRefresh()
-{
-    return 1;
-}
-
-namespace {
-
-const MemBackendRegistrar refreshRegistrar{MemBackendInfo{
-    "refresh",
-    "Banked model plus tREFI/tRFC refresh blackouts and fast/slow-exit "
-    "power-down idle states with wake penalties",
-    {
-        {"refi", "refresh interval tREFI in DRAM cycles (default 9360)"},
-        {"rfc", "refresh cycle time tRFC in DRAM cycles (default 708)"},
-        {"pd-idle", "idle core cycles before fast-exit power-down "
-                    "(default 2000)"},
-        {"pd-exit", "fast-exit wake penalty, core cycles (default 30)"},
-        {"sr-idle", "idle core cycles before self-refresh "
-                    "(default 200000)"},
-        {"sr-exit", "self-refresh wake penalty, core cycles "
-                    "(default 500)"},
-    },
-    [](const MemBackendConfig& cfg, std::uint64_t core_freq_mhz) {
-        return std::make_unique<RefreshDramBackend>(cfg, core_freq_mhz);
-    }}};
-
-} // namespace
 
 } // namespace ndpext

@@ -1,10 +1,8 @@
 #include "mem/backend_sched.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/logging.h"
-#include "mem/mem_backend_registry.h"
 #include "telemetry/metric_registry.h"
 
 namespace ndpext {
@@ -224,44 +222,5 @@ SchedDramBackend::deserialize(ckpt::Reader& r)
     queueOccupancySum_ = r.u64();
     queueSamples_ = r.u64();
 }
-
-// Link anchor called from forceLinkMemBackends(): an out-of-line
-// function call the optimizer cannot fold away, so static-library links
-// always pull this TU (and its registrar) in.
-int
-linkMemBackendSched()
-{
-    return 1;
-}
-
-namespace {
-
-const std::vector<MemTunable> schedTunables = {
-    {"queue", "per-bank request queue entries (default 8)"},
-    {"cap", "FR-FCFS starvation cap: max consecutive reordered row hits "
-            "per bank (default 4)"},
-};
-
-const MemBackendRegistrar frfcfsRegistrar{MemBackendInfo{
-    "frfcfs",
-    "FR-FCFS controller: bounded per-bank queue, row-hit-first "
-    "reordering with a starvation cap",
-    schedTunables,
-    [](const MemBackendConfig& cfg, std::uint64_t core_freq_mhz) {
-        return std::make_unique<SchedDramBackend>(cfg, core_freq_mhz,
-                                                  /*row_hit_first=*/true);
-    }}};
-
-const MemBackendRegistrar fcfsRegistrar{MemBackendInfo{
-    "fcfs",
-    "FCFS controller: bounded per-bank queue, strict arrival-order "
-    "service (no row-hit reordering)",
-    {{"queue", "per-bank request queue entries (default 8)"}},
-    [](const MemBackendConfig& cfg, std::uint64_t core_freq_mhz) {
-        return std::make_unique<SchedDramBackend>(cfg, core_freq_mhz,
-                                                  /*row_hit_first=*/false);
-    }}};
-
-} // namespace
 
 } // namespace ndpext

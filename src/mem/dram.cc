@@ -1,9 +1,6 @@
 #include "mem/dram.h"
 
-#include <memory>
-
 #include "common/logging.h"
-#include "mem/mem_backend_registry.h"
 
 namespace ndpext {
 
@@ -69,27 +66,5 @@ DramDevice::reset()
     }
     MemBackend::reset();
 }
-
-// Link anchor called from forceLinkMemBackends(): an out-of-line
-// function call the optimizer cannot fold away, so static-library links
-// always pull this TU (and its registrar) in.
-int
-linkMemBackendBanked()
-{
-    return 1;
-}
-
-namespace {
-
-const MemBackendRegistrar bankedRegistrar{MemBackendInfo{
-    "banked",
-    "Banked row-buffer model with gap-filling bank occupancy (default; "
-    "bit-identical to the historical monolithic DRAM model)",
-    {},
-    [](const MemBackendConfig& cfg, std::uint64_t core_freq_mhz) {
-        return std::make_unique<DramDevice>(cfg.timing, core_freq_mhz);
-    }}};
-
-} // namespace
 
 } // namespace ndpext

@@ -14,9 +14,9 @@
  * sim/resource.h); the row-buffer state itself is a scalar approximation.
  *
  * DramDevice stays a concrete class (tests and tools construct it
- * directly); it is also registered as backend "banked" in the memory
- * backend registry (mem/mem_backend_registry.h) and is the bit-identical
- * default for every memory role.
+ * directly); it is also the "banked" row of the memory backend table
+ * (mem/mem_backend_registry.h) and is the bit-identical default for
+ * every memory role.
  */
 
 #ifndef NDPEXT_MEM_DRAM_H

@@ -4,16 +4,16 @@
  *
  * Every memory device in the simulated machine -- the DRAM-cache slice of
  * each NDP unit, the DDR5 behind the CXL expander, and host main memory --
- * is modelled by a MemBackend chosen at construction time from a
- * self-registering factory registry (see mem/mem_backend_registry.h,
- * ramulator2's `impl/` pattern). The default backend ("banked", the
+ * is modelled by a MemBackend chosen by name at construction time from
+ * the fixed backend table (see mem/mem_backend_registry.h, after
+ * ramulator2's `impl/` set). The default backend ("banked", the
  * DramDevice in mem/dram.h) is bit-identical to the historical monolithic
  * model; alternative controllers (FR-FCFS / FCFS scheduling, refresh +
  * power-down awareness) plug in per role via
  * `--mem-backend.<unit|ext|host>=NAME[,key=val...]`.
  *
- * Contracts every backend must honor (DESIGN.md "Memory backend
- * registry"):
+ * Contracts every backend must honor (DESIGN.md 4.3 "Memory backend
+ * table"):
  *  - Determinism: access timing is a pure function of the request
  *    sequence; no wall clock, no unseeded randomness. Shard-clone proxies
  *    are fresh instances of the same config, so results are bit-identical

@@ -1,64 +1,85 @@
 #include "mem/mem_backend_registry.h"
 
 #include "common/logging.h"
-#include "common/suggest.h"
+#include "mem/backend_refresh.h"
+#include "mem/backend_sched.h"
+#include "mem/dram.h"
 
 namespace ndpext {
 
-MemBackendRegistry&
-MemBackendRegistry::instance()
+const NamedTable<MemBackendInfo>&
+memBackends()
 {
-    forceLinkMemBackends();
-    static MemBackendRegistry registry;
-    return registry;
-}
-
-void
-MemBackendRegistry::add(MemBackendInfo info)
-{
-    NDP_ASSERT(!info.name.empty() && info.factory,
-               "backend registration needs a name and a factory");
-    const auto [it, inserted] =
-        backends_.emplace(info.name, std::move(info));
-    if (!inserted) {
-        NDP_FATAL("duplicate memory backend registration: ", it->first);
-    }
-}
-
-const MemBackendInfo*
-MemBackendRegistry::find(const std::string& name) const
-{
-    const auto it = backends_.find(name);
-    return it == backends_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string>
-MemBackendRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(backends_.size());
-    for (const auto& [name, info] : backends_) {
-        out.push_back(name);
-    }
-    return out; // std::map iteration is already sorted
-}
-
-std::string
-MemBackendRegistry::suggest(const std::string& name) const
-{
-    return closestName(name, names());
-}
-
-MemBackendRegistrar::MemBackendRegistrar(MemBackendInfo info)
-{
-    MemBackendRegistry::instance().add(std::move(info));
+    static const NamedTable<MemBackendInfo> table{
+        "memory backend",
+        {
+            {
+                "banked",
+                "Banked row-buffer model with gap-filling bank occupancy "
+                "(default; bit-identical to the historical monolithic DRAM "
+                "model)",
+                {},
+                [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
+                    return std::make_unique<DramDevice>(cfg.timing, freq_mhz);
+                },
+            },
+            {
+                "fcfs",
+                "FCFS controller: bounded per-bank queue, strict "
+                "arrival-order service (no row-hit reordering)",
+                {
+                    {"queue", "per-bank request queue entries (default 8)"},
+                },
+                [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
+                    return std::make_unique<SchedDramBackend>(
+                        cfg, freq_mhz, /*row_hit_first=*/false);
+                },
+            },
+            {
+                "frfcfs",
+                "FR-FCFS controller: bounded per-bank queue, row-hit-first "
+                "reordering with a starvation cap",
+                {
+                    {"queue", "per-bank request queue entries (default 8)"},
+                    {"cap", "FR-FCFS starvation cap: max consecutive "
+                            "reordered row hits per bank (default 4)"},
+                },
+                [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
+                    return std::make_unique<SchedDramBackend>(
+                        cfg, freq_mhz, /*row_hit_first=*/true);
+                },
+            },
+            {
+                "refresh",
+                "Banked model plus tREFI/tRFC refresh blackouts and "
+                "fast/slow-exit power-down idle states with wake penalties",
+                {
+                    {"refi", "refresh interval tREFI in DRAM cycles "
+                             "(default 9360)"},
+                    {"rfc", "refresh cycle time tRFC in DRAM cycles "
+                            "(default 708)"},
+                    {"pd-idle", "idle core cycles before fast-exit "
+                                "power-down (default 2000)"},
+                    {"pd-exit", "fast-exit wake penalty, core cycles "
+                                "(default 30)"},
+                    {"sr-idle", "idle core cycles before self-refresh "
+                                "(default 200000)"},
+                    {"sr-exit", "self-refresh wake penalty, core cycles "
+                                "(default 500)"},
+                },
+                [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
+                    return std::make_unique<RefreshDramBackend>(cfg, freq_mhz);
+                },
+            },
+        },
+    };
+    return table;
 }
 
 std::unique_ptr<MemBackend>
 createMemBackend(const MemBackendConfig& cfg, std::uint64_t core_freq_mhz)
 {
-    const MemBackendInfo* info =
-        MemBackendRegistry::instance().find(cfg.backend);
+    const MemBackendInfo* info = memBackends().find(cfg.backend);
     if (info == nullptr) {
         NDP_FATAL("unknown memory backend: ", cfg.backend,
                   " (validate configs with SystemConfig::validate first)");
@@ -68,22 +89,6 @@ createMemBackend(const MemBackendConfig& cfg, std::uint64_t core_freq_mhz)
     NDP_ASSERT(backend != nullptr, "backend factory returned null");
     backend->setBackendName(cfg.backend);
     return backend;
-}
-
-int linkMemBackendBanked();
-int linkMemBackendSched();
-int linkMemBackendRefresh();
-
-void
-forceLinkMemBackends()
-{
-    // Calling one exported function per backend TU forces the linker to
-    // pull those archive members (and run their registrars). A volatile
-    // sink keeps the calls from being optimized out.
-    static volatile int anchor = linkMemBackendBanked()
-                                 + linkMemBackendSched()
-                                 + linkMemBackendRefresh();
-    (void)anchor;
 }
 
 } // namespace ndpext

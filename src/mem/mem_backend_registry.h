@@ -1,23 +1,13 @@
 /**
  * @file
- * Self-registering factory registry for memory backends.
+ * The table of built-in memory backends.
  *
- * Each backend implementation file defines a file-scope
- * `MemBackendRegistrar` whose constructor inserts a MemBackendInfo
- * (name, description, tunable schema, factory) into the process-wide
- * registry -- the ramulator2 `impl/` pattern. CLI frontends enumerate
- * the registry for `--list-mem-backends`, SystemConfig::validate checks
- * names and tunable keys against it (with an edit-distance did-you-mean
- * on unknown names), and createMemBackend() in mem/mem_backend.h
- * constructs by name.
- *
- * Registrars live in static libraries, which linkers happily dead-strip
- * when no symbol in the TU is otherwise referenced. Every backend TU
- * therefore exports an anchor function that mem_backend_registry.cc --
- * always linked, since createMemBackend lives there -- calls from
- * forceLinkMemBackends(). Adding a backend means adding its anchor
- * there; forgetting does not fail silently (the registry tests count
- * registered names).
+ * memBackends() holds one row per backend implementation: name,
+ * description, tunable schema and factory. CLI frontends enumerate it
+ * for `--list-mem-backends`, SystemConfig::validate checks names and
+ * tunable keys against it (with an edit-distance did-you-mean on unknown
+ * names), and createMemBackend() in mem/mem_backend.h constructs by
+ * name. Adding a backend is one row in mem_backend_registry.cc.
  */
 
 #ifndef NDPEXT_MEM_MEM_BACKEND_REGISTRY_H
@@ -25,72 +15,29 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/named_table.h"
 #include "mem/mem_backend.h"
 
 namespace ndpext {
 
-/** One tunable a backend accepts via `--mem-backend.<role>=name,key=v`. */
-struct MemTunable
-{
-    std::string key;
-    std::string description;
-};
-
-/** Registry record of one backend implementation. */
+/** One backend implementation. */
 struct MemBackendInfo
 {
     std::string name;
     std::string description;
     /** Declared tunables; unknown keys are a validation error. */
-    std::vector<MemTunable> tunables;
+    std::vector<Tunable> tunables;
     std::function<std::unique_ptr<MemBackend>(const MemBackendConfig&,
                                               std::uint64_t core_freq_mhz)>
         factory;
 };
 
-class MemBackendRegistry
-{
-  public:
-    static MemBackendRegistry& instance();
-
-    /** Register a backend; duplicate names are a fatal error. */
-    void add(MemBackendInfo info);
-
-    /** Lookup by exact name; nullptr if absent. */
-    const MemBackendInfo* find(const std::string& name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Closest registered name to `name` by Levenshtein distance, for
-     * did-you-mean diagnostics. Empty if nothing is within
-     * max(2, len/3) edits.
-     */
-    std::string suggest(const std::string& name) const;
-
-  private:
-    MemBackendRegistry() = default;
-    std::map<std::string, MemBackendInfo> backends_;
-};
-
-/** Static-initialization helper: constructing one registers a backend. */
-struct MemBackendRegistrar
-{
-    explicit MemBackendRegistrar(MemBackendInfo info);
-};
-
-/**
- * Touch every backend TU's anchor so static-library links retain the
- * registrars. Called from MemBackendRegistry::instance(); costs nothing
- * after the first call.
- */
-void forceLinkMemBackends();
+/** The built-in backends, sorted by name. */
+const NamedTable<MemBackendInfo>& memBackends();
 
 } // namespace ndpext
 

@@ -410,7 +410,7 @@ void
 StreamRemapTable::deserialize(ckpt::Reader& r, const NocModel& noc)
 {
     const std::uint64_t n = r.u64();
-    entries_.assign(n, Entry{});
+    entries_.assign(n, Entry());
     std::fill(usedRows_.begin(), usedRows_.end(), 0);
     for (std::size_t sid = 0; sid < entries_.size(); ++sid) {
         Entry& e = entries_[sid];

@@ -13,8 +13,7 @@ StreamCacheController::StreamCacheController(
     const StreamCacheParams& params, StreamTable& streams, NocModel& noc,
     ExtendedMemory& ext, const MemBackendConfig& unit_dram,
     std::uint64_t unit_cache_bytes, std::uint64_t core_freq_mhz)
-    : MemObject("stream_cache"), params_(params), streams_(streams),
-      noc_(noc), ext_(ext),
+    : params_(params), streams_(streams), noc_(noc), ext_(ext),
       rowBytes_(static_cast<std::uint32_t>(unit_dram.timing.rowBytes)),
       rowsPerUnit_(
           static_cast<std::uint32_t>(unit_cache_bytes
@@ -36,8 +35,6 @@ StreamCacheController::StreamCacheController(
     // Single default context covering every unit, wired to the
     // constructor's NoC/ext models (exact legacy behavior).
     auto ctx = std::make_unique<ShardCtx>();
-    ctx->nocPort.bind(noc_.port("in"));
-    ctx->extPort.bind(ext_.port("in"));
     ctx->noc = &noc_;
     ctx->ext = &ext_;
     ctxs_.push_back(std::move(ctx));
@@ -62,8 +59,6 @@ StreamCacheController::enableSharding(
                    "shard ", s, " missing NoC/ext models");
         auto ctx = std::make_unique<ShardCtx>();
         ctx->id = static_cast<std::uint32_t>(s);
-        ctx->nocPort.bind(res.noc->port("in"));
-        ctx->extPort.bind(res.ext->port("in"));
         ctx->noc = res.noc;
         ctx->ext = res.ext;
         ctx->fault = res.fault;
@@ -263,7 +258,7 @@ StreamCacheController::nocLeg(ShardCtx& ctx, Packet& pkt, UnitId src,
     pkt.hopSrc = src;
     pkt.hopDst = dst;
     pkt.bytes = bytes;
-    ctx.noc->recvAtomic(pkt); // devirtualized ctx.nocPort.sendAtomic
+    ctx.noc->recvAtomic(pkt);
 
 }
 
@@ -277,7 +272,7 @@ StreamCacheController::extLeg(ShardCtx& ctx, Packet& pkt, Addr addr,
     pkt.addr = addr;
     pkt.bytes = bytes;
     pkt.op = is_write ? MemOp::Write : MemOp::Read;
-    ctx.ext->recvAtomic(pkt); // devirtualized ctx.extPort.sendAtomic
+    ctx.ext->recvAtomic(pkt);
     if (pkt.poisoned) {
         // Poisoned read: the host exception handler repairs the line
         // (re-materialises it from the source copy) and the access
@@ -442,7 +437,7 @@ StreamCacheController::applyDeferredWriteExceptions()
 }
 
 void
-StreamCacheController::handleRequest(Packet& pkt)
+StreamCacheController::recvAtomic(Packet& pkt)
 {
     ShardCtx& ctx = ctxFor(pkt.src); // one core per NDP unit
     if (pkt.op == MemOp::Writeback) {
@@ -466,7 +461,7 @@ MemResult
 StreamCacheController::access(CoreId core, const Access& acc, Cycles now)
 {
     Packet pkt = Packet::request(acc, core, now);
-    handleRequest(pkt);
+    recvAtomic(pkt);
     return MemResult{pkt.ready};
 }
 
@@ -474,7 +469,7 @@ void
 StreamCacheController::writeback(CoreId core, Addr line_addr, Cycles now)
 {
     Packet pkt = Packet::writeback(line_addr, core, now);
-    handleRequest(pkt);
+    recvAtomic(pkt);
 }
 
 namespace {

@@ -18,11 +18,10 @@
  *   6. The first write to a read-only stream raises the host exception
  *      that collapses its replication groups (Section IV-B).
  *
- * Port/packet architecture: the controller is a MemObject whose
- * "cpu_side" response port receives core Packets; internally the packet
- * is threaded through per-shard request ports into the NocModel
- * ("noc_side") and ExtendedMemory ("ext_side"), each leg advancing
- * pkt.ready and charging the matching LatencyBreakdown bucket.
+ * Packet flow: the controller is the MemSink every NDP core sends its
+ * Packets to; internally the packet is handed straight to the shard's
+ * NocModel and ExtendedMemory, each leg advancing pkt.ready and
+ * charging the matching LatencyBreakdown bucket.
  *
  * Sharded execution (enableSharding): units are partitioned by stack
  * into shards that run in parallel between epoch barriers. A shard owns
@@ -70,7 +69,6 @@
 #include "sim/breakdown.h"
 #include "sim/packet.h"
 #include "sim/packet_pool.h"
-#include "sim/port.h"
 #include "stream/stream_table.h"
 
 namespace ndpext {
@@ -137,10 +135,10 @@ struct StreamCacheParams
 
 /**
  * The distributed stream cache across all NDP units. Owns per-unit local
- * DRAM devices, SLBs, tag stores and sampler banks; reaches the NoC and
- * extended-memory models through request ports.
+ * DRAM devices, SLBs, tag stores and sampler banks; calls the NoC and
+ * extended-memory models directly.
  */
-class StreamCacheController : public MemObject
+class StreamCacheController : public MemSink
 {
   public:
     /**
@@ -188,8 +186,8 @@ class StreamCacheController : public MemObject
      */
     void applyDeferredWriteExceptions();
 
-    /** Port entry ("cpu_side"): dispatches accesses and writebacks. */
-    void handleRequest(Packet& pkt);
+    /** Core entry point: dispatches accesses and writebacks. */
+    void recvAtomic(Packet& pkt) final;
 
     /** Convenience wrappers building a Packet (tests, host-style use). */
     MemResult access(CoreId core, const Access& access, Cycles now);
@@ -297,7 +295,7 @@ class StreamCacheController : public MemObject
     void report(StatGroup& stats, const std::string& prefix) const;
 
     /** Registers "cache.*" series, including per-stream hits/misses. */
-    void registerMetrics(MetricRegistry& registry) override;
+    void registerMetrics(MetricRegistry& registry);
 
     /**
      * Checkpoint hooks. Barrier-side only: every shard must be quiescent
@@ -311,30 +309,7 @@ class StreamCacheController : public MemObject
     void serialize(ckpt::Writer& w) const;
     void deserialize(ckpt::Reader& r);
 
-  protected:
-    MemPort* getPort(const std::string& port_name) override
-    {
-        return port_name == "cpu_side" ? &cpuSide_ : nullptr;
-    }
-
   private:
-    /** Response port adapter forwarding into handleRequest(). */
-    class CpuSidePort final : public MemPort
-    {
-      public:
-        explicit CpuSidePort(StreamCacheController& owner)
-            : MemPort("stream_cache.cpu_side"), owner_(owner)
-        {
-        }
-        void recvAtomic(Packet& pkt) final
-        {
-            owner_.handleRequest(pkt);
-        }
-
-      private:
-        StreamCacheController& owner_;
-    };
-
     struct UnitState
     {
         std::unique_ptr<MemBackend> dram;
@@ -365,12 +340,12 @@ class StreamCacheController : public MemObject
     };
 
     /**
-     * Per-shard execution context: request ports into the shard's NoC
-     * and extended-memory models, the shard's fault injector, all hot
-     * counters, deferred write-exception state, and proxy tag/DRAM
-     * models for units served on other shards. In non-sharded mode a
-     * single context (bound to the constructor's NoC/ext) covers all
-     * units and the proxies are never used.
+     * Per-shard execution context: the shard's NoC and extended-memory
+     * models, the shard's fault injector, all hot counters, deferred
+     * write-exception state, and proxy tag/DRAM models for units served
+     * on other shards. In non-sharded mode a single context (using the
+     * constructor's NoC/ext) covers all units and the proxies are never
+     * used.
      */
     /** Integer cost counters of one stream within one shard; energy is
      *  derived from these so the attribution shards exactly. */
@@ -385,15 +360,6 @@ class StreamCacheController : public MemObject
     struct ShardCtx
     {
         std::uint32_t id = 0;
-        RequestPort nocPort{"stream_cache.noc_side"};
-        RequestPort extPort{"stream_cache.ext_side"};
-        /**
-         * Devirtualized peers of the ports above: the models a shard
-         * talks to are fixed at binding time, so the hot path calls
-         * their recvAtomic() directly instead of going through two
-         * virtual dispatches per leg. The ports stay bound as the
-         * authoritative topology record.
-         */
         NocModel* noc = nullptr;
         ExtendedMemory* ext = nullptr;
         FaultInjector* fault = nullptr;
@@ -548,7 +514,6 @@ class StreamCacheController : public MemObject
     StreamTable& streams_;
     NocModel& noc_;
     ExtendedMemory& ext_;
-    CpuSidePort cpuSide_{*this};
     std::uint32_t rowBytes_;
     std::uint32_t rowsPerUnit_;
     MemBackendConfig unitDramCfg_;

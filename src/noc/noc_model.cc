@@ -21,7 +21,7 @@ enum Direction
 } // namespace
 
 NocModel::NocModel(const MeshTopology& topo, const NocParams& params)
-    : MemObject("noc"), topo_(topo), params_(params),
+    : topo_(topo), params_(params),
       links_(topo.numStacks(),
              std::vector<BandwidthResource>(
                  4, BandwidthResource(params.interLinkBytesPerCycle)))

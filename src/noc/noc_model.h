@@ -21,11 +21,13 @@
 
 #include "common/types.h"
 #include "noc/mesh.h"
-#include "sim/port.h"
+#include "sim/packet.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
 
 namespace ndpext {
+
+class MetricRegistry; // telemetry/metric_registry.h
 
 struct NocParams
 {
@@ -50,7 +52,7 @@ struct NocResult
     std::uint32_t interHops = 0;
 };
 
-class NocModel : public MemObject
+class NocModel
 {
   public:
     NocModel(const MeshTopology& topo, const NocParams& params);
@@ -59,10 +61,10 @@ class NocModel : public MemObject
     NocModel& operator=(const NocModel&) = delete;
 
     /**
-     * Port protocol: move pkt.bytes along the leg pkt.hopSrc -> pkt.hopDst
-     * (Packet::kCxlEndpoint addresses the CXL portal), advancing pkt.ready
-     * and charging the elapsed cycles to the packet's icnIntra/icnInter
-     * buckets. Exposed as response port "in".
+     * Packet protocol: move pkt.bytes along the leg pkt.hopSrc ->
+     * pkt.hopDst (Packet::kCxlEndpoint addresses the CXL portal),
+     * advancing pkt.ready and charging the elapsed cycles to the packet's
+     * icnIntra/icnInter buckets.
      */
     void recvAtomic(Packet& pkt);
 
@@ -119,7 +121,7 @@ class NocModel : public MemObject
     void reset();
 
     /** Registers "noc.*" series (shard clones sum into one series). */
-    void registerMetrics(MetricRegistry& registry) override;
+    void registerMetrics(MetricRegistry& registry);
 
     /** Checkpoint hooks (topology/routes are configuration). */
     void
@@ -162,29 +164,7 @@ class NocModel : public MemObject
         interHopBytes_ = r.u64();
     }
 
-  protected:
-    MemPort* getPort(const std::string& port_name) override
-    {
-        return port_name == "in" ? &in_ : nullptr;
-    }
-
   private:
-    /** Response port adapter forwarding into recvAtomic(). */
-    class InPort final : public MemPort
-    {
-      public:
-        explicit InPort(NocModel& owner)
-            : MemPort("noc.in"), owner_(owner)
-        {
-        }
-        void recvAtomic(Packet& pkt) final { owner_.recvAtomic(pkt); }
-
-      private:
-        NocModel& owner_;
-    };
-
-    InPort in_{*this};
-
     /** Reserve the egress link of `stack` toward direction `dir`. */
     Cycles reserveHop(StackId stack, int dir, std::uint32_t bytes,
                       Cycles at);

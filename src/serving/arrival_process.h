@@ -1,21 +1,16 @@
 /**
  * @file
- * Open-loop arrival processes and their self-registering factory.
+ * Open-loop arrival processes and the table of built-in ones.
  *
  * An ArrivalProcess turns a deterministic Rng into a sequence of
  * inter-arrival gaps (in core cycles); the serving frontend runs one
  * instance per (tenant, core) so arrival streams are independent across
  * cores and statistically identical across runs. Implementations live in
- * arrival_processes.cc and register themselves through ArrivalRegistrar
- * -- the same ramulator2-style pattern as MemBackendRegistry (PR 7):
- * CLI frontends enumerate the registry for `--list-arrivals`,
- * SystemConfig::validate checks names and tunable keys against it (with
- * an edit-distance did-you-mean on unknown names), and
- * createArrivalProcess() constructs by name.
- *
- * Registrars live in a static library, so arrival_registry.cc -- always
- * linked, since createArrivalProcess lives there -- anchors the process
- * TU from forceLinkArrivalProcesses() to defeat dead-stripping.
+ * arrival_processes.cc, one row each in arrivalProcesses() -- the same
+ * fixed NamedTable as memBackends(): CLI frontends enumerate it for
+ * `--list-arrivals`, SystemConfig::validate checks names and tunable
+ * keys against it (with an edit-distance did-you-mean on unknown names),
+ * and createArrivalProcess() constructs by name.
  */
 
 #ifndef NDPEXT_SERVING_ARRIVAL_PROCESS_H
@@ -23,12 +18,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/named_table.h"
 #include "common/types.h"
 #include "sim/checkpoint.h"
 
@@ -43,7 +38,7 @@ struct ArrivalParams
 {
     /** Mean cycles between request arrivals at one core. */
     double periodCycles = 0.0;
-    /** Process-specific tunables (validated against the registry). */
+    /** Process-specific tunables (validated against the table). */
     std::vector<std::pair<std::string, double>> tunables;
 
     double
@@ -76,56 +71,21 @@ class ArrivalProcess
     virtual void deserialize(ckpt::Reader& r) = 0;
 };
 
-/** One tunable an arrival process accepts via `--tenant=...,key=v`. */
-struct ArrivalTunable
-{
-    std::string key;
-    std::string description;
-};
-
-/** Registry record of one arrival-process implementation. */
+/** One arrival-process implementation. */
 struct ArrivalInfo
 {
     std::string name;
     std::string description;
-    /** Declared tunables; unknown keys are a validation error. */
-    std::vector<ArrivalTunable> tunables;
+    /** Declared tunables (`--tenant=...,key=v`); unknown keys are a
+     *  validation error. */
+    std::vector<Tunable> tunables;
     std::function<std::unique_ptr<ArrivalProcess>(const ArrivalParams&,
                                                   std::uint64_t seed)>
         factory;
 };
 
-class ArrivalRegistry
-{
-  public:
-    static ArrivalRegistry& instance();
-
-    /** Register a process; duplicate names are a fatal error. */
-    void add(ArrivalInfo info);
-
-    /** Lookup by exact name; nullptr if absent. */
-    const ArrivalInfo* find(const std::string& name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Closest registered name to `name` by Levenshtein distance, for
-     * did-you-mean diagnostics. Empty if nothing is within
-     * max(2, len/3) edits.
-     */
-    std::string suggest(const std::string& name) const;
-
-  private:
-    ArrivalRegistry() = default;
-    std::map<std::string, ArrivalInfo> processes_;
-};
-
-/** Static-initialization helper: constructing one registers a process. */
-struct ArrivalRegistrar
-{
-    explicit ArrivalRegistrar(ArrivalInfo info);
-};
+/** The built-in arrival processes, sorted by name. */
+const NamedTable<ArrivalInfo>& arrivalProcesses();
 
 /**
  * Construct a validated arrival process by name. Unknown names are
@@ -135,12 +95,6 @@ struct ArrivalRegistrar
 std::unique_ptr<ArrivalProcess>
 createArrivalProcess(const std::string& name, const ArrivalParams& params,
                      std::uint64_t seed);
-
-/**
- * Touch the process TU's anchors so static-library links retain the
- * registrars. Called from ArrivalRegistry::instance().
- */
-void forceLinkArrivalProcesses();
 
 } // namespace ndpext
 

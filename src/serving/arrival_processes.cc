@@ -261,48 +261,67 @@ factoryOf()
     };
 }
 
-const ArrivalRegistrar registerFixed{{
-    "fixed",
-    "deterministic constant inter-arrival gap",
-    {},
-    factoryOf<FixedArrival>(),
-}};
-
-const ArrivalRegistrar registerPoisson{{
-    "poisson",
-    "memoryless arrivals with exponential inter-arrival gaps",
-    {},
-    factoryOf<PoissonArrival>(),
-}};
-
-const ArrivalRegistrar registerBursty{{
-    "bursty",
-    "two-state MMPP: calm/burst phases with exponential dwell",
-    {
-        {"burst-factor", "rate multiplier while bursting (default 8)"},
-        {"burst-frac", "long-run fraction of time bursting (default "
-                       "0.15)"},
-        {"burst-cycles", "mean burst dwell in cycles (default 100000)"},
-    },
-    factoryOf<BurstyArrival>(),
-}};
-
-const ArrivalRegistrar registerDiurnal{{
-    "diurnal",
-    "sinusoidal rate trace (non-homogeneous Poisson, thinned)",
-    {
-        {"amp", "peak-to-mean rate modulation in [0,1) (default 0.8)"},
-        {"day-cycles", "diurnal period in cycles (default 2000000)"},
-    },
-    factoryOf<DiurnalArrival>(),
-}};
-
 } // namespace
 
-int
-linkArrivalProcesses()
+const NamedTable<ArrivalInfo>&
+arrivalProcesses()
 {
-    return 1;
+    static const NamedTable<ArrivalInfo> table{
+        "arrival process",
+        {
+            {
+                "bursty",
+                "two-state MMPP: calm/burst phases with exponential dwell",
+                {
+                    {"burst-factor",
+                     "rate multiplier while bursting (default 8)"},
+                    {"burst-frac", "long-run fraction of time bursting "
+                                   "(default 0.15)"},
+                    {"burst-cycles",
+                     "mean burst dwell in cycles (default 100000)"},
+                },
+                factoryOf<BurstyArrival>(),
+            },
+            {
+                "diurnal",
+                "sinusoidal rate trace (non-homogeneous Poisson, thinned)",
+                {
+                    {"amp", "peak-to-mean rate modulation in [0,1) "
+                            "(default 0.8)"},
+                    {"day-cycles",
+                     "diurnal period in cycles (default 2000000)"},
+                },
+                factoryOf<DiurnalArrival>(),
+            },
+            {
+                "fixed",
+                "deterministic constant inter-arrival gap",
+                {},
+                factoryOf<FixedArrival>(),
+            },
+            {
+                "poisson",
+                "memoryless arrivals with exponential inter-arrival gaps",
+                {},
+                factoryOf<PoissonArrival>(),
+            },
+        },
+    };
+    return table;
+}
+
+std::unique_ptr<ArrivalProcess>
+createArrivalProcess(const std::string& name, const ArrivalParams& params,
+                     std::uint64_t seed)
+{
+    const ArrivalInfo* info = arrivalProcesses().find(name);
+    if (info == nullptr) {
+        NDP_FATAL("unknown arrival process: ", name,
+                  " (validate configs with SystemConfig::validate first)");
+    }
+    std::unique_ptr<ArrivalProcess> process = info->factory(params, seed);
+    NDP_ASSERT(process != nullptr, "arrival factory returned null");
+    return process;
 }
 
 } // namespace ndpext

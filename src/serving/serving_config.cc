@@ -130,7 +130,7 @@ parseTenantSpec(const std::string& spec, TenantSpec* out,
             out->footprintBytes = mb * 1_MiB;
         } else {
             // Everything else must be an arrival-process tunable;
-            // validateServingConfig checks the key against the registry
+            // validateServingConfig checks the key against the table
             // once the arrival name is known.
             double v = 0.0;
             if (!parseNum(key, val, &v, error)) {
@@ -186,13 +186,11 @@ validateServingConfig(const ServingConfig& cfg, std::string* error)
             }
             return fail(why);
         }
-        const ArrivalInfo* info =
-            ArrivalRegistry::instance().find(t.arrival);
+        const ArrivalInfo* info = arrivalProcesses().find(t.arrival);
         if (info == nullptr) {
             std::string why =
                 flag + ": unknown arrival process '" + t.arrival + "'";
-            const std::string hint =
-                ArrivalRegistry::instance().suggest(t.arrival);
+            const std::string hint = arrivalProcesses().suggest(t.arrival);
             if (!hint.empty()) {
                 why += " (did you mean '" + hint + "'?)";
             }
@@ -200,12 +198,12 @@ validateServingConfig(const ServingConfig& cfg, std::string* error)
         }
         for (const auto& [key, val] : t.arrivalTunables) {
             bool declared = false;
-            for (const ArrivalTunable& tun : info->tunables) {
+            for (const Tunable& tun : info->tunables) {
                 declared = declared || tun.key == key;
             }
             if (!declared) {
                 std::vector<std::string> keys;
-                for (const ArrivalTunable& tun : info->tunables) {
+                for (const Tunable& tun : info->tunables) {
                     keys.push_back(tun.key);
                 }
                 std::string why = flag + ": arrival '" + t.arrival

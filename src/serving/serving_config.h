@@ -37,7 +37,7 @@ struct TenantSpec
     std::string name;
     /** Workload archetype (any name from allWorkloadNames()). */
     std::string workload;
-    /** Arrival process (any name from ArrivalRegistry). */
+    /** Arrival process (any name in arrivalProcesses()). */
     std::string arrival = "poisson";
     /** Mean cycles between request arrivals at each core. */
     double periodCycles = 0.0;

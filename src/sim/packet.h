@@ -3,13 +3,14 @@
  * The unit of communication between memory-system components.
  *
  * A Packet is created at the L1-miss point and threaded through the
- * port graph (core -> controller -> NoC -> DRAM / extended memory).
+ * memory system (core -> controller -> NoC -> DRAM / extended memory).
  * Components operate in atomic mode: recvAtomic() advances the packet's
  * `ready` time and charges the elapsed cycles to the matching bucket of
  * the packet's accumulating LatencyBreakdown, so the requester ends up
  * with both the completion time and the Fig. 2(a)-style attribution of
- * where those cycles went. This mirrors gem5's packet/port protocol,
- * restricted to the atomic timing mode this simulator needs.
+ * where those cycles went. This mirrors gem5's atomic packet protocol
+ * without its ports: a core sends to the MemSink it was built with, and
+ * the controller calls its NocModel and ExtendedMemory directly.
  */
 
 #ifndef NDPEXT_SIM_PACKET_H
@@ -98,6 +99,19 @@ struct Packet
         pkt.ready = now;
         return pkt;
     }
+};
+
+/**
+ * Where a core sends its L1 misses and writebacks: the stream cache
+ * controller (NDP) or the host LLC.
+ */
+class MemSink
+{
+  public:
+    virtual ~MemSink() = default;
+
+    /** Service `pkt` now; advances pkt.ready and charges pkt.bd. */
+    virtual void recvAtomic(Packet& pkt) = 0;
 };
 
 } // namespace ndpext

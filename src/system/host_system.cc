@@ -26,8 +26,7 @@ HostSystem::run(const Workload& workload)
     cores.reserve(params_.numCores);
     std::vector<std::unique_ptr<AccessGenerator>> gens;
     for (CoreId c = 0; c < params_.numCores; ++c) {
-        cores.emplace_back(c, core_);
-        cores.back().memPort().bind(llc.port("cpu_side"));
+        cores.emplace_back(c, core_, llc);
         gens.push_back(workload.makeGenerator(c));
     }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -92,6 +94,110 @@ struct Shard
      */
     Cycles busyUntil = 0;
 };
+
+/**
+ * The per-stream cost attribution series (ndpext_report topdown) as
+ * (name suffix, getter) pairs in registration order. Telemetry registers
+ * each as a counter and --stats-json writes its final value, so both
+ * carry one definition. The getters take kNoStream for the "none" slot,
+ * which keeps the series summing to the machine totals.
+ */
+using StreamGetter = std::function<double(StreamId sid)>;
+using StreamSeries = std::vector<std::pair<std::string, StreamGetter>>;
+
+StreamSeries
+streamSeries(const std::vector<InOrderCore>& cores,
+             const std::vector<Shard>& shards,
+             const StreamCacheController& cache)
+{
+    StreamSeries out;
+    out.emplace_back("stallCycles", [&cores](StreamId sid) {
+        Cycles total = 0;
+        for (const auto& core : cores) {
+            total += sid == kNoStream ? core.noStreamStallCycles()
+                                      : core.streamStallCycles(sid);
+        }
+        return double(total);
+    });
+    using BdField = Cycles LatencyBreakdown::*;
+    static const std::pair<const char*, BdField> kService[] = {
+        {"metadata", &LatencyBreakdown::metadata},
+        {"icnIntra", &LatencyBreakdown::icnIntra},
+        {"icnInter", &LatencyBreakdown::icnInter},
+        {"dramCache", &LatencyBreakdown::dramCache},
+        {"extMem", &LatencyBreakdown::extMem},
+    };
+    for (const auto& [name, field] : kService) {
+        out.emplace_back(std::string("serviceCycles.") + name,
+                         [&cache, field = field](StreamId sid) {
+                             const LatencyBreakdown bd = sid == kNoStream
+                                 ? cache.nonStreamBreakdown()
+                                 : cache.streamBreakdown(sid);
+                             return double(bd.*field);
+                         });
+    }
+    out.emplace_back("energyNj.icn", [&shards](StreamId sid) {
+        double total = 0.0;
+        for (const Shard& sh : shards) {
+            total += sid == kNoStream ? sh.noc->unattributedEnergyNj()
+                                      : sh.noc->streamEnergyNj(sid);
+        }
+        return total;
+    });
+    out.emplace_back("energyNj.cxlLink", [&shards](StreamId sid) {
+        double total = 0.0;
+        for (const Shard& sh : shards) {
+            total += sid == kNoStream ? sh.ext->unattributedLinkEnergyNj()
+                                      : sh.ext->streamLinkEnergyNj(sid);
+        }
+        return total;
+    });
+    out.emplace_back("energyNj.extDram", [&shards](StreamId sid) {
+        double total = 0.0;
+        for (const Shard& sh : shards) {
+            total += sid == kNoStream ? sh.ext->unattributedDramEnergyNj()
+                                      : sh.ext->streamDramEnergyNj(sid);
+        }
+        return total;
+    });
+    out.emplace_back("energyNj.dramCache", [&cache](StreamId sid) {
+        return sid == kNoStream ? cache.nonStreamDramCacheEnergyNj()
+                                : cache.streamDramCacheEnergyNj(sid);
+    });
+    out.emplace_back("energyNj.sram", [&cache](StreamId sid) {
+        return sid == kNoStream ? cache.nonStreamSramEnergyNj()
+                                : cache.streamSramEnergyNj(sid);
+    });
+    return out;
+}
+
+/** Per-tenant serving counters, summed over cores: (suffix, field). */
+using TenantField = std::uint64_t TenantServingStats::*;
+const std::pair<const char*, TenantField> kTenantCounters[] = {
+    {"arrivals", &TenantServingStats::arrivals},
+    {"started", &TenantServingStats::started},
+    {"retired", &TenantServingStats::retired},
+    {"sloViolations", &TenantServingStats::sloViolations},
+};
+
+/** Static per-tenant facts: (suffix, getter). */
+const std::pair<const char*, double (*)(const TenantSpec&)> kTenantFacts[] = {
+    {"sloCycles",
+     [](const TenantSpec& t) { return static_cast<double>(t.sloCycles); }},
+    {"reserved", [](const TenantSpec& t) { return t.reserved ? 1.0 : 0.0; }},
+};
+
+/** One tenant's `field`, summed over every core's serving generator. */
+double
+tenantSum(const std::vector<const ServingGenerator*>& gens, std::size_t t,
+          TenantField field)
+{
+    std::uint64_t total = 0;
+    for (const ServingGenerator* g : gens) {
+        total += g->tenantStats(t).*field;
+    }
+    return static_cast<double>(total);
+}
 
 } // namespace
 
@@ -306,8 +412,7 @@ NdpSystem::run(const Workload& workload)
     std::vector<std::unique_ptr<AccessGenerator>> gens;
     gens.reserve(n);
     for (CoreId c = 0; c < n; ++c) {
-        cores.emplace_back(c, cfg_.core);
-        cores.back().memPort().bind(cache.port("cpu_side"));
+        cores.emplace_back(c, cfg_.core, cache);
         gens.push_back(workload.makeGenerator(c));
     }
 
@@ -367,6 +472,15 @@ NdpSystem::run(const Workload& workload)
     // can rebuild the heaps. Heaps are filled after the resume decision.
     std::vector<std::uint8_t> alive(n, 1);
 
+    const StreamSeries perStream = streamSeries(cores, shards, cache);
+    // Name prefix of each per-stream slot: every stream, then "none".
+    std::vector<std::pair<std::string, StreamId>> streamSlots;
+    for (const StreamConfig& scfg : table.all()) {
+        streamSlots.emplace_back("stream." + std::to_string(scfg.sid),
+                                 scfg.sid);
+    }
+    streamSlots.emplace_back("stream.none", kNoStream);
+
     // --- telemetry: register every component's series and hand the
     // cores their shard-private sample buffers. Registration must finish
     // before the first sample; shard-clone NoC/CXL models register the
@@ -387,128 +501,30 @@ NdpSystem::run(const Workload& workload)
         }
 
         // Per-stream cost attribution series (ndpext_report topdown).
-        // The "none" slot carries kNoStream traffic so the series always
-        // sum to the machine totals.
-        auto registerStream = [&mr, &cores, &shards,
-                               &cache](const std::string& base,
-                                       StreamId sid, bool none) {
-            mr.registerCounter(base + ".stallCycles",
-                               [&cores, sid, none] {
-                                   Cycles total = 0;
-                                   for (const auto& core : cores) {
-                                       total += none
-                                           ? core.noStreamStallCycles()
-                                           : core.streamStallCycles(sid);
-                                   }
-                                   return double(total);
-                               });
-            struct BdField
-            {
-                const char* name;
-                Cycles LatencyBreakdown::* field;
-            };
-            static const BdField kFields[] = {
-                {"metadata", &LatencyBreakdown::metadata},
-                {"icnIntra", &LatencyBreakdown::icnIntra},
-                {"icnInter", &LatencyBreakdown::icnInter},
-                {"dramCache", &LatencyBreakdown::dramCache},
-                {"extMem", &LatencyBreakdown::extMem},
-            };
-            for (const BdField& f : kFields) {
-                mr.registerCounter(
-                    base + ".serviceCycles." + f.name,
-                    [&cache, sid, none, field = f.field] {
-                        const LatencyBreakdown bd = none
-                            ? cache.nonStreamBreakdown()
-                            : cache.streamBreakdown(sid);
-                        return double(bd.*field);
-                    });
+        for (const auto& [base, sid] : streamSlots) {
+            for (const auto& [suffix, get] : perStream) {
+                mr.registerCounter(base + "." + suffix,
+                                   [g = get, s = sid] { return g(s); });
             }
-            mr.registerCounter(base + ".energyNj.icn",
-                               [&shards, sid, none] {
-                                   double total = 0.0;
-                                   for (const auto& sh : shards) {
-                                       total += none
-                                           ? sh.noc->unattributedEnergyNj()
-                                           : sh.noc->streamEnergyNj(sid);
-                                   }
-                                   return total;
-                               });
-            mr.registerCounter(
-                base + ".energyNj.cxlLink", [&shards, sid, none] {
-                    double total = 0.0;
-                    for (const auto& sh : shards) {
-                        total += none
-                            ? sh.ext->unattributedLinkEnergyNj()
-                            : sh.ext->streamLinkEnergyNj(sid);
-                    }
-                    return total;
-                });
-            mr.registerCounter(
-                base + ".energyNj.extDram", [&shards, sid, none] {
-                    double total = 0.0;
-                    for (const auto& sh : shards) {
-                        total += none
-                            ? sh.ext->unattributedDramEnergyNj()
-                            : sh.ext->streamDramEnergyNj(sid);
-                    }
-                    return total;
-                });
-            mr.registerCounter(
-                base + ".energyNj.dramCache", [&cache, sid, none] {
-                    return none ? cache.nonStreamDramCacheEnergyNj()
-                                : cache.streamDramCacheEnergyNj(sid);
-                });
-            mr.registerCounter(base + ".energyNj.sram",
-                               [&cache, sid, none] {
-                                   return none
-                                       ? cache.nonStreamSramEnergyNj()
-                                       : cache.streamSramEnergyNj(sid);
-                               });
-        };
-        for (const StreamConfig& scfg : table.all()) {
-            registerStream("stream." + std::to_string(scfg.sid), scfg.sid,
-                           false);
         }
-        registerStream("stream.none", kNoStream, true);
         if (servingWl != nullptr) {
             const std::vector<TenantSpec>& tenants =
                 servingWl->serving().tenants;
             for (std::size_t t = 0; t < tenants.size(); ++t) {
-                const std::string base = "tenant." + tenants[t].name;
-                const auto sumStat =
-                    [&servingGens, t](std::uint64_t TenantServingStats::* f) {
-                        std::uint64_t total = 0;
-                        for (const ServingGenerator* g : servingGens) {
-                            total += g->tenantStats(t).*f;
-                        }
-                        return static_cast<double>(total);
-                    };
-                mr.registerCounter(base + ".arrivals", [sumStat] {
-                    return sumStat(&TenantServingStats::arrivals);
-                });
-                mr.registerCounter(base + ".started", [sumStat] {
-                    return sumStat(&TenantServingStats::started);
-                });
-                mr.registerCounter(base + ".retired", [sumStat] {
-                    return sumStat(&TenantServingStats::retired);
-                });
-                mr.registerCounter(base + ".sloViolations", [sumStat] {
-                    return sumStat(&TenantServingStats::sloViolations);
-                });
-                mr.registerHistogram(base + ".latency",
-                                     &tenantLatency[t]);
+                const std::string base = "tenant." + tenants[t].name + ".";
+                for (const auto& [suffix, field] : kTenantCounters) {
+                    mr.registerCounter(
+                        base + suffix, [&servingGens, t, field = field] {
+                            return tenantSum(servingGens, t, field);
+                        });
+                }
+                mr.registerHistogram(base + "latency", &tenantLatency[t]);
                 // Static per-tenant facts, exported so `ndpext_report
                 // slo` can print targets without the --stats-json file.
-                mr.registerGauge(
-                    base + ".sloCycles",
-                    [v = static_cast<double>(tenants[t].sloCycles)] {
-                        return v;
-                    });
-                mr.registerGauge(base + ".reserved",
-                                 [v = tenants[t].reserved ? 1.0 : 0.0] {
-                                     return v;
-                                 });
+                for (const auto& [suffix, get] : kTenantFacts) {
+                    mr.registerGauge(base + suffix,
+                                     [v = get(tenants[t])] { return v; });
+                }
             }
         }
         runtime.registerMetrics(mr);
@@ -1043,54 +1059,12 @@ NdpSystem::run(const Workload& workload)
                       static_cast<double>(res.engineWallMicros));
     }
 
-    // Per-stream cost attribution (mirrors the telemetry series so
-    // --stats-json carries them too).
-    auto addStreamStats = [&](const std::string& base, StreamId sid,
-                              bool none) {
-        Cycles stall = 0;
-        for (const auto& core : cores) {
-            stall += none ? core.noStreamStallCycles()
-                          : core.streamStallCycles(sid);
+    // Per-stream cost attribution (the telemetry series' final values).
+    for (const auto& [base, sid] : streamSlots) {
+        for (const auto& [suffix, get] : perStream) {
+            res.stats.set(base + "." + suffix, get(sid));
         }
-        res.stats.set(base + ".stallCycles", static_cast<double>(stall));
-        const LatencyBreakdown bd = none ? cache.nonStreamBreakdown()
-                                         : cache.streamBreakdown(sid);
-        res.stats.set(base + ".serviceCycles.metadata",
-                      static_cast<double>(bd.metadata));
-        res.stats.set(base + ".serviceCycles.icnIntra",
-                      static_cast<double>(bd.icnIntra));
-        res.stats.set(base + ".serviceCycles.icnInter",
-                      static_cast<double>(bd.icnInter));
-        res.stats.set(base + ".serviceCycles.dramCache",
-                      static_cast<double>(bd.dramCache));
-        res.stats.set(base + ".serviceCycles.extMem",
-                      static_cast<double>(bd.extMem));
-        double icn = 0.0;
-        double link = 0.0;
-        double ext_dram = 0.0;
-        for (const Shard& sh : shards) {
-            icn += none ? sh.noc->unattributedEnergyNj()
-                        : sh.noc->streamEnergyNj(sid);
-            link += none ? sh.ext->unattributedLinkEnergyNj()
-                         : sh.ext->streamLinkEnergyNj(sid);
-            ext_dram += none ? sh.ext->unattributedDramEnergyNj()
-                             : sh.ext->streamDramEnergyNj(sid);
-        }
-        res.stats.set(base + ".energyNj.icn", icn);
-        res.stats.set(base + ".energyNj.cxlLink", link);
-        res.stats.set(base + ".energyNj.extDram", ext_dram);
-        res.stats.set(base + ".energyNj.dramCache",
-                      none ? cache.nonStreamDramCacheEnergyNj()
-                           : cache.streamDramCacheEnergyNj(sid));
-        res.stats.set(base + ".energyNj.sram",
-                      none ? cache.nonStreamSramEnergyNj()
-                           : cache.streamSramEnergyNj(sid));
-    };
-    for (const StreamConfig& scfg : table.all()) {
-        addStreamStats("stream." + std::to_string(scfg.sid), scfg.sid,
-                       false);
     }
-    addStreamStats("stream.none", kNoStream, true);
 
     // Per-tenant SLO telemetry (ndpext_report slo / --stats-json).
     if (servingWl != nullptr) {
@@ -1100,40 +1074,25 @@ NdpSystem::run(const Workload& workload)
         res.stats.set("serving.tenants",
                       static_cast<double>(tenants.size()));
         for (std::size_t t = 0; t < tenants.size(); ++t) {
-            std::uint64_t arrivals = 0;
-            std::uint64_t started = 0;
-            std::uint64_t retired = 0;
-            std::uint64_t violations = 0;
-            for (const ServingGenerator* g : servingGens) {
-                arrivals += g->tenantStats(t).arrivals;
-                started += g->tenantStats(t).started;
-                retired += g->tenantStats(t).retired;
-                violations += g->tenantStats(t).sloViolations;
+            const std::string base = "tenant." + tenants[t].name + ".";
+            for (const auto& [suffix, field] : kTenantCounters) {
+                res.stats.set(base + suffix,
+                              tenantSum(servingGens, t, field));
+            }
+            for (const auto& [suffix, get] : kTenantFacts) {
+                res.stats.set(base + suffix, get(tenants[t]));
             }
             const Histogram& lat = tenantLatency[t];
-            const std::string base = "tenant." + tenants[t].name;
-            res.stats.set(base + ".arrivals",
-                          static_cast<double>(arrivals));
-            res.stats.set(base + ".started",
-                          static_cast<double>(started));
-            res.stats.set(base + ".retired",
-                          static_cast<double>(retired));
-            res.stats.set(base + ".sloViolations",
-                          static_cast<double>(violations));
-            res.stats.set(base + ".sloCycles",
-                          static_cast<double>(tenants[t].sloCycles));
-            res.stats.set(base + ".reserved",
-                          tenants[t].reserved ? 1.0 : 0.0);
-            res.stats.set(base + ".latencyMean", lat.mean());
-            res.stats.set(base + ".latencyP50", lat.percentile(0.5));
-            res.stats.set(base + ".latencyP99", lat.percentile(0.99));
-            res.stats.set(base + ".latencyMax", lat.maxValue());
-            res.stats.set(base + ".sloAttainment",
-                          retired == 0
-                              ? 1.0
-                              : 1.0
-                                  - static_cast<double>(violations)
-                                      / static_cast<double>(retired));
+            res.stats.set(base + "latencyMean", lat.mean());
+            res.stats.set(base + "latencyP50", lat.percentile(0.5));
+            res.stats.set(base + "latencyP99", lat.percentile(0.99));
+            res.stats.set(base + "latencyMax", lat.maxValue());
+            const double retired =
+                tenantSum(servingGens, t, &TenantServingStats::retired);
+            const double violations = tenantSum(
+                servingGens, t, &TenantServingStats::sloViolations);
+            res.stats.set(base + "sloAttainment",
+                          retired == 0.0 ? 1.0 : 1.0 - violations / retired);
         }
     }
 

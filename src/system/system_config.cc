@@ -135,23 +135,23 @@ SystemConfig::validate(std::string* error) const
     if (runtime.epochCycles == 0) {
         return fail("epoch length must be nonzero");
     }
-    const auto& registry = MemBackendRegistry::instance();
+    const auto& backends = memBackends();
     for (const auto& [role, roleCfg] :
          {std::pair<const char*, const MemBackendConfig*>{
               "unit", &memBackendUnit},
           {"ext", &memBackendExt},
           {"host", &memBackendHost}}) {
-        const MemBackendInfo* info = registry.find(roleCfg->backend);
+        const MemBackendInfo* info = backends.find(roleCfg->backend);
         if (info == nullptr) {
             std::string why = "unknown memory backend '"
                               + roleCfg->backend + "' for role '" + role
                               + "'";
-            const std::string hint = registry.suggest(roleCfg->backend);
+            const std::string hint = backends.suggest(roleCfg->backend);
             if (!hint.empty()) {
                 why += " (did you mean '" + hint + "'?)";
             } else {
                 std::string known;
-                for (const auto& n : registry.names()) {
+                for (const auto& n : backends.names()) {
                     known += (known.empty() ? "" : ", ") + n;
                 }
                 why += " (registered backends: " + known + ")";
@@ -161,9 +161,7 @@ SystemConfig::validate(std::string* error) const
         for (const auto& [key, value] : roleCfg->tunables) {
             const bool declared = std::any_of(
                 info->tunables.begin(), info->tunables.end(),
-                [&key = key](const MemTunable& t) {
-                    return t.key == key;
-                });
+                [&key = key](const Tunable& t) { return t.key == key; });
             if (!declared) {
                 return fail("memory backend '" + roleCfg->backend
                             + "' has no tunable '" + key

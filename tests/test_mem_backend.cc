@@ -1,5 +1,5 @@
 /**
- * Memory-backend registry and implementation coverage: registration /
+ * Memory-backend table and implementation coverage: the exact table,
  * lookup / did-you-mean, CLI spec parsing, per-backend timing semantics
  * (FR-FCFS reordering vs FCFS order, queue backpressure, starvation cap,
  * refresh blackouts, power-down wake penalties), checkpoint roundtrips
@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/backend_refresh.h"
@@ -31,69 +32,79 @@ hbmConfig(const std::string& backend)
     return MemBackendConfig{backend, DramTimingParams::hbm3Unit()};
 }
 
-// --- Registry -----------------------------------------------------------
+// --- Backend table ------------------------------------------------------
 
 TEST(MemBackendRegistry, ShipsAllFourBackends)
 {
-    const auto names = MemBackendRegistry::instance().names();
-    for (const char* expected : {"banked", "fcfs", "frfcfs", "refresh"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), expected),
-                  names.end())
-            << expected << " is not registered";
+    // The exact table: every backend in name order with its tunable keys
+    // in declaration order, so adding, dropping or renaming either shows.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        want = {
+            {"banked", {}},
+            {"fcfs", {"queue"}},
+            {"frfcfs", {"queue", "cap"}},
+            {"refresh",
+             {"refi", "rfc", "pd-idle", "pd-exit", "sr-idle", "sr-exit"}},
+        };
+    const std::vector<MemBackendInfo>& rows = memBackends().rows();
+    ASSERT_EQ(rows.size(), want.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].name, want[i].first);
+        std::vector<std::string> keys;
+        for (const Tunable& t : rows[i].tunables) {
+            keys.push_back(t.key);
+        }
+        EXPECT_EQ(keys, want[i].second) << rows[i].name;
     }
+    EXPECT_EQ(memBackends().names(),
+              (std::vector<std::string>{"banked", "fcfs", "frfcfs",
+                                        "refresh"}));
 }
 
 TEST(MemBackendRegistry, InfoCarriesDescriptionAndTunables)
 {
-    const MemBackendInfo* info =
-        MemBackendRegistry::instance().find("frfcfs");
-    ASSERT_NE(info, nullptr);
-    EXPECT_FALSE(info->description.empty());
-    ASSERT_TRUE(info->factory);
-    std::vector<std::string> keys;
-    for (const MemTunable& t : info->tunables) {
-        keys.push_back(t.key);
+    for (const MemBackendInfo& info : memBackends().rows()) {
+        EXPECT_FALSE(info.description.empty()) << info.name;
+        EXPECT_TRUE(info.factory) << info.name;
+        for (const Tunable& t : info.tunables) {
+            EXPECT_FALSE(t.description.empty()) << info.name << "." << t.key;
+        }
     }
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "queue"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "cap"), keys.end());
 }
 
 TEST(MemBackendRegistry, FindUnknownReturnsNull)
 {
-    EXPECT_EQ(MemBackendRegistry::instance().find("no-such-backend"),
-              nullptr);
+    EXPECT_EQ(memBackends().find("no-such-backend"), nullptr);
+    ASSERT_NE(memBackends().find("frfcfs"), nullptr);
+    EXPECT_EQ(memBackends().find("frfcfs")->name, "frfcfs");
 }
 
 TEST(MemBackendRegistry, SuggestsNearbyNames)
 {
-    auto& registry = MemBackendRegistry::instance();
-    EXPECT_EQ(registry.suggest("frfcs"), "frfcfs");
-    EXPECT_EQ(registry.suggest("refrsh"), "refresh");
+    EXPECT_EQ(memBackends().suggest("frfcs"), "frfcfs");
+    EXPECT_EQ(memBackends().suggest("refrsh"), "refresh");
     // Nothing plausible within the edit-distance budget.
-    EXPECT_EQ(registry.suggest("zzzzzzzzzz"), "");
+    EXPECT_EQ(memBackends().suggest("zzzzzzzzzz"), "");
 }
 
 TEST(MemBackendRegistryDeathTest, DuplicateRegistrationIsFatal)
 {
-    EXPECT_DEATH(
-        {
-            MemBackendInfo dup;
-            dup.name = "banked";
-            dup.description = "imposter";
-            dup.factory = [](const MemBackendConfig& cfg,
-                             std::uint64_t core_freq_mhz) {
-                return std::make_unique<DramDevice>(cfg.timing,
-                                                    core_freq_mhz);
-            };
-            MemBackendRegistry::instance().add(std::move(dup));
-        },
-        "duplicate memory backend");
+    // Two rows under one name would make find() pick one silently;
+    // building such a table must stop the process instead.
+    const auto row = [](const char* name) {
+        MemBackendInfo info;
+        info.name = name;
+        return info;
+    };
+    EXPECT_DEATH(NamedTable<MemBackendInfo>(
+                     "memory backend",
+                     {row("banked"), row("fcfs"), row("banked")}),
+                 "duplicate memory backend name: banked");
 }
 
 TEST(MemBackendCreate, SetsBackendNameOnEveryRegisteredBackend)
 {
-    for (const std::string& name :
-         MemBackendRegistry::instance().names()) {
+    for (const std::string& name : memBackends().names()) {
         const auto backend = createMemBackend(hbmConfig(name), kFreq);
         ASSERT_NE(backend, nullptr) << name;
         EXPECT_EQ(backend->backendName(), name);
@@ -327,8 +338,7 @@ TEST(RefreshBackend, SelfRefreshWakeLosesRowBuffer)
  */
 TEST(MemBackendCheckpoint, EveryBackendRoundTrips)
 {
-    for (const std::string& name :
-         MemBackendRegistry::instance().names()) {
+    for (const std::string& name : memBackends().names()) {
         const MemBackendConfig cfg = hbmConfig(name);
         const auto original = createMemBackend(cfg, kFreq);
         for (std::uint64_t i = 0; i < 200; ++i) {

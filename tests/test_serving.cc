@@ -1,6 +1,6 @@
 /**
- * Serving-frontend coverage: the arrival-process registry and every
- * registered process (determinism, gap bounds, mid-stream checkpoint),
+ * Serving-frontend coverage: the arrival-process table and every
+ * built-in process (determinism, gap bounds, mid-stream checkpoint),
  * tenant-spec parsing and validation diagnostics, the composed
  * multi-tenant workload (stream ownership, churn windows, config hash),
  * the open-loop generator (window-confined arrivals, reserved-first
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serving/arrival_process.h"
@@ -28,28 +29,42 @@
 namespace ndpext {
 namespace {
 
-// --- Arrival registry ---------------------------------------------------
+// --- Arrival table ------------------------------------------------------
 
 TEST(ArrivalRegistry, BuiltinProcessesAreRegistered)
 {
-    const auto names = ArrivalRegistry::instance().names();
-    for (const char* want : {"poisson", "bursty", "diurnal", "fixed"}) {
-        EXPECT_NE(std::find(names.begin(), names.end(), want),
-                  names.end())
-            << want;
+    // The exact table: every process in name order with its tunable keys
+    // in declaration order.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        want = {
+            {"bursty", {"burst-factor", "burst-frac", "burst-cycles"}},
+            {"diurnal", {"amp", "day-cycles"}},
+            {"fixed", {}},
+            {"poisson", {}},
+        };
+    const std::vector<ArrivalInfo>& rows = arrivalProcesses().rows();
+    ASSERT_EQ(rows.size(), want.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].name, want[i].first);
+        EXPECT_FALSE(rows[i].description.empty()) << rows[i].name;
+        EXPECT_TRUE(rows[i].factory) << rows[i].name;
+        std::vector<std::string> keys;
+        for (const Tunable& t : rows[i].tunables) {
+            keys.push_back(t.key);
+        }
+        EXPECT_EQ(keys, want[i].second) << rows[i].name;
     }
-    const ArrivalInfo* info = ArrivalRegistry::instance().find("bursty");
-    ASSERT_NE(info, nullptr);
-    EXPECT_FALSE(info->description.empty());
-    EXPECT_FALSE(info->tunables.empty());
-    EXPECT_EQ(ArrivalRegistry::instance().find("nope"), nullptr);
+    EXPECT_EQ(arrivalProcesses().names(),
+              (std::vector<std::string>{"bursty", "diurnal", "fixed",
+                                        "poisson"}));
+    EXPECT_EQ(arrivalProcesses().find("nope"), nullptr);
 }
 
 TEST(ArrivalRegistry, SuggestsClosestName)
 {
-    EXPECT_EQ(ArrivalRegistry::instance().suggest("posson"), "poisson");
-    EXPECT_EQ(ArrivalRegistry::instance().suggest("burstee"), "bursty");
-    EXPECT_EQ(ArrivalRegistry::instance().suggest("qqqqqqqqqq"), "");
+    EXPECT_EQ(arrivalProcesses().suggest("posson"), "poisson");
+    EXPECT_EQ(arrivalProcesses().suggest("burstee"), "bursty");
+    EXPECT_EQ(arrivalProcesses().suggest("qqqqqqqqqq"), "");
 }
 
 // --- Arrival processes --------------------------------------------------
@@ -74,7 +89,7 @@ TEST(ArrivalProcess, GapsAreAtLeastOneCycle)
 {
     // Sub-cycle mean periods must still produce strictly increasing
     // arrival times.
-    for (const auto& name : ArrivalRegistry::instance().names()) {
+    for (const auto& name : arrivalProcesses().names()) {
         auto p = createArrivalProcess(name, params(1.5), 99);
         for (int i = 0; i < 2000; ++i) {
             EXPECT_GE(p->nextGap(), 1u) << name;
@@ -84,7 +99,7 @@ TEST(ArrivalProcess, GapsAreAtLeastOneCycle)
 
 TEST(ArrivalProcess, SameSeedSameSequence)
 {
-    for (const auto& name : ArrivalRegistry::instance().names()) {
+    for (const auto& name : arrivalProcesses().names()) {
         auto a = createArrivalProcess(name, params(800.0), 7);
         auto b = createArrivalProcess(name, params(800.0), 7);
         for (int i = 0; i < 500; ++i) {
@@ -95,7 +110,7 @@ TEST(ArrivalProcess, SameSeedSameSequence)
 
 TEST(ArrivalProcess, DifferentSeedsDiverge)
 {
-    for (const auto& name : ArrivalRegistry::instance().names()) {
+    for (const auto& name : arrivalProcesses().names()) {
         if (name == "fixed") {
             continue; // deterministic gap, seed-independent by design
         }
@@ -125,7 +140,7 @@ TEST(ArrivalProcess, CheckpointResumesMidStream)
     // Serialize after 57 draws, restore into an instance built with a
     // *different* seed: the continuation must match the original
     // exactly (deserialize restores all state, including the Rng).
-    for (const auto& name : ArrivalRegistry::instance().names()) {
+    for (const auto& name : arrivalProcesses().names()) {
         auto a = createArrivalProcess(name, params(600.0), 11);
         for (int i = 0; i < 57; ++i) {
             a->nextGap();

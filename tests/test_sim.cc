@@ -1,12 +1,10 @@
-/** Tests for the simulation substrate: stats, events, resources. */
+/** Tests for the simulation substrate: stats and resources. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <vector>
 
 #include "sim/breakdown.h"
-#include "sim/event_queue.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
 
@@ -118,110 +116,6 @@ TEST(StatGroup, DumpOrdered)
     std::ostringstream oss;
     s.dump(oss);
     EXPECT_EQ(oss.str(), "a 1\nb 2\n");
-}
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(30, [&](Cycles) { fired.push_back(3); });
-    q.schedule(10, [&](Cycles) { fired.push_back(1); });
-    q.schedule(20, [&](Cycles) { fired.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, SameTickIsFifo)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(5, [&](Cycles) { fired.push_back(1); });
-    q.schedule(5, [&](Cycles) { fired.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, RunUntilStopsEarly)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(10, [&](Cycles) { ++count; });
-    q.schedule(100, [&](Cycles) { ++count; });
-    q.runUntil(50);
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(q.now(), 50u);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.nextTick(), 100u);
-}
-
-TEST(EventQueue, RunUntilKeepsSameTickFifoOrder)
-{
-    // Draining up to a boundary must preserve FIFO order among
-    // same-tick events, including ones scheduled from callbacks.
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&](Cycles now) {
-        fired.push_back(1);
-        q.schedule(now, [&](Cycles) { fired.push_back(3); });
-    });
-    q.schedule(10, [&](Cycles) { fired.push_back(2); });
-    q.runUntil(10);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, NextTickAfterPartialDrain)
-{
-    EventQueue q;
-    q.schedule(10, [](Cycles) {});
-    q.schedule(20, [](Cycles) {});
-    q.schedule(30, [](Cycles) {});
-    EXPECT_EQ(q.nextTick(), 10u);
-    q.runUntil(15);
-    EXPECT_EQ(q.nextTick(), 20u);
-    EXPECT_EQ(q.size(), 2u);
-    q.runUntil(20);
-    EXPECT_EQ(q.nextTick(), 30u);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.now(), 20u);
-}
-
-TEST(EventQueue, RunUntilBoundaryIsInclusive)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(10, [&](Cycles) { ++count; });
-    q.runUntil(10);
-    EXPECT_EQ(count, 1) << "events at exactly `until` must fire";
-    EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventQueue, CallbackCanReschedule)
-{
-    EventQueue q;
-    int count = 0;
-    std::function<void(Cycles)> cb = [&](Cycles now) {
-        ++count;
-        if (count < 3) {
-            q.schedule(now + 10, cb);
-        }
-    };
-    q.schedule(0, cb);
-    q.runAll();
-    EXPECT_EQ(count, 3);
-    EXPECT_EQ(q.now(), 20u);
-}
-
-TEST(EventQueueDeathTest, SchedulingInThePastIsAHardError)
-{
-    // A past-dated event would silently reorder time; the queue must
-    // reject it loudly rather than fire it out of order.
-    EventQueue q;
-    q.schedule(10, [](Cycles) {});
-    q.runAll();
-    EXPECT_EQ(q.now(), 10u);
-    EXPECT_DEATH(q.schedule(5, [](Cycles) {}), "scheduling in the past");
 }
 
 TEST(BandwidthResource, NoContentionStartsImmediately)

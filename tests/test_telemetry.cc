@@ -147,7 +147,7 @@ TEST(LatencyBreakdown, PacketStageSumsEqualTotalLatency)
     std::uint64_t verified = 0;
     auto verify = [&](Packet pkt) {
         const Cycles issue = pkt.ready;
-        rig.cache->handleRequest(pkt);
+        rig.cache->recvAtomic(pkt);
         EXPECT_EQ(pkt.ready - issue, pkt.bd.total())
             << "unaccounted cycles on packet " << verified;
         EXPECT_EQ(pkt.bd.requests, 1u);

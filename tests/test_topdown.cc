@@ -51,11 +51,11 @@ class ListGen : public AccessGenerator
 };
 
 /** Memory stub: fixed service latency with a fixed breakdown split. */
-class FixedLatencyMem : public MemPort
+class FixedLatencyMem : public MemSink
 {
   public:
     FixedLatencyMem(Cycles metadata, Cycles ext_mem)
-        : MemPort("stub"), metadata_(metadata), extMem_(ext_mem)
+        : metadata_(metadata), extMem_(ext_mem)
     {
     }
 
@@ -87,9 +87,8 @@ TEST(CoreStall, LargestRemainderSplitSumsExactly)
     CoreParams params;
     params.mshrs = 1; // strict stall-on-miss: every wait is attributed
     params.l1HitCycles = 2;
-    InOrderCore core(0, params);
     FixedLatencyMem mem(3, 7); // service 10: 30% metadata, 70% extMem
-    core.memPort().bind(mem);
+    InOrderCore core(0, params, mem);
 
     ListGen gen({missAt(0, 5), missAt(1, 5)});
     while (core.step(gen)) {
@@ -119,10 +118,9 @@ TEST(CoreStall, ZeroServiceBreakdownFallsToMshrQueue)
     // A stub that advances time without recording any breakdown: the
     // stall has no service profile to blame, so it must land in the
     // explicit queueing bucket rather than vanish.
-    class OpaqueMem : public MemPort
+    class OpaqueMem : public MemSink
     {
       public:
-        OpaqueMem() : MemPort("opaque") {}
         void
         recvAtomic(Packet& pkt) override
         {
@@ -132,8 +130,7 @@ TEST(CoreStall, ZeroServiceBreakdownFallsToMshrQueue)
 
     CoreParams params;
     params.mshrs = 1;
-    InOrderCore core(0, params);
-    core.memPort().bind(mem);
+    InOrderCore core(0, params, mem);
 
     ListGen gen({missAt(0, kNoStream), missAt(1, kNoStream)});
     while (core.step(gen)) {
@@ -154,9 +151,8 @@ TEST(CoreStall, SplitIsExactForAdversarialRatios)
         for (Cycles ext = 1; ext <= 17; ext += 3) {
             CoreParams params;
             params.mshrs = 1;
-            InOrderCore core(0, params);
             FixedLatencyMem mem(meta, ext);
-            core.memPort().bind(mem);
+            InOrderCore core(0, params, mem);
             ListGen gen({missAt(0, 1), missAt(1, 2), missAt(2, 3)});
             while (core.step(gen)) {
             }

@@ -289,36 +289,32 @@ printWorkloads()
     }
 }
 
-/** `--list-arrivals`: registered arrival processes and tunables. */
+/** `--list-arrivals`: built-in arrival processes and tunables. */
 void
 printArrivals()
 {
-    auto& registry = ArrivalRegistry::instance();
     std::printf("arrival processes (--tenant=...,arrival=NAME"
                 "[,key=val...]):\n");
-    for (const std::string& name : registry.names()) {
-        const ArrivalInfo* info = registry.find(name);
-        std::printf("  %-8s %s\n", name.c_str(),
-                    info->description.c_str());
-        for (const ArrivalTunable& t : info->tunables) {
+    for (const ArrivalInfo& info : arrivalProcesses().rows()) {
+        std::printf("  %-8s %s\n", info.name.c_str(),
+                    info.description.c_str());
+        for (const Tunable& t : info.tunables) {
             std::printf("           %-14s %s\n", t.key.c_str(),
                         t.description.c_str());
         }
     }
 }
 
-/** `--list-mem-backends`: registered backends, tunables and presets. */
+/** `--list-mem-backends`: built-in backends, tunables and presets. */
 void
 printMemBackends()
 {
-    auto& registry = MemBackendRegistry::instance();
     std::printf("memory backends (--mem-backend.ROLE=NAME[,key=val...], "
                 "ROLE in unit|ext|host):\n");
-    for (const std::string& name : registry.names()) {
-        const MemBackendInfo* info = registry.find(name);
-        std::printf("  %-8s %s\n", name.c_str(),
-                    info->description.c_str());
-        for (const MemTunable& t : info->tunables) {
+    for (const MemBackendInfo& info : memBackends().rows()) {
+        std::printf("  %-8s %s\n", info.name.c_str(),
+                    info.description.c_str());
+        for (const Tunable& t : info.tunables) {
             std::printf("           %-8s %s\n", t.key.c_str(),
                         t.description.c_str());
         }
