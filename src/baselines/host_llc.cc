@@ -113,12 +113,13 @@ HostLlcController::writeback(CoreId core, Addr line_addr, Cycles now)
 }
 
 void
-HostLlcController::report(StatGroup& stats, const std::string& prefix) const
+HostLlcController::counters(Counters& out, const std::string& prefix) const
 {
-    bd_.report(stats, prefix + ".lat");
-    stats.add(prefix + ".llcHits", static_cast<double>(hits_));
-    stats.add(prefix + ".llcMisses", static_cast<double>(misses_));
-    dram_->report(stats, prefix + ".dram");
+    breakdownCounters(out, prefix + ".lat", [this] { return bd_; });
+    const CounterScope add{out, prefix};
+    add("llcHits", [this] { return double(hits_); });
+    add("llcMisses", [this] { return double(misses_); });
+    dram_->counters(out, prefix + ".dram");
 }
 
 } // namespace ndpext

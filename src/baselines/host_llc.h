@@ -67,7 +67,9 @@ class HostLlcController : public MemSink
     double dramEnergyNj() const { return dram_->dynamicEnergyNj(); }
     double nocEnergyNj() const { return nocEnergyNj_; }
 
-    void report(StatGroup& stats, const std::string& prefix) const;
+    /** Declare the latency breakdown (`.lat`), LLC hits/misses and
+     *  the DRAM device's counters (`.dram`) under `prefix`. */
+    void counters(Counters& out, const std::string& prefix) const;
 
   private:
     std::uint32_t hopsBetween(std::uint32_t a, std::uint32_t b) const;

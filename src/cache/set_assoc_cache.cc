@@ -120,20 +120,6 @@ SetAssocCache::invalidateAll()
     return dropped;
 }
 
-void
-SetAssocCache::report(StatGroup& stats, const std::string& prefix) const
-{
-    stats.add(prefix + ".hits", static_cast<double>(hits_));
-    stats.add(prefix + ".misses", static_cast<double>(misses_));
-    stats.add(prefix + ".evictions", static_cast<double>(evictions_));
-}
-
-void
-SetAssocCache::resetStats()
-{
-    hits_ = misses_ = evictions_ = 0;
-}
-
 SramCache::SramCache(std::uint64_t capacity_bytes, std::uint32_t line_bytes,
                      std::uint32_t ways)
     : lineBytes_(line_bytes),

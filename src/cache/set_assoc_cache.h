@@ -11,12 +11,10 @@
 #define NDPEXT_CACHE_SET_ASSOC_CACHE_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/checkpoint.h"
-#include "sim/stats.h"
 
 namespace ndpext {
 
@@ -72,9 +70,6 @@ class SetAssocCache
         const double total = static_cast<double>(hits_ + misses_);
         return total == 0.0 ? 0.0 : static_cast<double>(hits_) / total;
     }
-
-    void report(StatGroup& stats, const std::string& prefix) const;
-    void resetStats();
 
     /** Checkpoint hooks (geometry is configuration; contents travel). */
     void
@@ -157,12 +152,6 @@ class SramCache
 
     std::uint32_t lineBytes() const { return lineBytes_; }
     const SetAssocCache& tags() const { return tags_; }
-
-    void
-    report(StatGroup& stats, const std::string& prefix) const
-    {
-        tags_.report(stats, prefix);
-    }
 
     void serialize(ckpt::Writer& w) const { tags_.serialize(w); }
     void deserialize(ckpt::Reader& r) { tags_.deserialize(r); }

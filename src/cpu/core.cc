@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "sim/packet.h"
-#include "telemetry/metric_registry.h"
 #include "telemetry/telemetry.h"
 
 namespace ndpext {
@@ -254,56 +253,22 @@ InOrderCore::step(AccessGenerator& gen)
 }
 
 void
-InOrderCore::registerCpiMetrics(MetricRegistry& registry,
-                                const std::string& prefix)
+InOrderCore::counters(Counters& out, const std::string& prefix) const
 {
-    registry.registerCounter(prefix + ".computeCycles",
-                             [this] { return double(computeCycles_); });
-    registry.registerCounter(prefix + ".l1Cycles",
-                             [this] { return double(l1Cycles()); });
-    registry.registerCounter(prefix + ".memStallCycles",
-                             [this] { return double(memStallCycles_); });
-    registry.registerCounter(prefix + ".idleCycles",
-                             [this] { return double(idleCycles_); });
-    registry.registerCounter(prefix + ".stall.metadata",
-                             [this] { return double(stall_.metadata); });
-    registry.registerCounter(prefix + ".stall.icnIntra",
-                             [this] { return double(stall_.icnIntra); });
-    registry.registerCounter(prefix + ".stall.icnInter",
-                             [this] { return double(stall_.icnInter); });
-    registry.registerCounter(prefix + ".stall.dramCache",
-                             [this] { return double(stall_.dramCache); });
-    registry.registerCounter(prefix + ".stall.extMem",
-                             [this] { return double(stall_.extMem); });
-    registry.registerCounter(prefix + ".stall.mshrQueue",
-                             [this] { return double(stall_.mshrQueue); });
-}
-
-void
-InOrderCore::registerMetrics(MetricRegistry& registry)
-{
-    // Shared names: the registry sums every core's reader, so the series
-    // is the machine-wide total without 64x per-core key bloat.
-    registry.registerCounter("cores.accesses",
-                             [this] { return double(accesses_); });
-    registry.registerCounter("cores.l1Hits",
-                             [this] { return double(l1Hits_); });
-    registerCpiMetrics(registry, "cores");
-}
-
-void
-InOrderCore::report(StatGroup& stats, const std::string& prefix) const
-{
-    stats.add(prefix + ".accesses", static_cast<double>(accesses_));
-    stats.add(prefix + ".l1Hits", static_cast<double>(l1Hits_));
-    stats.add(prefix + ".cycles", static_cast<double>(now_));
-    stats.add(prefix + ".computeCycles",
-              static_cast<double>(computeCycles_));
-    stats.add(prefix + ".l1Cycles", static_cast<double>(l1Cycles()));
-    stats.add(prefix + ".memStallCycles",
-              static_cast<double>(memStallCycles_));
-    stats.add(prefix + ".idleCycles", static_cast<double>(idleCycles_));
-    stall_.report(stats, prefix + ".stall");
+    const CounterScope add{out, prefix};
+    add("accesses", [this] { return double(accesses_); });
+    add("l1Hits", [this] { return double(l1Hits_); });
+    add("cycles", [this] { return double(now_); });
+    add("computeCycles", [this] { return double(computeCycles_); });
+    add("l1Cycles", [this] { return double(l1Cycles()); });
+    add("memStallCycles", [this] { return double(memStallCycles_); });
+    add("idleCycles", [this] { return double(idleCycles_); });
+    add("stall.metadata", [this] { return double(stall_.metadata); });
+    add("stall.icnIntra", [this] { return double(stall_.icnIntra); });
+    add("stall.icnInter", [this] { return double(stall_.icnInter); });
+    add("stall.dramCache", [this] { return double(stall_.dramCache); });
+    add("stall.extMem", [this] { return double(stall_.extMem); });
+    add("stall.mshrQueue", [this] { return double(stall_.mshrQueue); });
 }
 
 } // namespace ndpext

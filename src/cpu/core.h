@@ -30,7 +30,6 @@
 
 namespace ndpext {
 
-class MetricRegistry;      // telemetry/metric_registry.h
 struct PacketSampleBuffer; // telemetry/telemetry.h
 
 /**
@@ -56,17 +55,6 @@ struct CoreStallBreakdown
     {
         return metadata + icnIntra + icnInter + dramCache + extMem
             + mshrQueue;
-    }
-
-    void
-    report(StatGroup& stats, const std::string& prefix) const
-    {
-        stats.add(prefix + ".metadata", static_cast<double>(metadata));
-        stats.add(prefix + ".icnIntra", static_cast<double>(icnIntra));
-        stats.add(prefix + ".icnInter", static_cast<double>(icnInter));
-        stats.add(prefix + ".dramCache", static_cast<double>(dramCache));
-        stats.add(prefix + ".extMem", static_cast<double>(extMem));
-        stats.add(prefix + ".mshrQueue", static_cast<double>(mshrQueue));
     }
 };
 
@@ -149,16 +137,14 @@ class InOrderCore
      *  memStallCycles(). */
     Cycles noStreamStallCycles() const { return noStreamStall_; }
 
-    void report(StatGroup& stats, const std::string& prefix) const;
-
     /**
-     * Register the CPI-stack series (compute/l1/stall buckets) under an
-     * arbitrary prefix. NdpSystem calls this once with "cores" (machine
-     * total via duplicate-name summing) and once with "stack.<s>" for
-     * the core's stack, giving per-stack stacks for free.
+     * Declare the core's 13 counters under `prefix`: accesses, l1Hits,
+     * cycles, the CPI-stack buckets (compute/l1/memStall/idle) and the
+     * six stall buckets. NdpSystem declares every core under "cores"
+     * (machine totals via duplicate-name summing), under its
+     * "stack.<s>", and once more as the per-core "coreN" rows.
      */
-    void registerCpiMetrics(MetricRegistry& registry,
-                            const std::string& prefix);
+    void counters(Counters& out, const std::string& prefix) const;
 
     /**
      * Attach a telemetry packet-sample sink (null detaches). The buffer
@@ -178,9 +164,6 @@ class InOrderCore
      * cycle-exactly. Observer-only; must be shard-private to this core.
      */
     void setRequestTraceSink(RequestTraceBuffer* sink) { reqSink_ = sink; }
-
-    /** Registers aggregate series under "cores.*" (sums across cores). */
-    void registerMetrics(MetricRegistry& registry);
 
     /** The core's private packet pool (engine telemetry). */
     const PacketPool& packetPool() const { return pool_; }

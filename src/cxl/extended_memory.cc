@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/metric_registry.h"
-
 namespace ndpext {
 
 ExtendedMemory::ExtendedMemory(const CxlParams& cxl,
@@ -98,43 +96,20 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
 }
 
 void
-ExtendedMemory::report(StatGroup& stats, const std::string& prefix) const
+ExtendedMemory::counters(Counters& out, const std::string& prefix) const
 {
-    stats.add(prefix + ".accesses", static_cast<double>(accesses_));
-    stats.add(prefix + ".linkEnergyNj", linkEnergyNj_);
-    stats.add(prefix + ".linkBytes", static_cast<double>(linkBytes_));
-    stats.add(prefix + ".linkQueueCycles",
-              static_cast<double>(link_.totalQueueCycles()));
-    stats.add(prefix + ".linkReservations",
-              static_cast<double>(link_.reservations()));
-    stats.add(prefix + ".degraded.linkRetries",
-              static_cast<double>(linkRetries_));
-    stats.add(prefix + ".degraded.retriesExhausted",
-              static_cast<double>(retriesExhausted_));
-    stats.add(prefix + ".degraded.poisonedReads",
-              static_cast<double>(poisonedReads_));
-    dram_->report(stats, prefix + ".dram");
-}
-
-void
-ExtendedMemory::registerMetrics(MetricRegistry& registry)
-{
-    registry.registerCounter("ext.accesses",
-                             [this] { return double(accesses_); });
-    registry.registerCounter("ext.linkBytes",
-                             [this] { return double(linkBytes_); });
-    registry.registerCounter("ext.linkEnergyNj",
-                             [this] { return linkEnergyNj_; });
-    registry.registerCounter("ext.linkQueueCycles", [this] {
-        return double(link_.totalQueueCycles());
-    });
-    registry.registerCounter("ext.degraded.linkRetries",
-                             [this] { return double(linkRetries_); });
-    registry.registerCounter("ext.degraded.retriesExhausted",
-                             [this] { return double(retriesExhausted_); });
-    registry.registerCounter("ext.degraded.poisonedReads",
-                             [this] { return double(poisonedReads_); });
-    dram_->registerMetrics(registry, "ext.dram");
+    const CounterScope add{out, prefix};
+    add("accesses", [this] { return double(accesses_); });
+    add("linkEnergyNj", [this] { return linkEnergyNj_; });
+    add("linkBytes", [this] { return double(linkBytes_); });
+    add("linkQueueCycles",
+        [this] { return double(link_.totalQueueCycles()); });
+    add("linkReservations", [this] { return double(link_.reservations()); });
+    add("degraded.linkRetries", [this] { return double(linkRetries_); });
+    add("degraded.retriesExhausted",
+        [this] { return double(retriesExhausted_); });
+    add("degraded.poisonedReads", [this] { return double(poisonedReads_); });
+    dram_->counters(out, prefix + ".dram");
 }
 
 void

@@ -127,11 +127,10 @@ class ExtendedMemory
     /** Reads that returned poison. */
     std::uint64_t poisonedReads() const { return poisonedReads_; }
 
-    void report(StatGroup& stats, const std::string& prefix) const;
+    /** Declare the link and device counters under `prefix` (shard
+     *  clones declare the same names, which sum into machine totals). */
+    void counters(Counters& out, const std::string& prefix) const;
     void reset();
-
-    /** Registers "ext.*" series (shard clones sum into one series). */
-    void registerMetrics(MetricRegistry& registry);
 
     /** Checkpoint hooks (link/DRAM parameters are configuration). */
     void

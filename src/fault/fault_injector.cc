@@ -246,16 +246,13 @@ FaultInjector::unitFailed(UnitId unit) const
 }
 
 void
-FaultInjector::report(StatGroup& stats, const std::string& prefix) const
+FaultInjector::counters(Counters& out, const std::string& prefix) const
 {
-    stats.add(prefix + ".linkErrorsInjected",
-              static_cast<double>(linkErrors_));
-    stats.add(prefix + ".linesPoisoned",
-              static_cast<double>(linesPoisoned_));
-    stats.add(prefix + ".dramBitFaultsInjected",
-              static_cast<double>(dramFaults_));
-    stats.add(prefix + ".failedUnits",
-              static_cast<double>(failed_.size()));
+    const CounterScope add{out, prefix};
+    add("linkErrorsInjected", [this] { return double(linkErrors_); });
+    add("linesPoisoned", [this] { return double(linesPoisoned_); });
+    add("dramBitFaultsInjected", [this] { return double(dramFaults_); });
+    add("failedUnits", [this] { return double(failed_.size()); });
 }
 
 } // namespace ndpext

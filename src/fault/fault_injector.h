@@ -141,7 +141,9 @@ class FaultInjector
     std::uint64_t linesPoisoned() const { return linesPoisoned_; }
     std::uint64_t dramBitFaultsInjected() const { return dramFaults_; }
 
-    void report(StatGroup& stats, const std::string& prefix) const;
+    /** Declare the injection counters under `prefix` (the master and
+     *  the per-shard injectors declare the same names, which sum). */
+    void counters(Counters& out, const std::string& prefix) const;
 
     /**
      * Checkpoint hooks. The schedule itself is configuration; RNG

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "telemetry/metric_registry.h"
 
 namespace ndpext {
 
@@ -133,45 +132,16 @@ RefreshDramBackend::accessRow(std::uint32_t bank_idx, std::uint64_t row,
 }
 
 void
-RefreshDramBackend::report(StatGroup& stats,
-                           const std::string& prefix) const
+RefreshDramBackend::counters(Counters& out, const std::string& prefix) const
 {
-    MemBackend::report(stats, prefix);
-    stats.add(prefix + ".refreshStalls",
-              static_cast<double>(refreshStalls_));
-    stats.add(prefix + ".refreshStallCycles",
-              static_cast<double>(refreshStallCycles_));
-    stats.add(prefix + ".pdWakes", static_cast<double>(pdWakes_));
-    stats.add(prefix + ".srWakes", static_cast<double>(srWakes_));
-    stats.add(prefix + ".pdResidencyCycles",
-              static_cast<double>(pdResidencyCycles_));
-    stats.add(prefix + ".srResidencyCycles",
-              static_cast<double>(srResidencyCycles_));
-}
-
-void
-RefreshDramBackend::registerMetrics(MetricRegistry& registry,
-                                    const std::string& prefix)
-{
-    MemBackend::registerMetrics(registry, prefix);
-    registry.registerCounter(prefix + ".refreshStalls", [this]() {
-        return static_cast<double>(refreshStalls_);
-    });
-    registry.registerCounter(prefix + ".refreshStallCycles", [this]() {
-        return static_cast<double>(refreshStallCycles_);
-    });
-    registry.registerCounter(prefix + ".pdWakes", [this]() {
-        return static_cast<double>(pdWakes_);
-    });
-    registry.registerCounter(prefix + ".srWakes", [this]() {
-        return static_cast<double>(srWakes_);
-    });
-    registry.registerCounter(prefix + ".pdResidencyCycles", [this]() {
-        return static_cast<double>(pdResidencyCycles_);
-    });
-    registry.registerCounter(prefix + ".srResidencyCycles", [this]() {
-        return static_cast<double>(srResidencyCycles_);
-    });
+    MemBackend::counters(out, prefix);
+    const CounterScope add{out, prefix};
+    add("refreshStalls", [this] { return double(refreshStalls_); });
+    add("refreshStallCycles", [this] { return double(refreshStallCycles_); });
+    add("pdWakes", [this] { return double(pdWakes_); });
+    add("srWakes", [this] { return double(srWakes_); });
+    add("pdResidencyCycles", [this] { return double(pdResidencyCycles_); });
+    add("srResidencyCycles", [this] { return double(srResidencyCycles_); });
 }
 
 void

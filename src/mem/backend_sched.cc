@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "telemetry/metric_registry.h"
 
 namespace ndpext {
 
@@ -130,41 +129,15 @@ SchedDramBackend::accessRow(std::uint32_t bank_idx, std::uint64_t row,
 }
 
 void
-SchedDramBackend::report(StatGroup& stats, const std::string& prefix) const
+SchedDramBackend::counters(Counters& out, const std::string& prefix) const
 {
-    MemBackend::report(stats, prefix);
-    stats.add(prefix + ".queueFullStalls",
-              static_cast<double>(queueFullStalls_));
-    stats.add(prefix + ".queueStallCycles",
-              static_cast<double>(queueStallCycles_));
-    stats.add(prefix + ".starvationRounds",
-              static_cast<double>(starvationRounds_));
-    stats.add(prefix + ".queueOccupancySum",
-              static_cast<double>(queueOccupancySum_));
-    stats.add(prefix + ".queueSamples",
-              static_cast<double>(queueSamples_));
-}
-
-void
-SchedDramBackend::registerMetrics(MetricRegistry& registry,
-                                  const std::string& prefix)
-{
-    MemBackend::registerMetrics(registry, prefix);
-    registry.registerCounter(prefix + ".queueFullStalls", [this]() {
-        return static_cast<double>(queueFullStalls_);
-    });
-    registry.registerCounter(prefix + ".queueStallCycles", [this]() {
-        return static_cast<double>(queueStallCycles_);
-    });
-    registry.registerCounter(prefix + ".starvationRounds", [this]() {
-        return static_cast<double>(starvationRounds_);
-    });
-    registry.registerCounter(prefix + ".queueOccupancySum", [this]() {
-        return static_cast<double>(queueOccupancySum_);
-    });
-    registry.registerCounter(prefix + ".queueSamples", [this]() {
-        return static_cast<double>(queueSamples_);
-    });
+    MemBackend::counters(out, prefix);
+    const CounterScope add{out, prefix};
+    add("queueFullStalls", [this] { return double(queueFullStalls_); });
+    add("queueStallCycles", [this] { return double(queueStallCycles_); });
+    add("starvationRounds", [this] { return double(starvationRounds_); });
+    add("queueOccupancySum", [this] { return double(queueOccupancySum_); });
+    add("queueSamples", [this] { return double(queueSamples_); });
 }
 
 void

@@ -55,10 +55,7 @@ class SchedDramBackend : public MemBackend
                          std::uint32_t bytes, bool is_write,
                          Cycles now) override;
 
-    void report(StatGroup& stats, const std::string& prefix) const override;
-
-    void registerMetrics(MetricRegistry& registry,
-                         const std::string& prefix) override;
+    void counters(Counters& out, const std::string& prefix) const override;
 
     void reset() override;
 

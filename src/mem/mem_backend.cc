@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "telemetry/metric_registry.h"
 
 namespace ndpext {
 
@@ -308,35 +307,15 @@ MemBackend::rowHitRate() const
 }
 
 void
-MemBackend::report(StatGroup& stats, const std::string& prefix) const
+MemBackend::counters(Counters& out, const std::string& prefix) const
 {
-    stats.add(prefix + ".rowHits", static_cast<double>(rowHits_));
-    stats.add(prefix + ".rowMisses", static_cast<double>(rowMisses_));
-    stats.add(prefix + ".activations", static_cast<double>(activations_));
-    stats.add(prefix + ".bytesRead", static_cast<double>(bytesRead_));
-    stats.add(prefix + ".bytesWritten", static_cast<double>(bytesWritten_));
-    stats.add(prefix + ".dynamicEnergyNj", dynamicEnergyNj());
-}
-
-void
-MemBackend::registerMetrics(MetricRegistry& registry,
-                            const std::string& prefix)
-{
-    registry.registerCounter(prefix + ".rowHits", [this]() {
-        return static_cast<double>(rowHits_);
-    });
-    registry.registerCounter(prefix + ".rowMisses", [this]() {
-        return static_cast<double>(rowMisses_);
-    });
-    registry.registerCounter(prefix + ".activations", [this]() {
-        return static_cast<double>(activations_);
-    });
-    registry.registerCounter(prefix + ".bytesRead", [this]() {
-        return static_cast<double>(bytesRead_);
-    });
-    registry.registerCounter(prefix + ".bytesWritten", [this]() {
-        return static_cast<double>(bytesWritten_);
-    });
+    const CounterScope add{out, prefix};
+    add("rowHits", [this] { return double(rowHits_); });
+    add("rowMisses", [this] { return double(rowMisses_); });
+    add("activations", [this] { return double(activations_); });
+    add("bytesRead", [this] { return double(bytesRead_); });
+    add("bytesWritten", [this] { return double(bytesWritten_); });
+    add("dynamicEnergyNj", [this] { return dynamicEnergyNj(); });
 }
 
 void

@@ -21,8 +21,9 @@
  *  - Checkpointing: serialize()/deserialize() capture all mutable state;
  *    the backend name is part of the system config hash, so resuming a
  *    checkpoint under a different backend is rejected up front.
- *  - Telemetry: counters are exported both through report() (--stats-json)
- *    and registerMetrics() (epoch time-series).
+ *  - Counters: one counters() override declares the backend's own
+ *    counters after the base class's six; the same list feeds both
+ *    --stats-json and the epoch time-series.
  */
 
 #ifndef NDPEXT_MEM_MEM_BACKEND_H
@@ -39,8 +40,6 @@
 #include "sim/stats.h"
 
 namespace ndpext {
-
-class MetricRegistry;
 
 /** Timing/energy parameters of one DRAM technology. */
 struct DramTimingParams
@@ -230,16 +229,14 @@ class MemBackend
     std::uint64_t rowMisses() const { return rowMisses_; }
     std::uint64_t activations() const { return activations_; }
 
-    /** Aggregate counters under the given prefix. */
-    virtual void report(StatGroup& stats, const std::string& prefix) const;
-
     /**
-     * Register pull-mode telemetry series under `prefix` (duplicate
-     * names sum across instances, so per-unit devices registered under
-     * one prefix read as the machine-wide series).
+     * Declare the traffic and energy counters under `prefix` (rowHits,
+     * rowMisses, activations, bytesRead, bytesWritten,
+     * dynamicEnergyNj). Overrides append their own after calling this.
+     * Duplicate names sum across instances, so per-unit devices declared
+     * under one prefix read as the machine-wide counter.
      */
-    virtual void registerMetrics(MetricRegistry& registry,
-                                 const std::string& prefix);
+    virtual void counters(Counters& out, const std::string& prefix) const;
 
     virtual void reset();
 

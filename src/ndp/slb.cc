@@ -58,11 +58,4 @@ Slb::invalidateAll()
     lastHit_ = nullptr;
 }
 
-void
-Slb::report(StatGroup& stats, const std::string& prefix) const
-{
-    stats.add(prefix + ".hits", static_cast<double>(hits_));
-    stats.add(prefix + ".misses", static_cast<double>(misses_));
-}
-
 } // namespace ndpext

@@ -17,12 +17,10 @@
 #define NDPEXT_NDP_SLB_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/checkpoint.h"
-#include "sim/stats.h"
 
 namespace ndpext {
 
@@ -66,8 +64,6 @@ class Slb
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-
-    void report(StatGroup& stats, const std::string& prefix) const;
 
     /** Checkpoint hooks (capacity/latencies are configuration). */
     void

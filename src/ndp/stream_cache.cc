@@ -5,7 +5,6 @@
 #include "common/bitutils.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "telemetry/metric_registry.h"
 
 namespace ndpext {
 
@@ -1206,90 +1205,44 @@ StreamCacheController::dramCacheEnergyNj() const
 }
 
 void
-StreamCacheController::report(StatGroup& stats,
-                              const std::string& prefix) const
+StreamCacheController::counters(Counters& out, const std::string& prefix) const
 {
-    breakdown().report(stats, prefix + ".lat");
-    stats.add(prefix + ".hits", static_cast<double>(cacheHits()));
-    stats.add(prefix + ".misses", static_cast<double>(cacheMisses()));
-    stats.add(prefix + ".uncached",
-              static_cast<double>(uncachedStreamAccesses()));
-    stats.add(prefix + ".bypasses", static_cast<double>(bypasses()));
-    stats.add(prefix + ".writeExceptions",
-              static_cast<double>(writeExceptions()));
-    std::uint64_t writebacks = 0;
-    for (const auto& ctx : ctxs_) {
-        writebacks += ctx->writebacks;
+    breakdownCounters(out, prefix + ".lat", [this] { return breakdown(); });
+    const CounterScope add{out, prefix};
+    add("hits", [this] { return double(cacheHits()); });
+    add("misses", [this] { return double(cacheMisses()); });
+    add("uncached", [this] { return double(uncachedStreamAccesses()); });
+    add("bypasses", [this] { return double(bypasses()); });
+    add("writeExceptions", [this] { return double(writeExceptions()); });
+    add("writebacks", [this] {
+        std::uint64_t writebacks = 0;
+        for (const auto& ctx : ctxs_) {
+            writebacks += ctx->writebacks;
+        }
+        return double(writebacks);
+    });
+    add("invalidatedRows", [this] { return double(invalidatedRows_); });
+    add("survivedRows", [this] { return double(survivedRows_); });
+    add("slbMisses", [this] { return double(slbMissTotal()); });
+    add("degraded.failedUnitRedirects",
+        [this] { return double(failedUnitRedirects()); });
+    add("degraded.dramFaultRefetches",
+        [this] { return double(dramFaultRefetches()); });
+    add("degraded.poisonEscalations",
+        [this] { return double(poisonEscalations()); });
+    add("dramCacheEnergyNj", [this] { return dramCacheEnergyNj(); });
+    add("sramEnergyNj", [this] { return sramEnergyNj(); });
+    for (const auto& unit : units_) {
+        unit->dram->counters(out, prefix + ".dram");
     }
-    stats.add(prefix + ".writebacks", static_cast<double>(writebacks));
-    stats.add(prefix + ".invalidatedRows",
-              static_cast<double>(invalidatedRows_));
-    stats.add(prefix + ".survivedRows", static_cast<double>(survivedRows_));
-    stats.add(prefix + ".slbMisses",
-              static_cast<double>(slbMissTotal()));
-    stats.add(prefix + ".degraded.failedUnitRedirects",
-              static_cast<double>(failedUnitRedirects()));
-    stats.add(prefix + ".degraded.dramFaultRefetches",
-              static_cast<double>(dramFaultRefetches()));
-    stats.add(prefix + ".degraded.poisonEscalations",
-              static_cast<double>(poisonEscalations()));
-    stats.add(prefix + ".dramCacheEnergyNj", dramCacheEnergyNj());
-    stats.add(prefix + ".sramEnergyNj", sramEnergyNj());
-}
-
-void
-StreamCacheController::registerMetrics(MetricRegistry& registry)
-{
-    registry.registerCounter("cache.hits",
-                             [this] { return double(cacheHits()); });
-    registry.registerCounter("cache.misses",
-                             [this] { return double(cacheMisses()); });
-    registry.registerCounter("cache.uncached", [this] {
-        return double(uncachedStreamAccesses());
-    });
-    registry.registerCounter("cache.bypasses",
-                             [this] { return double(bypasses()); });
-    registry.registerCounter("cache.writeExceptions", [this] {
-        return double(writeExceptions());
-    });
-    registry.registerCounter("cache.slbMisses",
-                             [this] { return double(slbMissTotal()); });
-    registry.registerCounter("cache.invalidatedRows",
-                             [this] { return double(invalidatedRows_); });
-    registry.registerCounter("cache.survivedRows",
-                             [this] { return double(survivedRows_); });
-    registry.registerCounter("cache.degraded.failedUnitRedirects", [this] {
-        return double(failedUnitRedirects());
-    });
-    registry.registerCounter("cache.degraded.dramFaultRefetches", [this] {
-        return double(dramFaultRefetches());
-    });
-    registry.registerCounter("cache.degraded.poisonEscalations", [this] {
-        return double(poisonEscalations());
-    });
-    registry.registerCounter("cache.dramCacheEnergyNj",
-                             [this] { return dramCacheEnergyNj(); });
-    registry.registerCounter("cache.sramEnergyNj",
-                             [this] { return sramEnergyNj(); });
-    // Backend telemetry: every unit device registers under one
-    // "cache.dram" prefix; duplicate names sum, so the series is the
-    // machine-wide total. (Cross-shard proxies are created lazily after
-    // registration and are not sampled.)
-    for (auto& unit : units_) {
-        unit->dram->registerMetrics(registry, "cache.dram");
-    }
-    // Per-stream hit/miss series feed ndpext_report's per-stream hit-rate
-    // table. Streams must be configured before metrics registration.
+    // Per-stream hit/miss counters feed ndpext_report's per-stream
+    // hit-rate table.
     for (const StreamConfig& cfg : streams_.all()) {
         const StreamId sid = cfg.sid;
-        std::string base = "cache.stream.";
-        base += std::to_string(sid);
-        registry.registerCounter(base + ".hits", [this, sid] {
-            return double(streamHits(sid));
-        });
-        registry.registerCounter(base + ".misses", [this, sid] {
-            return double(streamMisses(sid));
-        });
+        const std::string base = "stream." + std::to_string(sid);
+        add(base + ".hits", [this, sid] { return double(streamHits(sid)); });
+        add(base + ".misses",
+            [this, sid] { return double(streamMisses(sid)); });
     }
 }
 

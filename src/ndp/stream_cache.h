@@ -292,10 +292,14 @@ class StreamCacheController : public MemSink
     std::uint64_t packetPoolHighWater() const;
     std::uint64_t packetPoolAllocated() const;
 
-    void report(StatGroup& stats, const std::string& prefix) const;
-
-    /** Registers "cache.*" series, including per-stream hits/misses. */
-    void registerMetrics(MetricRegistry& registry);
+    /**
+     * Declare the controller's counters under `prefix`: the latency
+     * breakdown (`.lat`), hit/miss/traffic and degraded-mode counters,
+     * the energies, every unit device under `.dram` (summed; lazily
+     * created cross-shard proxies are not included), and per-stream
+     * hits/misses for the streams configured at the time of the call.
+     */
+    void counters(Counters& out, const std::string& prefix) const;
 
     /**
      * Checkpoint hooks. Barrier-side only: every shard must be quiescent

@@ -1,7 +1,5 @@
 #include "noc/noc_model.h"
 
-#include "telemetry/metric_registry.h"
-
 #include <algorithm>
 
 #include "common/logging.h"
@@ -204,41 +202,22 @@ NocModel::attenuation(UnitId from, UnitId to, Cycles dram_latency) const
 }
 
 void
-NocModel::report(StatGroup& stats, const std::string& prefix) const
+NocModel::counters(Counters& out, const std::string& prefix) const
 {
-    stats.add(prefix + ".transfers", static_cast<double>(transfers_));
-    stats.add(prefix + ".totalCycles", static_cast<double>(totalCycles_));
-    stats.add(prefix + ".energyNj", energyNj_);
-    double reservations = 0.0;
-    double queue_cycles = 0.0;
-    for (const auto& stack_links : links_) {
-        for (const auto& link : stack_links) {
-            reservations += static_cast<double>(link.reservations());
-            queue_cycles += static_cast<double>(link.totalQueueCycles());
+    const CounterScope add{out, prefix};
+    add("transfers", [this] { return double(transfers_); });
+    add("totalCycles", [this] { return double(totalCycles_); });
+    add("energyNj", [this] { return energyNj_; });
+    add("linkReservations", [this] {
+        double reservations = 0.0;
+        for (const auto& stack_links : links_) {
+            for (const auto& link : stack_links) {
+                reservations += double(link.reservations());
+            }
         }
-    }
-    stats.add(prefix + ".linkReservations", reservations);
-    stats.add(prefix + ".linkQueueCycles", queue_cycles);
-    stats.add(prefix + ".intraHopBytes",
-              static_cast<double>(intraHopBytes_));
-    stats.add(prefix + ".interHopBytes",
-              static_cast<double>(interHopBytes_));
-}
-
-void
-NocModel::registerMetrics(MetricRegistry& registry)
-{
-    registry.registerCounter("noc.transfers",
-                             [this] { return double(transfers_); });
-    registry.registerCounter("noc.totalCycles",
-                             [this] { return double(totalCycles_); });
-    registry.registerCounter("noc.intraHopBytes",
-                             [this] { return double(intraHopBytes_); });
-    registry.registerCounter("noc.interHopBytes",
-                             [this] { return double(interHopBytes_); });
-    registry.registerCounter("noc.energyNj",
-                             [this] { return energyNj_; });
-    registry.registerCounter("noc.linkQueueCycles", [this] {
+        return reservations;
+    });
+    add("linkQueueCycles", [this] {
         double queue_cycles = 0.0;
         for (const auto& stack_links : links_) {
             for (const auto& link : stack_links) {
@@ -247,6 +226,8 @@ NocModel::registerMetrics(MetricRegistry& registry)
         }
         return queue_cycles;
     });
+    add("intraHopBytes", [this] { return double(intraHopBytes_); });
+    add("interHopBytes", [this] { return double(interHopBytes_); });
 }
 
 void

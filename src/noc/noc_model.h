@@ -27,8 +27,6 @@
 
 namespace ndpext {
 
-class MetricRegistry; // telemetry/metric_registry.h
-
 struct NocParams
 {
     /** Per-hop latency of the intra-stack mesh, core cycles. */
@@ -117,11 +115,10 @@ class NocModel
     std::uint64_t intraHopBytes() const { return intraHopBytes_; }
     std::uint64_t interHopBytes() const { return interHopBytes_; }
 
-    void report(StatGroup& stats, const std::string& prefix) const;
+    /** Declare the NoC counters under `prefix` (shard clones declare
+     *  the same names, which sum into machine totals). */
+    void counters(Counters& out, const std::string& prefix) const;
     void reset();
-
-    /** Registers "noc.*" series (shard clones sum into one series). */
-    void registerMetrics(MetricRegistry& registry);
 
     /** Checkpoint hooks (topology/routes are configuration). */
     void

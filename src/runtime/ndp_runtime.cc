@@ -625,66 +625,22 @@ NdpRuntime::onEpochEnd(Cycles now)
 }
 
 void
-NdpRuntime::registerMetrics(MetricRegistry& registry)
+NdpRuntime::counters(Counters& out, const std::string& prefix) const
 {
-    registry.registerCounter("runtime.reconfigurations",
-                             [this] { return double(reconfigs_); });
-    registry.registerCounter("runtime.skippedReconfigurations", [this] {
-        return double(skippedReconfigs_);
-    });
-    registry.registerCounter("runtime.streamsCovered",
-                             [this] { return double(covered_); });
-    registry.registerCounter("runtime.degraded.emergencyReconfigs", [this] {
-        return double(emergencyReconfigs_);
-    });
-    registry.registerCounter("runtime.degraded.failedUnits", [this] {
-        return double(failedUnitCount_);
-    });
-    // Incremental-solver series. Deterministic counters only: metric
-    // output is byte-compared across runs (crash recovery, serving
-    // bit-identity), so wall-clock stays out of the registry and is
-    // reported through StatGroup instead.
-    registry.registerCounter("solver.decisions",
-                             [this] { return double(solverDecisions_); });
-    registry.registerCounter("solver.iterations", [this] {
-        return double(solverIterations_);
-    });
-    registry.registerCounter("solver.budgetHits", [this] {
-        return double(solverBudgetHits_);
-    });
-    registry.registerCounter("solver.warmStartReused", [this] {
-        return double(solverWarmReused_);
-    });
-    registry.registerCounter("solver.deltaStreams", [this] {
-        return double(solverDeltaStreams_);
-    });
-}
-
-void
-NdpRuntime::report(StatGroup& stats, const std::string& prefix) const
-{
-    stats.add(prefix + ".reconfigurations",
-              static_cast<double>(reconfigs_));
-    stats.add(prefix + ".degraded.emergencyReconfigs",
-              static_cast<double>(emergencyReconfigs_));
-    stats.add(prefix + ".degraded.failedUnits",
-              static_cast<double>(failedUnitCount_));
-    stats.add(prefix + ".streamsCovered", static_cast<double>(covered_));
-    stats.add(prefix + ".solver.decisions",
-              static_cast<double>(solverDecisions_));
-    stats.add(prefix + ".solver.iterations",
-              static_cast<double>(solverIterations_));
-    stats.add(prefix + ".solver.budgetHits",
-              static_cast<double>(solverBudgetHits_));
-    stats.add(prefix + ".solver.warmStartReused",
-              static_cast<double>(solverWarmReused_));
-    stats.add(prefix + ".solver.deltaStreams",
-              static_cast<double>(solverDeltaStreams_));
-    // Advisory wall-clock: the Micros suffix keeps it outside the
-    // determinism contract (DESIGN.md section 5.3).
-    stats.set(prefix + ".solver.wallMicros", solverWallMicros_);
-    stats.set(prefix + ".lastAssignMicros", lastAssignMicros_);
-    stats.set(prefix + ".lastConfigMicros", lastConfigMicros_);
+    const CounterScope add{out, prefix};
+    add("reconfigurations", [this] { return double(reconfigs_); });
+    add("skippedReconfigurations",
+        [this] { return double(skippedReconfigs_); });
+    add("streamsCovered", [this] { return double(covered_); });
+    add("degraded.emergencyReconfigs",
+        [this] { return double(emergencyReconfigs_); });
+    add("degraded.failedUnits", [this] { return double(failedUnitCount_); });
+    add("solver.decisions", [this] { return double(solverDecisions_); });
+    add("solver.iterations", [this] { return double(solverIterations_); });
+    add("solver.budgetHits", [this] { return double(solverBudgetHits_); });
+    add("solver.warmStartReused",
+        [this] { return double(solverWarmReused_); });
+    add("solver.deltaStreams", [this] { return double(solverDeltaStreams_); });
 }
 
 namespace {

@@ -286,8 +286,12 @@ class NdpRuntime
      */
     void setTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-    /** Registers "runtime.*" series into the epoch time-series registry. */
-    void registerMetrics(MetricRegistry& registry);
+    /**
+     * Declare the runtime's deterministic counters under `prefix`,
+     * including `solver.*`. The wall-clock readings (*Micros getters)
+     * are not counters: NdpSystem writes them as run-level fields.
+     */
+    void counters(Counters& out, const std::string& prefix) const;
 
     const RuntimeParams& params() const { return params_; }
     std::uint64_t reconfigurations() const { return reconfigs_; }
@@ -320,8 +324,9 @@ class NdpRuntime
     double lastAssignMicros() const { return lastAssignMicros_; }
     /** Wall-clock microseconds spent in the last configuration run. */
     double lastConfigMicros() const { return lastConfigMicros_; }
-
-    void report(StatGroup& stats, const std::string& prefix) const;
+    /** Cumulative wall-clock microseconds of every assignment and
+     *  configuration run (advisory, never checkpointed). */
+    double solverWallMicros() const { return solverWallMicros_; }
 
     /**
      * Checkpoint hooks. A resumed system restores this state instead of
@@ -419,10 +424,10 @@ class NdpRuntime
     std::vector<StreamId> churnStreams_;
     /**
      * solver.* counters. All deterministic (and checkpointed) except
-     * the cumulative wall-clock, which is advisory and reported only
-     * through StatGroup (a *Micros stat, outside the determinism
-     * contract) -- never through the metric registry, whose output is
-     * byte-compared across runs.
+     * the cumulative wall-clock, which is advisory: it is a run-level
+     * *Micros field of --stats-json, outside the determinism contract,
+     * and never a counter, because telemetry output is byte-compared
+     * across runs.
      */
     std::uint64_t solverDecisions_ = 0;
     std::uint64_t solverIterations_ = 0;

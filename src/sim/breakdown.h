@@ -10,7 +10,9 @@
 #define NDPEXT_SIM_BREAKDOWN_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/types.h"
 #include "sim/stats.h"
@@ -58,18 +60,31 @@ struct LatencyBreakdown
             ? 0.0
             : static_cast<double>(bucket) / static_cast<double>(requests);
     }
-
-    void
-    report(StatGroup& stats, const std::string& prefix) const
-    {
-        stats.add(prefix + ".metadata", static_cast<double>(metadata));
-        stats.add(prefix + ".icnIntra", static_cast<double>(icnIntra));
-        stats.add(prefix + ".icnInter", static_cast<double>(icnInter));
-        stats.add(prefix + ".dramCache", static_cast<double>(dramCache));
-        stats.add(prefix + ".extMem", static_cast<double>(extMem));
-        stats.add(prefix + ".requests", static_cast<double>(requests));
-    }
 };
+
+/**
+ * Declare the six LatencyBreakdown counters under `prefix`
+ * (metadata, icnIntra, icnInter, dramCache, extMem, requests); each
+ * reader calls `get` for the live breakdown.
+ */
+inline void
+breakdownCounters(Counters& out, const std::string& prefix,
+                  const std::function<LatencyBreakdown()>& get)
+{
+    using Field = std::uint64_t LatencyBreakdown::*;
+    static const std::pair<const char*, Field> kFields[] = {
+        {"metadata", &LatencyBreakdown::metadata},
+        {"icnIntra", &LatencyBreakdown::icnIntra},
+        {"icnInter", &LatencyBreakdown::icnInter},
+        {"dramCache", &LatencyBreakdown::dramCache},
+        {"extMem", &LatencyBreakdown::extMem},
+        {"requests", &LatencyBreakdown::requests},
+    };
+    const CounterScope add{out, prefix};
+    for (const auto& [name, field] : kFields) {
+        add(name, [get, field = field] { return double(get().*field); });
+    }
+}
 
 } // namespace ndpext
 

@@ -4,10 +4,31 @@
 
 namespace ndpext {
 
+namespace {
+
+/** A double as lossless text (%.17g round-trips every value). */
+void
+writeValue(std::ostream& os, double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    os << buf;
+}
+
+} // namespace
+
 void
 StatGroup::add(const std::string& name, double delta)
 {
     stats_[name] += delta;
+}
+
+void
+StatGroup::addAll(const Counters& list)
+{
+    for (const Counter& c : list) {
+        stats_[c.name] += c.read();
+    }
 }
 
 void
@@ -30,48 +51,12 @@ StatGroup::has(const std::string& name) const
 }
 
 void
-StatGroup::merge(const StatGroup& other, const std::string& prefix)
-{
-    for (const auto& [name, value] : other.stats_) {
-        stats_[prefix + "." + name] += value;
-    }
-}
-
-void
-StatGroup::absorb(const StatGroup& other)
-{
-    for (const auto& [name, value] : other.stats_) {
-        stats_[name] += value;
-    }
-}
-
-double
-StatGroup::sumPrefix(const std::string& prefix) const
-{
-    // Segment-aware: after the prefix, only an exact match or a '.'
-    // continuation counts ("unit1" must not cover "unit1x.reads").
-    // A trailing '.' (or an empty prefix) means the caller already
-    // delimited the segment, so plain prefix matching applies.
-    const bool delimited = prefix.empty() || prefix.back() == '.';
-    double total = 0.0;
-    for (auto it = stats_.lower_bound(prefix); it != stats_.end(); ++it) {
-        const std::string& name = it->first;
-        if (name.compare(0, prefix.size(), prefix) != 0) {
-            break;
-        }
-        if (delimited || name.size() == prefix.size()
-            || name[prefix.size()] == '.') {
-            total += it->second;
-        }
-    }
-    return total;
-}
-
-void
 StatGroup::dump(std::ostream& os) const
 {
     for (const auto& [name, value] : stats_) {
-        os << name << " " << value << "\n";
+        os << name << " ";
+        writeValue(os, value);
+        os << "\n";
     }
 }
 
@@ -94,9 +79,7 @@ StatGroup::dumpJson(std::ostream& os) const
             os << c;
         }
         os << "\": ";
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        os << buf;
+        writeValue(os, value);
     }
     os << (first ? "}" : "\n}");
 }

@@ -1,22 +1,55 @@
 /**
  * @file
- * Lightweight hierarchical statistics registry.
+ * Counter declarations and the flat statistics map.
  *
- * Components register named counters/scalars into a StatGroup; groups nest
- * by name ("unit3.dram.actCount"). Values are plain doubles so counters and
- * derived averages share one mechanism, in the spirit of gem5's Stats
- * package at a fraction of the machinery.
+ * Every component declares each of its counters exactly once, as a
+ * (full name, reader) pair appended to a Counters list by its
+ * `counters(out, prefix)` method. Both outputs read the same list:
+ * telemetry samples it at every epoch barrier
+ * (MetricRegistry::registerCounters) and --stats-json takes its final
+ * values (StatGroup::addAll). Duplicate names sum in list order, which
+ * is how per-core, per-shard and per-unit instances report one
+ * machine-wide counter.
  */
 
 #ifndef NDPEXT_SIM_STATS_H
 #define NDPEXT_SIM_STATS_H
 
-#include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ndpext {
+
+/** One declared counter: its full dotted name and a live reader. */
+struct Counter
+{
+    std::string name;
+    std::function<double()> read;
+};
+
+using Counters = std::vector<Counter>;
+
+/**
+ * Declares counters under one name prefix:
+ *
+ *   const CounterScope add{out, prefix};
+ *   add("hits", [this] { return double(hits_); }); // "<prefix>.hits"
+ */
+struct CounterScope
+{
+    Counters& out;
+    std::string prefix;
+
+    void
+    operator()(const std::string& name, std::function<double()> read) const
+    {
+        out.push_back({prefix + "." + name, std::move(read)});
+    }
+};
 
 /** A flat, ordered map of fully-qualified stat name -> value. */
 class StatGroup
@@ -24,6 +57,9 @@ class StatGroup
   public:
     /** Add `delta` to the named stat (creating it at 0). */
     void add(const std::string& name, double delta);
+
+    /** Add every counter's current value (duplicate names sum). */
+    void addAll(const Counters& list);
 
     /** Set the named stat to an absolute value. */
     void set(const std::string& name, double value);
@@ -34,27 +70,11 @@ class StatGroup
     /** True if the stat exists. */
     bool has(const std::string& name) const;
 
-    /** Merge another group in, prefixing its names with `prefix.`. */
-    void merge(const StatGroup& other, const std::string& prefix);
-
-    /** Merge another group in under the same names (shard reduction). */
-    void absorb(const StatGroup& other);
-
-    /**
-     * Sum of all stats under the given hierarchical prefix. The prefix
-     * matches whole dot-separated segments: "unit1" covers "unit1" and
-     * "unit1.dram.reads" but not "unit1x.dram.reads". A prefix ending in
-     * '.' (or empty) keeps plain string-prefix semantics.
-     */
-    double sumPrefix(const std::string& prefix) const;
-
-    /** Dump "name value" lines in name order. */
+    /** Dump "name value" lines in name order (%.17g, lossless). */
     void dump(std::ostream& os) const;
 
     /** Dump the group as one flat JSON object, keys in name order. */
     void dumpJson(std::ostream& os) const;
-
-    void clear() { stats_.clear(); }
 
     const std::map<std::string, double>& raw() const { return stats_; }
 

@@ -66,7 +66,9 @@ HostSystem::run(const Workload& workload)
     res.energy.extDramNj = llc.dramEnergyNj();
     res.energy.icnNj = llc.nocEnergyNj();
 
-    llc.report(res.stats, "llc");
+    Counters list;
+    llc.counters(list, "llc");
+    res.stats.addAll(list);
     res.stats.set("cycles", static_cast<double>(finish));
     return res;
 }

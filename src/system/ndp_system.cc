@@ -96,22 +96,20 @@ struct Shard
 };
 
 /**
- * The per-stream cost attribution series (ndpext_report topdown) as
- * (name suffix, getter) pairs in registration order. Telemetry registers
- * each as a counter and --stats-json writes its final value, so both
- * carry one definition. The getters take kNoStream for the "none" slot,
- * which keeps the series summing to the machine totals.
+ * Declare the per-stream cost attribution counters (ndpext_report
+ * topdown): stream.<sid>.<series> for every stream, then
+ * stream.none.<series>. The getters take kNoStream for the "none" slot,
+ * which keeps each series summing to the machine total.
  */
-using StreamGetter = std::function<double(StreamId sid)>;
-using StreamSeries = std::vector<std::pair<std::string, StreamGetter>>;
-
-StreamSeries
-streamSeries(const std::vector<InOrderCore>& cores,
-             const std::vector<Shard>& shards,
-             const StreamCacheController& cache)
+void
+streamCounters(Counters& out, const StreamTable& table,
+               const std::vector<InOrderCore>& cores,
+               const std::vector<Shard>& shards,
+               const StreamCacheController& cache)
 {
-    StreamSeries out;
-    out.emplace_back("stallCycles", [&cores](StreamId sid) {
+    using StreamGetter = std::function<double(StreamId sid)>;
+    std::vector<std::pair<std::string, StreamGetter>> series;
+    series.emplace_back("stallCycles", [&cores](StreamId sid) {
         Cycles total = 0;
         for (const auto& core : cores) {
             total += sid == kNoStream ? core.noStreamStallCycles()
@@ -128,15 +126,15 @@ streamSeries(const std::vector<InOrderCore>& cores,
         {"extMem", &LatencyBreakdown::extMem},
     };
     for (const auto& [name, field] : kService) {
-        out.emplace_back(std::string("serviceCycles.") + name,
-                         [&cache, field = field](StreamId sid) {
-                             const LatencyBreakdown bd = sid == kNoStream
-                                 ? cache.nonStreamBreakdown()
-                                 : cache.streamBreakdown(sid);
-                             return double(bd.*field);
-                         });
+        series.emplace_back(std::string("serviceCycles.") + name,
+                            [&cache, field = field](StreamId sid) {
+                                const LatencyBreakdown bd = sid == kNoStream
+                                    ? cache.nonStreamBreakdown()
+                                    : cache.streamBreakdown(sid);
+                                return double(bd.*field);
+                            });
     }
-    out.emplace_back("energyNj.icn", [&shards](StreamId sid) {
+    series.emplace_back("energyNj.icn", [&shards](StreamId sid) {
         double total = 0.0;
         for (const Shard& sh : shards) {
             total += sid == kNoStream ? sh.noc->unattributedEnergyNj()
@@ -144,7 +142,7 @@ streamSeries(const std::vector<InOrderCore>& cores,
         }
         return total;
     });
-    out.emplace_back("energyNj.cxlLink", [&shards](StreamId sid) {
+    series.emplace_back("energyNj.cxlLink", [&shards](StreamId sid) {
         double total = 0.0;
         for (const Shard& sh : shards) {
             total += sid == kNoStream ? sh.ext->unattributedLinkEnergyNj()
@@ -152,7 +150,7 @@ streamSeries(const std::vector<InOrderCore>& cores,
         }
         return total;
     });
-    out.emplace_back("energyNj.extDram", [&shards](StreamId sid) {
+    series.emplace_back("energyNj.extDram", [&shards](StreamId sid) {
         double total = 0.0;
         for (const Shard& sh : shards) {
             total += sid == kNoStream ? sh.ext->unattributedDramEnergyNj()
@@ -160,15 +158,25 @@ streamSeries(const std::vector<InOrderCore>& cores,
         }
         return total;
     });
-    out.emplace_back("energyNj.dramCache", [&cache](StreamId sid) {
+    series.emplace_back("energyNj.dramCache", [&cache](StreamId sid) {
         return sid == kNoStream ? cache.nonStreamDramCacheEnergyNj()
                                 : cache.streamDramCacheEnergyNj(sid);
     });
-    out.emplace_back("energyNj.sram", [&cache](StreamId sid) {
+    series.emplace_back("energyNj.sram", [&cache](StreamId sid) {
         return sid == kNoStream ? cache.nonStreamSramEnergyNj()
                                 : cache.streamSramEnergyNj(sid);
     });
-    return out;
+    std::vector<std::pair<std::string, StreamId>> slots;
+    for (const StreamConfig& scfg : table.all()) {
+        slots.emplace_back("stream." + std::to_string(scfg.sid), scfg.sid);
+    }
+    slots.emplace_back("stream.none", kNoStream);
+    for (const auto& [base, sid] : slots) {
+        const CounterScope add{out, base};
+        for (const auto& [suffix, get] : series) {
+            add(suffix, [g = get, s = sid] { return g(s); });
+        }
+    }
 }
 
 /** Per-tenant serving counters, summed over cores: (suffix, field). */
@@ -178,13 +186,6 @@ const std::pair<const char*, TenantField> kTenantCounters[] = {
     {"started", &TenantServingStats::started},
     {"retired", &TenantServingStats::retired},
     {"sloViolations", &TenantServingStats::sloViolations},
-};
-
-/** Static per-tenant facts: (suffix, getter). */
-const std::pair<const char*, double (*)(const TenantSpec&)> kTenantFacts[] = {
-    {"sloCycles",
-     [](const TenantSpec& t) { return static_cast<double>(t.sloCycles); }},
-    {"reserved", [](const TenantSpec& t) { return t.reserved ? 1.0 : 0.0; }},
 };
 
 /** One tenant's `field`, summed over every core's serving generator. */
@@ -197,6 +198,30 @@ tenantSum(const std::vector<const ServingGenerator*>& gens, std::size_t t,
         total += g->tenantStats(t).*field;
     }
     return static_cast<double>(total);
+}
+
+/**
+ * Declare tenant.<name>.<counter> for every serving tenant: the four
+ * serving counters summed over cores, then the static facts sloCycles
+ * and reserved (so `ndpext_report slo` can print targets without the
+ * --stats-json file).
+ */
+void
+tenantCounters(Counters& out, const std::vector<TenantSpec>& tenants,
+               const std::vector<const ServingGenerator*>& gens)
+{
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        const CounterScope add{out, "tenant." + tenants[t].name};
+        for (const auto& [suffix, field] : kTenantCounters) {
+            add(suffix, [&gens, t, field = field] {
+                return tenantSum(gens, t, field);
+            });
+        }
+        const double slo = static_cast<double>(tenants[t].sloCycles);
+        const double reserved = tenants[t].reserved ? 1.0 : 0.0;
+        add("sloCycles", [slo] { return slo; });
+        add("reserved", [reserved] { return reserved; });
+    }
 }
 
 } // namespace
@@ -472,62 +497,48 @@ NdpSystem::run(const Workload& workload)
     // can rebuild the heaps. Heaps are filled after the resume decision.
     std::vector<std::uint8_t> alive(n, 1);
 
-    const StreamSeries perStream = streamSeries(cores, shards, cache);
-    // Name prefix of each per-stream slot: every stream, then "none".
-    std::vector<std::pair<std::string, StreamId>> streamSlots;
-    for (const StreamConfig& scfg : table.all()) {
-        streamSlots.emplace_back("stream." + std::to_string(scfg.sid),
-                                 scfg.sid);
+    // --- the machine's counters, each declared once. Telemetry samples
+    // this list at every epoch barrier and --stats-json takes its final
+    // values, so the two outputs cannot drift. Duplicate names sum in
+    // list order: every core under "cores" and its "stack.<s>", the
+    // shard NoC/CXL clones, and the master and shard fault injectors.
+    Counters machine;
+    cache.counters(machine, "cache");
+    for (const auto& core : cores) {
+        core.counters(machine, "cores");
+        core.counters(machine,
+                      "stack." + std::to_string(topo.stackOf(core.id())));
     }
-    streamSlots.emplace_back("stream.none", kNoStream);
+    for (const Shard& sh : shards) {
+        sh.noc->counters(machine, "noc");
+        sh.ext->counters(machine, "ext");
+    }
+    streamCounters(machine, table, cores, shards, cache);
+    if (servingWl != nullptr) {
+        tenantCounters(machine, servingWl->serving().tenants, servingGens);
+    }
+    runtime.counters(machine, "runtime");
+    if (fault != nullptr) {
+        fault->counters(machine, "fault");
+        for (const Shard& sh : shards) {
+            sh.fault->counters(machine, "fault");
+        }
+    }
 
-    // --- telemetry: register every component's series and hand the
-    // cores their shard-private sample buffers. Registration must finish
-    // before the first sample; shard-clone NoC/CXL models register the
-    // same names and the registry sums them into one series.
+    // --- telemetry: register the machine's counters and the tenant
+    // latency histograms, and hand the cores their shard-private sample
+    // buffers. Registration must finish before the first sample.
     if (telemetry_ != nullptr) {
         MetricRegistry& mr = telemetry_->metrics();
-        cache.registerMetrics(mr);
-        for (auto& core : cores) {
-            core.registerMetrics(mr);
-            // Same series under a per-stack prefix: duplicate-name
-            // summing turns these into per-stack CPI stacks.
-            core.registerCpiMetrics(
-                mr, "stack." + std::to_string(topo.stackOf(core.id())));
-        }
-        for (auto& sh : shards) {
-            sh.noc->registerMetrics(mr);
-            sh.ext->registerMetrics(mr);
-        }
-
-        // Per-stream cost attribution series (ndpext_report topdown).
-        for (const auto& [base, sid] : streamSlots) {
-            for (const auto& [suffix, get] : perStream) {
-                mr.registerCounter(base + "." + suffix,
-                                   [g = get, s = sid] { return g(s); });
-            }
-        }
+        mr.registerCounters(machine);
         if (servingWl != nullptr) {
             const std::vector<TenantSpec>& tenants =
                 servingWl->serving().tenants;
             for (std::size_t t = 0; t < tenants.size(); ++t) {
-                const std::string base = "tenant." + tenants[t].name + ".";
-                for (const auto& [suffix, field] : kTenantCounters) {
-                    mr.registerCounter(
-                        base + suffix, [&servingGens, t, field = field] {
-                            return tenantSum(servingGens, t, field);
-                        });
-                }
-                mr.registerHistogram(base + "latency", &tenantLatency[t]);
-                // Static per-tenant facts, exported so `ndpext_report
-                // slo` can print targets without the --stats-json file.
-                for (const auto& [suffix, get] : kTenantFacts) {
-                    mr.registerGauge(base + suffix,
-                                     [v = get(tenants[t])] { return v; });
-                }
+                mr.registerHistogram("tenant." + tenants[t].name + ".latency",
+                                     &tenantLatency[t]);
             }
         }
-        runtime.registerMetrics(mr);
         runtime.setTelemetry(telemetry_);
         telemetry_->initPacketSampling(n);
         for (CoreId c = 0; c < n; ++c) {
@@ -998,38 +1009,16 @@ NdpSystem::run(const Workload& workload)
         && finish > fault->firstFailureAt()) {
         res.degraded.cyclesDegraded = finish - fault->firstFailureAt();
     }
+    // --stats-json: the machine's counters, the per-core coreN.* rows,
+    // then the run-level fields below.
+    res.stats.addAll(machine);
+    Counters perCore;
     for (const auto& core : cores) {
         res.accesses += core.accesses();
         res.l1Hits += core.l1Hits();
-        core.report(res.stats, "core" + std::to_string(core.id()));
+        core.counters(perCore, "core" + std::to_string(core.id()));
     }
-
-    // Machine-wide CPI stack (fixed-order sums over cores, so the values
-    // are bit-identical for any --threads value; ndpext_report topdown
-    // checks the bucket-sum invariant against cores.memStallCycles).
-    {
-        CoreStallBreakdown stall;
-        Cycles compute = 0;
-        Cycles l1 = 0;
-        Cycles mem_stall = 0;
-        for (const auto& core : cores) {
-            const CoreStallBreakdown& s = core.stallBreakdown();
-            stall.metadata += s.metadata;
-            stall.icnIntra += s.icnIntra;
-            stall.icnInter += s.icnInter;
-            stall.dramCache += s.dramCache;
-            stall.extMem += s.extMem;
-            stall.mshrQueue += s.mshrQueue;
-            compute += core.computeCycles();
-            l1 += core.l1Cycles();
-            mem_stall += core.memStallCycles();
-        }
-        res.stats.set("cores.computeCycles", static_cast<double>(compute));
-        res.stats.set("cores.l1Cycles", static_cast<double>(l1));
-        res.stats.set("cores.memStallCycles",
-                      static_cast<double>(mem_stall));
-        stall.report(res.stats, "cores.stall");
-    }
+    res.stats.addAll(perCore);
 
     // Engine throughput telemetry. Event and pool counters are
     // deterministic (thread-count blind) and gate nothing; the wall
@@ -1059,14 +1048,13 @@ NdpSystem::run(const Workload& workload)
                       static_cast<double>(res.engineWallMicros));
     }
 
-    // Per-stream cost attribution (the telemetry series' final values).
-    for (const auto& [base, sid] : streamSlots) {
-        for (const auto& [suffix, get] : perStream) {
-            res.stats.set(base + "." + suffix, get(sid));
-        }
-    }
+    // Advisory wall-clock readings: the Micros suffix keeps them outside
+    // the determinism contract (DESIGN.md section 5.3).
+    res.stats.set("runtime.solver.wallMicros", runtime.solverWallMicros());
+    res.stats.set("runtime.lastAssignMicros", runtime.lastAssignMicros());
+    res.stats.set("runtime.lastConfigMicros", runtime.lastConfigMicros());
 
-    // Per-tenant SLO telemetry (ndpext_report slo / --stats-json).
+    // Per-tenant latency and SLO summary (ndpext_report slo).
     if (servingWl != nullptr) {
         refreshTenantLatency();
         const std::vector<TenantSpec>& tenants =
@@ -1075,13 +1063,6 @@ NdpSystem::run(const Workload& workload)
                       static_cast<double>(tenants.size()));
         for (std::size_t t = 0; t < tenants.size(); ++t) {
             const std::string base = "tenant." + tenants[t].name + ".";
-            for (const auto& [suffix, field] : kTenantCounters) {
-                res.stats.set(base + suffix,
-                              tenantSum(servingGens, t, field));
-            }
-            for (const auto& [suffix, get] : kTenantFacts) {
-                res.stats.set(base + suffix, get(tenants[t]));
-            }
             const Histogram& lat = tenantLatency[t];
             res.stats.set(base + "latencyMean", lat.mean());
             res.stats.set(base + "latencyP50", lat.percentile(0.5));
@@ -1109,18 +1090,7 @@ NdpSystem::run(const Workload& workload)
         res.energy.icnNj += sh.noc->energyNj();
     }
 
-    cache.report(res.stats, "cache");
-    for (const Shard& sh : shards) {
-        // report() uses add(), so shard instances accumulate.
-        sh.noc->report(res.stats, "noc");
-        sh.ext->report(res.stats, "ext");
-    }
-    runtime.report(res.stats, "runtime");
     if (fault != nullptr) {
-        fault->report(res.stats, "fault");
-        for (const Shard& sh : shards) {
-            sh.fault->report(res.stats, "fault");
-        }
         res.stats.set("degraded.cycles",
                       static_cast<double>(res.degraded.cyclesDegraded));
     }

@@ -12,39 +12,30 @@ MetricRegistry::MetricRegistry(std::size_t ring_capacity)
 }
 
 void
-MetricRegistry::registerMetric(const std::string& name, MetricKind kind,
-                               std::function<double()> read)
+MetricRegistry::registerCounter(const std::string& name,
+                                std::function<double()> read)
 {
     NDP_ASSERT(read != nullptr, "metric ", name, " has no reader");
     NDP_ASSERT(ring_.empty(),
                "metric ", name, " registered after the first sample()");
     const auto it = index_.find(name);
     if (it != index_.end()) {
-        NDP_ASSERT(metrics_[it->second].kind == kind,
-                   "metric ", name, " re-registered with a different kind");
         metrics_[it->second].sources.push_back(std::move(read));
         return;
     }
     index_.emplace(name, metrics_.size());
     Metric m;
     m.name = name;
-    m.kind = kind;
     m.sources.push_back(std::move(read));
     metrics_.push_back(std::move(m));
 }
 
 void
-MetricRegistry::registerCounter(const std::string& name,
-                                std::function<double()> read)
+MetricRegistry::registerCounters(const Counters& list)
 {
-    registerMetric(name, MetricKind::Counter, std::move(read));
-}
-
-void
-MetricRegistry::registerGauge(const std::string& name,
-                              std::function<double()> read)
-{
-    registerMetric(name, MetricKind::Gauge, std::move(read));
+    for (const Counter& c : list) {
+        registerCounter(c.name, c.read);
+    }
 }
 
 void

@@ -2,13 +2,14 @@
  * @file
  * Named-metric registry with epoch-resolved time-series sampling.
  *
- * Components register pull-mode metrics (a name plus a closure that reads
- * the live value); the registry never owns component state, so attaching
- * it is observer-only and cannot perturb simulation results. Registering
- * the same name twice *adds a source*: the sampled value is the sum over
- * all sources, which is exactly what the shard-cloned NoC/CXL models need
- * (each clone registers under the shared name and the series reports the
- * machine-wide total, mirroring StatGroup::add semantics).
+ * The registry samples the same Counters list that --stats-json reads
+ * (sim/stats.h): each entry is a name plus a closure that reads the live
+ * value, and the registry never owns component state, so attaching it is
+ * observer-only and cannot perturb simulation results. A name that
+ * appears more than once *adds a source*: the sampled value is the sum
+ * over all sources in list order, exactly as StatGroup::addAll sums the
+ * same list, so the final sample equals the --stats-json value of every
+ * name both carry.
  *
  * sample() snapshots every metric into a fixed-capacity ring buffer of
  * EpochSample records (oldest epochs are dropped once full, counted in
@@ -19,8 +20,7 @@
  *
  * Values are cumulative (not per-epoch deltas); consumers diff adjacent
  * records (see tools/ndpext_report). Metric naming scheme:
- * "<component>.<counter>" with dot-separated hierarchy, identical to the
- * StatGroup names in --stats-json where a counterpart exists.
+ * "<component>.<counter>" with dot-separated hierarchy.
  */
 
 #ifndef NDPEXT_TELEMETRY_METRIC_REGISTRY_H
@@ -37,15 +37,9 @@
 #include "common/histogram.h"
 #include "common/types.h"
 #include "sim/checkpoint.h"
+#include "sim/stats.h"
 
 namespace ndpext {
-
-/** What a metric's value means; serialized into the JSONL header line. */
-enum class MetricKind : std::uint8_t
-{
-    Counter, ///< monotonically non-decreasing cumulative count
-    Gauge,   ///< instantaneous value (rates, ratios, sizes)
-};
 
 /** One sampled point-in-time snapshot of every registered metric. */
 struct EpochSample
@@ -76,8 +70,9 @@ class MetricRegistry
      *  sample(). Re-registering a name adds a source (values sum). */
     void registerCounter(const std::string& name,
                          std::function<double()> read);
-    void registerGauge(const std::string& name,
-                       std::function<double()> read);
+
+    /** registerCounter() for every entry of the list, in order. */
+    void registerCounters(const Counters& list);
 
     /** Register a live histogram; snapshots record its summary stats. */
     void registerHistogram(const std::string& name, const Histogram* hist);
@@ -124,7 +119,6 @@ class MetricRegistry
     struct Metric
     {
         std::string name;
-        MetricKind kind = MetricKind::Counter;
         /** All registered sources; sampled value is their sum. */
         std::vector<std::function<double()>> sources;
     };
@@ -134,8 +128,6 @@ class MetricRegistry
         const Histogram* hist = nullptr;
     };
 
-    void registerMetric(const std::string& name, MetricKind kind,
-                        std::function<double()> read);
     void writeSampleLine(std::ostream& os, const EpochSample& s) const;
 
     std::vector<Metric> metrics_;

@@ -35,9 +35,18 @@ endif()
 execute_process(
     COMMAND ${REPORT} summary ${OUT_DIR}/run
     RESULT_VARIABLE summary_rc
-    OUTPUT_QUIET)
+    OUTPUT_VARIABLE summary_out)
 if(NOT summary_rc EQUAL 0)
     message(FATAL_ERROR "ndpext_report summary failed")
+endif()
+# The run takes at least the initial placement decision, so the solver
+# section must print; it is dropped silently if its counter names do
+# not resolve in metrics.jsonl.
+string(FIND "${summary_out}" "placement solver:" solver_pos)
+if(solver_pos EQUAL -1)
+    message(FATAL_ERROR
+        "ndpext_report summary has no placement solver section:\n"
+        "${summary_out}")
 endif()
 
 execute_process(

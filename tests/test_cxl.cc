@@ -66,8 +66,10 @@ TEST(ExtendedMemory, ReportPopulatesStats)
 {
     auto ext = makeExt();
     ext.access(0, 64, false, 0);
+    Counters list;
+    ext.counters(list, "ext");
     StatGroup stats;
-    ext.report(stats, "ext");
+    stats.addAll(list);
     EXPECT_DOUBLE_EQ(stats.get("ext.accesses"), 1.0);
     EXPECT_GT(stats.get("ext.dram.bytesRead"), 0.0);
 }

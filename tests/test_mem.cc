@@ -138,8 +138,10 @@ TEST(DramDevice, ReportPopulatesStats)
     DramDevice d(DramTimingParams::hbm3Unit(), kFreq);
     d.accessRow(0, 5, 64, true, 0);
     d.accessRow(0, 5, 64, false, 1000);
+    Counters list;
+    d.counters(list, "dram");
     StatGroup stats;
-    d.report(stats, "dram");
+    stats.addAll(list);
     EXPECT_DOUBLE_EQ(stats.get("dram.rowHits"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("dram.rowMisses"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("dram.bytesWritten"), 64.0);

@@ -32,6 +32,17 @@ hbmConfig(const std::string& backend)
     return MemBackendConfig{backend, DramTimingParams::hbm3Unit()};
 }
 
+/** The backend's declared counters under "d", read now. */
+StatGroup
+finalCounters(const MemBackend& d)
+{
+    Counters list;
+    d.counters(list, "d");
+    StatGroup stats;
+    stats.addAll(list);
+    return stats;
+}
+
 // --- Backend table ------------------------------------------------------
 
 TEST(MemBackendRegistry, ShipsAllFourBackends)
@@ -217,8 +228,7 @@ TEST(SchedBackend, FullQueueBackpressures)
     // The second request waits for the only queue slot, then serializes
     // behind the first on the bank.
     EXPECT_GT(r2.done, r1.done);
-    StatGroup stats;
-    d.report(stats, "d");
+    const StatGroup stats = finalCounters(d);
     EXPECT_DOUBLE_EQ(stats.get("d.queueFullStalls"), 1.0);
     EXPECT_GT(stats.get("d.queueStallCycles"), 0.0);
 }
@@ -234,8 +244,7 @@ TEST(SchedBackend, StarvationCapDemotesEndlessRowHits)
     EXPECT_TRUE(d.accessRow(0, 1, 64, false, 0).rowHit);
     // ...the next would starve the row-9 request past the cap.
     EXPECT_FALSE(d.accessRow(0, 1, 64, false, 0).rowHit);
-    StatGroup stats;
-    d.report(stats, "d");
+    const StatGroup stats = finalCounters(d);
     EXPECT_DOUBLE_EQ(stats.get("d.starvationRounds"), 1.0);
 }
 
@@ -270,8 +279,7 @@ TEST(RefreshBackend, BlackoutWindowStallsAccesses)
     // (708 DDR cycles at 2400 MHz = 590 core cycles at 2 GHz).
     const auto r = d.accessRow(0, 5, 64, false, 0);
     EXPECT_EQ(r.done, 590 + d.rowClosedLatency());
-    StatGroup stats;
-    d.report(stats, "d");
+    const StatGroup stats = finalCounters(d);
     EXPECT_DOUBLE_EQ(stats.get("d.refreshStalls"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("d.refreshStallCycles"), 590.0);
 }
@@ -303,8 +311,7 @@ TEST(RefreshBackend, PowerDownWakePaysExitLatency)
     const auto r2 = d.accessRow(0, 5, 64, false, later);
     EXPECT_TRUE(r2.rowHit);
     EXPECT_EQ(r2.done, later + 30 + d.rowHitLatency());
-    StatGroup stats;
-    d.report(stats, "d");
+    const StatGroup stats = finalCounters(d);
     EXPECT_DOUBLE_EQ(stats.get("d.pdWakes"), 1.0);
     EXPECT_GT(stats.get("d.pdResidencyCycles"), 0.0);
 }
@@ -323,8 +330,7 @@ TEST(RefreshBackend, SelfRefreshWakeLosesRowBuffer)
     const auto r2 = d.accessRow(0, 5, 64, false, later);
     EXPECT_FALSE(r2.rowHit); // self-refresh precharged the row
     EXPECT_EQ(r2.done, later + 500 + d.rowClosedLatency());
-    StatGroup stats;
-    d.report(stats, "d");
+    const StatGroup stats = finalCounters(d);
     EXPECT_DOUBLE_EQ(stats.get("d.srWakes"), 1.0);
 }
 

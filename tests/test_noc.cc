@@ -192,8 +192,10 @@ TEST(NocModel, ReportIncludesQueueCounters)
     const auto t = paperTopo();
     NocModel noc(t, NocParams{});
     noc.transfer(0, 127, 64, 0);
+    Counters list;
+    noc.counters(list, "noc");
     StatGroup stats;
-    noc.report(stats, "noc");
+    stats.addAll(list);
     EXPECT_DOUBLE_EQ(stats.get("noc.transfers"), 1.0);
     EXPECT_TRUE(stats.has("noc.linkReservations"));
 }

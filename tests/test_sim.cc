@@ -24,70 +24,21 @@ TEST(StatGroup, AddSetGet)
     EXPECT_FALSE(s.has("missing"));
 }
 
-TEST(StatGroup, MergeWithPrefix)
+TEST(StatGroup, AddAllSumsDuplicateNames)
 {
-    StatGroup a;
-    a.add("x", 1.0);
-    StatGroup b;
-    b.merge(a, "unit0");
-    EXPECT_DOUBLE_EQ(b.get("unit0.x"), 1.0);
-}
-
-TEST(StatGroup, SumPrefix)
-{
+    // Per-instance counters declared under one name read as the total,
+    // taken when addAll runs.
+    double a = 1.5;
+    const Counters list = {
+        {"noc.hops", [&a] { return a; }},
+        {"noc.hops", [] { return 2.0; }},
+        {"ext.reads", [] { return 3.0; }},
+    };
     StatGroup s;
-    s.add("dram.reads", 5.0);
-    s.add("dram.writes", 3.0);
-    s.add("noc.hops", 11.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("dram."), 8.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("noc."), 11.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("zzz"), 0.0);
-}
-
-TEST(StatGroup, SumPrefixMatchesWholeSegmentsOnly)
-{
-    // "unit1" must not swallow "unit1x.*": prefixes match whole
-    // dot-separated segments, not raw characters.
-    StatGroup s;
-    s.add("unit1", 1.0);
-    s.add("unit1.dram.reads", 2.0);
-    s.add("unit1.dram.writes", 4.0);
-    s.add("unit1x.dram.reads", 100.0);
-    s.add("unit10.dram.reads", 200.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("unit1"), 7.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("unit1x"), 100.0);
-    EXPECT_DOUBLE_EQ(s.sumPrefix("unit1.dram"), 6.0);
-    // Trailing dot keeps plain string-prefix semantics (no exact-name
-    // match, no segment check).
-    EXPECT_DOUBLE_EQ(s.sumPrefix("unit1."), 6.0);
-    // Empty prefix sums everything.
-    EXPECT_DOUBLE_EQ(s.sumPrefix(""), 307.0);
-}
-
-TEST(StatGroup, MergePrefixCollisionAccumulates)
-{
-    // Merging under a prefix that collides with an existing name adds
-    // into it rather than overwriting.
-    StatGroup a;
-    a.add("x", 1.0);
-    StatGroup b;
-    b.add("unit1.x", 10.0);
-    b.merge(a, "unit1");
-    EXPECT_DOUBLE_EQ(b.get("unit1.x"), 11.0);
-}
-
-TEST(StatGroup, AbsorbIsSameNameReduction)
-{
-    StatGroup shard0;
-    shard0.add("noc.hops", 5.0);
-    shard0.add("noc.flits", 2.0);
-    StatGroup shard1;
-    shard1.add("noc.hops", 7.0);
-    shard1.add("ext.reads", 3.0);
-    shard0.absorb(shard1);
-    EXPECT_DOUBLE_EQ(shard0.get("noc.hops"), 12.0);
-    EXPECT_DOUBLE_EQ(shard0.get("noc.flits"), 2.0);
-    EXPECT_DOUBLE_EQ(shard0.get("ext.reads"), 3.0);
+    s.addAll(list);
+    a = 100.0;
+    EXPECT_DOUBLE_EQ(s.get("noc.hops"), 3.5);
+    EXPECT_DOUBLE_EQ(s.get("ext.reads"), 3.0);
 }
 
 TEST(StatGroup, DumpJsonOrderedAndRoundTrippable)
@@ -110,12 +61,17 @@ TEST(StatGroup, DumpJsonEmptyGroup)
 
 TEST(StatGroup, DumpOrdered)
 {
+    // Values print losslessly, like dumpJson: no 6-digit rounding of
+    // large counters or fractions.
     StatGroup s;
     s.add("b", 2.0);
     s.add("a", 1.0);
+    s.set("c.cycles", 2120915.0);
+    s.set("d.ratio", 0.1);
     std::ostringstream oss;
     s.dump(oss);
-    EXPECT_EQ(oss.str(), "a 1\nb 2\n");
+    EXPECT_EQ(oss.str(),
+              "a 1\nb 2\nc.cycles 2120915\nd.ratio 0.10000000000000001\n");
 }
 
 TEST(BandwidthResource, NoContentionStartsImmediately)

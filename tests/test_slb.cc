@@ -60,10 +60,8 @@ TEST(Slb, ReportCounts)
     Slb slb(4, 2, 100);
     slb.lookup(1);
     slb.lookup(1);
-    StatGroup stats;
-    slb.report(stats, "slb");
-    EXPECT_DOUBLE_EQ(stats.get("slb.hits"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("slb.misses"), 1.0);
+    EXPECT_EQ(slb.hits(), 1u);
+    EXPECT_EQ(slb.misses(), 1u);
 }
 
 /** Property: a working set within capacity always hits after warmup. */

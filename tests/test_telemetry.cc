@@ -8,12 +8,15 @@
 
 #include <fstream>
 #include <memory>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ndp/stream_cache.h"
 #include "runtime/static_config.h"
+#include "serving/serving_workload.h"
 #include "sim/packet.h"
 #include "system/ndp_system.h"
 #include "telemetry/telemetry.h"
@@ -30,9 +33,12 @@ TEST(MetricRegistry, DuplicateNamesSumAcrossSources)
     MetricRegistry reg;
     double a = 3.0;
     double b = 4.0;
-    reg.registerCounter("x.count", [&a] { return a; });
-    reg.registerCounter("x.count", [&b] { return b; });
-    reg.registerGauge("x.rate", [] { return 0.5; });
+    const Counters list = {
+        {"x.count", [&a] { return a; }},
+        {"x.count", [&b] { return b; }},
+        {"x.rate", [] { return 0.5; }},
+    };
+    reg.registerCounters(list);
     EXPECT_EQ(reg.numMetrics(), 2u);
     reg.sample(0, 100);
     EXPECT_DOUBLE_EQ(reg.latest("x.count"), 7.0);
@@ -262,56 +268,126 @@ TEST(Telemetry, ObserverOnlyAcrossThreadsAndSampling)
     }
 }
 
-/** Epoch series, packet samples, and decisions are all populated. */
+/**
+ * --stats-json names that are not counters, so telemetry never carries
+ * them: the per-core coreN.* rows and the run-level fields.
+ */
+bool
+isRunLevelStat(const std::string& name)
+{
+    static const std::regex kRunLevel(
+        "core[0-9]+\\..*|cycles|engine\\..*|.*Micros|degraded\\.cycles"
+        "|serving\\.tenants"
+        "|tenant\\..*\\.(latency(Mean|P50|P99|Max)|sloAttainment)");
+    return std::regex_match(name, kRunLevel);
+}
+
+/**
+ * Epoch series, packet samples, and decisions are all populated, and
+ * the final epoch sample and --stats-json read one counter list: every
+ * sampled metric except telemetry's own packet count equals the
+ * --stats-json value of the same name, and every --stats-json name is
+ * sampled or run-level. Covers a plain, a faulty and a serving run, so
+ * the fault.* and tenant.* counters are checked too.
+ */
 TEST(Telemetry, CollectsMetricsSamplesAndDecisions)
 {
-    auto w = makeWorkload("pr");
-    w->prepare(tinyParams());
-    auto tel = makeTelemetry();
-    SystemConfig cfg = tinyConfig(2);
-    cfg.runtime.epochCycles = 50'000; // several epochs within the run
-    cfg.finalize();
-    NdpSystem sys(cfg, PolicyKind::NdpExt);
-    sys.attachTelemetry(tel.get());
-    const RunResult res = sys.run(*w);
+    SystemConfig plain = tinyConfig(2);
+    plain.runtime.epochCycles = 50'000; // several epochs within the run
+    plain.finalize();
+    auto pr = makeWorkload("pr");
+    pr->prepare(tinyParams());
 
-    // The final epoch snapshot agrees with the run's own statistics.
-    EXPECT_GE(tel->metrics().numSamples(), 2u);
-    EXPECT_DOUBLE_EQ(tel->metrics().latest("cache.hits"),
-                     res.stats.get("cache.hits"));
-    EXPECT_DOUBLE_EQ(tel->metrics().latest("cache.misses"),
-                     res.stats.get("cache.misses"));
-    EXPECT_DOUBLE_EQ(tel->metrics().latest("cores.accesses"),
-                     static_cast<double>(res.accesses));
+    SystemConfig faulty = plain;
+    faulty.faults.seed = 11;
+    faulty.faults.cxlTransientProb = 1e-2;
+    faulty.faults.cxlPoisonProb = 1e-3;
+    faulty.faults.dramBitProb = 1e-2;
+    faulty.faults.unitFailures = {{2, 100'000}};
 
-    // Sampled packets: every stage split is internally consistent and
-    // feeds the latency histogram.
-    ASSERT_FALSE(tel->drainedSamples().empty());
-    for (const PacketSample& s : tel->drainedSamples()) {
-        EXPECT_EQ(s.total(),
-                  s.metadata + s.icnIntra + s.icnInter + s.dramCache
-                      + s.extMem);
-        EXPECT_GT(s.total(), 0u);
-        EXPECT_LT(s.core, 8u);
+    SystemConfig serving = plain;
+    for (const char* spec : {"name=emb,workload=recsys,period=4000",
+                             "name=lin,workload=mv,period=5000"}) {
+        TenantSpec t;
+        std::string error;
+        ASSERT_TRUE(parseTenantSpec(spec, &t, &error)) << error;
+        serving.serving.tenants.push_back(t);
     }
-    EXPECT_EQ(tel->packetLatencyHist().count(),
-              tel->drainedSamples().size());
+    serving.serving.horizonCycles = 100'000;
+    ServingWorkload tenants(serving.serving, serving.runtime.epochCycles);
+    tenants.prepare(tinyParams());
 
-    // Decision log: an initial record plus one per completed epoch.
-    const auto& decisions = tel->decisions().records();
-    ASSERT_GE(decisions.size(), 2u);
-    EXPECT_EQ(decisions.front().kind, "initial");
-    EXPECT_FALSE(decisions.front().allocs.empty());
-    bool sawEpoch = false;
-    for (const DecisionRecord& d : decisions) {
-        EXPECT_EQ(d.samplerAssignment.size(), 8u);
-        if (d.kind == "epoch") {
-            sawEpoch = true;
-            EXPECT_GT(d.cycles, 0u);
-            EXPECT_FALSE(d.demands.empty());
+    struct Input
+    {
+        const char* label;
+        const SystemConfig& cfg;
+        const Workload& workload;
+    };
+    const Input inputs[] = {
+        {"plain", plain, *pr},
+        {"faulty", faulty, *pr},
+        {"serving", serving, tenants},
+    };
+    for (const Input& in : inputs) {
+        SCOPED_TRACE(in.label);
+        auto tel = makeTelemetry();
+        NdpSystem sys(in.cfg, PolicyKind::NdpExt);
+        sys.attachTelemetry(tel.get());
+        const RunResult res = sys.run(in.workload);
+
+        const MetricRegistry& mr = tel->metrics();
+        EXPECT_GE(mr.numSamples(), 2u);
+        std::set<std::string> sampled;
+        for (std::size_t i = 0; i < mr.numMetrics(); ++i) {
+            const std::string& name = mr.metricName(i);
+            sampled.insert(name);
+            if (name == "telemetry.packetSamples") {
+                continue;
+            }
+            EXPECT_TRUE(res.stats.has(name)) << name << " not in stats";
+            EXPECT_EQ(mr.latest(name), res.stats.get(name)) << name;
         }
+        for (const auto& [name, value] : res.stats.raw()) {
+            (void)value;
+            EXPECT_TRUE(sampled.count(name) != 0 || isRunLevelStat(name))
+                << name << " not in telemetry";
+        }
+        EXPECT_EQ(mr.latest("cores.accesses"),
+                  static_cast<double>(res.accesses));
+        EXPECT_EQ(sampled.count("fault.linkErrorsInjected"),
+                  in.cfg.faults.anyFaults() ? 1u : 0u);
+        EXPECT_EQ(sampled.count("tenant.emb.arrivals"),
+                  in.cfg.serving.tenants.empty() ? 0u : 1u);
+
+        // Sampled packets: every stage split is internally consistent
+        // and feeds the latency histogram.
+        ASSERT_FALSE(tel->drainedSamples().empty());
+        for (const PacketSample& s : tel->drainedSamples()) {
+            EXPECT_EQ(s.total(),
+                      s.metadata + s.icnIntra + s.icnInter + s.dramCache
+                          + s.extMem);
+            EXPECT_GT(s.total(), 0u);
+            EXPECT_LT(s.core, 8u);
+        }
+        EXPECT_EQ(tel->packetLatencyHist().count(),
+                  tel->drainedSamples().size());
+
+        // Decision log: an initial record plus one per completed epoch.
+        const auto& decisions = tel->decisions().records();
+        ASSERT_GE(decisions.size(), 2u);
+        EXPECT_EQ(decisions.front().kind, "initial");
+        EXPECT_FALSE(decisions.front().allocs.empty());
+        bool sawEpoch = false;
+        for (const DecisionRecord& d : decisions) {
+            EXPECT_EQ(d.samplerAssignment.size(), 8u);
+            if (d.kind == "epoch") {
+                sawEpoch = true;
+                EXPECT_GT(d.cycles, 0u);
+                EXPECT_FALSE(d.demands.empty());
+            }
+        }
+        EXPECT_TRUE(sawEpoch);
     }
-    EXPECT_TRUE(sawEpoch);
 }
 
 /** writeAll emits the three files and each parses with the schema. */

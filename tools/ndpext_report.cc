@@ -405,13 +405,16 @@ cmdSummary(const Run& run)
         prev_misses = misses;
     }
 
-    // --- incremental solver (solver.* series; zero when disabled) ---
-    const double solver_decisions = finalMetric(run, "solver.decisions");
+    // --- placement solver (runtime.solver.* counters) ---
+    const double solver_decisions =
+        finalMetric(run, "runtime.solver.decisions");
     if (solver_decisions > 0.0) {
-        const double iters = finalMetric(run, "solver.iterations");
-        const double budget_hits = finalMetric(run, "solver.budgetHits");
-        const double reused = finalMetric(run, "solver.warmStartReused");
-        const double delta = finalMetric(run, "solver.deltaStreams");
+        const double iters = finalMetric(run, "runtime.solver.iterations");
+        const double budget_hits =
+            finalMetric(run, "runtime.solver.budgetHits");
+        const double reused =
+            finalMetric(run, "runtime.solver.warmStartReused");
+        const double delta = finalMetric(run, "runtime.solver.deltaStreams");
         const double covered =
             finalMetric(run, "runtime.streamsCovered");
         std::printf("\nplacement solver:\n");
