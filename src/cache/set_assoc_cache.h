@@ -96,24 +96,34 @@ class SetAssocCache
                    " != ", entries_.size());
         for (Entry& e : entries_) {
             e.key = r.u64();
-            e.lastUse = r.u64();
+            const std::uint64_t last_use = r.u64();
+            NDP_ASSERT(last_use < kUseClockLimit,
+                       "cache lastUse out of range: ", last_use);
+            e.lastUse = last_use;
             e.valid = r.b();
             e.dirty = r.b();
         }
         useClock_ = r.u64();
+        NDP_ASSERT(useClock_ < kUseClockLimit,
+                   "cache use clock out of range: ", useClock_);
         hits_ = r.u64();
         misses_ = r.u64();
         evictions_ = r.u64();
     }
 
   private:
+    /** useClock_ never gets here: at one use per ns it takes 146 years. */
+    static constexpr std::uint64_t kUseClockLimit = 1ULL << 62;
+
+    /** 16 B: the flags share a word with a 62-bit lastUse. */
     struct Entry
     {
         std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t lastUse : 62 = 0;
+        bool valid : 1 = false;
+        bool dirty : 1 = false;
     };
+    static_assert(sizeof(Entry) == 16);
 
     std::uint32_t setOf(std::uint64_t key) const { return key % sets_; }
     Entry* find(std::uint64_t key);

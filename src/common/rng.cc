@@ -1,10 +1,34 @@
 #include "common/rng.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace ndpext {
+
+namespace {
+
+/** A 256-bit generator state as a vector over GF(2). */
+using StateBits = std::array<std::uint64_t, 4>;
+
+/** A 256x256 GF(2) matrix as its columns: col[j] is the image of bit j. */
+using StateMatrix = std::array<StateBits, 256>;
+
+StateBits
+apply(const StateMatrix& m, const StateBits& v)
+{
+    StateBits out{};
+    for (std::size_t j = 0; j < 256; ++j) {
+        const std::uint64_t mask = 0 - ((v[j / 64] >> (j % 64)) & 1);
+        for (std::size_t k = 0; k < 4; ++k) {
+            out[k] ^= m[j][k] & mask;
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -23,6 +47,39 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     NDP_ASSERT(lo <= hi);
     const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBounded(span));
+}
+
+void
+Rng::discard(std::uint64_t n)
+{
+    // next() updates the state by XORs, shifts and rotations only, so
+    // one step is a GF(2) matrix T; its column j is one step of unit
+    // state bit j. Square-and-multiply applies T^n.
+    StateMatrix t{}; // T^(2^i) at bit i of n
+    for (std::size_t j = 0; j < 256; ++j) {
+        StateBits unit{};
+        unit[j / 64] = 1ULL << (j % 64);
+        Rng r;
+        r.setState(unit.data());
+        r.next();
+        r.state(t[j].data());
+    }
+    StateBits s{s_[0], s_[1], s_[2], s_[3]};
+    for (;;) {
+        if ((n & 1) != 0) {
+            s = apply(t, s);
+        }
+        n >>= 1;
+        if (n == 0) {
+            break;
+        }
+        StateMatrix squared{};
+        for (std::size_t j = 0; j < 256; ++j) {
+            squared[j] = apply(t, t[j]);
+        }
+        t = squared;
+    }
+    setState(s.data());
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)

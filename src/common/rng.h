@@ -73,6 +73,13 @@ class Rng
     /** Uniform in [lo, hi]. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
+    /**
+     * Advance the state as if next() had been called n times, in
+     * O(log n) 256x256 GF(2) matrix squarings of the (linear) state
+     * transition.
+     */
+    void discard(std::uint64_t n);
+
     /** Bernoulli draw. */
     bool
     nextBool(double p_true)

@@ -1,6 +1,10 @@
 #include "workloads/graph.h"
 
 #include <algorithm>
+#include <system_error>
+#include <thread>
+
+#include <sched.h>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -22,23 +26,70 @@ static_assert(exactThreshold(kRmatA) && exactThreshold(kRmatA + kRmatB)
                   && exactThreshold(kRmatA + kRmatB + kRmatC),
               "R-MAT bound * 2^53 must be an integer");
 
+/** Fewest edges worth a thread of their own. */
+constexpr std::uint64_t kMinEdgesPerWorker = 1ULL << 16;
+
+/** CPUs this process may run on: its affinity mask, not every CPU. */
+std::uint64_t
+usableCpus()
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        return static_cast<std::uint64_t>(CPU_COUNT(&set));
+    }
+    return std::thread::hardware_concurrency();
+}
+
+/**
+ * Fill src and dst, the whole edge list, by drawRmatEdges() over one
+ * contiguous edge range per usable CPU, but no range shorter than
+ * kMinEdgesPerWorker edges. Returns once every range is drawn.
+ */
+void
+drawAllEdges(std::uint32_t scale, std::uint64_t seed,
+             std::span<std::uint32_t> src, std::span<std::uint32_t> dst)
+{
+    const std::uint64_t e_count = src.size();
+    const std::uint64_t most = e_count / kMinEdgesPerWorker;
+    const auto workers =
+        std::max<std::uint64_t>(1, std::min(usableCpus(), most));
+    // Range w is [e_count * w / workers, e_count * (w + 1) / workers);
+    // this thread draws range 0 while the pool draws the rest.
+    const auto draw = [&](std::uint64_t w) {
+        const std::uint64_t begin = e_count * w / workers;
+        const std::uint64_t count = e_count * (w + 1) / workers - begin;
+        drawRmatEdges(scale, seed, begin, src.subspan(begin, count),
+                      dst.subspan(begin, count));
+    };
+    std::vector<std::jthread> pool;
+    pool.reserve(workers - 1);
+    std::uint64_t w = 1;
+    try {
+        for (; w < workers; ++w) {
+            pool.emplace_back(draw, w);
+        }
+    } catch (const std::system_error&) {
+        // The OS refused a thread; this thread draws the ranges left.
+    }
+    for (; w < workers; ++w) {
+        draw(w);
+    }
+    draw(0);
+}
+
 } // namespace
 
-CsrGraph
-makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
-              std::uint64_t seed)
+void
+drawRmatEdges(std::uint32_t scale, std::uint64_t seed,
+              std::uint64_t first_edge, std::span<std::uint32_t> src,
+              std::span<std::uint32_t> dst)
 {
-    NDP_ASSERT(scale >= 4 && scale <= 28, "scale=", scale);
-    NDP_ASSERT(avg_degree >= 1);
-    const std::uint64_t v_count = 1ULL << scale;
-    const std::uint64_t e_count = v_count * avg_degree;
-
-    // Branch-free on purpose: a branch on each random draw mispredicts
-    // often, and this loop makes scale * e_count draws.
+    NDP_ASSERT(src.size() == dst.size());
     Rng rng(seed);
-    std::vector<std::uint32_t> src(e_count);
-    std::vector<std::uint32_t> dst(e_count);
-    for (std::uint64_t e = 0; e < e_count; ++e) {
+    rng.discard(first_edge * scale);
+    // Branch-free on purpose: a branch on each random draw mispredicts
+    // often, and this loop makes scale draws per edge.
+    for (std::size_t e = 0; e < src.size(); ++e) {
         std::uint64_t s = 0;
         std::uint64_t d = 0;
         for (std::uint32_t bit = 0; bit < scale; ++bit) {
@@ -49,8 +100,23 @@ makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
         src[e] = static_cast<std::uint32_t>(s);
         dst[e] = static_cast<std::uint32_t>(d);
     }
+}
 
-    // Counting sort into CSR.
+CsrGraph
+makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
+              std::uint64_t seed)
+{
+    NDP_ASSERT(scale >= 4 && scale <= 28, "scale=", scale);
+    NDP_ASSERT(avg_degree >= 1);
+    const std::uint64_t v_count = 1ULL << scale;
+    const std::uint64_t e_count = v_count * avg_degree;
+
+    std::vector<std::uint32_t> src(e_count);
+    std::vector<std::uint32_t> dst(e_count);
+    drawAllEdges(scale, seed, src, dst);
+
+    // Counting sort into CSR. Sequential: a vertex-parallel sort was no
+    // faster, and per-thread histograms would cost V * 8 B each.
     CsrGraph g;
     g.numVertices = v_count;
     g.numEdges = e_count;

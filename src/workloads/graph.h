@@ -11,6 +11,7 @@
 #define NDPEXT_WORKLOADS_GRAPH_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ndpext {
@@ -69,9 +70,23 @@ rmatQuadrant(std::uint64_t draw)
  * kept -- both exist in real edge lists). Each edge takes `scale`
  * consecutive draws of an Rng seeded with `seed`, one per bit, most
  * significant bit first; rmatQuadrant() maps a draw to its bits.
+ * The draws run on every CPU the process may use (its affinity mask),
+ * each drawing one contiguous edge range with drawRmatEdges(); the
+ * graph does not depend on the thread count.
  */
 CsrGraph makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
                        std::uint64_t seed);
+
+/**
+ * Draw edges [first_edge, first_edge + src.size()) of the unsorted edge
+ * list of makeRmatGraph(scale, *, seed): their sources into `src`, their
+ * destinations into `dst` (same size). Starts from Rng(seed) advanced
+ * by first_edge * scale draws, so ranges drawn in any order, or
+ * concurrently, give the same edges as one pass.
+ */
+void drawRmatEdges(std::uint32_t scale, std::uint64_t seed,
+                   std::uint64_t first_edge, std::span<std::uint32_t> src,
+                   std::span<std::uint32_t> dst);
 
 /** Pick a scale so the CSR (8 B offsets + 4 B edges) is ~target bytes. */
 std::uint32_t scaleForFootprint(std::uint64_t target_bytes,

@@ -102,6 +102,69 @@ TEST(SramCache, InvalidateAllDropsEverything)
     EXPECT_FALSE(c.access(0x100, false));
 }
 
+/*
+ * A SetAssocCache checkpoint is a u64 entry count, then per entry its
+ * key and lastUse (u64 each) and its valid and dirty bytes, then the
+ * use clock and three u64 counters.
+ */
+constexpr std::size_t kEntryBytes = 18;
+
+std::size_t
+lastUseAt(std::size_t entry)
+{
+    return 8 + entry * kEntryBytes + 8;
+}
+
+std::size_t
+useClockAt(std::size_t entries)
+{
+    return 8 + entries * kEntryBytes;
+}
+
+void
+putU64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+TEST(SetAssocCache, CheckpointKeepsUseClocksBelow2To62)
+{
+    SetAssocCache c(1, 2);
+    c.insert(1, true);
+    c.insert(2, false);
+    ckpt::Writer w;
+    c.serialize(w);
+    std::vector<std::uint8_t> bytes = w.bytes();
+    constexpr std::uint64_t kMax = (1ULL << 62) - 1;
+    putU64(bytes, lastUseAt(0), kMax - 1);
+    putU64(bytes, lastUseAt(1), kMax);
+    putU64(bytes, useClockAt(2), kMax);
+
+    SetAssocCache restored(1, 2);
+    ckpt::Reader r(bytes);
+    restored.deserialize(r);
+    ckpt::Writer again;
+    restored.serialize(again);
+    EXPECT_EQ(again.bytes(), bytes);
+}
+
+TEST(SetAssocCache, CheckpointRejectsUseClocksFrom2To62)
+{
+    SetAssocCache c(1, 2);
+    c.insert(1, false);
+    ckpt::Writer w;
+    c.serialize(w);
+    for (const std::size_t at : {lastUseAt(1), useClockAt(2)}) {
+        std::vector<std::uint8_t> bytes = w.bytes();
+        putU64(bytes, at, 1ULL << 62);
+        SetAssocCache restored(1, 2);
+        ckpt::Reader r(bytes);
+        EXPECT_DEATH(restored.deserialize(r), "out of range");
+    }
+}
+
 /** Property: a working set no larger than capacity never conflicts. */
 class CacheFitTest
     : public ::testing::TestWithParam<std::pair<std::uint32_t,

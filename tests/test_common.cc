@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -74,6 +75,47 @@ TEST(Rng, UniformMeanIsCentered)
         sum += rng.nextDouble();
     }
     EXPECT_NEAR(sum / n, 0.5, 0.01);
+}
+
+std::array<std::uint64_t, 4>
+stateOf(const Rng& rng)
+{
+    std::array<std::uint64_t, 4> s{};
+    rng.state(s.data());
+    return s;
+}
+
+TEST(Rng, DiscardEqualsRepeatedNext)
+{
+    const std::uint64_t counts[] = {0, 1, 2, 1000003};
+    for (const std::uint64_t n : counts) {
+        SCOPED_TRACE(::testing::Message() << "n " << n);
+        Rng stepped(77);
+        Rng jumped(77);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            stepped.next();
+        }
+        jumped.discard(n);
+        EXPECT_EQ(stateOf(jumped), stateOf(stepped));
+        EXPECT_EQ(jumped.next(), stepped.next());
+    }
+}
+
+TEST(Rng, DiscardComposes)
+{
+    // The default pr graph's draw count: 2^19 vertices * 16 edges each
+    // * 19 draws per edge.
+    constexpr std::uint64_t kTotal = (1ULL << 19) * 16 * 19;
+    Rng whole(55);
+    whole.discard(kTotal);
+    const std::uint64_t firsts[] = {0, 1, kTotal / 3, kTotal - 1};
+    for (const std::uint64_t a : firsts) {
+        SCOPED_TRACE(::testing::Message() << "a " << a);
+        Rng split(55);
+        split.discard(a);
+        split.discard(kTotal - a);
+        EXPECT_EQ(stateOf(split), stateOf(whole));
+    }
 }
 
 TEST(Zipf, StaysInDomain)

@@ -188,10 +188,50 @@ TEST(Graph, RmatIsSkewed)
 
 TEST(Graph, Deterministic)
 {
-    const auto a = makeRmatGraph(8, 4, 7);
-    const auto b = makeRmatGraph(8, 4, 7);
+    // 2^19 edges: one drawing thread per usable CPU, up to 8.
+    const auto a = makeRmatGraph(16, 8, 7);
+    const auto b = makeRmatGraph(16, 8, 7);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.offsets, b.offsets);
+}
+
+TEST(Graph, RmatEdgeRangesMatchOnePass)
+{
+    constexpr std::uint32_t kScale = 12;
+    constexpr std::uint64_t kEdges = 1ULL << 18;
+    constexpr std::uint64_t kSeed = 9;
+
+    // The draw contract itself: one Rng, kScale draws per edge.
+    std::vector<std::uint32_t> want_src(kEdges);
+    std::vector<std::uint32_t> want_dst(kEdges);
+    Rng rng(kSeed);
+    for (std::uint64_t e = 0; e < kEdges; ++e) {
+        for (std::uint32_t bit = 0; bit < kScale; ++bit) {
+            const std::uint64_t q = rmatQuadrant(rng.next());
+            want_src[e] = (want_src[e] << 1) | (q >> 1);
+            want_dst[e] = (want_dst[e] << 1) | (q & 1);
+        }
+    }
+
+    const auto check = [&](const std::vector<std::uint64_t>& cuts) {
+        SCOPED_TRACE(::testing::Message() << (cuts.size() + 1) << " parts");
+        std::vector<std::uint32_t> src(kEdges, ~0u);
+        std::vector<std::uint32_t> dst(kEdges, ~0u);
+        std::uint64_t begin = 0;
+        for (std::size_t i = 0; i <= cuts.size(); ++i) {
+            const std::uint64_t end = i < cuts.size() ? cuts[i] : kEdges;
+            drawRmatEdges(kScale, kSeed, begin,
+                          std::span(src).subspan(begin, end - begin),
+                          std::span(dst).subspan(begin, end - begin));
+            begin = end;
+        }
+        EXPECT_EQ(src, want_src);
+        EXPECT_EQ(dst, want_dst);
+    };
+    check({});
+    check({1});
+    check({7, 174763});
+    check({1, 2, 3, 100, 65535, 200000});
 }
 
 TEST(Graph, ScaleForFootprint)

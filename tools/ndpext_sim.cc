@@ -49,10 +49,12 @@
  *                        tunable of the chosen arrival process
  *   --horizon=N          serving: last admissible arrival cycle
  *                        (K/M/G suffixes; default 2M)
- *   --threads=N          simulation threads (default 1). Results are
+ *   --threads=N          engine threads (default 1). Results are
  *                        bit-identical for any value: the machine is
  *                        always decomposed into one shard per stack and
  *                        N only controls parallel shard execution.
+ *                        Graph synthesis uses every usable CPU
+ *                        whatever N is, with the same graphs.
  *   --mem-backend.ROLE=NAME[,key=val...]
  *                        memory backend per role (unit|ext|host), e.g.
  *                          --mem-backend.ext=frfcfs,queue=16
@@ -133,7 +135,8 @@ constexpr const char* kUsage =
     "                      (--list-arrivals shows arrival processes)\n"
     "  --horizon=N         serving: last admissible arrival cycle\n"
     "                      (K/M/G suffixes)\n"
-    "  --threads=N         simulation threads (same results for any N)\n"
+    "  --threads=N         engine threads (same results for any N;\n"
+    "                      graph synthesis uses every usable CPU)\n"
     "  --mem-backend.ROLE=NAME[,key=val...]\n"
     "                      backend for ROLE in unit|ext|host\n"
     "                      (--list-mem-backends shows what is available)\n"
