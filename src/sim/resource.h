@@ -11,21 +11,27 @@
  * are kept as busy *intervals* and new requests fill the earliest gap at
  * or after their arrival time.
  *
- * The busy list is a fixed-capacity ring of disjoint intervals sorted by
- * start time. Disjoint + sorted-by-start implies the end times are
- * strictly increasing too, so the prefix of intervals entirely before an
- * arrival is found by binary search instead of a linear walk -- this is
- * the simulator's hottest loop (every NoC inter-stack hop, DRAM bank and
- * CXL link reservation lands here). The first-fit semantics, the
- * kMaxTracked drop-oldest cap and every returned start time are exactly
- * those of the original linear implementation (pinned by the bench
- * baselines' bit-identity gate).
+ * The busy list is a contiguous window of disjoint intervals sorted by
+ * start time, inside a fixed buffer. Disjoint + sorted-by-start implies
+ * the end times are strictly increasing too, so the prefix of intervals
+ * entirely before an arrival is found by binary search instead of a
+ * linear walk -- this is the simulator's hottest loop (every NoC
+ * inter-stack hop, DRAM bank and CXL link reservation lands here). New
+ * intervals land near the tail (future reservations pile up there), so a
+ * tail insert is one memmove; dropping the oldest interval slides the
+ * window right, and the window is compacted to the buffer's front when
+ * it reaches the end. The first-fit semantics, the kMaxTracked
+ * drop-oldest cap and every returned start time are exactly those of the
+ * original linear implementation (pinned by the bench baselines'
+ * bit-identity gate).
  */
 
 #ifndef NDPEXT_SIM_RESOURCE_H
 #define NDPEXT_SIM_RESOURCE_H
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "common/logging.h"
@@ -51,11 +57,9 @@ class BandwidthResource
           count_(other.count_), reservations_(other.reservations_),
           queueCycles_(other.queueCycles_)
     {
-        if (other.ring_ != nullptr) {
-            ring_ = std::make_unique<Interval[]>(kCap);
-            for (std::size_t i = 0; i < kCap; ++i) {
-                ring_[i] = other.ring_[i];
-            }
+        if (other.buf_ != nullptr) {
+            buf_ = std::make_unique<Interval[]>(kCap);
+            std::copy_n(other.buf_.get(), kCap, buf_.get());
         }
     }
 
@@ -99,8 +103,8 @@ class BandwidthResource
         if (duration == 0) {
             duration = 1;
         }
-        if (ring_ == nullptr) {
-            ring_ = std::make_unique<Interval[]>(kCap);
+        if (buf_ == nullptr) {
+            buf_ = std::make_unique<Interval[]>(kCap);
         }
         Cycles t = now;
         // Ends are strictly increasing (disjoint intervals sorted by
@@ -157,8 +161,8 @@ class BandwidthResource
     /**
      * Checkpoint hooks. The bandwidth is configuration (rebuilt by the
      * owner); only the busy list and counters travel. Intervals are
-     * stored in logical order, so the restored ring is equivalent with
-     * head_ = 0 regardless of the original ring phase.
+     * stored in logical order, so the restored window is equivalent with
+     * head_ = 0 wherever the original window sat in the buffer.
      */
     void
     serialize(ckpt::Writer& w) const
@@ -178,12 +182,12 @@ class BandwidthResource
         reset();
         const std::uint64_t n = r.u64();
         NDP_ASSERT(n <= kMaxTracked, "bad interval count ", n);
-        if (n > 0 && ring_ == nullptr) {
-            ring_ = std::make_unique<Interval[]>(kCap);
+        if (n > 0 && buf_ == nullptr) {
+            buf_ = std::make_unique<Interval[]>(kCap);
         }
         for (std::uint64_t i = 0; i < n; ++i) {
-            ring_[i].start = r.u64();
-            ring_[i].end = r.u64();
+            buf_[i].start = r.u64();
+            buf_[i].end = r.u64();
         }
         count_ = n;
         reservations_ = r.u64();
@@ -199,20 +203,20 @@ class BandwidthResource
 
     /** Intervals kept; older ones are in the past and prunable. */
     static constexpr std::size_t kMaxTracked = 128;
-    /** Ring capacity: power of two > kMaxTracked + 1 (transient size). */
+    /** Buffer capacity: room for the window (kMaxTracked + 1 while an
+     *  insert is pending) to slide before it must be compacted. */
     static constexpr std::size_t kCap = 256;
-    static constexpr std::size_t kMask = kCap - 1;
 
     const Interval&
     at(std::size_t i) const
     {
-        return ring_[(head_ + i) & kMask];
+        return buf_[head_ + i];
     }
 
     Interval&
     at(std::size_t i)
     {
-        return ring_[(head_ + i) & kMask];
+        return buf_[head_ + i];
     }
 
     /** Index of the first interval with end > t (count_ if none). */
@@ -232,21 +236,27 @@ class BandwidthResource
         return lo;
     }
 
-    /** Insert `iv` at logical index `pos`, shifting the shorter side. */
+    /**
+     * Insert `iv` at logical index `pos`. A front-half insert shifts the
+     * head left into the free slot before the window when there is one;
+     * otherwise the tail shifts right, after compacting the window to the
+     * buffer's front if it reached the end.
+     */
     void
     insertAt(std::size_t pos, Interval iv)
     {
-        if (pos * 2 >= count_) {
-            // Shift the tail [pos, count_) right by one.
-            for (std::size_t i = count_; i > pos; --i) {
-                at(i) = at(i - 1);
-            }
+        Interval* first = buf_.get() + head_;
+        if (pos * 2 < count_ && head_ > 0) {
+            std::memmove(first - 1, first, pos * sizeof(Interval));
+            --head_;
         } else {
-            // Shift the head [0, pos) left by one.
-            head_ = (head_ + kCap - 1) & kMask;
-            for (std::size_t i = 0; i < pos; ++i) {
-                at(i) = at(i + 1);
+            if (head_ + count_ == kCap) {
+                std::memmove(buf_.get(), first, count_ * sizeof(Interval));
+                head_ = 0;
+                first = buf_.get();
             }
+            std::memmove(first + pos + 1, first + pos,
+                         (count_ - pos) * sizeof(Interval));
         }
         ++count_;
         at(pos) = iv;
@@ -255,13 +265,14 @@ class BandwidthResource
     void
     popFront()
     {
-        head_ = (head_ + 1) & kMask;
+        ++head_;
         --count_;
     }
 
     double bytesPerCycle_;
-    /** Disjoint busy intervals sorted by start (lazily allocated). */
-    std::unique_ptr<Interval[]> ring_;
+    /** Disjoint busy intervals sorted by start, in the window
+     *  [head_, head_ + count_) (lazily allocated). */
+    std::unique_ptr<Interval[]> buf_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t reservations_ = 0;
