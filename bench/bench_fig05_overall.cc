@@ -35,7 +35,7 @@ main(int argc, char** argv)
     for (const auto p : policies) {
         cols.push_back(policyName(p));
     }
-    cols.push_back("best/nexus");
+    cols.push_back("ndpext/nexus");
     bench::Table table(cols);
 
     std::map<std::string, std::vector<double>> speedups;

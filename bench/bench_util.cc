@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -33,13 +32,6 @@ BenchArgs::parse(int argc, char** argv)
             }
         } else if (arg.rfind("--exp=", 0) == 0) {
             args.exp = arg.substr(6);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            const long v = std::strtol(arg.c_str() + 10, nullptr, 10);
-            if (v < 1 || v > 1024) {
-                NDP_FATAL("--threads must be in [1, 1024], got ",
-                          arg.substr(10));
-            }
-            args.threads = static_cast<std::uint32_t>(v);
         } else if (arg.rfind("--workloads=", 0) == 0) {
             std::stringstream ss(arg.substr(12));
             std::string item;
@@ -50,8 +42,8 @@ BenchArgs::parse(int argc, char** argv)
             args.statsJson = arg.substr(13);
         } else {
             NDP_FATAL("unknown argument: ", arg,
-                      " (expected --quick, --mem=, --exp=, --threads=,"
-                      " --workloads=, --stats-json=)");
+                      " (expected --quick, --mem=, --exp=, --workloads=,"
+                      " --stats-json=)");
         }
     }
     return args;
@@ -62,7 +54,6 @@ benchConfig(const BenchArgs& args)
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.memType = args.memType;
-    cfg.numThreads = args.threads;
     cfg.finalize();
     return cfg;
 }

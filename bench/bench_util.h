@@ -16,8 +16,7 @@
  *      ndpext_sim additionally places scalars ("cycles", "energyNj",
  *      ...) and one nested object ("degraded") at the top level; the
  *      comparer flattens those to dotted names. All values are
- *      deterministic simulation results: bit-identical for any
- *      --threads value, so baselines compare exactly.
+ *      deterministic simulation results, so baselines compare exactly.
  *
  *   B. google-benchmark --benchmark_out JSON (bench_fig04_maxflow,
  *      whose main() translates --stats-json into --benchmark_out):
@@ -52,11 +51,6 @@ struct BenchArgs
     NdpMemType memType = NdpMemType::Hbm3;
     /** Sub-experiment selector (--exp=...). */
     std::string exp;
-    /**
-     * Simulation threads (--threads=N). Results are identical for any
-     * value; this only changes wall-clock time.
-     */
-    std::uint32_t threads = 1;
     /** Workload filter (--workloads=pr,bfs,...). Empty = bench default. */
     std::vector<std::string> workloads;
     /** Write recorded results as JSON (--stats-json=FILE). Empty = off. */

@@ -148,7 +148,7 @@ class InOrderCore
 
     /**
      * Attach a telemetry packet-sample sink (null detaches). The buffer
-     * must be shard-private to this core; the core records every Nth
+     * must be private to this core; the core records every Nth
      * completed L1 miss (N = buffer's `every`). Observer-only: sampling
      * never alters timing.
      */
@@ -161,7 +161,7 @@ class InOrderCore
      * wait, compute, L1 pipeline, the exact largest-remainder stall
      * shares, and the completion tail split over the final packet's
      * service breakdown -- so the record's stage sum equals its latency
-     * cycle-exactly. Observer-only; must be shard-private to this core.
+     * cycle-exactly. Observer-only; must be private to this core.
      */
     void setRequestTraceSink(RequestTraceBuffer* sink) { reqSink_ = sink; }
 

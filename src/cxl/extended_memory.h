@@ -127,8 +127,7 @@ class ExtendedMemory
     /** Reads that returned poison. */
     std::uint64_t poisonedReads() const { return poisonedReads_; }
 
-    /** Declare the link and device counters under `prefix` (shard
-     *  clones declare the same names, which sum into machine totals). */
+    /** Declare the link and device counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;
     void reset();
 
@@ -178,7 +177,7 @@ class ExtendedMemory
     }
 
   private:
-    /** Integer cost counters of one stream (exact across any sharding). */
+    /** Integer cost counters of one stream. */
     struct StreamCounters
     {
         std::uint64_t linkBytes = 0;

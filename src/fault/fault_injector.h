@@ -141,8 +141,7 @@ class FaultInjector
     std::uint64_t linesPoisoned() const { return linesPoisoned_; }
     std::uint64_t dramBitFaultsInjected() const { return dramFaults_; }
 
-    /** Declare the injection counters under `prefix` (the master and
-     *  the per-shard injectors declare the same names, which sum). */
+    /** Declare the injection counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;
 
     /**

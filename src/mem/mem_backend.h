@@ -15,9 +15,8 @@
  * Contracts every backend must honor (DESIGN.md 4.3 "Memory backend
  * table"):
  *  - Determinism: access timing is a pure function of the request
- *    sequence; no wall clock, no unseeded randomness. Shard-clone proxies
- *    are fresh instances of the same config, so results are bit-identical
- *    for any --threads value.
+ *    sequence; no wall clock, no unseeded randomness, so results are
+ *    bit-identical across runs.
  *  - Checkpointing: serialize()/deserialize() capture all mutable state;
  *    the backend name is part of the system config hash, so resuming a
  *    checkpoint under a different backend is rejected up front.

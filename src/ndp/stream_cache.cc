@@ -17,7 +17,7 @@ StreamCacheController::StreamCacheController(
       rowsPerUnit_(
           static_cast<std::uint32_t>(unit_cache_bytes
                                      / unit_dram.timing.rowBytes)),
-      unitDramCfg_(unit_dram), coreFreqMhz_(core_freq_mhz),
+      unitDramCfg_(unit_dram),
       remap_(noc.topology().numUnits(), rowsPerUnit_, rowBytes_,
              params.remapMode)
 {
@@ -29,48 +29,12 @@ StreamCacheController::StreamCacheController(
             std::make_unique<UnitState>(unit_dram, core_freq_mhz, params_));
     }
     unitFailed_.assign(n, false);
-    shardOfUnit_.assign(n, 0);
-
-    // Single default context covering every unit, wired to the
-    // constructor's NoC/ext models (exact legacy behavior).
-    auto ctx = std::make_unique<ShardCtx>();
-    ctx->noc = &noc_;
-    ctx->ext = &ext_;
-    ctxs_.push_back(std::move(ctx));
-}
-
-void
-StreamCacheController::enableSharding(
-    const std::vector<ShardResources>& resources)
-{
-    const MeshTopology& topo = noc_.topology();
-    NDP_ASSERT(resources.size() == topo.numStacks(),
-               "need one ShardResources per stack: ", resources.size(),
-               " != ", topo.numStacks());
-    sharded_ = true;
-    for (UnitId u = 0; u < units_.size(); ++u) {
-        shardOfUnit_[u] = topo.stackOf(u);
-    }
-    ctxs_.clear();
-    for (std::size_t s = 0; s < resources.size(); ++s) {
-        const ShardResources& res = resources[s];
-        NDP_ASSERT(res.noc != nullptr && res.ext != nullptr,
-                   "shard ", s, " missing NoC/ext models");
-        auto ctx = std::make_unique<ShardCtx>();
-        ctx->id = static_cast<std::uint32_t>(s);
-        ctx->noc = res.noc;
-        ctx->ext = res.ext;
-        ctx->fault = res.fault;
-        ctxs_.push_back(std::move(ctx));
-    }
 }
 
 void
 StreamCacheController::setFaultInjector(FaultInjector* fault)
 {
-    for (auto& ctx : ctxs_) {
-        ctx->fault = fault;
-    }
+    fault_ = fault;
 }
 
 std::uint32_t
@@ -151,98 +115,64 @@ StreamCacheController::unitDram(UnitId unit) const
     return *units_[unit]->dram;
 }
 
+StreamCacheController::StreamCost&
+StreamCacheController::costFor(StreamId sid)
+{
+    if (sid == kNoStream) {
+        return noStreamCost_;
+    }
+    if (streamCost_.size() <= sid) {
+        streamCost_.resize(sid + 1);
+    }
+    return streamCost_[sid];
+}
+
 TagStore&
-StreamCacheController::storeFor(ShardCtx& ctx, UnitId unit, StreamId sid)
+StreamCacheController::storeFor(UnitId unit, StreamId sid)
 {
     // Memoized fast path: hash lookups into the store maps dominated
     // the access path; a flat pointer table turns the common repeat
     // lookup into one load. Map nodes are stable until erased, and
-    // every erase point drops the memo via clearRemoteStores().
+    // every erase point drops the memo via dropStoreMemo().
     const std::uint32_t stride =
         static_cast<std::uint32_t>(streams_.numStreams());
-    if (ctx.storeCacheStride != stride) {
-        ctx.storeCache.assign(
+    if (storeCacheStride_ != stride) {
+        storeCache_.assign(
             units_.size() * static_cast<std::size_t>(stride), nullptr);
-        ctx.storeCacheStride = stride;
+        storeCacheStride_ = stride;
     }
-    const std::size_t memo =
-        static_cast<std::size_t>(unit) * stride + sid;
-    if (TagStore* cached = ctx.storeCache[memo]) {
-        return *cached;
-    }
-
-    TagStore* found = nullptr;
-    if (!sharded_ || shardOfUnit_[unit] == ctx.id) {
+    TagStore*& memo =
+        storeCache_[static_cast<std::size_t>(unit) * stride + sid];
+    if (memo == nullptr) {
         auto& stores = units_[unit]->stores;
         auto it = stores.find(sid);
-        if (it != stores.end()) {
-            found = &it->second;
-        } else {
+        if (it == stores.end()) {
             const StreamConfig& cfg = streams_.stream(sid);
             const std::uint32_t ways = params_.cachelineMode
                 ? 1
                 : (cfg.type == StreamType::Affine ? params_.affineWays
                                                   : params_.indirectWays);
-            const std::uint64_t slots = remap_.unitSlots(sid, unit);
-            auto [ins, ok] = stores.emplace(sid, TagStore(slots, ways));
-            NDP_ASSERT(ok);
-            found = &ins->second;
+            it = stores.emplace(sid, TagStore(remap_.unitSlots(sid, unit),
+                                              ways))
+                     .first;
         }
-    } else {
-        // Cross-shard serving unit: consult a shard-private proxy built
-        // from the shared (read-only between barriers) remap geometry.
-        // The proxy approximates the remote slice's tag state with this
-        // shard's own access history -- deterministic for any thread
-        // count.
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(unit) << 16) | sid;
-        auto it = ctx.remoteStores.find(key);
-        if (it != ctx.remoteStores.end()) {
-            found = &it->second;
-        } else {
-            const StreamConfig& cfg = streams_.stream(sid);
-            const std::uint32_t ways = params_.cachelineMode
-                ? 1
-                : (cfg.type == StreamType::Affine ? params_.affineWays
-                                                  : params_.indirectWays);
-            const std::uint64_t slots = remap_.unitSlots(sid, unit);
-            found = &ctx.remoteStores.emplace(key, TagStore(slots, ways))
-                         .first->second;
-        }
+        memo = &it->second;
     }
-    ctx.storeCache[memo] = found;
-    return *found;
-}
-
-MemBackend&
-StreamCacheController::dramFor(ShardCtx& ctx, UnitId unit)
-{
-    if (!sharded_ || shardOfUnit_[unit] == ctx.id) {
-        return *units_[unit]->dram;
-    }
-    auto it = ctx.remoteDrams.find(unit);
-    if (it == ctx.remoteDrams.end()) {
-        it = ctx.remoteDrams
-                 .emplace(unit, createMemBackend(unitDramCfg_,
-                                                 coreFreqMhz_))
-                 .first;
-    }
-    return *it->second;
+    return *memo;
 }
 
 DramResult
-StreamCacheController::dramAt(ShardCtx& ctx, const CacheLocation& loc,
-                              std::uint32_t bytes, bool is_write, Cycles t,
-                              StreamId sid)
+StreamCacheController::dramAt(const CacheLocation& loc, std::uint32_t bytes,
+                              bool is_write, Cycles t, StreamId sid)
 {
     NDP_ASSERT(!unitFailed(loc.unit),
                "DRAM access on failed unit ", loc.unit);
-    MemBackend& dram = dramFor(ctx, loc.unit);
+    MemBackend& dram = *units_[loc.unit]->dram;
     const std::uint32_t banks = dram.params().totalBanks();
     const std::uint32_t bank = loc.deviceRow % banks;
     const std::uint64_t row = loc.deviceRow / banks;
     const DramResult dr = dram.accessRow(bank, row, bytes, is_write, t);
-    StreamCost& cost = ctx.costFor(sid);
+    StreamCost& cost = costFor(sid);
     cost.dramBytes += bytes;
     if (!dr.rowHit) {
         ++cost.dramActivations; // backends activate on every non-hit
@@ -251,19 +181,18 @@ StreamCacheController::dramAt(ShardCtx& ctx, const CacheLocation& loc,
 }
 
 void
-StreamCacheController::nocLeg(ShardCtx& ctx, Packet& pkt, UnitId src,
-                              UnitId dst, std::uint32_t bytes)
+StreamCacheController::nocLeg(Packet& pkt, UnitId src, UnitId dst,
+                              std::uint32_t bytes)
 {
     pkt.hopSrc = src;
     pkt.hopDst = dst;
     pkt.bytes = bytes;
-    ctx.noc->recvAtomic(pkt);
-
+    noc_.recvAtomic(pkt);
 }
 
 void
-StreamCacheController::extLeg(ShardCtx& ctx, Packet& pkt, Addr addr,
-                              std::uint32_t bytes, bool is_write)
+StreamCacheController::extLeg(Packet& pkt, Addr addr, std::uint32_t bytes,
+                              bool is_write)
 {
     const Addr addr0 = pkt.addr;
     const std::uint32_t bytes0 = pkt.bytes;
@@ -271,14 +200,14 @@ StreamCacheController::extLeg(ShardCtx& ctx, Packet& pkt, Addr addr,
     pkt.addr = addr;
     pkt.bytes = bytes;
     pkt.op = is_write ? MemOp::Write : MemOp::Read;
-    ctx.ext->recvAtomic(pkt);
+    ext_.recvAtomic(pkt);
     if (pkt.poisoned) {
         // Poisoned read: the host exception handler repairs the line
         // (re-materialises it from the source copy) and the access
         // completes with the repaired data after the penalty.
-        ++ctx.poisonEscalations;
-        const Cycles penalty = ctx.fault != nullptr
-            ? ctx.fault->params().poisonPenaltyCycles
+        ++poisonEscalations_;
+        const Cycles penalty = fault_ != nullptr
+            ? fault_->params().poisonPenaltyCycles
             : Cycles(0);
         pkt.ready += penalty;
         pkt.bd.extMem += penalty;
@@ -290,29 +219,28 @@ StreamCacheController::extLeg(ShardCtx& ctx, Packet& pkt, Addr addr,
 }
 
 bool
-StreamCacheController::eccFaultOnHit(ShardCtx& ctx, bool hit)
+StreamCacheController::eccFaultOnHit(bool hit)
 {
-    if (!hit || ctx.fault == nullptr || !ctx.fault->dramBitFault()) {
+    if (!hit || fault_ == nullptr || !fault_->dramBitFault()) {
         return false;
     }
     // ECC detected an uncorrectable bit fault in the cached copy: the
     // data is unusable and must be re-fetched from extended memory.
-    ++ctx.dramFaults;
+    ++dramFaults_;
     return true;
 }
 
 void
-StreamCacheController::bypassToExt(ShardCtx& ctx, UnitId unit, Packet& pkt,
-                                   Addr addr, std::uint32_t bytes,
-                                   bool is_write)
+StreamCacheController::bypassToExt(UnitId unit, Packet& pkt, Addr addr,
+                                   std::uint32_t bytes, bool is_write)
 {
-    nocLeg(ctx, pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
-    extLeg(ctx, pkt, addr, bytes, is_write);
-    nocLeg(ctx, pkt, Packet::kCxlEndpoint, unit, bytes);
+    nocLeg(pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
+    extLeg(pkt, addr, bytes, is_write);
+    nocLeg(pkt, Packet::kCxlEndpoint, unit, bytes);
 }
 
 void
-StreamCacheController::fetchFill(ShardCtx& ctx, Packet& pkt, UnitId unit,
+StreamCacheController::fetchFill(Packet& pkt, UnitId unit,
                                  const StreamConfig& cfg,
                                  std::uint64_t granule,
                                  const CacheLocation& loc)
@@ -320,41 +248,38 @@ StreamCacheController::fetchFill(ShardCtx& ctx, Packet& pkt, UnitId unit,
     const std::uint32_t bytes = granuleFetchBytes(cfg);
     const Addr addr = granuleAddr(cfg, granule);
 
-    nocLeg(ctx, pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
-    extLeg(ctx, pkt, addr, bytes, false);
-    nocLeg(ctx, pkt, Packet::kCxlEndpoint, unit, bytes);
+    nocLeg(pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
+    extLeg(pkt, addr, bytes, false);
+    nocLeg(pkt, Packet::kCxlEndpoint, unit, bytes);
 
     // Install into the local DRAM row(s); critical word forwarded in
     // parallel, so the requester sees the fill completion time.
-    const DramResult dr = dramAt(ctx, loc, bytes, true, pkt.ready, cfg.sid);
+    const DramResult dr = dramAt(loc, bytes, true, pkt.ready, cfg.sid);
     pkt.bd.dramCache += dr.done - pkt.ready;
     pkt.ready = dr.done;
 }
 
 void
-StreamCacheController::writebackVictim(ShardCtx& ctx, UnitId unit,
-                                       const StreamConfig& cfg,
-                                       std::uint64_t victim_granule,
-                                       Cycles t)
+StreamCacheController::writebackVictim(UnitId unit, const StreamConfig& cfg,
+                                       std::uint64_t victim_granule, Cycles t)
 {
     // Off the critical path: reserve bandwidth, do not stall the
     // requester. The scratch packet's latency breakdown is discarded.
     const std::uint32_t bytes = granuleFetchBytes(cfg);
-    Packet* wb = ctx.pool.acquire();
+    Packet* wb = pool_.acquire();
     wb->addr = granuleAddr(cfg, victim_granule);
     wb->op = MemOp::Writeback;
     wb->src = kNoUnit;
     wb->ready = t;
     wb->sid = cfg.sid; // the victim's stream owns the writeback energy
-    nocLeg(ctx, *wb, unit, Packet::kCxlEndpoint, bytes);
-    extLeg(ctx, *wb, wb->addr, bytes, true);
-    ctx.pool.release(wb);
-    ++ctx.writebacks;
+    nocLeg(*wb, unit, Packet::kCxlEndpoint, bytes);
+    extLeg(*wb, wb->addr, bytes, true);
+    pool_.release(wb);
+    ++writebacks_;
 }
 
 void
-StreamCacheController::metadataLookup(ShardCtx& ctx, UnitId unit,
-                                      Packet& pkt)
+StreamCacheController::metadataLookup(UnitId unit, Packet& pkt)
 {
     SetAssocCache& meta = *units_[unit]->metaCache;
     const std::uint64_t key = pkt.addr / params_.metadataGranuleBytes;
@@ -370,11 +295,11 @@ StreamCacheController::metadataLookup(ShardCtx& ctx, UnitId unit,
     const UnitId home =
         static_cast<UnitId>(mix64(key) % units_.size());
     if (home != unit) {
-        nocLeg(ctx, pkt, unit, home, 32);
+        nocLeg(pkt, unit, home, 32);
     }
-    const DramResult dr = dramFor(ctx, home).access(
+    const DramResult dr = units_[home]->dram->access(
         key * 4, kCachelineBytes, false, pkt.ready);
-    StreamCost& cost = ctx.costFor(pkt.sid);
+    StreamCost& cost = costFor(pkt.sid);
     cost.dramBytes += kCachelineBytes;
     if (!dr.rowHit) {
         ++cost.dramActivations;
@@ -382,77 +307,35 @@ StreamCacheController::metadataLookup(ShardCtx& ctx, UnitId unit,
     pkt.bd.metadata += dr.done - pkt.ready;
     pkt.ready = dr.done;
     if (home != unit) {
-        nocLeg(ctx, pkt, home, unit, 32);
+        nocLeg(pkt, home, unit, 32);
     }
-}
-
-bool
-StreamCacheController::raiseWriteException(ShardCtx& ctx, StreamId sid)
-{
-    if (!sharded_) {
-        // Inline: flip the stream to writable and collapse replicas now.
-        streams_.markWritten(sid);
-        collapseReplication(sid);
-        ++ctx.writeExceptions;
-        return true;
-    }
-    // Deferred: the global side effects land at the next barrier. Each
-    // shard raises (and charges) the exception at most once per stream.
-    if (sid < ctx.writtenSeen.size() && ctx.writtenSeen[sid]) {
-        return false;
-    }
-    if (ctx.writtenSeen.size() <= sid) {
-        ctx.writtenSeen.resize(sid + 1, false);
-    }
-    ctx.writtenSeen[sid] = true;
-    ctx.pendingWritten.push_back(sid);
-    ++ctx.writeExceptions;
-    return true;
 }
 
 void
-StreamCacheController::applyDeferredWriteExceptions()
+StreamCacheController::raiseWriteException(StreamId sid)
 {
-    if (!sharded_) {
-        return;
-    }
-    std::vector<StreamId> sids;
-    for (auto& ctx : ctxs_) {
-        sids.insert(sids.end(), ctx->pendingWritten.begin(),
-                    ctx->pendingWritten.end());
-        ctx->pendingWritten.clear();
-    }
-    if (sids.empty()) {
-        return;
-    }
-    std::sort(sids.begin(), sids.end());
-    sids.erase(std::unique(sids.begin(), sids.end()), sids.end());
-    for (const StreamId sid : sids) {
-        if (streams_.stream(sid).readOnly) {
-            streams_.markWritten(sid);
-            collapseReplication(sid);
-        }
-    }
+    streams_.markWritten(sid);
+    collapseReplication(sid);
+    ++writeExceptions_;
 }
 
 void
 StreamCacheController::recvAtomic(Packet& pkt)
 {
-    ShardCtx& ctx = ctxFor(pkt.src); // one core per NDP unit
     if (pkt.op == MemOp::Writeback) {
-        handleWriteback(ctx, pkt);
+        handleWriteback(pkt);
         return;
     }
-    handleAccess(ctx, pkt);
+    handleAccess(pkt);
     pkt.bd.requests += 1;
-    ctx.bd.merge(pkt.bd);
+    bd_.merge(pkt.bd);
     if (pkt.sid == kNoStream) {
-        ctx.noStreamBd.merge(pkt.bd);
+        noStreamBd_.merge(pkt.bd);
     } else {
-        if (ctx.streamBd.size() <= pkt.sid) {
-            ctx.streamBd.resize(pkt.sid + 1);
+        if (streamBd_.size() <= pkt.sid) {
+            streamBd_.resize(pkt.sid + 1);
         }
-        ctx.streamBd[pkt.sid].merge(pkt.bd);
+        streamBd_[pkt.sid].merge(pkt.bd);
     }
 }
 
@@ -485,36 +368,34 @@ bumpStreamCounter(std::vector<std::uint64_t>& v, StreamId sid)
 } // namespace
 
 void
-StreamCacheController::handleAccess(ShardCtx& ctx, Packet& pkt)
+StreamCacheController::handleAccess(Packet& pkt)
 {
     const UnitId u = pkt.src;
     NDP_ASSERT(u < units_.size(), "core=", pkt.src);
 
     if (params_.cachelineMode) {
         // Baselines: per-access metadata lookup instead of the SLB.
-        metadataLookup(ctx, u, pkt);
+        metadataLookup(u, pkt);
     } else if (pkt.sid == kNoStream) {
         // SLB TCAM search finds no stream: bypass (rare, Section IV-C).
         pkt.ready += params_.slbHitCycles;
         pkt.bd.metadata += params_.slbHitCycles;
-        ctx.sramEnergyNj += params_.slbPjPerLookup * 1e-3;
-        ++ctx.noStreamCost.slbLookups;
-        ++ctx.bypasses;
-        bypassToExt(ctx, u, pkt, pkt.addr, kCachelineBytes,
-                    pkt.isWrite());
+        sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
+        ++noStreamCost_.slbLookups;
+        ++bypasses_;
+        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     } else {
         const Cycles slb_lat = units_[u]->slb.lookup(pkt.sid);
         pkt.ready += slb_lat;
         pkt.bd.metadata += slb_lat;
-        ctx.sramEnergyNj += params_.slbPjPerLookup * 1e-3;
-        ++ctx.costFor(pkt.sid).slbLookups;
+        sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
+        ++costFor(pkt.sid).slbLookups;
     }
 
     if (pkt.sid == kNoStream) {
-        ++ctx.bypasses;
-        bypassToExt(ctx, u, pkt, pkt.addr, kCachelineBytes,
-                    pkt.isWrite());
+        ++bypasses_;
+        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
@@ -522,8 +403,8 @@ StreamCacheController::handleAccess(ShardCtx& ctx, Packet& pkt)
     NDP_ASSERT(cfg.contains(pkt.addr), "access outside stream ", cfg.name);
 
     // Write to a read-only stream: host exception, collapse replicas.
-    if (pkt.isWrite() && cfg.readOnly
-        && raiseWriteException(ctx, pkt.sid)) {
+    if (pkt.isWrite() && cfg.readOnly) {
+        raiseWriteException(pkt.sid);
         pkt.ready += params_.writeExceptionCycles;
         pkt.bd.metadata += params_.writeExceptionCycles;
     }
@@ -532,43 +413,33 @@ StreamCacheController::handleAccess(ShardCtx& ctx, Packet& pkt)
     const std::uint64_t granule = granuleForPacket(cfg, pkt);
     units_[u]->samplers.observe(pkt.sid, granule);
 
-    accessCached(ctx, u, cfg, pkt);
+    accessCached(u, cfg, pkt);
 }
 
 std::uint64_t
 StreamCacheController::streamHits(StreamId sid) const
 {
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += sid < ctx->streamHits.size() ? ctx->streamHits[sid] : 0;
-    }
-    return total;
+    return sid < streamHits_.size() ? streamHits_[sid] : 0;
 }
 
 std::uint64_t
 StreamCacheController::streamMisses(StreamId sid) const
 {
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total +=
-            sid < ctx->streamMisses.size() ? ctx->streamMisses[sid] : 0;
-    }
-    return total;
+    return sid < streamMisses_.size() ? streamMisses_[sid] : 0;
 }
 
 void
-StreamCacheController::accessCached(ShardCtx& ctx, UnitId u,
-                                    const StreamConfig& cfg, Packet& pkt)
+StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
+                                    Packet& pkt)
 {
     const std::uint64_t granule = granuleForPacket(cfg, pkt);
 
     if (remap_.groupSlots(cfg.sid, u) == 0) {
         // No cache space allocated (e.g., affine space restriction or
         // pre-first-epoch): stream directly from extended memory.
-        ++ctx.uncached;
-        bumpStreamCounter(ctx.streamMisses, cfg.sid);
-        bypassToExt(ctx, u, pkt, pkt.addr, kCachelineBytes,
-                    pkt.isWrite());
+        ++uncached_;
+        bumpStreamCounter(streamMisses_, cfg.sid);
+        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
@@ -577,26 +448,24 @@ StreamCacheController::accessCached(ShardCtx& ctx, UnitId u,
         // The serving unit's cache slice is gone: degrade to an
         // extended-memory access instead of wedging. The runtime's
         // emergency reconfiguration will re-place the stream.
-        ++ctx.failedRedirects;
-        ++ctx.uncached;
-        bumpStreamCounter(ctx.streamMisses, cfg.sid);
-        bypassToExt(ctx, u, pkt, pkt.addr, kCachelineBytes,
-                    pkt.isWrite());
+        ++failedRedirects_;
+        ++uncached_;
+        bumpStreamCounter(streamMisses_, cfg.sid);
+        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
     const bool remote = loc.unit != u;
 
     if (remote) {
-        nocLeg(ctx, pkt, u, loc.unit, params_.reqBytes);
+        nocLeg(pkt, u, loc.unit, params_.reqBytes);
     }
     pkt.ready += params_.unitHandlerCycles;
     pkt.bd.metadata += params_.unitHandlerCycles;
 
-    TagStore& ts = storeFor(ctx, loc.unit, cfg.sid);
+    TagStore& ts = storeFor(loc.unit, cfg.sid);
     if (!ts.usable()) {
-        ++ctx.uncached;
-        bypassToExt(ctx, u, pkt, pkt.addr, kCachelineBytes,
-                    pkt.isWrite());
+        ++uncached_;
+        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
@@ -605,45 +474,43 @@ StreamCacheController::accessCached(ShardCtx& ctx, UnitId u,
         // Baseline path: the metadata lookup already resolved the tag;
         // a hit needs one DRAM data access, a miss fetches the line.
         const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
-        if (res.hit && !eccFaultOnHit(ctx, true)) {
-            ++ctx.hits;
-            bumpStreamCounter(ctx.streamHits, cfg.sid);
-            const DramResult dr = dramAt(ctx, loc, kCachelineBytes,
-                                         is_write, pkt.ready, cfg.sid);
+        if (res.hit && !eccFaultOnHit(true)) {
+            ++hits_;
+            bumpStreamCounter(streamHits_, cfg.sid);
+            const DramResult dr =
+                dramAt(loc, kCachelineBytes, is_write, pkt.ready, cfg.sid);
             pkt.bd.dramCache += dr.done - pkt.ready;
             pkt.ready = dr.done;
         } else {
-            ++ctx.misses;
-            bumpStreamCounter(ctx.streamMisses, cfg.sid);
+            ++misses_;
+            bumpStreamCounter(streamMisses_, cfg.sid);
             if (!res.hit && res.evictedDirty) {
-                writebackVictim(ctx, loc.unit, cfg, res.evictedKey,
-                                pkt.ready);
+                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
             }
-            fetchFill(ctx, pkt, loc.unit, cfg, granule, loc);
+            fetchFill(pkt, loc.unit, cfg, granule, loc);
         }
     } else if (cfg.type == StreamType::Affine) {
         // SRAM tag array first; DRAM touched only as needed.
         pkt.ready += params_.ataCycles;
         pkt.bd.metadata += params_.ataCycles;
-        ctx.sramEnergyNj += params_.ataPjPerLookup * 1e-3;
-        ++ctx.costFor(cfg.sid).ataLookups;
+        sramEnergyNj_ += params_.ataPjPerLookup * 1e-3;
+        ++costFor(cfg.sid).ataLookups;
 
         const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
-        if (res.hit && !eccFaultOnHit(ctx, true)) {
-            ++ctx.hits;
-            bumpStreamCounter(ctx.streamHits, cfg.sid);
-            const DramResult dr = dramAt(ctx, loc, kCachelineBytes,
-                                         is_write, pkt.ready, cfg.sid);
+        if (res.hit && !eccFaultOnHit(true)) {
+            ++hits_;
+            bumpStreamCounter(streamHits_, cfg.sid);
+            const DramResult dr =
+                dramAt(loc, kCachelineBytes, is_write, pkt.ready, cfg.sid);
             pkt.bd.dramCache += dr.done - pkt.ready;
             pkt.ready = dr.done;
         } else {
-            ++ctx.misses;
-            bumpStreamCounter(ctx.streamMisses, cfg.sid);
+            ++misses_;
+            bumpStreamCounter(streamMisses_, cfg.sid);
             if (!res.hit && res.evictedDirty) {
-                writebackVictim(ctx, loc.unit, cfg, res.evictedKey,
-                                pkt.ready);
+                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
             }
-            fetchFill(ctx, pkt, loc.unit, cfg, granule, loc);
+            fetchFill(pkt, loc.unit, cfg, granule, loc);
         }
     } else {
         // Indirect: tag-with-data. Direct-mapped (default): one DRAM
@@ -658,44 +525,43 @@ StreamCacheController::accessCached(ShardCtx& ctx, UnitId u,
         const std::uint32_t probe_bytes = std::min<std::uint32_t>(
             (granuleOf(cfg) + 8) * set_factor, rowBytes_);
         const DramResult dr =
-            dramAt(ctx, loc, probe_bytes, is_write, pkt.ready, cfg.sid);
+            dramAt(loc, probe_bytes, is_write, pkt.ready, cfg.sid);
         pkt.bd.dramCache += dr.done - pkt.ready;
         pkt.ready = dr.done;
 
         const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
         if (params_.indirectWays > 1 && params_.indirectWayPrediction) {
-            ++ctx.wayPredictions;
+            ++wayPredictions_;
             if (res.hit && res.way != res.predictedWay) {
-                ++ctx.wayMispredictions;
+                ++wayMispredictions_;
                 const DramResult retry = dramAt(
-                    ctx, loc,
+                    loc,
                     std::min<std::uint32_t>(granuleOf(cfg) + 8, rowBytes_),
                     is_write, pkt.ready, cfg.sid);
                 pkt.bd.dramCache += retry.done - pkt.ready;
                 pkt.ready = retry.done;
             }
         }
-        if (res.hit && !eccFaultOnHit(ctx, true)) {
-            ++ctx.hits;
-            bumpStreamCounter(ctx.streamHits, cfg.sid);
+        if (res.hit && !eccFaultOnHit(true)) {
+            ++hits_;
+            bumpStreamCounter(streamHits_, cfg.sid);
         } else {
-            ++ctx.misses;
-            bumpStreamCounter(ctx.streamMisses, cfg.sid);
+            ++misses_;
+            bumpStreamCounter(streamMisses_, cfg.sid);
             if (!res.hit && res.evictedDirty) {
-                writebackVictim(ctx, loc.unit, cfg, res.evictedKey,
-                                pkt.ready);
+                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
             }
-            fetchFill(ctx, pkt, loc.unit, cfg, granule, loc);
+            fetchFill(pkt, loc.unit, cfg, granule, loc);
         }
     }
 
     if (remote) {
-        nocLeg(ctx, pkt, loc.unit, u, params_.rspBytes);
+        nocLeg(pkt, loc.unit, u, params_.rspBytes);
     }
 }
 
 void
-StreamCacheController::handleWriteback(ShardCtx& ctx, Packet& pkt)
+StreamCacheController::handleWriteback(Packet& pkt)
 {
     const UnitId u = pkt.src;
     const Addr line_addr = pkt.addr;
@@ -703,18 +569,18 @@ StreamCacheController::handleWriteback(ShardCtx& ctx, Packet& pkt)
     const StreamId sid = streams_.findByAddr(line_addr);
     if (sid == kNoStream) {
         // Non-stream dirty line: write straight to extended memory.
-        nocLeg(ctx, pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(ctx, pkt, line_addr, kCachelineBytes, true);
+        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
+        extLeg(pkt, line_addr, kCachelineBytes, true);
         return;
     }
     const StreamConfig& cfg = streams_.stream(sid);
     pkt.sid = sid; // the owning stream pays the writeback energy
     if (cfg.readOnly) {
-        raiseWriteException(ctx, sid);
+        raiseWriteException(sid);
     }
     if (remap_.groupSlots(sid, u) == 0) {
-        nocLeg(ctx, pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(ctx, pkt, line_addr, kCachelineBytes, true);
+        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
+        extLeg(pkt, line_addr, kCachelineBytes, true);
         return;
     }
     const std::uint64_t granule = params_.cachelineMode
@@ -723,35 +589,32 @@ StreamCacheController::handleWriteback(ShardCtx& ctx, Packet& pkt)
     const CacheLocation loc = remap_.locate(sid, granule, u);
     if (unitFailed(loc.unit)) {
         // Serving unit is dead: write through to extended memory.
-        ++ctx.failedRedirects;
-        nocLeg(ctx, pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(ctx, pkt, line_addr, kCachelineBytes, true);
+        ++failedRedirects_;
+        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
+        extLeg(pkt, line_addr, kCachelineBytes, true);
         return;
     }
     if (loc.unit != u) {
-        nocLeg(ctx, pkt, u, loc.unit, kCachelineBytes);
+        nocLeg(pkt, u, loc.unit, kCachelineBytes);
         pkt.ready = now; // fire-and-forget: requester is not stalled
     }
-    TagStore& ts = storeFor(ctx, loc.unit, sid);
+    TagStore& ts = storeFor(loc.unit, sid);
     if (ts.usable() && ts.probe(loc.unitSlot, granule)) {
         ts.accessFill(loc.unitSlot, granule, true); // mark dirty
-        dramAt(ctx, loc, kCachelineBytes, true, now, sid);
+        dramAt(loc, kCachelineBytes, true, now, sid);
     } else {
         // Not cached: write through to extended memory.
-        nocLeg(ctx, pkt, loc.unit, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(ctx, pkt, line_addr, kCachelineBytes, true);
+        nocLeg(pkt, loc.unit, Packet::kCxlEndpoint, kCachelineBytes);
+        extLeg(pkt, line_addr, kCachelineBytes, true);
     }
 }
 
 void
-StreamCacheController::clearRemoteStores()
+StreamCacheController::dropStoreMemo()
 {
-    for (auto& ctx : ctxs_) {
-        ctx->remoteStores.clear();
-        // Geometry changed: every memoized TagStore* may now dangle.
-        ctx->storeCache.clear();
-        ctx->storeCacheStride = 0;
-    }
+    // Geometry changed: every memoized TagStore* may now dangle.
+    storeCache_.clear();
+    storeCacheStride_ = 0;
 }
 
 void
@@ -781,7 +644,7 @@ StreamCacheController::collapseReplication(StreamId sid)
         }
         units_[u]->slb.invalidate(sid);
     }
-    clearRemoteStores();
+    dropStoreMemo();
 }
 
 void
@@ -822,7 +685,7 @@ StreamCacheController::onUnitFailed(UnitId unit)
     units_[unit]->stores.clear();
     units_[unit]->slb.invalidateAll();
     units_[unit]->samplers.newEpoch();
-    clearRemoteStores();
+    dropStoreMemo();
 }
 
 void
@@ -912,149 +775,13 @@ StreamCacheController::applyConfiguration(
     for (auto& unit : units_) {
         unit->slb.invalidateAll();
     }
-    clearRemoteStores();
-}
-
-LatencyBreakdown
-StreamCacheController::breakdown() const
-{
-    LatencyBreakdown bd;
-    for (const auto& ctx : ctxs_) {
-        bd.merge(ctx->bd);
-    }
-    return bd;
-}
-
-std::uint64_t
-StreamCacheController::cacheHits() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->hits;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::cacheMisses() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->misses;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::uncachedStreamAccesses() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->uncached;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::bypasses() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->bypasses;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::writeExceptions() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->writeExceptions;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::failedUnitRedirects() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->failedRedirects;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::dramFaultRefetches() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->dramFaults;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::poisonEscalations() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->poisonEscalations;
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::packetPoolHighWater() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->pool.highWater();
-    }
-    return total;
-}
-
-std::uint64_t
-StreamCacheController::packetPoolAllocated() const
-{
-    std::uint64_t total = 0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->pool.allocated();
-    }
-    return total;
-}
-
-double
-StreamCacheController::sramEnergyNj() const
-{
-    double total = 0.0;
-    for (const auto& ctx : ctxs_) {
-        total += ctx->sramEnergyNj;
-    }
-    return total;
+    dropStoreMemo();
 }
 
 LatencyBreakdown
 StreamCacheController::streamBreakdown(StreamId sid) const
 {
-    LatencyBreakdown bd;
-    for (const auto& ctx : ctxs_) {
-        if (sid < ctx->streamBd.size()) {
-            bd.merge(ctx->streamBd[sid]);
-        }
-    }
-    return bd;
-}
-
-LatencyBreakdown
-StreamCacheController::nonStreamBreakdown() const
-{
-    LatencyBreakdown bd;
-    for (const auto& ctx : ctxs_) {
-        bd.merge(ctx->noStreamBd);
-    }
-    return bd;
+    return sid < streamBd_.size() ? streamBd_[sid] : LatencyBreakdown{};
 }
 
 double
@@ -1078,49 +805,14 @@ StreamCacheController::dramCacheEnergyFor(const StreamCost& c) const
 double
 StreamCacheController::streamSramEnergyNj(StreamId sid) const
 {
-    StreamCost sum;
-    for (const auto& ctx : ctxs_) {
-        if (sid < ctx->streamCost.size()) {
-            sum.slbLookups += ctx->streamCost[sid].slbLookups;
-            sum.ataLookups += ctx->streamCost[sid].ataLookups;
-        }
-    }
-    return sramEnergyFor(sum);
-}
-
-double
-StreamCacheController::nonStreamSramEnergyNj() const
-{
-    StreamCost sum;
-    for (const auto& ctx : ctxs_) {
-        sum.slbLookups += ctx->noStreamCost.slbLookups;
-        sum.ataLookups += ctx->noStreamCost.ataLookups;
-    }
-    return sramEnergyFor(sum);
+    return sid < streamCost_.size() ? sramEnergyFor(streamCost_[sid]) : 0.0;
 }
 
 double
 StreamCacheController::streamDramCacheEnergyNj(StreamId sid) const
 {
-    StreamCost sum;
-    for (const auto& ctx : ctxs_) {
-        if (sid < ctx->streamCost.size()) {
-            sum.dramBytes += ctx->streamCost[sid].dramBytes;
-            sum.dramActivations += ctx->streamCost[sid].dramActivations;
-        }
-    }
-    return dramCacheEnergyFor(sum);
-}
-
-double
-StreamCacheController::nonStreamDramCacheEnergyNj() const
-{
-    StreamCost sum;
-    for (const auto& ctx : ctxs_) {
-        sum.dramBytes += ctx->noStreamCost.dramBytes;
-        sum.dramActivations += ctx->noStreamCost.dramActivations;
-    }
-    return dramCacheEnergyFor(sum);
+    return sid < streamCost_.size() ? dramCacheEnergyFor(streamCost_[sid])
+                                    : 0.0;
 }
 
 std::uint64_t
@@ -1148,18 +840,12 @@ StreamCacheController::missRate() const
 double
 StreamCacheController::wayPredictionRate() const
 {
-    std::uint64_t predictions = 0;
-    std::uint64_t mispredictions = 0;
-    for (const auto& ctx : ctxs_) {
-        predictions += ctx->wayPredictions;
-        mispredictions += ctx->wayMispredictions;
-    }
-    if (predictions == 0) {
+    if (wayPredictions_ == 0) {
         return 1.0;
     }
     return 1.0
-        - static_cast<double>(mispredictions)
-            / static_cast<double>(predictions);
+        - static_cast<double>(wayMispredictions_)
+            / static_cast<double>(wayPredictions_);
 }
 
 double
@@ -1185,22 +871,6 @@ StreamCacheController::dramCacheEnergyNj() const
     for (const auto& unit : units_) {
         total += unit->dram->dynamicEnergyNj();
     }
-    // Proxy devices model remote-unit traffic from other shards; their
-    // energy belongs to the DRAM-cache bucket too. Summed in sorted
-    // unit order so the float total is independent of hash-map
-    // insertion history (a restored run must reproduce it exactly).
-    for (const auto& ctx : ctxs_) {
-        std::vector<UnitId> units;
-        units.reserve(ctx->remoteDrams.size());
-        for (const auto& [unit, dram] : ctx->remoteDrams) {
-            (void)dram;
-            units.push_back(unit);
-        }
-        std::sort(units.begin(), units.end());
-        for (const UnitId unit : units) {
-            total += ctx->remoteDrams.at(unit)->dynamicEnergyNj();
-        }
-    }
     return total;
 }
 
@@ -1214,13 +884,7 @@ StreamCacheController::counters(Counters& out, const std::string& prefix) const
     add("uncached", [this] { return double(uncachedStreamAccesses()); });
     add("bypasses", [this] { return double(bypasses()); });
     add("writeExceptions", [this] { return double(writeExceptions()); });
-    add("writebacks", [this] {
-        std::uint64_t writebacks = 0;
-        for (const auto& ctx : ctxs_) {
-            writebacks += ctx->writebacks;
-        }
-        return double(writebacks);
-    });
+    add("writebacks", [this] { return double(writebacks_); });
     add("invalidatedRows", [this] { return double(invalidatedRows_); });
     add("survivedRows", [this] { return double(survivedRows_); });
     add("slbMisses", [this] { return double(slbMissTotal()); });
@@ -1319,72 +983,32 @@ StreamCacheController::serialize(ckpt::Writer& w) const
         }
     }
     w.vecB(unitFailed_);
-    w.u64(ctxs_.size());
-    for (const auto& ctx : ctxs_) {
-        writeBd(w, ctx->bd);
-        w.u64(ctx->hits);
-        w.u64(ctx->misses);
-        w.u64(ctx->uncached);
-        w.u64(ctx->bypasses);
-        w.u64(ctx->writeExceptions);
-        w.u64(ctx->wayPredictions);
-        w.u64(ctx->wayMispredictions);
-        w.u64(ctx->writebacks);
-        w.u64(ctx->failedRedirects);
-        w.u64(ctx->dramFaults);
-        w.u64(ctx->poisonEscalations);
-        w.d(ctx->sramEnergyNj);
-        w.vecU64(ctx->streamHits);
-        w.vecU64(ctx->streamMisses);
-        w.u64(ctx->streamBd.size());
-        for (const LatencyBreakdown& bd : ctx->streamBd) {
-            writeBd(w, bd);
-        }
-        writeBd(w, ctx->noStreamBd);
-        w.u64(ctx->streamCost.size());
-        for (const StreamCost& c : ctx->streamCost) {
-            w.u64(c.slbLookups);
-            w.u64(c.ataLookups);
-            w.u64(c.dramBytes);
-            w.u64(c.dramActivations);
-        }
-        w.u64(ctx->noStreamCost.slbLookups);
-        w.u64(ctx->noStreamCost.ataLookups);
-        w.u64(ctx->noStreamCost.dramBytes);
-        w.u64(ctx->noStreamCost.dramActivations);
-        // Deferred write exceptions are applied at the barrier before a
-        // checkpoint is cut, but serialize them anyway for safety.
-        w.u64(ctx->pendingWritten.size());
-        for (const StreamId sid : ctx->pendingWritten) {
-            w.u32(sid);
-        }
-        w.vecB(ctx->writtenSeen);
-        std::vector<std::uint64_t> keys;
-        keys.reserve(ctx->remoteStores.size());
-        for (const auto& [key, ts] : ctx->remoteStores) {
-            (void)ts;
-            keys.push_back(key);
-        }
-        std::sort(keys.begin(), keys.end());
-        w.u64(keys.size());
-        for (const std::uint64_t key : keys) {
-            w.u64(key);
-            writeStore(w, ctx->remoteStores.at(key));
-        }
-        std::vector<UnitId> runits;
-        runits.reserve(ctx->remoteDrams.size());
-        for (const auto& [u, d] : ctx->remoteDrams) {
-            (void)d;
-            runits.push_back(u);
-        }
-        std::sort(runits.begin(), runits.end());
-        w.u64(runits.size());
-        for (const UnitId u : runits) {
-            w.u32(u);
-            ctx->remoteDrams.at(u)->serialize(w);
-        }
-        ctx->pool.serialize(w);
+    writeBd(w, bd_);
+    w.u64(hits_);
+    w.u64(misses_);
+    w.u64(uncached_);
+    w.u64(bypasses_);
+    w.u64(writeExceptions_);
+    w.u64(wayPredictions_);
+    w.u64(wayMispredictions_);
+    w.u64(writebacks_);
+    w.u64(failedRedirects_);
+    w.u64(dramFaults_);
+    w.u64(poisonEscalations_);
+    w.d(sramEnergyNj_);
+    w.vecU64(streamHits_);
+    w.vecU64(streamMisses_);
+    w.u64(streamBd_.size());
+    for (const LatencyBreakdown& bd : streamBd_) {
+        writeBd(w, bd);
     }
+    writeBd(w, noStreamBd_);
+    w.u64(streamCost_.size());
+    for (const StreamCost& c : streamCost_) {
+        c.serialize(w);
+    }
+    noStreamCost_.serialize(w);
+    pool_.serialize(w);
     w.u64(invalidatedRows_);
     w.u64(survivedRows_);
 }
@@ -1415,64 +1039,34 @@ StreamCacheController::deserialize(ckpt::Reader& r)
     }
     unitFailed_ = r.vecB();
     NDP_ASSERT(unitFailed_.size() == units_.size());
-    const std::uint64_t nctx = r.u64();
-    NDP_ASSERT(nctx == ctxs_.size(), "checkpoint shard-count mismatch");
-    for (auto& ctx : ctxs_) {
-        readBd(r, ctx->bd);
-        ctx->hits = r.u64();
-        ctx->misses = r.u64();
-        ctx->uncached = r.u64();
-        ctx->bypasses = r.u64();
-        ctx->writeExceptions = r.u64();
-        ctx->wayPredictions = r.u64();
-        ctx->wayMispredictions = r.u64();
-        ctx->writebacks = r.u64();
-        ctx->failedRedirects = r.u64();
-        ctx->dramFaults = r.u64();
-        ctx->poisonEscalations = r.u64();
-        ctx->sramEnergyNj = r.d();
-        ctx->streamHits = r.vecU64();
-        ctx->streamMisses = r.vecU64();
-        ctx->streamBd.assign(r.u64(), LatencyBreakdown{});
-        for (LatencyBreakdown& bd : ctx->streamBd) {
-            readBd(r, bd);
-        }
-        readBd(r, ctx->noStreamBd);
-        ctx->streamCost.assign(r.u64(), StreamCost{});
-        for (StreamCost& c : ctx->streamCost) {
-            c.slbLookups = r.u64();
-            c.ataLookups = r.u64();
-            c.dramBytes = r.u64();
-            c.dramActivations = r.u64();
-        }
-        ctx->noStreamCost.slbLookups = r.u64();
-        ctx->noStreamCost.ataLookups = r.u64();
-        ctx->noStreamCost.dramBytes = r.u64();
-        ctx->noStreamCost.dramActivations = r.u64();
-        ctx->pendingWritten.assign(r.u64(), kNoStream);
-        for (StreamId& sid : ctx->pendingWritten) {
-            sid = static_cast<StreamId>(r.u32());
-        }
-        ctx->writtenSeen = r.vecB();
-        ctx->remoteStores.clear();
-        const std::uint64_t nremote = r.u64();
-        for (std::uint64_t i = 0; i < nremote; ++i) {
-            const std::uint64_t key = r.u64();
-            ctx->remoteStores.emplace(key, readStore(r));
-        }
-        ctx->remoteDrams.clear();
-        const std::uint64_t ndrams = r.u64();
-        for (std::uint64_t i = 0; i < ndrams; ++i) {
-            const UnitId u = static_cast<UnitId>(r.u32());
-            auto dram = createMemBackend(unitDramCfg_, coreFreqMhz_);
-            dram->deserialize(r);
-            ctx->remoteDrams.emplace(u, std::move(dram));
-        }
-        ctx->pool.deserialize(r);
-        // Every memoized TagStore* referenced pre-restore storage.
-        ctx->storeCache.clear();
-        ctx->storeCacheStride = 0;
+    readBd(r, bd_);
+    hits_ = r.u64();
+    misses_ = r.u64();
+    uncached_ = r.u64();
+    bypasses_ = r.u64();
+    writeExceptions_ = r.u64();
+    wayPredictions_ = r.u64();
+    wayMispredictions_ = r.u64();
+    writebacks_ = r.u64();
+    failedRedirects_ = r.u64();
+    dramFaults_ = r.u64();
+    poisonEscalations_ = r.u64();
+    sramEnergyNj_ = r.d();
+    streamHits_ = r.vecU64();
+    streamMisses_ = r.vecU64();
+    streamBd_.assign(r.u64(), LatencyBreakdown{});
+    for (LatencyBreakdown& bd : streamBd_) {
+        readBd(r, bd);
     }
+    readBd(r, noStreamBd_);
+    streamCost_.assign(r.u64(), StreamCost{});
+    for (StreamCost& c : streamCost_) {
+        c.deserialize(r);
+    }
+    noStreamCost_.deserialize(r);
+    pool_.deserialize(r);
+    // Every memoized TagStore* referenced pre-restore storage.
+    dropStoreMemo();
     invalidatedRows_ = r.u64();
     survivedRows_ = r.u64();
 }

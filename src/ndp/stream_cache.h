@@ -19,22 +19,11 @@
  *      that collapses its replication groups (Section IV-B).
  *
  * Packet flow: the controller is the MemSink every NDP core sends its
- * Packets to; internally the packet is handed straight to the shard's
+ * Packets to; internally the packet is handed straight to the machine's
  * NocModel and ExtendedMemory, each leg advancing pkt.ready and
- * charging the matching LatencyBreakdown bucket.
- *
- * Sharded execution (enableSharding): units are partitioned by stack
- * into shards that run in parallel between epoch barriers. A shard owns
- * its units' SLBs, samplers, tag stores, DRAM banks and counters
- * outright; for traffic that *serves* on another shard's unit, the
- * shard uses private proxy TagStore/MemBackend instances derived from
- * the shared (read-only between barriers) remap geometry, and its own
- * NoC/CXL models with a fair share of the global bandwidth. Cross-
- * cutting side effects -- the write-to-read-only exception's
- * markWritten + replica collapse -- are deferred to the next barrier
- * (applyDeferredWriteExceptions) and applied in sorted-stream order, so
- * results are a pure function of the shard decomposition, never of the
- * thread count. See DESIGN.md section 5.
+ * charging the matching LatencyBreakdown bucket. Every access reaches
+ * the serving unit's own tag store and DRAM device, whichever stack the
+ * requester sits on.
  *
  * Degraded mode (FaultInjector attached): a failed NDP unit loses its
  * DRAM-cache slice, tag stores and samplers -- an immediate capacity
@@ -157,35 +146,6 @@ class StreamCacheController : public MemSink
     StreamCacheController(const StreamCacheController&) = delete;
     StreamCacheController& operator=(const StreamCacheController&) = delete;
 
-    /** One shard's private backing resources (see enableSharding). */
-    struct ShardResources
-    {
-        NocModel* noc = nullptr;
-        ExtendedMemory* ext = nullptr;
-        /** Optional per-shard fault injector (derived seed). */
-        FaultInjector* fault = nullptr;
-    };
-
-    /**
-     * Switch to sharded execution: one shard per stack, each using
-     * `resources[s]` for its NoC/CXL traffic and deferring write-to-
-     * read-only side effects to applyDeferredWriteExceptions(). Must be
-     * called before the first access; `resources.size()` must equal the
-     * topology's stack count.
-     */
-    void enableSharding(const std::vector<ShardResources>& resources);
-
-    /** True once enableSharding() has been called. */
-    bool sharded() const { return sharded_; }
-
-    /**
-     * Barrier-side: apply the markWritten + replica-collapse side effects
-     * of write exceptions raised during the last parallel interval, in
-     * sorted stream order (thread-count independent). No-op when not
-     * sharded (side effects were applied inline).
-     */
-    void applyDeferredWriteExceptions();
-
     /** Core entry point: dispatches accesses and writebacks. */
     void recvAtomic(Packet& pkt) final;
 
@@ -216,7 +176,6 @@ class StreamCacheController : public MemSink
      * Install a new epoch configuration: per-stream allocations from the
      * configuration algorithm. Rebuilds tag stores, carrying surviving
      * rows under consistent hashing, and accounts invalidation traffic.
-     * Barrier-side only in sharded mode.
      */
     void applyConfiguration(
         const std::vector<std::pair<StreamId, StreamAlloc>>& allocs);
@@ -232,7 +191,7 @@ class StreamCacheController : public MemSink
      * Tag stores are dropped, sampler state cleared, and replication
      * groups spanning the unit collapse. Until the runtime installs a
      * fresh configuration, accesses resolving to the unit redirect to
-     * extended memory. Barrier-side only in sharded mode.
+     * extended memory.
      */
     void onUnitFailed(UnitId unit);
 
@@ -242,13 +201,13 @@ class StreamCacheController : public MemSink
         return unit < unitFailed_.size() && unitFailed_[unit];
     }
 
-    // --- statistics (aggregated across shards) ---
-    LatencyBreakdown breakdown() const;
-    std::uint64_t cacheHits() const;
-    std::uint64_t cacheMisses() const;
-    std::uint64_t uncachedStreamAccesses() const;
-    std::uint64_t bypasses() const;
-    std::uint64_t writeExceptions() const;
+    // --- statistics ---
+    LatencyBreakdown breakdown() const { return bd_; }
+    std::uint64_t cacheHits() const { return hits_; }
+    std::uint64_t cacheMisses() const { return misses_; }
+    std::uint64_t uncachedStreamAccesses() const { return uncached_; }
+    std::uint64_t bypasses() const { return bypasses_; }
+    std::uint64_t writeExceptions() const { return writeExceptions_; }
     /** Way-prediction accuracy (1.0 when prediction is off/unused). */
     double wayPredictionRate() const;
     std::uint64_t slbMissTotal() const;
@@ -260,16 +219,16 @@ class StreamCacheController : public MemSink
     std::uint64_t survivedRows() const { return survivedRows_; }
     /** Accesses redirected to extended memory because their cache
      *  location sat on a failed unit. */
-    std::uint64_t failedUnitRedirects() const;
+    std::uint64_t failedUnitRedirects() const { return failedRedirects_; }
     /** ECC-detected DRAM bit faults that forced a re-fetch. */
-    std::uint64_t dramFaultRefetches() const;
+    std::uint64_t dramFaultRefetches() const { return dramFaults_; }
     /** Poisoned extended-memory reads escalated to the host. */
-    std::uint64_t poisonEscalations() const;
+    std::uint64_t poisonEscalations() const { return poisonEscalations_; }
     /** Per-stream hit/miss counts (0 for never-accessed sids). */
     std::uint64_t streamHits(StreamId sid) const;
     std::uint64_t streamMisses(StreamId sid) const;
     double dramCacheEnergyNj() const;
-    double sramEnergyNj() const;
+    double sramEnergyNj() const { return sramEnergyNj_; }
 
     /**
      * Per-stream cost attribution. Service latency is merged per owning
@@ -281,34 +240,40 @@ class StreamCacheController : public MemSink
      * sramEnergyNj()/dramCacheEnergyNj() up to float association order.
      */
     LatencyBreakdown streamBreakdown(StreamId sid) const;
-    LatencyBreakdown nonStreamBreakdown() const;
+    LatencyBreakdown nonStreamBreakdown() const { return noStreamBd_; }
     double streamSramEnergyNj(StreamId sid) const;
-    double nonStreamSramEnergyNj() const;
+    double
+    nonStreamSramEnergyNj() const
+    {
+        return sramEnergyFor(noStreamCost_);
+    }
     double streamDramCacheEnergyNj(StreamId sid) const;
-    double nonStreamDramCacheEnergyNj() const;
+    double
+    nonStreamDramCacheEnergyNj() const
+    {
+        return dramCacheEnergyFor(noStreamCost_);
+    }
     const MemBackend& unitDram(UnitId unit) const;
 
-    /** Packet-pool telemetry summed over shard contexts. */
-    std::uint64_t packetPoolHighWater() const;
-    std::uint64_t packetPoolAllocated() const;
+    /** Telemetry of the victim-writeback scratch-packet pool. */
+    std::uint64_t packetPoolHighWater() const { return pool_.highWater(); }
+    std::uint64_t packetPoolAllocated() const { return pool_.allocated(); }
 
     /**
      * Declare the controller's counters under `prefix`: the latency
      * breakdown (`.lat`), hit/miss/traffic and degraded-mode counters,
-     * the energies, every unit device under `.dram` (summed; lazily
-     * created cross-shard proxies are not included), and per-stream
-     * hits/misses for the streams configured at the time of the call.
+     * the energies, every unit device under `.dram` (summed), and
+     * per-stream hits/misses for the streams configured at the time of
+     * the call.
      */
     void counters(Counters& out, const std::string& prefix) const;
 
     /**
-     * Checkpoint hooks. Barrier-side only: every shard must be quiescent
-     * and deferred write exceptions applied. Tag stores (including
-     * cross-shard proxies) are written in sorted (unit, sid) order with
-     * their geometry so restore can reconstruct stores that
-     * applyConfiguration never built in this process. The shard NoC/CXL/
-     * fault models referenced by each context are serialized by their
-     * owner (NdpSystem), not here.
+     * Checkpoint hooks (epoch barriers only). Tag stores are written in
+     * sorted (unit, sid) order with their geometry so restore can
+     * reconstruct stores that applyConfiguration never built in this
+     * process. The NoC/CXL/fault models are serialized by their owner
+     * (NdpSystem), not here.
      */
     void serialize(ckpt::Writer& w) const;
     void deserialize(ckpt::Reader& r);
@@ -343,173 +308,97 @@ class StreamCacheController : public MemSink
         }
     };
 
-    /**
-     * Per-shard execution context: the shard's NoC and extended-memory
-     * models, the shard's fault injector, all hot counters, deferred
-     * write-exception state, and proxy tag/DRAM models for units served
-     * on other shards. In non-sharded mode a single context (using the
-     * constructor's NoC/ext) covers all units and the proxies are never
-     * used.
-     */
-    /** Integer cost counters of one stream within one shard; energy is
-     *  derived from these so the attribution shards exactly. */
+    /** Integer cost counters of one stream; its energy shares are
+     *  derived from these with the machine coefficients. */
     struct StreamCost
     {
         std::uint64_t slbLookups = 0;
         std::uint64_t ataLookups = 0;
         std::uint64_t dramBytes = 0;
         std::uint64_t dramActivations = 0;
-    };
 
-    struct ShardCtx
-    {
-        std::uint32_t id = 0;
-        NocModel* noc = nullptr;
-        ExtendedMemory* ext = nullptr;
-        FaultInjector* fault = nullptr;
-
-        LatencyBreakdown bd;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t uncached = 0;
-        std::uint64_t bypasses = 0;
-        std::uint64_t writeExceptions = 0;
-        std::uint64_t wayPredictions = 0;
-        std::uint64_t wayMispredictions = 0;
-        std::uint64_t writebacks = 0;
-        std::uint64_t failedRedirects = 0;
-        std::uint64_t dramFaults = 0;
-        std::uint64_t poisonEscalations = 0;
-        double sramEnergyNj = 0.0;
-        /** Per-stream hit/miss counters (index = sid). */
-        std::vector<std::uint64_t> streamHits;
-        std::vector<std::uint64_t> streamMisses;
-        /** Per-stream service latency (index = sid; kNoStream separate);
-         *  excludes core writebacks, mirroring `bd`. */
-        std::vector<LatencyBreakdown> streamBd;
-        LatencyBreakdown noStreamBd;
-        /** Per-stream SRAM/DRAM-cache cost counters. */
-        std::vector<StreamCost> streamCost;
-        StreamCost noStreamCost;
-
-        StreamCost&
-        costFor(StreamId sid)
+        void
+        serialize(ckpt::Writer& w) const
         {
-            if (sid == kNoStream) {
-                return noStreamCost;
-            }
-            if (streamCost.size() <= sid) {
-                streamCost.resize(sid + 1);
-            }
-            return streamCost[sid];
+            w.u64(slbLookups);
+            w.u64(ataLookups);
+            w.u64(dramBytes);
+            w.u64(dramActivations);
         }
 
-        /** Streams whose first write was observed this interval. */
-        std::vector<StreamId> pendingWritten;
-        /** Guard: at most one exception per stream per shard. */
-        std::vector<bool> writtenSeen;
-
-        /** Proxy tag stores for cross-shard serving units,
-         *  keyed (unit << 16) | sid. */
-        std::unordered_map<std::uint64_t, TagStore> remoteStores;
-        /** Proxy DRAM bank timing for cross-shard serving units. */
-        std::unordered_map<UnitId, std::unique_ptr<MemBackend>>
-            remoteDrams;
-
-        /**
-         * Flat (unit * stride + sid) -> TagStore* memo over the per-unit
-         * store maps and remoteStores. Map nodes are pointer-stable
-         * until erased, so entries stay valid across inserts; the memo
-         * is dropped wholesale whenever tag-store geometry changes
-         * (reconfiguration, replica collapse, unit failure -- all of
-         * which funnel through clearRemoteStores()).
-         */
-        std::vector<TagStore*> storeCache;
-        std::uint32_t storeCacheStride = 0;
-
-        /** Shard-private pool for victim-writeback scratch packets. */
-        PacketPool pool;
+        void
+        deserialize(ckpt::Reader& r)
+        {
+            slbLookups = r.u64();
+            ataLookups = r.u64();
+            dramBytes = r.u64();
+            dramActivations = r.u64();
+        }
     };
 
-    ShardCtx&
-    ctxFor(UnitId unit)
-    {
-        return *ctxs_[sharded_ ? shardOfUnit_[unit] : 0];
-    }
+    StreamCost& costFor(StreamId sid);
 
-    /** The full L1-miss service path (old access()). */
-    void handleAccess(ShardCtx& ctx, Packet& pkt);
-    void handleWriteback(ShardCtx& ctx, Packet& pkt);
+    /** The full L1-miss service path. */
+    void handleAccess(Packet& pkt);
+    void handleWriteback(Packet& pkt);
 
     /** Access path for stream data resident (or installable) in cache. */
-    void accessCached(ShardCtx& ctx, UnitId src, const StreamConfig& cfg,
-                      Packet& pkt);
+    void accessCached(UnitId src, const StreamConfig& cfg, Packet& pkt);
 
     /** One NoC leg: src -> dst (Packet::kCxlEndpoint = portal). */
-    void nocLeg(ShardCtx& ctx, Packet& pkt, UnitId src, UnitId dst,
-                std::uint32_t bytes);
+    void nocLeg(Packet& pkt, UnitId src, UnitId dst, std::uint32_t bytes);
 
     /**
      * One extended-memory leg at the packet's current time, including
      * poison escalation; the packet's addr/bytes/op are preserved.
      */
-    void extLeg(ShardCtx& ctx, Packet& pkt, Addr addr,
-                std::uint32_t bytes, bool is_write);
+    void extLeg(Packet& pkt, Addr addr, std::uint32_t bytes, bool is_write);
 
     /** Direct extended-memory round trip (non-stream or uncached). */
-    void bypassToExt(ShardCtx& ctx, UnitId unit, Packet& pkt, Addr addr,
+    void bypassToExt(UnitId unit, Packet& pkt, Addr addr,
                      std::uint32_t bytes, bool is_write);
 
     /** Did this cache hit's data suffer an ECC-detected bit fault? */
-    bool eccFaultOnHit(ShardCtx& ctx, bool hit);
+    bool eccFaultOnHit(bool hit);
 
     /** CXL fetch + DRAM install of a granule at `loc`. */
-    void fetchFill(ShardCtx& ctx, Packet& pkt, UnitId unit,
-                   const StreamConfig& cfg, std::uint64_t granule,
-                   const CacheLocation& loc);
+    void fetchFill(Packet& pkt, UnitId unit, const StreamConfig& cfg,
+                   std::uint64_t granule, const CacheLocation& loc);
 
     /** Non-blocking dirty-victim writeback to extended memory. */
-    void writebackVictim(ShardCtx& ctx, UnitId unit,
-                         const StreamConfig& cfg,
+    void writebackVictim(UnitId unit, const StreamConfig& cfg,
                          std::uint64_t victim_granule, Cycles t);
 
     /**
      * Baseline metadata lookup at the requesting unit: metadata cache
      * probe, on miss a (possibly remote) DRAM tag access.
      */
-    void metadataLookup(ShardCtx& ctx, UnitId unit, Packet& pkt);
+    void metadataLookup(UnitId unit, Packet& pkt);
 
     /** Granule id of an access (mode-dependent). */
     std::uint64_t granuleForPacket(const StreamConfig& cfg,
                                    const Packet& pkt) const;
 
     /** DRAM access at a resolved cache location, charged to `sid`. */
-    DramResult dramAt(ShardCtx& ctx, const CacheLocation& loc,
-                      std::uint32_t bytes, bool is_write, Cycles t,
-                      StreamId sid);
+    DramResult dramAt(const CacheLocation& loc, std::uint32_t bytes,
+                      bool is_write, Cycles t, StreamId sid);
 
     /** Energy of a stream's cost counters (machine coefficients). */
     double sramEnergyFor(const StreamCost& c) const;
     double dramCacheEnergyFor(const StreamCost& c) const;
 
-    /**
-     * The tag store consulted by `ctx` for (unit, sid): the real store
-     * for same-shard units, a shard-private proxy otherwise.
-     */
-    TagStore& storeFor(ShardCtx& ctx, UnitId unit, StreamId sid);
-
-    /** Likewise for the unit's DRAM device. */
-    MemBackend& dramFor(ShardCtx& ctx, UnitId unit);
+    /** The serving unit's tag store for `sid` (built on first use). */
+    TagStore& storeFor(UnitId unit, StreamId sid);
 
     /**
-     * Record a write-to-read-only exception. Inline in non-sharded mode;
-     * deferred to the barrier otherwise. Returns true if this call
-     * raised (and should be charged) the exception.
+     * The first write to a read-only stream (Section IV-B): the host
+     * exception flips the stream writable and collapses its replicas, so
+     * it is raised once per stream machine-wide.
      */
-    bool raiseWriteException(ShardCtx& ctx, StreamId sid);
+    void raiseWriteException(StreamId sid);
 
-    /** Drop all cross-shard tag-store proxies (geometry changed). */
-    void clearRemoteStores();
+    /** Drop the storeFor() memo (tag-store geometry changed). */
+    void dropStoreMemo();
 
     Addr granuleAddr(const StreamConfig& cfg, std::uint64_t granule) const;
     std::uint32_t granuleFetchBytes(const StreamConfig& cfg) const;
@@ -521,18 +410,50 @@ class StreamCacheController : public MemSink
     std::uint32_t rowBytes_;
     std::uint32_t rowsPerUnit_;
     MemBackendConfig unitDramCfg_;
-    std::uint64_t coreFreqMhz_;
     StreamRemapTable remap_;
     std::vector<std::unique_ptr<UnitState>> units_;
     /** Per-unit failed flag (degraded mode). */
     std::vector<bool> unitFailed_;
+    FaultInjector* fault_ = nullptr;
 
-    bool sharded_ = false;
-    /** unit -> owning shard (stack) index; all 0 when not sharded. */
-    std::vector<std::uint32_t> shardOfUnit_;
-    std::vector<std::unique_ptr<ShardCtx>> ctxs_;
+    LatencyBreakdown bd_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t uncached_ = 0;
+    std::uint64_t bypasses_ = 0;
+    std::uint64_t writeExceptions_ = 0;
+    std::uint64_t wayPredictions_ = 0;
+    std::uint64_t wayMispredictions_ = 0;
+    std::uint64_t writebacks_ = 0;
+    std::uint64_t failedRedirects_ = 0;
+    std::uint64_t dramFaults_ = 0;
+    std::uint64_t poisonEscalations_ = 0;
+    double sramEnergyNj_ = 0.0;
+    /** Per-stream hit/miss counters (index = sid). */
+    std::vector<std::uint64_t> streamHits_;
+    std::vector<std::uint64_t> streamMisses_;
+    /** Per-stream service latency (index = sid; kNoStream separate);
+     *  excludes core writebacks, mirroring `bd_`. */
+    std::vector<LatencyBreakdown> streamBd_;
+    LatencyBreakdown noStreamBd_;
+    /** Per-stream SRAM/DRAM-cache cost counters. */
+    std::vector<StreamCost> streamCost_;
+    StreamCost noStreamCost_;
 
-    /** Barrier-side row accounting (reconfigurations, collapses). */
+    /**
+     * Flat (unit * stride + sid) -> TagStore* memo over the per-unit
+     * store maps. Map nodes are pointer-stable until erased, so entries
+     * stay valid across inserts; the memo is dropped wholesale whenever
+     * tag-store geometry changes (reconfiguration, replica collapse, unit
+     * failure, restore).
+     */
+    std::vector<TagStore*> storeCache_;
+    std::uint32_t storeCacheStride_ = 0;
+
+    /** Pool for victim-writeback scratch packets. */
+    PacketPool pool_;
+
+    /** Row accounting (reconfigurations, collapses). */
     std::uint64_t invalidatedRows_ = 0;
     std::uint64_t survivedRows_ = 0;
 };

@@ -115,8 +115,7 @@ class NocModel
     std::uint64_t intraHopBytes() const { return intraHopBytes_; }
     std::uint64_t interHopBytes() const { return interHopBytes_; }
 
-    /** Declare the NoC counters under `prefix` (shard clones declare
-     *  the same names, which sum into machine totals). */
+    /** Declare the NoC counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;
     void reset();
 

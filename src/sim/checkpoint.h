@@ -4,7 +4,7 @@
  *
  * A checkpoint is a versioned, CRC-checksummed binary image of all
  * deterministic simulator state, snapshotted at an epoch barrier (the
- * only point where shards are quiescent and no packet is in flight
+ * only point where no core is mid-step and no packet is in flight
  * between components). Components implement
  * `serialize(ckpt::Writer&)` / `deserialize(ckpt::Reader&)` hooks over
  * these primitives; `NdpSystem` orchestrates the full image.
@@ -44,7 +44,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 

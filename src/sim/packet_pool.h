@@ -9,9 +9,9 @@
  * construction + copy into MSHR state.
  *
  * Ownership rules (see DESIGN.md "Engine internals"):
- *  - A pool is private to one owner (a core, a stream-cache shard
- *    context): pools are NOT thread-safe and must never be shared
- *    across shards.
+ *  - A pool is private to one owner (a core, or the stream cache's
+ *    victim-writeback path): pools are NOT thread-safe and must never
+ *    be shared.
  *  - acquire() returns a default-initialised live packet; release()
  *    returns it to the owner's free list. Releasing a packet twice is a
  *    hard error (NDP_ASSERT, always on).

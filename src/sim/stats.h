@@ -8,8 +8,8 @@
  * telemetry samples it at every epoch barrier
  * (MetricRegistry::registerCounters) and --stats-json takes its final
  * values (StatGroup::addAll). Duplicate names sum in list order, which
- * is how per-core, per-shard and per-unit instances report one
- * machine-wide counter.
+ * is how per-core and per-unit instances report one machine-wide
+ * counter.
  */
 
 #ifndef NDPEXT_SIM_STATS_H

@@ -1,10 +1,11 @@
 #include "system/host_system.h"
 
 #include <algorithm>
-#include <queue>
+#include <limits>
 #include <vector>
 
 #include "common/logging.h"
+#include "cpu/ready_heap.h"
 
 namespace ndpext {
 
@@ -30,23 +31,14 @@ HostSystem::run(const Workload& workload)
         gens.push_back(workload.makeGenerator(c));
     }
 
-    using HeapItem = std::pair<Cycles, CoreId>;
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        ready;
-    for (CoreId c = 0; c < params_.numCores; ++c) {
-        ready.emplace(cores[c].now(), c);
+    ReadyHeap ready;
+    for (const InOrderCore& core : cores) {
+        ready.push(core);
     }
+    ready.runUntil(std::numeric_limits<Cycles>::max(), cores, gens);
     Cycles finish = 0;
-    while (!ready.empty()) {
-        const auto [when, c] = ready.top();
-        (void)when;
-        ready.pop();
-        if (cores[c].step(*gens[c])) {
-            ready.emplace(cores[c].now(), c);
-        } else {
-            finish = std::max(finish, cores[c].now());
-        }
+    for (const InOrderCore& core : cores) {
+        finish = std::max(finish, core.now());
     }
 
     RunResult res;

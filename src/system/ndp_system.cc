@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,11 +11,10 @@
 #include "baselines/nuca_policies.h"
 #include "common/atomic_file.h"
 #include "common/logging.h"
-#include "common/rng.h"
+#include "cpu/ready_heap.h"
 #include "runtime/static_config.h"
 #include "serving/serving_workload.h"
 #include "sim/checkpoint.h"
-#include "sim/sharded_executor.h"
 #include "telemetry/json_out.h"
 #include "telemetry/telemetry.h"
 
@@ -67,35 +65,6 @@ makeConfigurator(PolicyKind policy, const SystemConfig& cfg,
 }
 
 /**
- * One shard of the simulated machine: the cores of one stack plus
- * private NoC/CXL models carrying that stack's share of the global
- * bandwidth, and (in faulty runs) a private fault injector for the
- * Bernoulli fault classes. Shards share no mutable state between epoch
- * barriers, so they run on any number of threads with identical results.
- */
-struct Shard
-{
-    std::unique_ptr<NocModel> noc;
-    std::unique_ptr<ExtendedMemory> ext;
-    std::unique_ptr<FaultInjector> fault;
-    using HeapItem = std::pair<Cycles, CoreId>;
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        ready;
-    Cycles finish = 0;
-    /** Core-step events this shard fired (deterministic: the schedule
-     *  is fixed per shard, independent of --threads). */
-    std::uint64_t steps = 0;
-    /**
-     * Highest cycle any of this shard's cores reached (shard-private,
-     * updated on the shard's own thread): the telemetry execute /
-     * barrier-wait split at each barrier. Simulated time, so the split
-     * is identical for any --threads value.
-     */
-    Cycles busyUntil = 0;
-};
-
-/**
  * Declare the per-stream cost attribution counters (ndpext_report
  * topdown): stream.<sid>.<series> for every stream, then
  * stream.none.<series>. The getters take kNoStream for the "none" slot,
@@ -104,8 +73,8 @@ struct Shard
 void
 streamCounters(Counters& out, const StreamTable& table,
                const std::vector<InOrderCore>& cores,
-               const std::vector<Shard>& shards,
-               const StreamCacheController& cache)
+               const StreamCacheController& cache, const NocModel& noc,
+               const ExtendedMemory& ext)
 {
     using StreamGetter = std::function<double(StreamId sid)>;
     std::vector<std::pair<std::string, StreamGetter>> series;
@@ -134,29 +103,17 @@ streamCounters(Counters& out, const StreamTable& table,
                                 return double(bd.*field);
                             });
     }
-    series.emplace_back("energyNj.icn", [&shards](StreamId sid) {
-        double total = 0.0;
-        for (const Shard& sh : shards) {
-            total += sid == kNoStream ? sh.noc->unattributedEnergyNj()
-                                      : sh.noc->streamEnergyNj(sid);
-        }
-        return total;
+    series.emplace_back("energyNj.icn", [&noc](StreamId sid) {
+        return sid == kNoStream ? noc.unattributedEnergyNj()
+                                : noc.streamEnergyNj(sid);
     });
-    series.emplace_back("energyNj.cxlLink", [&shards](StreamId sid) {
-        double total = 0.0;
-        for (const Shard& sh : shards) {
-            total += sid == kNoStream ? sh.ext->unattributedLinkEnergyNj()
-                                      : sh.ext->streamLinkEnergyNj(sid);
-        }
-        return total;
+    series.emplace_back("energyNj.cxlLink", [&ext](StreamId sid) {
+        return sid == kNoStream ? ext.unattributedLinkEnergyNj()
+                                : ext.streamLinkEnergyNj(sid);
     });
-    series.emplace_back("energyNj.extDram", [&shards](StreamId sid) {
-        double total = 0.0;
-        for (const Shard& sh : shards) {
-            total += sid == kNoStream ? sh.ext->unattributedDramEnergyNj()
-                                      : sh.ext->streamDramEnergyNj(sid);
-        }
-        return total;
+    series.emplace_back("energyNj.extDram", [&ext](StreamId sid) {
+        return sid == kNoStream ? ext.unattributedDramEnergyNj()
+                                : ext.streamDramEnergyNj(sid);
     });
     series.emplace_back("energyNj.dramCache", [&cache](StreamId sid) {
         return sid == kNoStream ? cache.nonStreamDramCacheEnergyNj()
@@ -381,9 +338,6 @@ NdpSystem::run(const Workload& workload)
     workload.registerStreams(table);
 
     MeshTopology topo(cfg_.stacksX, cfg_.stacksY, cfg_.unitsX, cfg_.unitsY);
-    // The prototype NoC/ext models define the topology and the remap
-    // table's distance calculations; shard-private clones below carry the
-    // actual traffic.
     NocModel noc(topo, cfg_.noc);
     ExtendedMemory ext(cfg_.cxl, cfg_.extMemBackend(), cfg_.coreFreqMhz);
     StreamCacheController cache(cfg_.cache, table, noc, ext,
@@ -392,9 +346,8 @@ NdpSystem::run(const Workload& workload)
     NdpRuntime runtime(cfg_.runtime, cache,
                        makeConfigurator(policy_, cfg_, cache, noc));
 
-    // Master injector: owns the scheduled-failure timeline (fired at
-    // barriers). Each shard gets a private injector with a derived seed
-    // for the per-access Bernoulli classes.
+    // One injector owns the failure schedule (fired at barriers) and the
+    // per-access Bernoulli fault classes.
     std::unique_ptr<FaultInjector> fault;
     if (cfg_.faults.anyFaults()) {
         for (const UnitFailure& f : cfg_.faults.unitFailures) {
@@ -402,34 +355,9 @@ NdpSystem::run(const Workload& workload)
                        "scheduled failure of nonexistent unit ", f.unit);
         }
         fault = std::make_unique<FaultInjector>(cfg_.faults);
+        ext.setFaultInjector(fault.get());
+        cache.setFaultInjector(fault.get());
     }
-
-    // --- shards: one per stack, fair share of the global bandwidth ---
-    const std::uint32_t numShards = topo.numStacks();
-    NocParams shardNoc = cfg_.noc;
-    shardNoc.interLinkBytesPerCycle /= numShards;
-    CxlParams shardCxl = cfg_.cxl;
-    shardCxl.linkBytesPerCycle /= numShards;
-    MemBackendConfig shardExtDram = cfg_.extMemBackend();
-    shardExtDram.timing.busBytesPerCycle /= numShards;
-
-    std::vector<Shard> shards(numShards);
-    std::vector<StreamCacheController::ShardResources> resources(numShards);
-    for (std::uint32_t s = 0; s < numShards; ++s) {
-        shards[s].noc = std::make_unique<NocModel>(topo, shardNoc);
-        shards[s].ext = std::make_unique<ExtendedMemory>(
-            shardCxl, shardExtDram, cfg_.coreFreqMhz);
-        if (fault != nullptr) {
-            FaultParams fp = cfg_.faults;
-            fp.unitFailures.clear(); // the master owns the schedule
-            fp.seed = mix64(cfg_.faults.seed + s + 1);
-            shards[s].fault = std::make_unique<FaultInjector>(fp);
-            shards[s].ext->setFaultInjector(shards[s].fault.get());
-        }
-        resources[s] = {shards[s].noc.get(), shards[s].ext.get(),
-                        shards[s].fault.get()};
-    }
-    cache.enableSharding(resources);
 
     const std::uint32_t n = cfg_.numUnits();
     std::vector<InOrderCore> cores;
@@ -490,18 +418,14 @@ NdpSystem::run(const Workload& workload)
             }
         }
     };
-    // A core leaves the ready heap for good when its generator is
-    // exhausted; tracked per core (bytes, not vector<bool> bits: shard
-    // threads write their own cores' entries concurrently) so a
-    // checkpoint can record which cores are still running and resume
-    // can rebuild the heaps. Heaps are filled after the resume decision.
-    std::vector<std::uint8_t> alive(n, 1);
+    // The running cores, stepped in (cycle, core id) order. Filled after
+    // the resume decision; a checkpoint records which cores it holds.
+    ReadyHeap ready;
 
     // --- the machine's counters, each declared once. Telemetry samples
     // this list at every epoch barrier and --stats-json takes its final
     // values, so the two outputs cannot drift. Duplicate names sum in
-    // list order: every core under "cores" and its "stack.<s>", the
-    // shard NoC/CXL clones, and the master and shard fault injectors.
+    // list order: every core under "cores" and its "stack.<s>".
     Counters machine;
     cache.counters(machine, "cache");
     for (const auto& core : cores) {
@@ -509,25 +433,20 @@ NdpSystem::run(const Workload& workload)
         core.counters(machine,
                       "stack." + std::to_string(topo.stackOf(core.id())));
     }
-    for (const Shard& sh : shards) {
-        sh.noc->counters(machine, "noc");
-        sh.ext->counters(machine, "ext");
-    }
-    streamCounters(machine, table, cores, shards, cache);
+    noc.counters(machine, "noc");
+    ext.counters(machine, "ext");
+    streamCounters(machine, table, cores, cache, noc, ext);
     if (servingWl != nullptr) {
         tenantCounters(machine, servingWl->serving().tenants, servingGens);
     }
     runtime.counters(machine, "runtime");
     if (fault != nullptr) {
         fault->counters(machine, "fault");
-        for (const Shard& sh : shards) {
-            sh.fault->counters(machine, "fault");
-        }
     }
 
     // --- telemetry: register the machine's counters and the tenant
-    // latency histograms, and hand the cores their shard-private sample
-    // buffers. Registration must finish before the first sample.
+    // latency histograms, and hand each core its own sample buffers.
+    // Registration must finish before the first sample.
     if (telemetry_ != nullptr) {
         MetricRegistry& mr = telemetry_->metrics();
         mr.registerCounters(machine);
@@ -556,12 +475,6 @@ NdpSystem::run(const Workload& workload)
             for (CoreId c = 0; c < n; ++c) {
                 cores[c].setRequestTraceSink(telemetry_->requestBuffer(c));
             }
-        }
-        for (std::uint32_t s = 0; s < numShards; ++s) {
-            std::string tname = "shard";
-            tname += std::to_string(s);
-            telemetry_->trace().threadName(TraceWriter::kPidShards, s,
-                                           tname);
         }
     }
 
@@ -647,22 +560,20 @@ NdpSystem::run(const Workload& workload)
     Cycles next_epoch = cfg_.runtime.epochCycles;
     Cycles next_failure =
         fault != nullptr ? fault->nextFailureAt() : FaultInjector::kNoFailure;
-    Cycles interval_start = 0;
     Cycles epoch_start = 0;
     std::uint64_t epoch_idx = 0;
     /** Epoch barriers crossed, counted whether or not telemetry is
      *  attached (epoch_idx is telemetry-local). Names checkpoints. */
     std::uint64_t completed_epochs = 0;
 
-    // Full-machine snapshot at an epoch barrier: the only point where
-    // shards are quiescent and no packet is in flight between
-    // components. Section order is the restore order below.
+    // Full-machine snapshot at an epoch barrier: the only point where no
+    // core is mid-step and no packet is in flight between components.
+    // Section order is the restore order below.
     const auto snapshot = [&]() {
         ckpt::Writer w;
         w.section(0x0515);
         w.u64(completed_epochs);
         w.u64(next_epoch);
-        w.u64(interval_start);
         w.u64(epoch_start);
         w.u64(epoch_idx);
         // Stream-table read-only bits: the only mutable stream state
@@ -673,26 +584,11 @@ NdpSystem::run(const Workload& workload)
             read_only.push_back(scfg.readOnly);
         }
         w.vecB(read_only);
-        w.u64(alive.size());
-        for (const std::uint8_t a : alive) {
-            w.u8(a);
-        }
         noc.serialize(w);
         ext.serialize(w);
         w.b(fault != nullptr);
         if (fault != nullptr) {
             fault->serialize(w);
-        }
-        w.u64(shards.size());
-        for (const Shard& sh : shards) {
-            sh.noc->serialize(w);
-            sh.ext->serialize(w);
-            if (sh.fault != nullptr) {
-                sh.fault->serialize(w);
-            }
-            w.u64(sh.finish);
-            w.u64(sh.steps);
-            w.u64(sh.busyUntil);
         }
         cache.serialize(w);
         runtime.serialize(w);
@@ -700,6 +596,7 @@ NdpSystem::run(const Workload& workload)
         for (const InOrderCore& core : cores) {
             core.serialize(w);
         }
+        ready.serialize(w);
         // Generator side-state (serving frontend: arrival processes,
         // pending queues, latency records). A no-op for the default
         // count-replayed generators.
@@ -720,7 +617,6 @@ NdpSystem::run(const Workload& workload)
         r.section(0x0515);
         completed_epochs = r.u64();
         next_epoch = r.u64();
-        interval_start = r.u64();
         epoch_start = r.u64();
         epoch_idx = r.u64();
         const std::vector<bool> read_only = r.vecB();
@@ -732,29 +628,12 @@ NdpSystem::run(const Workload& workload)
                 table.markWritten(table.all()[i].sid);
             }
         }
-        NDP_ASSERT(r.u64() == alive.size(),
-                   "checkpoint core-count mismatch");
-        for (std::uint8_t& a : alive) {
-            a = r.u8();
-        }
         noc.deserialize(r);
         ext.deserialize(r);
         NDP_ASSERT(r.b() == (fault != nullptr),
                    "checkpoint fault-injector presence mismatch");
         if (fault != nullptr) {
             fault->deserialize(r);
-        }
-        NDP_ASSERT(r.u64() == shards.size(),
-                   "checkpoint shard-count mismatch");
-        for (Shard& sh : shards) {
-            sh.noc->deserialize(r);
-            sh.ext->deserialize(r);
-            if (sh.fault != nullptr) {
-                sh.fault->deserialize(r);
-            }
-            sh.finish = r.u64();
-            sh.steps = r.u64();
-            sh.busyUntil = r.u64();
         }
         cache.deserialize(r);
         runtime.deserialize(r);
@@ -763,6 +642,7 @@ NdpSystem::run(const Workload& workload)
         for (InOrderCore& core : cores) {
             core.deserialize(r);
         }
+        ready.deserialize(r, cores);
         for (CoreId c = 0; c < n; ++c) {
             gens[c]->deserializeExtra(r);
         }
@@ -794,83 +674,37 @@ NdpSystem::run(const Workload& workload)
     if (resume_) {
         ckpt::Reader r(resumePayload_);
         restore(r);
-        // Derived, not stored: the restored master injector knows the
-        // remaining failure schedule.
+        // Derived, not stored: the restored injector knows the remaining
+        // failure schedule.
         next_failure = fault != nullptr ? fault->nextFailureAt()
                                         : FaultInjector::kNoFailure;
     } else {
         runtime.start();
-    }
-    for (CoreId c = 0; c < n; ++c) {
-        if (alive[c] != 0) {
-            shards[topo.stackOf(c)].ready.emplace(cores[c].now(), c);
+        for (const InOrderCore& core : cores) {
+            ready.push(core);
         }
     }
     const std::uint64_t ckpt_hash =
         ckptEvery_ != 0 ? configHash(workload) : 0;
 
-    // --- barrier loop: shards advance in parallel to the next global
-    // event (epoch boundary or scheduled failure); the runtime acts at
-    // the barrier, then the interval repeats. The decomposition is fixed
-    // per stack, so any --threads value produces identical results.
-    const std::uint32_t threads = std::min<std::uint32_t>(
-        std::max<std::uint32_t>(cfg_.numThreads, 1), numShards);
-    ShardedExecutor exec(threads);
-
+    // --- barrier loop: the cores advance to the next global event (epoch
+    // boundary or scheduled failure); the runtime acts at the barrier,
+    // then the interval repeats.
     const auto engine_start = std::chrono::steady_clock::now();
     // First heartbeat before any epoch completes, so staleness monitors
     // have a baseline mtime from the moment the engine starts.
     writeHeartbeat(completed_epochs,
                    completed_epochs * cfg_.runtime.epochCycles, false);
     for (;;) {
-        const Cycles sync = std::min(next_epoch, next_failure);
-        exec.forEachShard(numShards, [&](std::uint32_t s) {
-            Shard& sh = shards[s];
-            while (!sh.ready.empty() && sh.ready.top().first < sync) {
-                const CoreId c = sh.ready.top().second;
-                sh.ready.pop();
-                ++sh.steps;
-                if (cores[c].step(*gens[c])) {
-                    sh.ready.emplace(cores[c].now(), c);
-                } else {
-                    alive[c] = 0;
-                    sh.finish = std::max(sh.finish, cores[c].now());
-                }
-                sh.busyUntil = std::max(sh.busyUntil, cores[c].now());
-            }
-        });
-        cache.applyDeferredWriteExceptions();
+        ready.runUntil(std::min(next_epoch, next_failure), cores, gens);
 
-        bool active = false;
-        for (const Shard& sh : shards) {
-            active = active || !sh.ready.empty();
-        }
-
-        // Barrier-side telemetry: drain shard-private packet samples in
-        // core-id order and split each shard's interval into execute /
-        // barrier-wait (simulated-time imbalance, thread-count blind).
+        // Barrier-side telemetry: drain the per-core packet samples and
+        // request traces in core-id order.
         if (telemetry_ != nullptr) {
             telemetry_->drainPacketSamples();
             telemetry_->drainRequestTraces();
-            TraceWriter& tw = telemetry_->trace();
-            for (std::uint32_t s = 0; s < numShards; ++s) {
-                const Cycles busy = std::max(
-                    interval_start, std::min(shards[s].busyUntil, sync));
-                if (busy > interval_start) {
-                    tw.completeSpan("shard", "execute",
-                                    TraceWriter::kPidShards, s,
-                                    interval_start, busy - interval_start);
-                }
-                if (active && sync > busy) {
-                    tw.completeSpan("shard", "barrier_wait",
-                                    TraceWriter::kPidShards, s, busy,
-                                    sync - busy);
-                }
-            }
-            interval_start = sync;
         }
-
-        if (!active) {
+        if (ready.empty()) {
             break;
         }
         if (next_failure <= next_epoch) {
@@ -959,9 +793,11 @@ NdpSystem::run(const Workload& workload)
         }
     }
     const auto engine_end = std::chrono::steady_clock::now();
+    // Every core has retired, so the slowest core's clock is the
+    // completion time.
     Cycles finish = 0;
-    for (const Shard& sh : shards) {
-        finish = std::max(finish, sh.finish);
+    for (const InOrderCore& core : cores) {
+        finish = std::max(finish, core.now());
     }
     // Final partial epoch: one last metric sample + epoch span.
     if (telemetry_ != nullptr) {
@@ -981,7 +817,7 @@ NdpSystem::run(const Workload& workload)
     }
     writeHeartbeat(completed_epochs, finish, true);
 
-    // --- collect results (sums over shard-private models) ---
+    // --- collect results ---
     RunResult res;
     res.workload = workload.name();
     res.policy = policyName(policy_);
@@ -994,11 +830,9 @@ NdpSystem::run(const Workload& workload)
     res.survivedRows = cache.survivedRows();
     res.reconfigurations = runtime.reconfigurations();
     res.slbMisses = cache.slbMissTotal();
-    for (const Shard& sh : shards) {
-        res.degraded.linkRetries += sh.ext->linkRetries();
-        res.degraded.retriesExhausted += sh.ext->retriesExhausted();
-        res.degraded.poisonedReads += sh.ext->poisonedReads();
-    }
+    res.degraded.linkRetries = ext.linkRetries();
+    res.degraded.retriesExhausted = ext.retriesExhausted();
+    res.degraded.poisonedReads = ext.poisonedReads();
     res.degraded.poisonEscalations = cache.poisonEscalations();
     res.degraded.failedUnitRedirects = cache.failedUnitRedirects();
     res.degraded.dramFaultRefetches = cache.dramFaultRefetches();
@@ -1020,26 +854,23 @@ NdpSystem::run(const Workload& workload)
     }
     res.stats.addAll(perCore);
 
-    // Engine throughput telemetry. Event and pool counters are
-    // deterministic (thread-count blind) and gate nothing; the wall
-    // clock is host-dependent and advisory (the "Micros" suffix excludes
-    // it from bit-identity checks).
+    // Engine throughput telemetry. Step and pool counters are
+    // deterministic and gate nothing; the wall clock is host-dependent
+    // and advisory (the "Micros" suffix excludes it from bit-identity
+    // checks).
     {
         res.engineWallMicros = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 engine_end - engine_start)
                 .count());
-        std::uint64_t steps = 0;
-        for (const Shard& sh : shards) {
-            steps += sh.steps;
-        }
         std::uint64_t pool_high = cache.packetPoolHighWater();
         std::uint64_t pool_alloc = cache.packetPoolAllocated();
         for (const auto& core : cores) {
             pool_high += core.packetPool().highWater();
             pool_alloc += core.packetPool().allocated();
         }
-        res.stats.set("engine.eventsFired", static_cast<double>(steps));
+        res.stats.set("engine.eventsFired",
+                      static_cast<double>(ready.steps()));
         res.stats.set("engine.packetPool.highWater",
                       static_cast<double>(pool_high));
         res.stats.set("engine.packetPool.allocated",
@@ -1049,7 +880,7 @@ NdpSystem::run(const Workload& workload)
     }
 
     // Advisory wall-clock readings: the Micros suffix keeps them outside
-    // the determinism contract (DESIGN.md section 5.3).
+    // the determinism contract (DESIGN.md section 5.2).
     res.stats.set("runtime.solver.wallMicros", runtime.solverWallMicros());
     res.stats.set("runtime.lastAssignMicros", runtime.lastAssignMicros());
     res.stats.set("runtime.lastConfigMicros", runtime.lastConfigMicros());
@@ -1084,11 +915,9 @@ NdpSystem::run(const Workload& workload)
         * seconds * 1e9;
     res.energy.ndpDramNj = cache.dramCacheEnergyNj();
     res.energy.sramNj = cache.sramEnergyNj();
-    for (const Shard& sh : shards) {
-        res.energy.extDramNj += sh.ext->dramEnergyNj();
-        res.energy.cxlLinkNj += sh.ext->linkEnergyNj();
-        res.energy.icnNj += sh.noc->energyNj();
-    }
+    res.energy.extDramNj = ext.dramEnergyNj();
+    res.energy.cxlLinkNj = ext.linkEnergyNj();
+    res.energy.icnNj = noc.energyNj();
 
     if (fault != nullptr) {
         res.stats.set("degraded.cycles",

@@ -89,7 +89,7 @@ struct RunResult
     /**
      * Engine throughput (advisory, host wall-clock): microseconds spent
      * inside the barrier loop, excluding machine construction and
-     * workload preparation. The deterministic companions (events fired,
+     * workload preparation. The deterministic companions (core steps,
      * pool high-water marks) live in `stats` under "engine.".
      */
     std::uint64_t engineWallMicros = 0;
@@ -134,8 +134,8 @@ class NdpSystem
     /**
      * Attach (or detach with nullptr) a telemetry sink before run().
      * The system registers every component's metric series, samples them
-     * at epoch barriers, records epoch/shard spans and packet slices in
-     * the trace, and feeds the runtime's decision log. Observer-only:
+     * at epoch barriers, records epoch spans and packet slices in the
+     * trace, and feeds the runtime's decision log. Observer-only:
      * the RunResult is bit-identical with telemetry attached or not
      * (DESIGN.md §6). The caller owns the Telemetry and writes it out.
      */
@@ -187,11 +187,9 @@ class NdpSystem
     /**
      * Identity hash binding a checkpoint to the run that produced it:
      * the finalized SystemConfig (every field that shapes the simulated
-     * trajectory -- host-only knobs numThreads and output paths are
-     * excluded), the policy, the workload identity, and the telemetry
-     * collection shape (attached + sampling config), since telemetry
-     * state travels inside the image. Resume is valid at any --threads
-     * value: the shard decomposition is per stack, not per thread.
+     * trajectory; output paths are excluded), the policy, the workload
+     * identity, and the telemetry collection shape (attached + sampling
+     * config), since telemetry state travels inside the image.
      */
     std::uint64_t configHash(const Workload& workload) const;
 

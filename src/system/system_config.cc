@@ -169,9 +169,6 @@ SystemConfig::validate(std::string* error) const
             }
         }
     }
-    if (numThreads == 0) {
-        return fail("thread count must be nonzero");
-    }
     for (const auto& f : faults.unitFailures) {
         if (f.unit >= numUnits()) {
             return fail("--fault=unit:" + std::to_string(f.unit)

@@ -92,14 +92,6 @@ struct SystemConfig
     double staticWattsExt = 2.0;
 
     /**
-     * Simulation threads for the sharded epoch-parallel executor. The
-     * shard decomposition is always one shard per stack, independent of
-     * the thread count, so results are bit-identical for any value; this
-     * only controls how many shards run concurrently between barriers.
-     */
-    std::uint32_t numThreads = 1;
-
-    /**
      * Memory backend selection per role (see mem/mem_backend_registry.h
      * and `--mem-backend.<role>=NAME[,key=val...]`). Timing left unset
      * resolves to the role default: the memType device for NDP units,

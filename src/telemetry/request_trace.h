@@ -13,11 +13,10 @@
  * EXACTLY to its latency (done - arrival); tests/test_request_trace.cc
  * pins the identity.
  *
- * Completed records land in shard-private per-core RequestTraceBuffers
- * (the core is stepped only by its shard thread) and are drained at
- * epoch barriers in core-id order -- the same discipline as the packet
- * sampler -- so the drain order, and everything derived from it, is
- * bit-identical for any --threads value and across kill+resume.
+ * Completed records land in per-core RequestTraceBuffers and are drained
+ * at epoch barriers in core-id order -- the same discipline as the
+ * packet sampler -- so the drain order, and everything derived from it,
+ * is bit-identical across runs and across kill+resume.
  *
  * Tail-based exemplar sampling: per tenant and per epoch the collector
  * keeps the K slowest requests plus a size-U uniform sample (reservoir
@@ -83,8 +82,8 @@ struct RequestTraceRecord
 };
 
 /**
- * Shard-private sink handed to one core: the core pushes every
- * completed request; the main thread drains at barriers. Always empty
+ * Sink handed to one core: the core pushes every completed request;
+ * the system drains it at barriers. Always empty
  * at an epoch barrier after the drain, so checkpoints stay small.
  */
 struct RequestTraceBuffer

@@ -19,7 +19,6 @@ Telemetry::Telemetry(const TelemetryConfig& config)
       latencyHist_(config.latencyHistMax, config.latencyHistBuckets)
 {
     trace_.processName(TraceWriter::kPidRuntime, "runtime");
-    trace_.processName(TraceWriter::kPidShards, "shards");
     trace_.processName(TraceWriter::kPidPackets, "packets");
     metrics_.registerHistogram("telemetry.packetLatency", &latencyHist_);
     metrics_.registerCounter("telemetry.packetSamples", [this] {

@@ -3,16 +3,15 @@
  * Telemetry facade: one object owning the three observability sinks --
  * the MetricRegistry (epoch time-series), the TraceWriter (Perfetto
  * trace), and the DecisionLog (runtime-decision replay) -- plus the
- * per-core packet-sample buffers the cores fill on their shard threads.
+ * per-core packet-sample buffers the cores fill as they step.
  *
  * Contract (DESIGN.md §6): telemetry is OBSERVER-ONLY. Attaching it must
  * never change a RunResult: metrics are pull-mode reads taken at epoch
- * barriers on the main thread; packet samples are copies of completed
- * packets into shard-private (per-core) buffers drained at barriers in
- * core-id order; decisions are recorded on the main thread. Nothing here
- * feeds back into timing, placement, or RNG state, so test_sharding's
- * bit-identical guarantee holds with telemetry on or off at any
- * --threads value.
+ * barriers; packet samples are copies of completed packets into per-core
+ * buffers drained at barriers in core-id order; decisions are recorded
+ * by the runtime at barriers. Nothing here feeds back into timing,
+ * placement, or RNG state, so a run is bit-identical with telemetry on
+ * or off.
  *
  * Zero-cost when disabled: components hold a null Telemetry pointer by
  * default and every hook is a single pointer test on a path that already
@@ -87,9 +86,9 @@ struct PacketSample
 };
 
 /**
- * Shard-private sample sink handed to one core. The core calls tick()
- * once per L1 miss and record() when tick() said so; the main thread
- * drains at barriers (no core runs across a barrier).
+ * Sample sink handed to one core. The core calls tick() once per L1
+ * miss and record() when tick() said so; the system drains it at
+ * barriers (no core runs across a barrier).
  */
 struct PacketSampleBuffer
 {

@@ -7,16 +7,15 @@
  * directly in https://ui.perfetto.dev or chrome://tracing. Timestamps are
  * simulated core cycles written into the format's microsecond field (1
  * cycle == 1 "us" of trace time), so track lengths are proportional to
- * simulated time and the trace is bit-identical for any --threads value.
+ * simulated time and the trace is bit-identical across runs.
  *
  * Track layout (pid/tid are synthetic):
  *   pid 1 "runtime"  -- epoch spans, reconfiguration/fault instants
- *   pid 2 "shards"   -- tid = shard: execute + barrier_wait spans
  *   pid 3 "packets"  -- tid = core: sampled per-packet stage slices
  *   pid 4 "requests" -- tid = tenant: exemplar request span trees,
  *                       flow-linked arrival -> start -> done
  *
- * Event categories ("cat"): "epoch", "shard", "runtime", "fault",
+ * Event categories ("cat"): "epoch", "runtime", "fault",
  * "packet", "request". The ctest schema check (tools/ndpext_report
  * check) pins the exact field set.
  *
@@ -45,7 +44,6 @@ class TraceWriter
   public:
     /** Well-known synthetic process ids (see file comment). */
     static constexpr std::uint32_t kPidRuntime = 1;
-    static constexpr std::uint32_t kPidShards = 2;
     static constexpr std::uint32_t kPidPackets = 3;
     static constexpr std::uint32_t kPidRequests = 4;
 

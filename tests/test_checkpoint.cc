@@ -3,7 +3,7 @@
  * validation (every corruption class is a recoverable error, not an
  * abort), newest-valid discovery with fallback past corrupt images, and
  * the core resume invariant -- a run resumed from any epoch-barrier
- * image is bit-identical to the uninterrupted run at any thread count.
+ * image is bit-identical to the uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -291,16 +292,15 @@ TEST_F(CheckpointFileTest, FindLatestReportsWhyWhenAllInvalid)
 // --- Resume determinism -------------------------------------------------
 
 SystemConfig
-tinyConfig(std::uint32_t threads)
+tinyConfig()
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000; // many epoch barriers per run
-    cfg.numThreads = threads;
     cfg.finalize();
     return cfg;
 }
@@ -336,45 +336,22 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.slbMisses, b.slbMisses);
     EXPECT_EQ(a.degraded.failedUnits, b.degraded.failedUnits);
     EXPECT_EQ(a.degraded.linkRetries, b.degraded.linkRetries);
-
-    // Full counter map; stats ending in "Micros" are host wall-clock
-    // and outside the determinism contract (DESIGN.md section 5.3).
-    const auto isWallClock = [](const std::string& name) {
-        return name.size() >= 6
-            && name.compare(name.size() - 6, 6, "Micros") == 0;
-    };
-    for (const auto& [name, value] : a.stats.raw()) {
-        EXPECT_TRUE(b.stats.has(name)) << "missing stat " << name;
-        if (!isWallClock(name)) {
-            EXPECT_DOUBLE_EQ(value, b.stats.get(name)) << "stat " << name;
-        }
-    }
-    EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+    expectSameStats(a, b);
 }
 
-class CheckpointResumeTest : public ::testing::TestWithParam<std::uint32_t>
-{
-  protected:
-    std::string
-    prefix() const
-    {
-        return ::testing::TempDir() + "resume_t"
-            + std::to_string(GetParam());
-    }
-};
-
-TEST_P(CheckpointResumeTest, ResumeIsBitIdenticalAtAnyThreadCount)
+TEST(CheckpointResume, ResumeIsBitIdentical)
 {
     auto w = makeWorkload("pr");
     w->prepare(tinyParams());
+    const std::string prefix = freshPrefix("resume");
 
-    // Golden: uninterrupted single-threaded run, no checkpointing.
-    NdpSystem golden(tinyConfig(1), PolicyKind::NdpExt);
+    // Golden: uninterrupted run, no checkpointing.
+    NdpSystem golden(tinyConfig(), PolicyKind::NdpExt);
     const RunResult want = golden.run(*w);
 
     // Checkpointing is observer-only: the emitting run matches golden.
-    NdpSystem emitter(tinyConfig(1), PolicyKind::NdpExt);
-    emitter.setCheckpointing(prefix(), 1);
+    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
+    emitter.setCheckpointing(prefix, 1);
     const RunResult emitted = emitter.run(*w);
     expectIdentical(want, emitted);
 
@@ -382,18 +359,16 @@ TEST_P(CheckpointResumeTest, ResumeIsBitIdenticalAtAnyThreadCount)
     std::string error;
     ckpt::CheckpointHeader h;
     ASSERT_TRUE(
-        ckpt::findLatestValidCheckpoint(prefix(), &newest, &h, &error))
+        ckpt::findLatestValidCheckpoint(prefix, &newest, &h, &error))
         << error;
     ASSERT_GE(h.epoch, 3u) << "run too short to exercise resume";
 
-    // Resume from the first, a middle, and the newest image, each at
-    // the parameterized thread count (shards are per stack, so any
-    // thread count must reproduce the same trajectory).
+    // Resume from the first, a middle, and the newest image.
     for (const std::uint64_t epoch :
          {std::uint64_t{1}, h.epoch / 2, h.epoch}) {
-        NdpSystem resumed(tinyConfig(GetParam()), PolicyKind::NdpExt);
+        NdpSystem resumed(tinyConfig(), PolicyKind::NdpExt);
         const std::string image =
-            prefix() + "." + std::to_string(epoch) + ".ckpt";
+            prefix + "." + std::to_string(epoch) + ".ckpt";
         ASSERT_TRUE(resumed.setResume(image, *w, &error)) << error;
         EXPECT_EQ(resumed.resumeEpoch(), epoch);
         const RunResult got = resumed.run(*w);
@@ -401,20 +376,13 @@ TEST_P(CheckpointResumeTest, ResumeIsBitIdenticalAtAnyThreadCount)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, CheckpointResumeTest,
-                         ::testing::Values(1u, 8u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>&
-                                info) {
-                             return "t" + std::to_string(info.param);
-                         });
-
 TEST(CheckpointResume, WrongWorkloadIsRejected)
 {
     auto w = makeWorkload("pr");
     w->prepare(tinyParams());
-    const std::string prefix = ::testing::TempDir() + "resume_wrong";
+    const std::string prefix = freshPrefix("resume_wrong");
 
-    NdpSystem emitter(tinyConfig(1), PolicyKind::NdpExt);
+    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
     emitter.setCheckpointing(prefix, 1);
     emitter.run(*w);
 
@@ -430,7 +398,7 @@ TEST(CheckpointResume, WrongWorkloadIsRejected)
     WorkloadParams p = tinyParams();
     p.seed = 8;
     other->prepare(p);
-    NdpSystem resumed(tinyConfig(1), PolicyKind::NdpExt);
+    NdpSystem resumed(tinyConfig(), PolicyKind::NdpExt);
     EXPECT_FALSE(resumed.setResume(newest, *other, &error));
     EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }
@@ -439,9 +407,9 @@ TEST(CheckpointResume, DifferentPolicyIsRejected)
 {
     auto w = makeWorkload("pr");
     w->prepare(tinyParams());
-    const std::string prefix = ::testing::TempDir() + "resume_policy";
+    const std::string prefix = freshPrefix("resume_policy");
 
-    NdpSystem emitter(tinyConfig(1), PolicyKind::NdpExt);
+    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
     emitter.setCheckpointing(prefix, 1);
     emitter.run(*w);
 
@@ -451,7 +419,7 @@ TEST(CheckpointResume, DifferentPolicyIsRejected)
         ckpt::findLatestValidCheckpoint(prefix, &newest, nullptr, &error))
         << error;
 
-    NdpSystem resumed(tinyConfig(1), PolicyKind::Nexus);
+    NdpSystem resumed(tinyConfig(), PolicyKind::Nexus);
     EXPECT_FALSE(resumed.setResume(newest, *w, &error));
     EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }

@@ -23,6 +23,7 @@
 
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -35,10 +36,9 @@ tinyConfig()
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000;
-    cfg.numThreads = 2;
     cfg.finalize();
     return cfg;
 }
@@ -113,9 +113,7 @@ TEST(CrashRecovery, KillAnywhereConvergesToGolden)
 
     // Fresh directory per invocation: a stale frontier from a previous
     // test run would let the first attempt resume straight to the end.
-    std::string dir = ::testing::TempDir() + "chaosXXXXXX";
-    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-    const std::string prefix = dir + "/chaos";
+    const std::string prefix = freshPrefix("chaos");
     std::mt19937 rng(20260808);
     std::uniform_int_distribution<int> slice(5, 40);
 
@@ -167,19 +165,7 @@ TEST(CrashRecovery, KillAnywhereConvergesToGolden)
     EXPECT_DOUBLE_EQ(golden.energy.totalNj(), got.energy.totalNj());
     EXPECT_EQ(golden.writeExceptions, got.writeExceptions);
     EXPECT_EQ(golden.reconfigurations, got.reconfigurations);
-
-    const auto isWallClock = [](const std::string& name) {
-        return name.size() >= 6
-            && name.compare(name.size() - 6, 6, "Micros") == 0;
-    };
-    for (const auto& [name, value] : golden.stats.raw()) {
-        EXPECT_TRUE(got.stats.has(name)) << "missing stat " << name;
-        if (!isWallClock(name)) {
-            EXPECT_DOUBLE_EQ(value, got.stats.get(name))
-                << "stat " << name;
-        }
-    }
-    EXPECT_EQ(golden.stats.raw().size(), got.stats.raw().size());
+    expectSameStats(golden, got);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "mem/dram.h"
 #include "mem/mem_backend_registry.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -395,7 +396,7 @@ tinyConfig(const std::string& ext_backend)
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000;
     cfg.memBackendExt.backend = ext_backend;
@@ -419,8 +420,7 @@ tinyWorkload()
 TEST(MemBackendResume, FrFcfsResumesBitIdentically)
 {
     const auto w = tinyWorkload();
-    const std::string prefix =
-        ::testing::TempDir() + "mem_backend_frfcfs_resume";
+    const std::string prefix = freshPrefix("mem_backend_frfcfs_resume");
 
     NdpSystem golden(tinyConfig("frfcfs"), PolicyKind::NdpExt);
     const RunResult want = golden.run(*w);
@@ -454,8 +454,7 @@ TEST(MemBackendResume, FrFcfsResumesBitIdentically)
 TEST(MemBackendResume, BackendMismatchIsRejected)
 {
     const auto w = tinyWorkload();
-    const std::string prefix =
-        ::testing::TempDir() + "mem_backend_mismatch";
+    const std::string prefix = freshPrefix("mem_backend_mismatch");
 
     NdpSystem emitter(tinyConfig("banked"), PolicyKind::NdpExt);
     emitter.setCheckpointing(prefix, 1);

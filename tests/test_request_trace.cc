@@ -2,7 +2,7 @@
  * End-to-end request tracing (DESIGN.md §6): the per-stage identity
  * (stage cycles sum exactly to request latency), the bounded
  * deterministic exemplar reservoirs, the observer-only contract
- * (tracing on/off and --threads never change a RunResult or the
+ * (tracing on/off never changes a RunResult; repeat runs give the same
  * exemplar stream), flow-event rendering and tenant-churn robustness in
  * the TraceWriter, checkpoint kill/resume byte-identity of every
  * telemetry artifact through the .part flush protocol, the
@@ -28,6 +28,7 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/tiny_json.h"
 #include "telemetry/trace_writer.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -291,16 +292,15 @@ TEST(TraceWriter, FlushedStitchedOutputMatchesUnflushedWrite)
 // --- Full-system serving runs with tracing ------------------------------
 
 SystemConfig
-tinySystem(std::uint32_t threads)
+tinySystem()
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000;
-    cfg.numThreads = threads;
     cfg.finalize();
     return cfg;
 }
@@ -363,17 +363,7 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_DOUBLE_EQ(a.missRate, b.missRate);
     EXPECT_DOUBLE_EQ(a.energy.totalNj(), b.energy.totalNj());
     EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-    const auto isWallClock = [](const std::string& name) {
-        return name.size() >= 6
-            && name.compare(name.size() - 6, 6, "Micros") == 0;
-    };
-    for (const auto& [name, value] : a.stats.raw()) {
-        EXPECT_TRUE(b.stats.has(name)) << "missing stat " << name;
-        if (!isWallClock(name)) {
-            EXPECT_DOUBLE_EQ(value, b.stats.get(name)) << "stat " << name;
-        }
-    }
-    EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+    expectSameStats(a, b);
 }
 
 struct TracedRun
@@ -384,14 +374,13 @@ struct TracedRun
 };
 
 TracedRun
-runTraced(const ServingConfig& serving, std::uint32_t threads,
-          std::uint64_t k = 4)
+runTraced(const ServingConfig& serving)
 {
-    SystemConfig cfg = tinySystem(threads);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
-    auto tel = tracingTelemetry("", k);
+    auto tel = tracingTelemetry("");
     NdpSystem sys(cfg, PolicyKind::NdpExt);
     sys.attachTelemetry(tel.get());
     TracedRun out;
@@ -404,27 +393,27 @@ runTraced(const ServingConfig& serving, std::uint32_t threads,
 
 /**
  * The tentpole contract: request tracing is observer-only (identical
- * RunResult with tracing on or off, at any thread count) and the
- * exemplar stream itself is bit-identical across --threads.
+ * RunResult with tracing on or off) and the exemplar stream itself is
+ * bit-identical across runs.
  */
-TEST(RequestTraceSystem, ObserverOnlyAndDeterministicAcrossThreads)
+TEST(RequestTraceSystem, ObserverOnlyAndDeterministic)
 {
     const ServingConfig serving = busyTenants();
 
-    SystemConfig cfg = tinySystem(1);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
     NdpSystem plain(cfg, PolicyKind::NdpExt);
     const RunResult base = plain.run(w);
 
-    const TracedRun t1 = runTraced(serving, 1);
-    const TracedRun t8 = runTraced(serving, 8);
-    expectIdentical(base, t1.result);
-    expectIdentical(base, t8.result);
-    EXPECT_FALSE(t1.exemplars.empty());
-    EXPECT_EQ(t1.exemplars, t8.exemplars)
-        << "exemplar stream depends on --threads";
+    const TracedRun first = runTraced(serving);
+    const TracedRun second = runTraced(serving);
+    expectIdentical(base, first.result);
+    expectIdentical(base, second.result);
+    EXPECT_FALSE(first.exemplars.empty());
+    EXPECT_EQ(first.exemplars, second.exemplars)
+        << "exemplar stream differs between identical runs";
 }
 
 /**
@@ -437,7 +426,7 @@ TEST(RequestTraceSystem, StageSumEqualsLatencyAndReservoirIsBounded)
 {
     const std::uint64_t k = 3;
     const ServingConfig serving = busyTenants();
-    SystemConfig cfg = tinySystem(2);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
@@ -497,13 +486,13 @@ slurp(const std::string& path)
 TEST(RequestTraceSystem, ResumeStitchesByteIdenticalArtifacts)
 {
     const ServingConfig serving = busyTenants();
-    SystemConfig cfg = tinySystem(1);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
 
     // Golden: no checkpointing, everything written from memory.
-    const std::string gold = ::testing::TempDir() + "reqtrace_gold";
+    const std::string gold = freshPrefix("reqtrace_gold");
     {
         auto tel = tracingTelemetry(gold);
         NdpSystem sys(cfg, PolicyKind::NdpExt);
@@ -516,7 +505,7 @@ TEST(RequestTraceSystem, ResumeStitchesByteIdenticalArtifacts)
     // Emitter: checkpoint + flush every epoch. Its in-memory tail is
     // thrown away (no writeAll) -- only the images and .part files
     // survive, exactly like a killed process.
-    const std::string prefix = ::testing::TempDir() + "reqtrace_resume";
+    const std::string prefix = freshPrefix("reqtrace_resume");
     const std::string ckpt = prefix + ".ckpt";
     {
         auto tel = tracingTelemetry(prefix);
@@ -579,18 +568,18 @@ TEST(RequestTraceSystem, CheckpointImageStaysFlatAcrossEpochs)
     serving.tenants[0].arrival = "fixed";
     serving.tenants.push_back(tenant("lin", "mv", 18'000.0));
     serving.tenants[1].arrival = "fixed";
-    SystemConfig cfg = tinySystem(1);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
 
-    const std::string bare = ::testing::TempDir() + "reqtrace_img_bare";
+    const std::string bare = freshPrefix("reqtrace_img_bare");
     {
         NdpSystem sys(cfg, PolicyKind::NdpExt);
         sys.setCheckpointing(bare, 1);
         (void)sys.run(w);
     }
-    const std::string tele = ::testing::TempDir() + "reqtrace_img_tele";
+    const std::string tele = freshPrefix("reqtrace_img_tele");
     {
         TelemetryConfig tc;
         tc.outPrefix = tele;
@@ -634,12 +623,11 @@ TEST(RequestTraceSystem, CheckpointImageStaysFlatAcrossEpochs)
 TEST(RequestTraceSystem, HeartbeatFileIsCompleteAndFinal)
 {
     const ServingConfig serving = busyTenants();
-    SystemConfig cfg = tinySystem(2);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
-    const std::string hb =
-        ::testing::TempDir() + "reqtrace_heartbeat.json";
+    const std::string hb = freshPrefix("reqtrace_heartbeat") + ".json";
     NdpSystem sys(cfg, PolicyKind::NdpExt);
     sys.addHeartbeatPath(hb);
     const RunResult res = sys.run(w);

@@ -24,6 +24,7 @@
 #include "serving/serving_workload.h"
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -641,16 +642,15 @@ TEST(ServingGenerator, CheckpointRoundTripIsByteIdentical)
 // --- Full-system serving runs -------------------------------------------
 
 SystemConfig
-tinySystem(std::uint32_t threads)
+tinySystem()
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000;
-    cfg.numThreads = threads;
     cfg.finalize();
     return cfg;
 }
@@ -683,23 +683,13 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_DOUBLE_EQ(a.missRate, b.missRate);
     EXPECT_DOUBLE_EQ(a.energy.totalNj(), b.energy.totalNj());
     EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-    const auto isWallClock = [](const std::string& name) {
-        return name.size() >= 6
-            && name.compare(name.size() - 6, 6, "Micros") == 0;
-    };
-    for (const auto& [name, value] : a.stats.raw()) {
-        EXPECT_TRUE(b.stats.has(name)) << "missing stat " << name;
-        if (!isWallClock(name)) {
-            EXPECT_DOUBLE_EQ(value, b.stats.get(name)) << "stat " << name;
-        }
-    }
-    EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+    expectSameStats(a, b);
 }
 
 RunResult
-runServing(const ServingConfig& serving, std::uint32_t threads)
+runServing(const ServingConfig& serving)
 {
-    SystemConfig cfg = tinySystem(threads);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
@@ -709,7 +699,7 @@ runServing(const ServingConfig& serving, std::uint32_t threads)
 
 TEST(ServingSystem, DrainedRunConservesRequestCounts)
 {
-    const RunResult res = runServing(mixedTenants(), 1);
+    const RunResult res = runServing(mixedTenants());
     ASSERT_TRUE(res.stats.has("serving.tenants"));
     EXPECT_DOUBLE_EQ(res.stats.get("serving.tenants"), 3.0);
     for (const char* name : {"emb", "graph", "lin"}) {
@@ -734,17 +724,10 @@ TEST(ServingSystem, DrainedRunConservesRequestCounts)
     EXPECT_DOUBLE_EQ(res.stats.get("tenant.graph.reserved"), 0.0);
 }
 
-TEST(ServingSystem, ThreadCountInvariance)
-{
-    const RunResult a = runServing(mixedTenants(), 1);
-    const RunResult b = runServing(mixedTenants(), 8);
-    expectIdentical(a, b);
-}
-
 TEST(ServingSystem, ResumeIsBitIdentical)
 {
     const ServingConfig serving = mixedTenants();
-    SystemConfig cfg = tinySystem(1);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
@@ -752,7 +735,7 @@ TEST(ServingSystem, ResumeIsBitIdentical)
     NdpSystem golden(cfg, PolicyKind::NdpExt);
     const RunResult want = golden.run(w);
 
-    const std::string prefix = ::testing::TempDir() + "serving_resume";
+    const std::string prefix = freshPrefix("serving_resume");
     NdpSystem emitter(cfg, PolicyKind::NdpExt);
     emitter.setCheckpointing(prefix, 1);
     const RunResult emitted = emitter.run(w);
@@ -768,9 +751,7 @@ TEST(ServingSystem, ResumeIsBitIdentical)
 
     for (const std::uint64_t epoch :
          {std::uint64_t{1}, h.epoch / 2, h.epoch}) {
-        SystemConfig rcfg = tinySystem(8);
-        rcfg.serving = serving;
-        NdpSystem resumed(rcfg, PolicyKind::NdpExt);
+        NdpSystem resumed(cfg, PolicyKind::NdpExt);
         const std::string image =
             prefix + "." + std::to_string(epoch) + ".ckpt";
         ASSERT_TRUE(resumed.setResume(image, w, &error)) << error;
@@ -782,13 +763,12 @@ TEST(ServingSystem, ResumeIsBitIdentical)
 TEST(ServingSystem, ResumeRejectsDifferentServingConfig)
 {
     const ServingConfig serving = mixedTenants();
-    SystemConfig cfg = tinySystem(1);
+    SystemConfig cfg = tinySystem();
     cfg.serving = serving;
     ServingWorkload w(serving, cfg.runtime.epochCycles);
     w.prepare(tinyParams());
 
-    const std::string prefix =
-        ::testing::TempDir() + "serving_resume_cfg";
+    const std::string prefix = freshPrefix("serving_resume_cfg");
     NdpSystem emitter(cfg, PolicyKind::NdpExt);
     emitter.setCheckpointing(prefix, 1);
     emitter.run(w);
@@ -825,7 +805,7 @@ TEST(ServingSystem, ReservedBeatsBestEffortUnderOverload)
     cfg.tenants.push_back(tenant("be", "recsys", 2500.0));
     cfg.tenants[1].sloCycles = 50'000;
 
-    const RunResult res = runServing(cfg, 1);
+    const RunResult res = runServing(cfg);
     const double resAttain = res.stats.get("tenant.res.sloAttainment");
     const double beAttain = res.stats.get("tenant.be.sloAttainment");
     EXPECT_GT(resAttain, beAttain);

@@ -23,6 +23,7 @@
 #include "runtime/sampler_assign.h"
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -552,18 +553,17 @@ TEST(RuntimeDelta, WarmStartMatchesColdCoverage)
 // --- Checkpoint/resume byte-identity with solver flags on ----------------
 
 SystemConfig
-solverConfig(std::uint32_t threads)
+solverConfig()
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.stacksX = 2;
     cfg.stacksY = 1;
     cfg.unitsX = 2;
-    cfg.unitsY = 2; // 8 units, 2 shards
+    cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 20'000;
     cfg.runtime.solverWarmStart = true;
     cfg.runtime.solverBudgetIters = 64;
-    cfg.numThreads = threads;
     cfg.finalize();
     return cfg;
 }
@@ -586,43 +586,22 @@ expectSameRun(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.accesses, b.accesses);
     EXPECT_DOUBLE_EQ(a.missRate, b.missRate);
     EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-    const auto isWallClock = [](const std::string& name) {
-        return name.size() >= 6
-            && name.compare(name.size() - 6, 6, "Micros") == 0;
-    };
-    for (const auto& [name, value] : a.stats.raw()) {
-        EXPECT_TRUE(b.stats.has(name)) << "missing stat " << name;
-        if (!isWallClock(name)) {
-            EXPECT_DOUBLE_EQ(value, b.stats.get(name))
-                << "stat " << name;
-        }
-    }
-    EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+    expectSameStats(a, b);
 }
 
-class SolverResumeTest : public ::testing::TestWithParam<std::uint32_t>
-{
-  protected:
-    std::string
-    prefix() const
-    {
-        return ::testing::TempDir() + "solver_resume_t"
-            + std::to_string(GetParam());
-    }
-};
-
-TEST_P(SolverResumeTest, WarmStartStateSurvivesResume)
+TEST(SolverResume, WarmStartStateSurvivesResume)
 {
     auto w = makeWorkload("pr");
     w->prepare(solverWorkloadParams());
+    const std::string prefix = freshPrefix("solver_resume");
 
-    NdpSystem golden(solverConfig(1), PolicyKind::NdpExt);
+    NdpSystem golden(solverConfig(), PolicyKind::NdpExt);
     const RunResult want = golden.run(*w);
     EXPECT_GT(want.stats.get("runtime.solver.warmStartReused"), 0.0)
         << "warm start never engaged; test is vacuous";
 
-    NdpSystem emitter(solverConfig(1), PolicyKind::NdpExt);
-    emitter.setCheckpointing(prefix(), 1);
+    NdpSystem emitter(solverConfig(), PolicyKind::NdpExt);
+    emitter.setCheckpointing(prefix, 1);
     const RunResult emitted = emitter.run(*w);
     expectSameRun(want, emitted);
 
@@ -630,29 +609,22 @@ TEST_P(SolverResumeTest, WarmStartStateSurvivesResume)
     std::string error;
     ckpt::CheckpointHeader h;
     ASSERT_TRUE(
-        ckpt::findLatestValidCheckpoint(prefix(), &newest, &h, &error))
+        ckpt::findLatestValidCheckpoint(prefix, &newest, &h, &error))
         << error;
     ASSERT_GE(h.epoch, 2u) << "run too short to exercise resume";
 
     // Resuming mid-run must restore the fingerprint map, the previous
     // assignment, and the solver counters: the completed run is
-    // bit-identical to the uninterrupted one at any thread count.
+    // bit-identical to the uninterrupted one.
     for (const std::uint64_t epoch : {std::uint64_t{1}, h.epoch}) {
-        NdpSystem resumed(solverConfig(GetParam()), PolicyKind::NdpExt);
+        NdpSystem resumed(solverConfig(), PolicyKind::NdpExt);
         const std::string image =
-            prefix() + "." + std::to_string(epoch) + ".ckpt";
+            prefix + "." + std::to_string(epoch) + ".ckpt";
         ASSERT_TRUE(resumed.setResume(image, *w, &error)) << error;
         const RunResult got = resumed.run(*w);
         expectSameRun(want, got);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, SolverResumeTest,
-                         ::testing::Values(1u, 8u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>&
-                                info) {
-                             return "t" + std::to_string(info.param);
-                         });
 
 } // namespace
 } // namespace ndpext

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "system/host_system.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -69,18 +73,110 @@ TEST(NdpSystem, RunsPageRankToCompletion)
     EXPECT_LE(res.missRate, 1.0);
 }
 
-TEST(NdpSystem, DeterministicAcrossRuns)
+/** One configuration of the determinism check. */
+struct RunCase
 {
-    auto w = makeWorkload("bfs");
-    w->prepare(tinyParams());
-    NdpSystem s1(tinyConfig(), PolicyKind::NdpExt);
-    NdpSystem s2(tinyConfig(), PolicyKind::NdpExt);
-    const auto r1 = s1.run(*w);
-    const auto r2 = s2.run(*w);
-    EXPECT_EQ(r1.cycles, r2.cycles);
-    EXPECT_EQ(r1.bd.requests, r2.bd.requests);
-    EXPECT_DOUBLE_EQ(r1.missRate, r2.missRate);
+    const char* name;
+    const char* workload;
+    PolicyKind policy;
+    bool faulty;
+};
+
+/** Print a case by name, so test names do not carry its bytes. */
+void
+PrintTo(const RunCase& c, std::ostream* os)
+{
+    *os << c.name;
 }
+
+class NdpSystemRuns : public ::testing::TestWithParam<RunCase>
+{
+  protected:
+    RunResult
+    run(const Workload& w) const
+    {
+        SystemConfig cfg = tinyConfig();
+        if (GetParam().faulty) {
+            // One unit failure plus the three Bernoulli fault classes,
+            // all drawn from the one injector.
+            cfg.faults.seed = 99;
+            cfg.faults.cxlTransientProb = 1e-3;
+            cfg.faults.cxlPoisonProb = 1e-5;
+            cfg.faults.dramBitProb = 1e-5;
+            cfg.faults.unitFailures.push_back({3, 150'000});
+        }
+        NdpSystem sys(cfg, GetParam().policy);
+        return sys.run(w);
+    }
+};
+
+/**
+ * Two runs of one configuration agree bit for bit on every reported
+ * quantity: cycles, the latency breakdown, energy, the degraded-mode
+ * counters and every stat except the host wall-clock ones.
+ */
+TEST_P(NdpSystemRuns, DeterministicAcrossRuns)
+{
+    auto w = makeWorkload(GetParam().workload);
+    w->prepare(tinyParams());
+    const RunResult a = run(*w);
+    const RunResult b = run(*w);
+    if (GetParam().workload == std::string("backprop")) {
+        // backprop writes its read-only weights: the exceptions are
+        // raised inline, once per stream.
+        EXPECT_GE(a.writeExceptions, 1u);
+    }
+    if (GetParam().faulty) {
+        EXPECT_EQ(a.degraded.failedUnits, 1u);
+        EXPECT_EQ(a.degraded.emergencyReconfigs, 1u);
+    }
+
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.l1Hits, b.l1Hits);
+    EXPECT_EQ(a.bd.requests, b.bd.requests);
+    EXPECT_EQ(a.bd.metadata, b.bd.metadata);
+    EXPECT_EQ(a.bd.icnIntra, b.bd.icnIntra);
+    EXPECT_EQ(a.bd.icnInter, b.bd.icnInter);
+    EXPECT_EQ(a.bd.dramCache, b.bd.dramCache);
+    EXPECT_EQ(a.bd.extMem, b.bd.extMem);
+    EXPECT_DOUBLE_EQ(a.missRate, b.missRate);
+    EXPECT_DOUBLE_EQ(a.metadataHitRate, b.metadataHitRate);
+    EXPECT_DOUBLE_EQ(a.energy.staticNj, b.energy.staticNj);
+    EXPECT_DOUBLE_EQ(a.energy.ndpDramNj, b.energy.ndpDramNj);
+    EXPECT_DOUBLE_EQ(a.energy.extDramNj, b.energy.extDramNj);
+    EXPECT_DOUBLE_EQ(a.energy.cxlLinkNj, b.energy.cxlLinkNj);
+    EXPECT_DOUBLE_EQ(a.energy.icnNj, b.energy.icnNj);
+    EXPECT_DOUBLE_EQ(a.energy.sramNj, b.energy.sramNj);
+    EXPECT_EQ(a.writeExceptions, b.writeExceptions);
+    EXPECT_EQ(a.invalidatedRows, b.invalidatedRows);
+    EXPECT_EQ(a.survivedRows, b.survivedRows);
+    EXPECT_EQ(a.reconfigurations, b.reconfigurations);
+    EXPECT_EQ(a.slbMisses, b.slbMisses);
+    EXPECT_EQ(a.degraded.linkRetries, b.degraded.linkRetries);
+    EXPECT_EQ(a.degraded.retriesExhausted, b.degraded.retriesExhausted);
+    EXPECT_EQ(a.degraded.poisonedReads, b.degraded.poisonedReads);
+    EXPECT_EQ(a.degraded.poisonEscalations, b.degraded.poisonEscalations);
+    EXPECT_EQ(a.degraded.failedUnitRedirects,
+              b.degraded.failedUnitRedirects);
+    EXPECT_EQ(a.degraded.dramFaultRefetches, b.degraded.dramFaultRefetches);
+    EXPECT_EQ(a.degraded.failedUnits, b.degraded.failedUnits);
+    EXPECT_EQ(a.degraded.emergencyReconfigs, b.degraded.emergencyReconfigs);
+    EXPECT_EQ(a.degraded.cyclesDegraded, b.degraded.cyclesDegraded);
+    expectSameStats(a, b);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, NdpSystemRuns,
+    ::testing::Values(
+        RunCase{"pr", "pr", PolicyKind::NdpExt, false},
+        RunCase{"bfs_interleave", "bfs", PolicyKind::StaticInterleave,
+                false},
+        RunCase{"backprop", "backprop", PolicyKind::NdpExt, false},
+        RunCase{"pr_faulty", "pr", PolicyKind::NdpExt, true}),
+    [](const ::testing::TestParamInfo<RunCase>& info) {
+        return std::string(info.param.name);
+    });
 
 class PolicyRunTest : public ::testing::TestWithParam<PolicyKind>
 {

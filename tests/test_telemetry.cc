@@ -196,7 +196,7 @@ TEST(LatencyBreakdown, PacketStageSumsEqualTotalLatency)
 // --- System-level telemetry ---------------------------------------------
 
 SystemConfig
-tinyConfig(std::uint32_t threads = 1)
+tinyConfig()
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.stacksX = 2;
@@ -205,7 +205,6 @@ tinyConfig(std::uint32_t threads = 1)
     cfg.unitsY = 2; // 8 units
     cfg.unitCacheBytes = 256_KiB;
     cfg.runtime.epochCycles = 200'000;
-    cfg.numThreads = threads;
     cfg.finalize();
     return cfg;
 }
@@ -233,27 +232,22 @@ makeTelemetry(const std::string& prefix = "",
 
 /**
  * The observer-only contract: attaching telemetry (at any sampling rate)
- * and changing --threads must not change the RunResult.
+ * must not change the RunResult.
  */
-TEST(Telemetry, ObserverOnlyAcrossThreadsAndSampling)
+TEST(Telemetry, ObserverOnlyAcrossSampling)
 {
     auto w = makeWorkload("pr");
     w->prepare(tinyParams());
 
-    NdpSystem plain(tinyConfig(1), PolicyKind::NdpExt);
+    NdpSystem plain(tinyConfig(), PolicyKind::NdpExt);
     const RunResult base = plain.run(*w);
 
-    struct Variant
-    {
-        std::uint32_t threads;
-        std::uint64_t sampleEvery;
-    };
-    for (const Variant v : {Variant{1, 1}, Variant{2, 1}, Variant{2, 64}}) {
-        auto tel = makeTelemetry("", v.sampleEvery);
-        NdpSystem sys(tinyConfig(v.threads), PolicyKind::NdpExt);
+    for (const std::uint64_t sampleEvery : {1u, 64u}) {
+        auto tel = makeTelemetry("", sampleEvery);
+        NdpSystem sys(tinyConfig(), PolicyKind::NdpExt);
         sys.attachTelemetry(tel.get());
         const RunResult r = sys.run(*w);
-        EXPECT_EQ(r.cycles, base.cycles) << "threads=" << v.threads;
+        EXPECT_EQ(r.cycles, base.cycles) << "sampleEvery=" << sampleEvery;
         EXPECT_EQ(r.accesses, base.accesses);
         EXPECT_EQ(r.l1Hits, base.l1Hits);
         EXPECT_EQ(r.bd.requests, base.bd.requests);
@@ -292,7 +286,7 @@ isRunLevelStat(const std::string& name)
  */
 TEST(Telemetry, CollectsMetricsSamplesAndDecisions)
 {
-    SystemConfig plain = tinyConfig(2);
+    SystemConfig plain = tinyConfig();
     plain.runtime.epochCycles = 50'000; // several epochs within the run
     plain.finalize();
     auto pr = makeWorkload("pr");
@@ -397,7 +391,7 @@ TEST(Telemetry, WriteAllEmitsParseableFiles)
     w->prepare(tinyParams());
     const std::string prefix = ::testing::TempDir() + "ndpext_tel_test";
     auto tel = makeTelemetry(prefix, 8);
-    NdpSystem sys(tinyConfig(1), PolicyKind::NdpExt);
+    NdpSystem sys(tinyConfig(), PolicyKind::NdpExt);
     sys.attachTelemetry(tel.get());
     (void)sys.run(*w);
     std::string error;

@@ -1,0 +1,59 @@
+/**
+ * @file
+ * Helpers shared by the system-level tests: fresh output directories
+ * and the full-stats comparison of two runs.
+ */
+
+#ifndef NDPEXT_TESTS_TEST_UTIL_H
+#define NDPEXT_TESTS_TEST_UTIL_H
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+
+#include "system/ndp_system.h"
+
+namespace ndpext {
+
+/**
+ * The path prefix `name` inside a fresh, empty directory under the gtest
+ * temp dir. Checkpoints written under it cannot mix with images an
+ * earlier run of the suite left behind, which findLatestValidCheckpoint
+ * would otherwise pick up when they outnumber the new run's epochs.
+ */
+inline std::string
+freshPrefix(const std::string& name)
+{
+    std::string dir = ::testing::TempDir() + name + "XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) {
+        ADD_FAILURE() << "mkdtemp failed for " << dir;
+    }
+    return dir + "/" + name;
+}
+
+/**
+ * Expect `b` to carry exactly `a`'s stats, bit for bit. Names ending in
+ * "Micros" are host wall-clock readings of the simulator itself and sit
+ * outside the determinism contract (DESIGN.md section 5.2), so only
+ * their presence is compared.
+ */
+inline void
+expectSameStats(const RunResult& a, const RunResult& b)
+{
+    const auto isWallClock = [](const std::string& name) {
+        return name.size() >= 6
+            && name.compare(name.size() - 6, 6, "Micros") == 0;
+    };
+    for (const auto& [name, value] : a.stats.raw()) {
+        EXPECT_TRUE(b.stats.has(name)) << "missing stat " << name;
+        if (!isWallClock(name)) {
+            EXPECT_DOUBLE_EQ(value, b.stats.get(name)) << "stat " << name;
+        }
+    }
+    EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+}
+
+} // namespace ndpext
+
+#endif // NDPEXT_TESTS_TEST_UTIL_H

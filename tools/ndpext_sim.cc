@@ -49,12 +49,6 @@
  *                        tunable of the chosen arrival process
  *   --horizon=N          serving: last admissible arrival cycle
  *                        (K/M/G suffixes; default 2M)
- *   --threads=N          engine threads (default 1). Results are
- *                        bit-identical for any value: the machine is
- *                        always decomposed into one shard per stack and
- *                        N only controls parallel shard execution.
- *                        Graph synthesis uses every usable CPU
- *                        whatever N is, with the same graphs.
  *   --mem-backend.ROLE=NAME[,key=val...]
  *                        memory backend per role (unit|ext|host), e.g.
  *                          --mem-backend.ext=frfcfs,queue=16
@@ -66,7 +60,7 @@
  *   --checkpoint-every=N snapshot every N completed epochs (default 1)
  *   --resume=FILE        restore machine state from a checkpoint and
  *                        continue; outputs are byte-identical to the
- *                        uninterrupted run at any --threads value
+ *                        uninterrupted run
  *   --stats-json=FILE    write headline metrics + every counter as JSON
  *   --telemetry=PREFIX   write PREFIX.metrics.jsonl (epoch time-series),
  *                        PREFIX.trace.json (Perfetto trace) and
@@ -135,8 +129,6 @@ constexpr const char* kUsage =
     "                      (--list-arrivals shows arrival processes)\n"
     "  --horizon=N         serving: last admissible arrival cycle\n"
     "                      (K/M/G suffixes)\n"
-    "  --threads=N         engine threads (same results for any N;\n"
-    "                      graph synthesis uses every usable CPU)\n"
     "  --mem-backend.ROLE=NAME[,key=val...]\n"
     "                      backend for ROLE in unit|ext|host\n"
     "                      (--list-mem-backends shows what is available)\n"
@@ -206,7 +198,6 @@ struct Options
     std::vector<std::string> tenantSpecs;
     std::uint64_t horizon = 0;
     bool horizonSet = false;
-    std::uint64_t threads = 1;
     /** Per-role backend selections; unset roles keep the defaults. */
     MemBackendConfig memBackendUnit;
     bool memBackendUnitSet = false;
@@ -455,12 +446,6 @@ parseArgs(int argc, char** argv)
                              "K/M/G suffixes allowed)");
             }
             opt.horizonSet = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            opt.threads = number("--threads=");
-            if (opt.threads == 0 || opt.threads > 1024) {
-                usageError("bad --threads: '" + value("--threads=")
-                           + "' (expected 1..1024)");
-            }
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             opt.checkpoint = value("--checkpoint=");
             if (opt.checkpoint.empty()) {
@@ -653,7 +638,6 @@ main(int argc, char** argv)
     cfg.unitsY = opt.unitsY;
     cfg.memType = opt.mem;
     cfg.unitCacheBytes = opt.cacheKb * 1024;
-    cfg.numThreads = static_cast<std::uint32_t>(opt.threads);
     if (opt.epoch != 0) {
         cfg.runtime.epochCycles = opt.epoch;
     }
