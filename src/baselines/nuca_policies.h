@@ -128,11 +128,7 @@ class NexusConfigurator : public JigsawConfigurator
     /** The globally chosen replication degree of the last epoch. */
     std::uint32_t lastDegree() const { return lastDegree_; }
 
-    void serialize(ckpt::Writer& w) const override
-    {
-        w.u32(lastDegree_);
-    }
-    void deserialize(ckpt::Reader& r) override { lastDegree_ = r.u32(); }
+    void checkpoint(ckpt::Archive& ar) override { ar.u32(lastDegree_); }
 
   private:
     std::uint32_t maxDegree_;

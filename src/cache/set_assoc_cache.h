@@ -71,44 +71,34 @@ class SetAssocCache
         return total == 0.0 ? 0.0 : static_cast<double>(hits_) / total;
     }
 
-    /** Checkpoint hooks (geometry is configuration; contents travel). */
+    /** Checkpoint pass (geometry is configuration; contents travel). */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(entries_.size());
-        for (const Entry& e : entries_) {
-            w.u64(e.key);
-            w.u64(e.lastUse);
-            w.b(e.valid);
-            w.b(e.dirty);
-        }
-        w.u64(useClock_);
-        w.u64(hits_);
-        w.u64(misses_);
-        w.u64(evictions_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n == entries_.size(), "cache geometry mismatch: ", n,
-                   " != ", entries_.size());
+        ar.expect(entries_.size(), "cache geometry mismatch");
         for (Entry& e : entries_) {
-            e.key = r.u64();
-            const std::uint64_t last_use = r.u64();
-            NDP_ASSERT(last_use < kUseClockLimit,
-                       "cache lastUse out of range: ", last_use);
-            e.lastUse = last_use;
-            e.valid = r.b();
-            e.dirty = r.b();
+            // Bit-fields bind no references: go through locals.
+            std::uint64_t last_use = e.lastUse;
+            bool valid = e.valid;
+            bool dirty = e.dirty;
+            ar.u64(e.key);
+            ar.u64(last_use);
+            ar.b(valid);
+            ar.b(dirty);
+            if (ar.loading()) {
+                NDP_ASSERT(last_use < kUseClockLimit,
+                           "cache lastUse out of range: ", last_use);
+                e.lastUse = last_use;
+                e.valid = valid;
+                e.dirty = dirty;
+            }
         }
-        useClock_ = r.u64();
+        ar.u64(useClock_);
         NDP_ASSERT(useClock_ < kUseClockLimit,
                    "cache use clock out of range: ", useClock_);
-        hits_ = r.u64();
-        misses_ = r.u64();
-        evictions_ = r.u64();
+        ar.u64(hits_);
+        ar.u64(misses_);
+        ar.u64(evictions_);
     }
 
   private:
@@ -163,8 +153,7 @@ class SramCache
     std::uint32_t lineBytes() const { return lineBytes_; }
     const SetAssocCache& tags() const { return tags_; }
 
-    void serialize(ckpt::Writer& w) const { tags_.serialize(w); }
-    void deserialize(ckpt::Reader& r) { tags_.deserialize(r); }
+    void checkpoint(ckpt::Archive& ar) { tags_.checkpoint(ar); }
 
   private:
     std::uint32_t lineBytes_;

@@ -22,8 +22,7 @@
 namespace ndpext {
 
 namespace ckpt {
-class Writer;
-class Reader;
+class Archive;
 } // namespace ckpt
 
 class AccessGenerator
@@ -67,13 +66,12 @@ class AccessGenerator
      * the number of successful next() calls need none of this: resume
      * replays them (NdpSystem). A generator that also accumulates
      * completion-side state (latency records, queues popped by
-     * onRetire) returns true from checkpointSelfContained() and
-     * restores *all* of its state in deserializeExtra(); NdpSystem then
-     * skips the access replay for it.
+     * onRetire) returns true from checkpointSelfContained() and names
+     * *all* of its state in checkpointExtra(); NdpSystem then skips the
+     * access replay for it.
      */
     virtual bool checkpointSelfContained() const { return false; }
-    virtual void serializeExtra(ckpt::Writer& w) const { (void)w; }
-    virtual void deserializeExtra(ckpt::Reader& r) { (void)r; }
+    virtual void checkpointExtra(ckpt::Archive& ar) { (void)ar; }
 };
 
 } // namespace ndpext

@@ -169,110 +169,63 @@ class InOrderCore
     const PacketPool& packetPool() const { return pool_; }
 
     /**
-     * Checkpoint hooks. MSHR slots keep only what later stall
+     * Checkpoint pass. MSHR slots keep only what later stall
      * attribution reads (owning sid + service breakdown); their packets
      * are re-acquired from the restored pool, which also reconstructs
      * the pool's inUse count.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(now_);
-        w.u64(accesses_);
-        w.u64(l1Hits_);
-        w.u64(computeCycles_);
-        w.u64(memStallCycles_);
-        w.u64(idleCycles_);
-        w.u64(stall_.metadata);
-        w.u64(stall_.icnIntra);
-        w.u64(stall_.icnInter);
-        w.u64(stall_.dramCache);
-        w.u64(stall_.extMem);
-        w.u64(stall_.mshrQueue);
-        w.vecU64(streamStall_);
-        w.u64(noStreamStall_);
-        l1d_.serialize(w);
-        pool_.serialize(w);
-        w.u64(mshr_.size());
-        for (const MshrSlot& slot : mshr_) {
-            w.u64(slot.free);
-            w.b(slot.pkt != nullptr);
-            if (slot.pkt != nullptr) {
-                w.u32(slot.pkt->sid);
-                w.u64(slot.pkt->bd.metadata);
-                w.u64(slot.pkt->bd.icnIntra);
-                w.u64(slot.pkt->bd.icnInter);
-                w.u64(slot.pkt->bd.dramCache);
-                w.u64(slot.pkt->bd.extMem);
-                w.u64(slot.pkt->bd.requests);
-            }
-        }
-        w.b(reqOpen_);
-        w.u32(req_.tenant);
-        w.u64(req_.arrival);
-        w.u64(req_.start);
-        w.u64(req_.queueWait);
-        w.u64(req_.compute);
-        w.u64(req_.l1);
-        w.u64(req_.metadata);
-        w.u64(req_.icnIntra);
-        w.u64(req_.icnInter);
-        w.u64(req_.dramCache);
-        w.u64(req_.extMem);
-        w.u64(req_.mshrQueue);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        now_ = r.u64();
-        accesses_ = r.u64();
-        l1Hits_ = r.u64();
-        computeCycles_ = r.u64();
-        memStallCycles_ = r.u64();
-        idleCycles_ = r.u64();
-        stall_.metadata = r.u64();
-        stall_.icnIntra = r.u64();
-        stall_.icnInter = r.u64();
-        stall_.dramCache = r.u64();
-        stall_.extMem = r.u64();
-        stall_.mshrQueue = r.u64();
-        streamStall_ = r.vecU64();
-        noStreamStall_ = r.u64();
-        l1d_.deserialize(r);
-        pool_.deserialize(r);
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n == mshr_.size(), "MSHR count mismatch");
+        ar.u64(now_);
+        ar.u64(accesses_);
+        ar.u64(l1Hits_);
+        ar.u64(computeCycles_);
+        ar.u64(memStallCycles_);
+        ar.u64(idleCycles_);
+        ar.u64(stall_.metadata);
+        ar.u64(stall_.icnIntra);
+        ar.u64(stall_.icnInter);
+        ar.u64(stall_.dramCache);
+        ar.u64(stall_.extMem);
+        ar.u64(stall_.mshrQueue);
+        ar.seq(streamStall_, [&](Cycles& c) { ar.u64(c); });
+        ar.u64(noStreamStall_);
+        l1d_.checkpoint(ar);
+        pool_.checkpoint(ar);
+        ar.expect(mshr_.size(), "MSHR count mismatch");
         for (MshrSlot& slot : mshr_) {
-            slot.free = r.u64();
-            slot.pkt = nullptr;
-            if (r.b()) {
-                slot.pkt = pool_.acquire();
-                slot.pkt->src = id_;
-                slot.pkt->sid = static_cast<StreamId>(r.u32());
-                slot.pkt->bd.metadata = r.u64();
-                slot.pkt->bd.icnIntra = r.u64();
-                slot.pkt->bd.icnInter = r.u64();
-                slot.pkt->bd.dramCache = r.u64();
-                slot.pkt->bd.extMem = r.u64();
-                slot.pkt->bd.requests = r.u64();
+            ar.u64(slot.free);
+            bool live = slot.pkt != nullptr;
+            ar.b(live);
+            if (ar.loading()) {
+                slot.pkt = live ? pool_.acquire() : nullptr;
+                if (live) {
+                    slot.pkt->src = id_;
+                }
+            }
+            if (live) {
+                ar.u32(slot.pkt->sid);
+                ar.bd(slot.pkt->bd);
             }
         }
-        reqOpen_ = r.b();
-        req_ = RequestTraceRecord{};
-        req_.core = id_;
-        req_.tenant = r.u32();
-        req_.arrival = r.u64();
-        req_.start = r.u64();
-        req_.queueWait = r.u64();
-        req_.compute = r.u64();
-        req_.l1 = r.u64();
-        req_.metadata = r.u64();
-        req_.icnIntra = r.u64();
-        req_.icnInter = r.u64();
-        req_.dramCache = r.u64();
-        req_.extMem = r.u64();
-        req_.mshrQueue = r.u64();
+        ar.b(reqOpen_);
+        if (ar.loading()) {
+            req_ = RequestTraceRecord{};
+            req_.core = id_;
+        }
+        ar.u32(req_.tenant);
+        ar.u64(req_.arrival);
+        ar.u64(req_.start);
+        ar.u64(req_.queueWait);
+        ar.u64(req_.compute);
+        ar.u64(req_.l1);
+        ar.u64(req_.metadata);
+        ar.u64(req_.icnIntra);
+        ar.u64(req_.icnInter);
+        ar.u64(req_.dramCache);
+        ar.u64(req_.extMem);
+        ar.u64(req_.mshrQueue);
     }
 
   private:

@@ -50,27 +50,26 @@ ReadyHeap::siftDownRoot()
 }
 
 void
-ReadyHeap::serialize(ckpt::Writer& w) const
+ReadyHeap::checkpoint(ckpt::Archive& ar,
+                      const std::vector<InOrderCore>& cores)
 {
-    std::vector<std::uint32_t> queued;
-    queued.reserve(heap_.size());
-    for (const Entry& e : heap_) {
-        queued.push_back(e.core);
+    ar.u64(steps_);
+    std::vector<CoreId> queued;
+    if (!ar.loading()) {
+        queued.reserve(heap_.size());
+        for (const Entry& e : heap_) {
+            queued.push_back(e.core);
+        }
+        std::sort(queued.begin(), queued.end());
     }
-    std::sort(queued.begin(), queued.end());
-    w.u64(steps_);
-    w.vecU32(queued);
-}
-
-void
-ReadyHeap::deserialize(ckpt::Reader& r, const std::vector<InOrderCore>& cores)
-{
-    heap_.clear();
-    steps_ = r.u64();
-    for (const std::uint32_t c : r.vecU32()) {
-        NDP_ASSERT(c < cores.size(), "checkpoint queues nonexistent core ",
-                   c);
-        push(cores[c]);
+    ar.seq(queued, [&](CoreId& c) { ar.u32(c); });
+    if (ar.loading()) {
+        heap_.clear();
+        for (const CoreId c : queued) {
+            NDP_ASSERT(c < cores.size(), "checkpoint queues nonexistent core ",
+                       c);
+            push(cores[c]);
+        }
     }
 }
 

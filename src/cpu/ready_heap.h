@@ -41,12 +41,11 @@ class ReadyHeap
     std::uint64_t steps() const { return steps_; }
 
     /**
-     * Checkpoint hooks: the step count and the queued core ids in
-     * ascending order. A key is its core's cycle, so deserialize()
-     * rebuilds the keys from the already-restored cores.
+     * Checkpoint pass: the step count and the queued core ids in
+     * ascending order. A key is its core's cycle, so loading rebuilds
+     * the keys from the already-restored cores.
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r, const std::vector<InOrderCore>& cores);
+    void checkpoint(ckpt::Archive& ar, const std::vector<InOrderCore>& cores);
 
   private:
     struct Entry

@@ -112,19 +112,4 @@ ExtendedMemory::counters(Counters& out, const std::string& prefix) const
     dram_->counters(out, prefix + ".dram");
 }
 
-void
-ExtendedMemory::reset()
-{
-    dram_->reset();
-    link_.reset();
-    stream_.clear();
-    noStream_ = StreamCounters{};
-    accesses_ = 0;
-    linkEnergyNj_ = 0.0;
-    linkBytes_ = 0;
-    linkRetries_ = 0;
-    retriesExhausted_ = 0;
-    poisonedReads_ = 0;
-}
-
 } // namespace ndpext

@@ -129,51 +129,21 @@ class ExtendedMemory
 
     /** Declare the link and device counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;
-    void reset();
 
-    /** Checkpoint hooks (link/DRAM parameters are configuration). */
+    /** Checkpoint pass (link/DRAM parameters are configuration). */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        dram_->serialize(w);
-        link_.serialize(w);
-        w.u64(stream_.size());
-        for (const StreamCounters& c : stream_) {
-            w.u64(c.linkBytes);
-            w.u64(c.dramBytes);
-            w.u64(c.dramActivations);
-        }
-        w.u64(noStream_.linkBytes);
-        w.u64(noStream_.dramBytes);
-        w.u64(noStream_.dramActivations);
-        w.u64(accesses_);
-        w.d(linkEnergyNj_);
-        w.u64(linkBytes_);
-        w.u64(linkRetries_);
-        w.u64(retriesExhausted_);
-        w.u64(poisonedReads_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        dram_->deserialize(r);
-        link_.deserialize(r);
-        stream_.assign(r.u64(), StreamCounters{});
-        for (StreamCounters& c : stream_) {
-            c.linkBytes = r.u64();
-            c.dramBytes = r.u64();
-            c.dramActivations = r.u64();
-        }
-        noStream_.linkBytes = r.u64();
-        noStream_.dramBytes = r.u64();
-        noStream_.dramActivations = r.u64();
-        accesses_ = r.u64();
-        linkEnergyNj_ = r.d();
-        linkBytes_ = r.u64();
-        linkRetries_ = r.u64();
-        retriesExhausted_ = r.u64();
-        poisonedReads_ = r.u64();
+        dram_->checkpoint(ar);
+        link_.checkpoint(ar);
+        ar.seq(stream_, [&](StreamCounters& c) { c.checkpoint(ar); });
+        noStream_.checkpoint(ar);
+        ar.u64(accesses_);
+        ar.d(linkEnergyNj_);
+        ar.u64(linkBytes_);
+        ar.u64(linkRetries_);
+        ar.u64(retriesExhausted_);
+        ar.u64(poisonedReads_);
     }
 
   private:
@@ -183,6 +153,14 @@ class ExtendedMemory
         std::uint64_t linkBytes = 0;
         std::uint64_t dramBytes = 0;
         std::uint64_t dramActivations = 0;
+
+        void
+        checkpoint(ckpt::Archive& ar)
+        {
+            ar.u64(linkBytes);
+            ar.u64(dramBytes);
+            ar.u64(dramActivations);
+        }
     };
 
     const StreamCounters&

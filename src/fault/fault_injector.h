@@ -27,7 +27,6 @@
 #ifndef NDPEXT_FAULT_FAULT_INJECTOR_H
 #define NDPEXT_FAULT_FAULT_INJECTOR_H
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -145,71 +144,25 @@ class FaultInjector
     void counters(Counters& out, const std::string& prefix) const;
 
     /**
-     * Checkpoint hooks. The schedule itself is configuration; RNG
+     * Checkpoint pass. The schedule itself is configuration; RNG
      * streams, the fired/poisoned sets (sorted for byte determinism)
      * and the schedule cursor travel.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        std::uint64_t s[4];
-        linkRng_.state(s);
-        for (int i = 0; i < 4; ++i) {
-            w.u64(s[i]);
-        }
-        poisonRng_.state(s);
-        for (int i = 0; i < 4; ++i) {
-            w.u64(s[i]);
-        }
-        dramRng_.state(s);
-        for (int i = 0; i < 4; ++i) {
-            w.u64(s[i]);
-        }
-        std::vector<std::uint64_t> lines(poisonedLines_.begin(),
-                                         poisonedLines_.end());
-        std::sort(lines.begin(), lines.end());
-        w.vecU64(lines);
-        std::vector<std::uint32_t> failed(failed_.begin(), failed_.end());
-        std::sort(failed.begin(), failed.end());
-        w.vecU32(failed);
-        w.u64(nextFailure_);
-        w.u64(firstFailureAt_);
-        w.u64(linkErrors_);
-        w.u64(linesPoisoned_);
-        w.u64(dramFaults_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        std::uint64_t s[4];
-        for (int i = 0; i < 4; ++i) {
-            s[i] = r.u64();
-        }
-        linkRng_.setState(s);
-        for (int i = 0; i < 4; ++i) {
-            s[i] = r.u64();
-        }
-        poisonRng_.setState(s);
-        for (int i = 0; i < 4; ++i) {
-            s[i] = r.u64();
-        }
-        dramRng_.setState(s);
-        poisonedLines_.clear();
-        for (const std::uint64_t line : r.vecU64()) {
-            poisonedLines_.insert(line);
-        }
-        failed_.clear();
-        for (const std::uint32_t unit : r.vecU32()) {
-            failed_.insert(static_cast<UnitId>(unit));
-        }
-        nextFailure_ = r.u64();
+        ar.rng(linkRng_);
+        ar.rng(poisonRng_);
+        ar.rng(dramRng_);
+        ar.map(poisonedLines_, [&](Addr& line) { ar.u64(line); });
+        ar.map(failed_, [&](UnitId& unit) { ar.u32(unit); });
+        ar.u64(nextFailure_);
         NDP_ASSERT(nextFailure_ <= params_.unitFailures.size(),
                    "failure cursor out of range");
-        firstFailureAt_ = r.u64();
-        linkErrors_ = r.u64();
-        linesPoisoned_ = r.u64();
-        dramFaults_ = r.u64();
+        ar.u64(firstFailureAt_);
+        ar.u64(linkErrors_);
+        ar.u64(linesPoisoned_);
+        ar.u64(dramFaults_);
     }
 
   private:

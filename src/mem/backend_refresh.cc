@@ -145,54 +145,22 @@ RefreshDramBackend::counters(Counters& out, const std::string& prefix) const
 }
 
 void
-RefreshDramBackend::reset()
+RefreshDramBackend::checkpoint(ckpt::Archive& ar)
 {
-    for (auto& bank : banks_) {
-        bank = Bank{};
-    }
-    refreshStalls_ = refreshStallCycles_ = 0;
-    pdWakes_ = srWakes_ = 0;
-    pdResidencyCycles_ = srResidencyCycles_ = 0;
-    MemBackend::reset();
-}
-
-void
-RefreshDramBackend::serialize(ckpt::Writer& w) const
-{
-    w.u64(banks_.size());
-    for (const Bank& b : banks_) {
-        w.u64(static_cast<std::uint64_t>(b.openRow));
-        w.u64(b.lastDone);
-        w.u64(b.lastRefreshIndex);
-        b.busy.serialize(w);
-    }
-    serializeCounters(w);
-    w.u64(refreshStalls_);
-    w.u64(refreshStallCycles_);
-    w.u64(pdWakes_);
-    w.u64(srWakes_);
-    w.u64(pdResidencyCycles_);
-    w.u64(srResidencyCycles_);
-}
-
-void
-RefreshDramBackend::deserialize(ckpt::Reader& r)
-{
-    const std::uint64_t n = r.u64();
-    NDP_ASSERT(n == banks_.size(), "refresh bank count mismatch");
+    ar.expect(banks_.size(), "refresh bank count mismatch");
     for (Bank& b : banks_) {
-        b.openRow = static_cast<std::int64_t>(r.u64());
-        b.lastDone = r.u64();
-        b.lastRefreshIndex = r.u64();
-        b.busy.deserialize(r);
+        ar.u64(b.openRow);
+        ar.u64(b.lastDone);
+        ar.u64(b.lastRefreshIndex);
+        b.busy.checkpoint(ar);
     }
-    deserializeCounters(r);
-    refreshStalls_ = r.u64();
-    refreshStallCycles_ = r.u64();
-    pdWakes_ = r.u64();
-    srWakes_ = r.u64();
-    pdResidencyCycles_ = r.u64();
-    srResidencyCycles_ = r.u64();
+    MemBackend::checkpoint(ar);
+    ar.u64(refreshStalls_);
+    ar.u64(refreshStallCycles_);
+    ar.u64(pdWakes_);
+    ar.u64(srWakes_);
+    ar.u64(pdResidencyCycles_);
+    ar.u64(srResidencyCycles_);
 }
 
 } // namespace ndpext

@@ -48,10 +48,7 @@ class RefreshDramBackend : public MemBackend
 
     void counters(Counters& out, const std::string& prefix) const override;
 
-    void reset() override;
-
-    void serialize(ckpt::Writer& w) const override;
-    void deserialize(ckpt::Reader& r) override;
+    void checkpoint(ckpt::Archive& ar) override;
 
     Cycles refiCycles() const { return refiCycles_; }
     Cycles rfcCycles() const { return rfcCycles_; }

@@ -141,59 +141,24 @@ SchedDramBackend::counters(Counters& out, const std::string& prefix) const
 }
 
 void
-SchedDramBackend::reset()
+SchedDramBackend::checkpoint(ckpt::Archive& ar)
 {
-    for (auto& bank : banks_) {
-        bank = Bank{};
-    }
-    queueFullStalls_ = queueStallCycles_ = starvationRounds_ = 0;
-    queueOccupancySum_ = queueSamples_ = 0;
-    MemBackend::reset();
-}
-
-void
-SchedDramBackend::serialize(ckpt::Writer& w) const
-{
-    w.u64(banks_.size());
-    for (const Bank& b : banks_) {
-        w.u64(static_cast<std::uint64_t>(b.openRow));
-        w.u32(b.hitStreak);
-        w.u64(b.queue.size());
-        for (const Pending& p : b.queue) {
-            w.u64(p.row);
-            w.u64(p.done);
-        }
-        b.busy.serialize(w);
-    }
-    serializeCounters(w);
-    w.u64(queueFullStalls_);
-    w.u64(queueStallCycles_);
-    w.u64(starvationRounds_);
-    w.u64(queueOccupancySum_);
-    w.u64(queueSamples_);
-}
-
-void
-SchedDramBackend::deserialize(ckpt::Reader& r)
-{
-    const std::uint64_t n = r.u64();
-    NDP_ASSERT(n == banks_.size(), "scheduler bank count mismatch");
+    ar.expect(banks_.size(), "scheduler bank count mismatch");
     for (Bank& b : banks_) {
-        b.openRow = static_cast<std::int64_t>(r.u64());
-        b.hitStreak = r.u32();
-        b.queue.resize(r.u64());
-        for (Pending& p : b.queue) {
-            p.row = r.u64();
-            p.done = r.u64();
-        }
-        b.busy.deserialize(r);
+        ar.u64(b.openRow);
+        ar.u32(b.hitStreak);
+        ar.seq(b.queue, [&](Pending& p) {
+            ar.u64(p.row);
+            ar.u64(p.done);
+        });
+        b.busy.checkpoint(ar);
     }
-    deserializeCounters(r);
-    queueFullStalls_ = r.u64();
-    queueStallCycles_ = r.u64();
-    starvationRounds_ = r.u64();
-    queueOccupancySum_ = r.u64();
-    queueSamples_ = r.u64();
+    MemBackend::checkpoint(ar);
+    ar.u64(queueFullStalls_);
+    ar.u64(queueStallCycles_);
+    ar.u64(starvationRounds_);
+    ar.u64(queueOccupancySum_);
+    ar.u64(queueSamples_);
 }
 
 } // namespace ndpext

@@ -57,10 +57,7 @@ class SchedDramBackend : public MemBackend
 
     void counters(Counters& out, const std::string& prefix) const override;
 
-    void reset() override;
-
-    void serialize(ckpt::Writer& w) const override;
-    void deserialize(ckpt::Reader& r) override;
+    void checkpoint(ckpt::Archive& ar) override;
 
     std::uint32_t queueDepth() const { return queueDepth_; }
     std::uint32_t starvationCap() const { return starvationCap_; }

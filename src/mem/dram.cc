@@ -58,13 +58,4 @@ DramDevice::accessRow(std::uint32_t bank_idx, std::uint64_t row,
     return DramResult{start + lat + burst, hit};
 }
 
-void
-DramDevice::reset()
-{
-    for (auto& bank : banks_) {
-        bank = Bank{};
-    }
-    MemBackend::reset();
-}
-
 } // namespace ndpext

@@ -50,30 +50,15 @@ class DramDevice : public MemBackend
                          std::uint32_t bytes, bool is_write,
                          Cycles now) override;
 
-    void reset() override;
-
-    /** Checkpoint hooks (timing parameters are configuration). */
     void
-    serialize(ckpt::Writer& w) const override
+    checkpoint(ckpt::Archive& ar) override
     {
-        w.u64(banks_.size());
-        for (const Bank& b : banks_) {
-            w.u64(static_cast<std::uint64_t>(b.openRow));
-            b.busy.serialize(w);
-        }
-        serializeCounters(w);
-    }
-
-    void
-    deserialize(ckpt::Reader& r) override
-    {
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n == banks_.size(), "DRAM bank count mismatch");
+        ar.expect(banks_.size(), "DRAM bank count mismatch");
         for (Bank& b : banks_) {
-            b.openRow = static_cast<std::int64_t>(r.u64());
-            b.busy.deserialize(r);
+            ar.u64(b.openRow);
+            b.busy.checkpoint(ar);
         }
-        deserializeCounters(r);
+        MemBackend::checkpoint(ar);
     }
 
   private:

@@ -319,30 +319,13 @@ MemBackend::counters(Counters& out, const std::string& prefix) const
 }
 
 void
-MemBackend::reset()
+MemBackend::checkpoint(ckpt::Archive& ar)
 {
-    rowHits_ = rowMisses_ = activations_ = 0;
-    bytesRead_ = bytesWritten_ = 0;
-}
-
-void
-MemBackend::serializeCounters(ckpt::Writer& w) const
-{
-    w.u64(rowHits_);
-    w.u64(rowMisses_);
-    w.u64(activations_);
-    w.u64(bytesRead_);
-    w.u64(bytesWritten_);
-}
-
-void
-MemBackend::deserializeCounters(ckpt::Reader& r)
-{
-    rowHits_ = r.u64();
-    rowMisses_ = r.u64();
-    activations_ = r.u64();
-    bytesRead_ = r.u64();
-    bytesWritten_ = r.u64();
+    ar.u64(rowHits_);
+    ar.u64(rowMisses_);
+    ar.u64(activations_);
+    ar.u64(bytesRead_);
+    ar.u64(bytesWritten_);
 }
 
 } // namespace ndpext

@@ -17,7 +17,7 @@
  *  - Determinism: access timing is a pure function of the request
  *    sequence; no wall clock, no unseeded randomness, so results are
  *    bit-identical across runs.
- *  - Checkpointing: serialize()/deserialize() capture all mutable state;
+ *  - Checkpointing: one checkpoint() pass names all mutable state;
  *    the backend name is part of the system config hash, so resuming a
  *    checkpoint under a different backend is rejected up front.
  *  - Counters: one counters() override declares the backend's own
@@ -237,17 +237,14 @@ class MemBackend
      */
     virtual void counters(Counters& out, const std::string& prefix) const;
 
-    virtual void reset();
-
-    /** Checkpoint hooks (timing parameters are configuration). */
-    virtual void serialize(ckpt::Writer& w) const = 0;
-    virtual void deserialize(ckpt::Reader& r) = 0;
+    /**
+     * Checkpoint pass (timing parameters are configuration). Every
+     * backend overrides it and calls this base definition, which names
+     * the common traffic counters, after its banks.
+     */
+    virtual void checkpoint(ckpt::Archive& ar) = 0;
 
   protected:
-    /** Shared counter section of serialize()/deserialize(). */
-    void serializeCounters(ckpt::Writer& w) const;
-    void deserializeCounters(ckpt::Reader& r);
-
     DramTimingParams params_;
     Cycles rcdCycles_;
     Cycles casCycles_;

@@ -380,71 +380,41 @@ StreamRemapTable::survivingRows(StreamId sid) const
 }
 
 void
-StreamRemapTable::serialize(ckpt::Writer& w) const
+StreamRemapTable::checkpoint(ckpt::Archive& ar, const NocModel& noc)
 {
-    w.u64(entries_.size());
-    for (const Entry& e : entries_) {
-        w.b(e.valid);
-        if (!e.valid) {
-            continue;
-        }
-        w.vecU32(e.alloc.shareRows);
-        w.vecU32(e.alloc.rowBase);
-        w.u64(e.alloc.groupOf.size());
-        for (const std::uint16_t g : e.alloc.groupOf) {
-            w.u32(g);
-        }
-        w.u32(e.alloc.numGroups);
-        w.u32(e.granuleBytes);
-        w.d(e.survivalFraction);
-        w.u64(e.surviving.size());
-        for (const SurvivingRow& s : e.surviving) {
-            w.u32(s.unit);
-            w.u32(s.oldRowOffset);
-            w.u32(s.newRowOffset);
-        }
+    if (ar.loading()) {
+        std::fill(usedRows_.begin(), usedRows_.end(), 0);
     }
-}
-
-void
-StreamRemapTable::deserialize(ckpt::Reader& r, const NocModel& noc)
-{
-    const std::uint64_t n = r.u64();
-    entries_.assign(n, Entry());
-    std::fill(usedRows_.begin(), usedRows_.end(), 0);
-    for (std::size_t sid = 0; sid < entries_.size(); ++sid) {
-        Entry& e = entries_[sid];
-        e.valid = r.b();
+    StreamId sid = 0;
+    ar.seq(entries_, [&](Entry& e) {
+        const StreamId id = sid++;
+        ar.b(e.valid);
         if (!e.valid) {
-            continue;
+            return;
         }
-        e.alloc = StreamAlloc(numUnits_);
-        e.alloc.shareRows = r.vecU32();
-        e.alloc.rowBase = r.vecU32();
-        const std::uint64_t gn = r.u64();
-        e.alloc.groupOf.assign(gn, 0);
-        for (std::uint16_t& g : e.alloc.groupOf) {
-            g = static_cast<std::uint16_t>(r.u32());
-        }
-        e.alloc.numGroups = static_cast<std::uint16_t>(r.u32());
-        NDP_ASSERT(e.alloc.shareRows.size() == numUnits_
-                       && e.alloc.rowBase.size() == numUnits_
-                       && e.alloc.groupOf.size() == numUnits_,
+        StreamAlloc& a = e.alloc;
+        ar.seq(a.shareRows, [&](std::uint32_t& rows) { ar.u32(rows); });
+        ar.seq(a.rowBase, [&](std::uint32_t& row) { ar.u32(row); });
+        ar.seq(a.groupOf, [&](std::uint16_t& g) { ar.u32(g); });
+        ar.u32(a.numGroups);
+        NDP_ASSERT(a.shareRows.size() == numUnits_
+                       && a.rowBase.size() == numUnits_
+                       && a.groupOf.size() == numUnits_,
                    "remap allocation unit-count mismatch");
-        e.granuleBytes = r.u32();
-        e.survivalFraction = r.d();
-        const std::uint64_t sn = r.u64();
-        e.surviving.assign(sn, SurvivingRow{});
-        for (SurvivingRow& s : e.surviving) {
-            s.unit = static_cast<UnitId>(r.u32());
-            s.oldRowOffset = r.u32();
-            s.newRowOffset = r.u32();
+        ar.u32(e.granuleBytes);
+        ar.d(e.survivalFraction);
+        ar.seq(e.surviving, [&](SurvivingRow& row) {
+            ar.u32(row.unit);
+            ar.u32(row.oldRowOffset);
+            ar.u32(row.newRowOffset);
+        });
+        if (ar.loading()) {
+            buildViews(e, id, noc);
+            for (UnitId u = 0; u < numUnits_; ++u) {
+                usedRows_[u] += a.shareRows[u];
+            }
         }
-        buildViews(e, static_cast<StreamId>(sid), noc);
-        for (UnitId u = 0; u < numUnits_; ++u) {
-            usedRows_[u] += e.alloc.shareRows[u];
-        }
-    }
+    });
 }
 
 } // namespace ndpext

@@ -151,13 +151,12 @@ class StreamRemapTable
     const std::vector<SurvivingRow>& survivingRows(StreamId sid) const;
 
     /**
-     * Checkpoint hooks. Only the authoritative per-stream allocations
+     * Checkpoint pass. Only the authoritative per-stream allocations
      * travel; group views, serving maps and usedRows_ are rebuilt
      * deterministically by buildViews() at restore (it sorts by spot
      * hash / unit id, so the rebuilt views are byte-identical).
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r, const NocModel& noc);
+    void checkpoint(ckpt::Archive& ar, const NocModel& noc);
 
   private:
     struct GroupView

@@ -65,43 +65,28 @@ class Slb
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Checkpoint hooks (capacity/latencies are configuration). */
+    /** Checkpoint pass (capacity/latencies are configuration). */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(entries_.size());
-        for (const Entry& e : entries_) {
-            w.u32(e.sid);
-            w.u64(e.lastUse);
-            w.b(e.valid);
+        ar.expect(entries_.size(), "SLB capacity mismatch");
+        for (Entry& e : entries_) {
+            ar.u32(e.sid);
+            ar.u64(e.lastUse);
+            ar.b(e.valid);
         }
         // lastHit_ as an index so the memoized fast path survives.
-        std::uint64_t last = ~std::uint64_t{0};
-        if (lastHit_ != nullptr) {
-            last = static_cast<std::uint64_t>(lastHit_ - entries_.data());
+        std::uint64_t last = lastHit_ == nullptr
+            ? ~std::uint64_t{0}
+            : static_cast<std::uint64_t>(lastHit_ - entries_.data());
+        ar.u64(last);
+        if (ar.loading()) {
+            lastHit_ =
+                last < entries_.size() ? entries_.data() + last : nullptr;
         }
-        w.u64(last);
-        w.u64(useClock_);
-        w.u64(hits_);
-        w.u64(misses_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n == entries_.size(), "SLB capacity mismatch");
-        for (Entry& e : entries_) {
-            e.sid = static_cast<StreamId>(r.u32());
-            e.lastUse = r.u64();
-            e.valid = r.b();
-        }
-        const std::uint64_t last = r.u64();
-        lastHit_ =
-            last < entries_.size() ? entries_.data() + last : nullptr;
-        useClock_ = r.u64();
-        hits_ = r.u64();
-        misses_ = r.u64();
+        ar.u64(useClock_);
+        ar.u64(hits_);
+        ar.u64(misses_);
     }
 
   private:

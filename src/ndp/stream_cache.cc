@@ -910,165 +910,61 @@ StreamCacheController::counters(Counters& out, const std::string& prefix) const
     }
 }
 
-namespace {
-
 void
-writeBd(ckpt::Writer& w, const LatencyBreakdown& bd)
+StreamCacheController::checkpoint(ckpt::Archive& ar)
 {
-    w.u64(bd.metadata);
-    w.u64(bd.icnIntra);
-    w.u64(bd.icnInter);
-    w.u64(bd.dramCache);
-    w.u64(bd.extMem);
-    w.u64(bd.requests);
-}
-
-void
-readBd(ckpt::Reader& r, LatencyBreakdown& bd)
-{
-    bd.metadata = r.u64();
-    bd.icnIntra = r.u64();
-    bd.icnInter = r.u64();
-    bd.dramCache = r.u64();
-    bd.extMem = r.u64();
-    bd.requests = r.u64();
-}
-
-/** A tag store with its geometry, so restore can reconstruct it. */
-void
-writeStore(ckpt::Writer& w, const TagStore& ts)
-{
-    w.u32(ts.numWays());
-    w.u64(ts.numSets() * ts.numWays()); // slots, the ctor argument
-    ts.serialize(w);
-}
-
-TagStore
-readStore(ckpt::Reader& r)
-{
-    const std::uint32_t ways = r.u32();
-    const std::uint64_t slots = r.u64();
-    TagStore ts(slots, ways);
-    ts.deserialize(r);
-    return ts;
-}
-
-} // namespace
-
-void
-StreamCacheController::serialize(ckpt::Writer& w) const
-{
-    w.section(0x0CAC);
-    remap_.serialize(w);
-    w.u64(units_.size());
-    for (const auto& unit : units_) {
-        unit->dram->serialize(w);
-        unit->slb.serialize(w);
-        unit->samplers.serialize(w);
-        std::vector<StreamId> sids;
-        sids.reserve(unit->stores.size());
-        for (const auto& [sid, ts] : unit->stores) {
-            (void)ts;
-            sids.push_back(sid);
-        }
-        std::sort(sids.begin(), sids.end());
-        w.u64(sids.size());
-        for (const StreamId sid : sids) {
-            w.u32(sid);
-            writeStore(w, unit->stores.at(sid));
-        }
-        w.b(unit->metaCache != nullptr);
-        if (unit->metaCache != nullptr) {
-            unit->metaCache->serialize(w);
-        }
-    }
-    w.vecB(unitFailed_);
-    writeBd(w, bd_);
-    w.u64(hits_);
-    w.u64(misses_);
-    w.u64(uncached_);
-    w.u64(bypasses_);
-    w.u64(writeExceptions_);
-    w.u64(wayPredictions_);
-    w.u64(wayMispredictions_);
-    w.u64(writebacks_);
-    w.u64(failedRedirects_);
-    w.u64(dramFaults_);
-    w.u64(poisonEscalations_);
-    w.d(sramEnergyNj_);
-    w.vecU64(streamHits_);
-    w.vecU64(streamMisses_);
-    w.u64(streamBd_.size());
-    for (const LatencyBreakdown& bd : streamBd_) {
-        writeBd(w, bd);
-    }
-    writeBd(w, noStreamBd_);
-    w.u64(streamCost_.size());
-    for (const StreamCost& c : streamCost_) {
-        c.serialize(w);
-    }
-    noStreamCost_.serialize(w);
-    pool_.serialize(w);
-    w.u64(invalidatedRows_);
-    w.u64(survivedRows_);
-}
-
-void
-StreamCacheController::deserialize(ckpt::Reader& r)
-{
-    r.section(0x0CAC);
-    remap_.deserialize(r, noc_);
-    const std::uint64_t nunits = r.u64();
-    NDP_ASSERT(nunits == units_.size(), "checkpoint unit-count mismatch");
+    ar.section(0x0CAC);
+    remap_.checkpoint(ar, noc_);
+    ar.expect(units_.size(), "checkpoint unit-count mismatch");
     for (auto& unit : units_) {
-        unit->dram->deserialize(r);
-        unit->slb.deserialize(r);
-        unit->samplers.deserialize(r);
-        unit->stores.clear();
-        const std::uint64_t nstores = r.u64();
-        for (std::uint64_t i = 0; i < nstores; ++i) {
-            const StreamId sid = static_cast<StreamId>(r.u32());
-            unit->stores.emplace(sid, readStore(r));
-        }
-        const bool has_meta = r.b();
-        NDP_ASSERT(has_meta == (unit->metaCache != nullptr),
-                   "metadata-cache mode mismatch");
-        if (has_meta) {
-            unit->metaCache->deserialize(r);
+        unit->dram->checkpoint(ar);
+        unit->slb.checkpoint(ar);
+        unit->samplers.checkpoint(ar);
+        ar.map(unit->stores, [&](StreamId& sid, TagStore& ts) {
+            ar.u32(sid);
+            std::uint32_t ways = ts.numWays();
+            std::uint64_t slots = ts.numSets() * ts.numWays();
+            ar.u32(ways);
+            ar.count(slots);
+            if (ar.loading()) {
+                ts = TagStore(slots, ways);
+            }
+            ts.checkpoint(ar);
+        });
+        ar.expectFlag(unit->metaCache != nullptr,
+                      "metadata-cache mode mismatch");
+        if (unit->metaCache != nullptr) {
+            unit->metaCache->checkpoint(ar);
         }
     }
-    unitFailed_ = r.vecB();
+    ar.seq(unitFailed_, [&](bool& failed) { ar.b(failed); });
     NDP_ASSERT(unitFailed_.size() == units_.size());
-    readBd(r, bd_);
-    hits_ = r.u64();
-    misses_ = r.u64();
-    uncached_ = r.u64();
-    bypasses_ = r.u64();
-    writeExceptions_ = r.u64();
-    wayPredictions_ = r.u64();
-    wayMispredictions_ = r.u64();
-    writebacks_ = r.u64();
-    failedRedirects_ = r.u64();
-    dramFaults_ = r.u64();
-    poisonEscalations_ = r.u64();
-    sramEnergyNj_ = r.d();
-    streamHits_ = r.vecU64();
-    streamMisses_ = r.vecU64();
-    streamBd_.assign(r.u64(), LatencyBreakdown{});
-    for (LatencyBreakdown& bd : streamBd_) {
-        readBd(r, bd);
+    ar.bd(bd_);
+    ar.u64(hits_);
+    ar.u64(misses_);
+    ar.u64(uncached_);
+    ar.u64(bypasses_);
+    ar.u64(writeExceptions_);
+    ar.u64(wayPredictions_);
+    ar.u64(wayMispredictions_);
+    ar.u64(writebacks_);
+    ar.u64(failedRedirects_);
+    ar.u64(dramFaults_);
+    ar.u64(poisonEscalations_);
+    ar.d(sramEnergyNj_);
+    ar.seq(streamHits_, [&](std::uint64_t& n) { ar.u64(n); });
+    ar.seq(streamMisses_, [&](std::uint64_t& n) { ar.u64(n); });
+    ar.seq(streamBd_, [&](LatencyBreakdown& bd) { ar.bd(bd); });
+    ar.bd(noStreamBd_);
+    ar.seq(streamCost_, [&](StreamCost& c) { c.checkpoint(ar); });
+    noStreamCost_.checkpoint(ar);
+    pool_.checkpoint(ar);
+    if (ar.loading()) {
+        // Every memoized TagStore* referenced pre-restore storage.
+        dropStoreMemo();
     }
-    readBd(r, noStreamBd_);
-    streamCost_.assign(r.u64(), StreamCost{});
-    for (StreamCost& c : streamCost_) {
-        c.deserialize(r);
-    }
-    noStreamCost_.deserialize(r);
-    pool_.deserialize(r);
-    // Every memoized TagStore* referenced pre-restore storage.
-    dropStoreMemo();
-    invalidatedRows_ = r.u64();
-    survivedRows_ = r.u64();
+    ar.u64(invalidatedRows_);
+    ar.u64(survivedRows_);
 }
 
 } // namespace ndpext

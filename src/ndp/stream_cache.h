@@ -269,14 +269,13 @@ class StreamCacheController : public MemSink
     void counters(Counters& out, const std::string& prefix) const;
 
     /**
-     * Checkpoint hooks (epoch barriers only). Tag stores are written in
+     * Checkpoint pass (epoch barriers only). Tag stores are written in
      * sorted (unit, sid) order with their geometry so restore can
      * reconstruct stores that applyConfiguration never built in this
-     * process. The NoC/CXL/fault models are serialized by their owner
+     * process. The NoC/CXL/fault models are checkpointed by their owner
      * (NdpSystem), not here.
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     struct UnitState
@@ -318,21 +317,12 @@ class StreamCacheController : public MemSink
         std::uint64_t dramActivations = 0;
 
         void
-        serialize(ckpt::Writer& w) const
+        checkpoint(ckpt::Archive& ar)
         {
-            w.u64(slbLookups);
-            w.u64(ataLookups);
-            w.u64(dramBytes);
-            w.u64(dramActivations);
-        }
-
-        void
-        deserialize(ckpt::Reader& r)
-        {
-            slbLookups = r.u64();
-            ataLookups = r.u64();
-            dramBytes = r.u64();
-            dramActivations = r.u64();
+            ar.u64(slbLookups);
+            ar.u64(ataLookups);
+            ar.u64(dramBytes);
+            ar.u64(dramActivations);
         }
     };
 

@@ -30,7 +30,7 @@ class TagStore
     /** Tags are stored as key+1 in 32 bits; 0 means empty. */
     static constexpr std::uint64_t kMaxKey = 0xfffffffdULL;
 
-    TagStore(std::uint64_t slots, std::uint32_t ways = 1)
+    explicit TagStore(std::uint64_t slots = 0, std::uint32_t ways = 1)
         : ways_(ways), sets_(ways == 0 ? 0 : slots / ways),
           tags_(sets_ * ways, 0), dirty_(sets_ * ways, false)
     {
@@ -180,28 +180,19 @@ class TagStore
      * and the restored store must match the stored geometry exactly.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u32(ways_);
-        w.u64(sets_);
-        w.vecU32(tags_);
-        w.vecB(dirty_);
-        w.vecU32(use_);
-        w.u32(useClock_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        const std::uint32_t ways = r.u32();
-        const std::uint64_t sets = r.u64();
+        std::uint32_t ways = ways_;
+        std::uint64_t sets = sets_;
+        ar.u32(ways);
+        ar.u64(sets);
         NDP_ASSERT(ways == ways_ && sets == sets_,
                    "tag store geometry mismatch: ", sets, "x", ways,
                    " != ", sets_, "x", ways_);
-        tags_ = r.vecU32();
-        dirty_ = r.vecB();
-        use_ = r.vecU32();
-        useClock_ = r.u32();
+        ar.seq(tags_, [&](std::uint32_t& t) { ar.u32(t); });
+        ar.seq(dirty_, [&](bool& d) { ar.b(d); });
+        ar.seq(use_, [&](std::uint32_t& u) { ar.u32(u); });
+        ar.u32(useClock_);
         NDP_ASSERT(tags_.size() == sets_ * ways_
                    && dirty_.size() == tags_.size());
     }

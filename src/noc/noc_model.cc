@@ -230,21 +230,4 @@ NocModel::counters(Counters& out, const std::string& prefix) const
     add("interHopBytes", [this] { return double(interHopBytes_); });
 }
 
-void
-NocModel::reset()
-{
-    for (auto& stack_links : links_) {
-        for (auto& link : stack_links) {
-            link.reset();
-        }
-    }
-    energyNj_ = 0.0;
-    streamEnergyNj_.clear();
-    noStreamEnergyNj_ = 0.0;
-    transfers_ = 0;
-    totalCycles_ = 0;
-    intraHopBytes_ = 0;
-    interHopBytes_ = 0;
-}
-
 } // namespace ndpext

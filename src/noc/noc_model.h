@@ -117,47 +117,25 @@ class NocModel
 
     /** Declare the NoC counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;
-    void reset();
 
-    /** Checkpoint hooks (topology/routes are configuration). */
+    /** Checkpoint pass (topology/routes are configuration). */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(links_.size());
-        for (const auto& dirs : links_) {
-            w.u64(dirs.size());
-            for (const BandwidthResource& link : dirs) {
-                link.serialize(w);
-            }
-        }
-        w.d(energyNj_);
-        w.vecD(streamEnergyNj_);
-        w.d(noStreamEnergyNj_);
-        w.u64(transfers_);
-        w.u64(totalCycles_);
-        w.u64(intraHopBytes_);
-        w.u64(interHopBytes_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        const std::uint64_t stacks = r.u64();
-        NDP_ASSERT(stacks == links_.size(), "NoC stack count mismatch");
+        ar.expect(links_.size(), "NoC stack count mismatch");
         for (auto& dirs : links_) {
-            const std::uint64_t n = r.u64();
-            NDP_ASSERT(n == dirs.size(), "NoC link count mismatch");
+            ar.expect(dirs.size(), "NoC link count mismatch");
             for (BandwidthResource& link : dirs) {
-                link.deserialize(r);
+                link.checkpoint(ar);
             }
         }
-        energyNj_ = r.d();
-        streamEnergyNj_ = r.vecD();
-        noStreamEnergyNj_ = r.d();
-        transfers_ = r.u64();
-        totalCycles_ = r.u64();
-        intraHopBytes_ = r.u64();
-        interHopBytes_ = r.u64();
+        ar.d(energyNj_);
+        ar.seq(streamEnergyNj_, [&](double& e) { ar.d(e); });
+        ar.d(noStreamEnergyNj_);
+        ar.u64(transfers_);
+        ar.u64(totalCycles_);
+        ar.u64(intraHopBytes_);
+        ar.u64(interHopBytes_);
     }
 
   private:

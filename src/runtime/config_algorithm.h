@@ -148,32 +148,20 @@ class ConfigAlgorithm
     std::uint64_t lastObjectiveBytes() const { return lastObjective_; }
 
     /**
-     * Checkpoint hooks: run() rebuilds all working state from its
+     * Checkpoint pass: run() rebuilds all working state from its
      * demands, so only the unit-health mask and last-run work counters
      * persist across calls.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.vecB(failedUnits_);
-        w.u64(iterations_);
-        w.u64(extends_);
-        w.u64(merges_);
-        w.u64(budgetHits_);
-        w.b(lastBudgetHit_);
-        w.u64(lastObjective_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        failedUnits_ = r.vecB();
-        iterations_ = r.u64();
-        extends_ = r.u64();
-        merges_ = r.u64();
-        budgetHits_ = r.u64();
-        lastBudgetHit_ = r.b();
-        lastObjective_ = r.u64();
+        ar.seq(failedUnits_, [&](bool& failed) { ar.b(failed); });
+        ar.u64(iterations_);
+        ar.u64(extends_);
+        ar.u64(merges_);
+        ar.u64(budgetHits_);
+        ar.b(lastBudgetHit_);
+        ar.u64(lastObjective_);
     }
 
   private:

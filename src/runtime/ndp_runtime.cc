@@ -643,132 +643,41 @@ NdpRuntime::counters(Counters& out, const std::string& prefix) const
     add("solver.deltaStreams", [this] { return double(solverDeltaStreams_); });
 }
 
-namespace {
-
 void
-writeCurve(ckpt::Writer& w, const MissCurve& curve)
+NdpRuntime::checkpoint(ckpt::Archive& ar)
 {
-    w.vecU64(curve.capacities());
-    w.vecD(curve.misses());
-    w.d(curve.zeroMisses());
-}
-
-MissCurve
-readCurve(ckpt::Reader& r)
-{
-    std::vector<std::uint64_t> capacities = r.vecU64();
-    std::vector<double> misses = r.vecD();
-    const double zero = r.d();
-    MissCurve curve(std::move(capacities), std::move(misses));
-    // setZeroMisses clamps; a stored value (already clamped) passes
-    // through unchanged, and the -1 "unset" sentinel must stay unset.
-    if (zero >= 0.0) {
-        curve.setZeroMisses(zero);
-    }
-    return curve;
-}
-
-void
-writeSids(ckpt::Writer& w, const std::vector<StreamId>& sids)
-{
-    w.u64(sids.size());
-    for (const StreamId sid : sids) {
-        w.u32(sid);
-    }
-}
-
-std::vector<StreamId>
-readSids(ckpt::Reader& r)
-{
-    std::vector<StreamId> sids(r.u64(), kNoStream);
-    for (StreamId& sid : sids) {
-        sid = static_cast<StreamId>(r.u32());
-    }
-    return sids;
-}
-
-} // namespace
-
-void
-NdpRuntime::serialize(ckpt::Writer& w) const
-{
-    w.section(0x0707);
-    configurator_->serialize(w);
-    w.u64(lastRateCurves_.size());
-    for (const auto& [sid, curve] : lastRateCurves_) {
-        w.u32(sid);
-        writeCurve(w, curve);
-    }
-    writeSids(w, pendingUncovered_);
-    w.u64(epochIndex_);
-    w.u64(lastNow_);
-    w.u64(lastAssignment_.perUnit.size());
-    for (const auto& sids : lastAssignment_.perUnit) {
-        writeSids(w, sids);
-    }
-    writeSids(w, lastAssignment_.uncovered);
-    w.u64(lastAssignment_.covered);
-    w.vecB(unitFailed_);
-    w.u64(reconfigs_);
-    w.u64(emergencyReconfigs_);
-    w.u64(failedUnitCount_);
-    w.u64(skippedReconfigs_);
-    w.u64(covered_);
-    w.b(configuredOnce_);
+    ar.section(0x0707);
+    configurator_->checkpoint(ar);
+    ar.map(lastRateCurves_, [&](StreamId& sid, MissCurve& curve) {
+        ar.u32(sid);
+        curve.checkpoint(ar);
+    });
+    ar.sids(pendingUncovered_);
+    ar.u64(epochIndex_);
+    ar.u64(lastNow_);
+    ar.seq(lastAssignment_.perUnit,
+           [&](std::vector<StreamId>& sids) { ar.sids(sids); });
+    ar.sids(lastAssignment_.uncovered);
+    ar.u64(lastAssignment_.covered);
+    ar.seq(unitFailed_, [&](bool& failed) { ar.b(failed); });
+    ar.u64(reconfigs_);
+    ar.u64(emergencyReconfigs_);
+    ar.u64(failedUnitCount_);
+    ar.u64(skippedReconfigs_);
+    ar.u64(covered_);
+    ar.b(configuredOnce_);
     // Incremental-solver state. Wall-clock micros intentionally do not
     // travel (advisory, host-dependent).
-    w.u64(lastFingerprints_.size());
-    for (const auto& [sid, fp] : lastFingerprints_) {
-        w.u32(sid);
-        w.u64(fp);
-    }
-    writeSids(w, churnStreams_);
-    w.u64(solverDecisions_);
-    w.u64(solverIterations_);
-    w.u64(solverBudgetHits_);
-    w.u64(solverWarmReused_);
-    w.u64(solverDeltaStreams_);
-}
-
-void
-NdpRuntime::deserialize(ckpt::Reader& r)
-{
-    r.section(0x0707);
-    configurator_->deserialize(r);
-    lastRateCurves_.clear();
-    const std::uint64_t ncurves = r.u64();
-    for (std::uint64_t i = 0; i < ncurves; ++i) {
-        const StreamId sid = static_cast<StreamId>(r.u32());
-        lastRateCurves_.emplace(sid, readCurve(r));
-    }
-    pendingUncovered_ = readSids(r);
-    epochIndex_ = r.u64();
-    lastNow_ = r.u64();
-    lastAssignment_.perUnit.assign(r.u64(), {});
-    for (auto& sids : lastAssignment_.perUnit) {
-        sids = readSids(r);
-    }
-    lastAssignment_.uncovered = readSids(r);
-    lastAssignment_.covered = r.u64();
-    unitFailed_ = r.vecB();
-    reconfigs_ = r.u64();
-    emergencyReconfigs_ = r.u64();
-    failedUnitCount_ = r.u64();
-    skippedReconfigs_ = r.u64();
-    covered_ = r.u64();
-    configuredOnce_ = r.b();
-    lastFingerprints_.clear();
-    const std::uint64_t nfp = r.u64();
-    for (std::uint64_t i = 0; i < nfp; ++i) {
-        const StreamId sid = static_cast<StreamId>(r.u32());
-        lastFingerprints_[sid] = r.u64();
-    }
-    churnStreams_ = readSids(r);
-    solverDecisions_ = r.u64();
-    solverIterations_ = r.u64();
-    solverBudgetHits_ = r.u64();
-    solverWarmReused_ = r.u64();
-    solverDeltaStreams_ = r.u64();
+    ar.map(lastFingerprints_, [&](StreamId& sid, std::uint64_t& fp) {
+        ar.u32(sid);
+        ar.u64(fp);
+    });
+    ar.sids(churnStreams_);
+    ar.u64(solverDecisions_);
+    ar.u64(solverIterations_);
+    ar.u64(solverBudgetHits_);
+    ar.u64(solverWarmReused_);
+    ar.u64(solverDeltaStreams_);
 }
 
 } // namespace ndpext

@@ -78,11 +78,10 @@ class Configurator
     }
 
     /**
-     * Checkpoint hooks. Default: stateless between configure() calls
+     * Checkpoint pass. Default: stateless between configure() calls
      * (true for every baseline except Nexus's reporting field).
      */
-    virtual void serialize(ckpt::Writer& w) const { (void)w; }
-    virtual void deserialize(ckpt::Reader& r) { (void)r; }
+    virtual void checkpoint(ckpt::Archive& ar) { (void)ar; }
 
     virtual std::string name() const = 0;
 };
@@ -134,8 +133,7 @@ class NdpExtConfigurator : public Configurator
         return algo_.lastObjectiveBytes();
     }
 
-    void serialize(ckpt::Writer& w) const override { algo_.serialize(w); }
-    void deserialize(ckpt::Reader& r) override { algo_.deserialize(r); }
+    void checkpoint(ckpt::Archive& ar) override { algo_.checkpoint(ar); }
 
     ConfigAlgorithm& algorithm() { return algo_; }
 
@@ -329,12 +327,11 @@ class NdpRuntime
     double solverWallMicros() const { return solverWallMicros_; }
 
     /**
-     * Checkpoint hooks. A resumed system restores this state instead of
+     * Checkpoint pass. A resumed system restores this state instead of
      * calling start(); advisory wall-clock fields (lastAssignMicros /
      * lastConfigMicros) intentionally do not travel.
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     /** Build demands from this epoch's profile. */

@@ -29,6 +29,23 @@ MissCurve::setZeroMisses(double misses)
     zeroMisses_ = misses;
 }
 
+void
+MissCurve::checkpoint(ckpt::Archive& ar)
+{
+    ar.seq(capacities_, [&](std::uint64_t& c) { ar.u64(c); });
+    ar.seq(misses_, [&](double& m) { ar.d(m); });
+    ar.d(zeroMisses_);
+    if (ar.loading()) {
+        // The -1 "unset" sentinel stays unset; a stored value is already
+        // clamped, so neither step changes a value of a saved curve.
+        const double zero = zeroMisses_;
+        *this = MissCurve(std::move(capacities_), std::move(misses_));
+        if (zero >= 0.0) {
+            setZeroMisses(zero);
+        }
+    }
+}
+
 double
 MissCurve::missesAt(std::uint64_t capacity) const
 {

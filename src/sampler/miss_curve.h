@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/checkpoint.h"
 
 namespace ndpext {
 
@@ -41,6 +42,9 @@ class MissCurve
      */
     void setZeroMisses(double misses);
     double zeroMisses() const { return zeroMisses_; }
+
+    /** Checkpoint pass; a loaded curve passes the constructor's checks. */
+    void checkpoint(ckpt::Archive& ar);
 
     bool empty() const { return capacities_.empty(); }
     std::size_t numPoints() const { return capacities_.size(); }

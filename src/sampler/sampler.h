@@ -69,40 +69,22 @@ class MissCurveSampler
         return capacities_;
     }
 
-    /** Checkpoint hooks (params/capacity points are configuration). */
+    /** Checkpoint pass (params/capacity points are configuration). */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u32(sid_);
-        w.u32(granuleBytes_);
-        w.u64(cases_.size());
-        for (const CapacityCase& c : cases_) {
-            w.u64(c.totalSlots);
-            w.u64(c.sampleStep);
-            w.vecU64(c.tags);
-            w.u64(c.observed);
-            w.u64(c.hits);
-        }
-        w.u64(accesses_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        sid_ = static_cast<StreamId>(r.u32());
-        granuleBytes_ = r.u32();
-        // cases_ is rebuilt from the stream: its size is dynamic state
-        // (empty while unassigned, one per capacity point once
-        // configure() ran).
-        cases_.assign(r.u64(), CapacityCase{});
-        for (CapacityCase& c : cases_) {
-            c.totalSlots = r.u64();
-            c.sampleStep = r.u64();
-            c.tags = r.vecU64();
-            c.observed = r.u64();
-            c.hits = r.u64();
-        }
-        accesses_ = r.u64();
+        ar.u32(sid_);
+        ar.u32(granuleBytes_);
+        // cases_ is dynamic state: empty while unassigned, one per
+        // capacity point once configure() ran.
+        ar.seq(cases_, [&](CapacityCase& c) {
+            ar.u64(c.totalSlots);
+            ar.u64(c.sampleStep);
+            ar.seq(c.tags, [&](std::uint64_t& t) { ar.u64(t); });
+            ar.u64(c.observed);
+            ar.u64(c.hits);
+        });
+        ar.u64(accesses_);
     }
 
   private:
@@ -159,28 +141,16 @@ class SamplerBank
      *  until reassigned). */
     void newEpoch();
 
-    /** Checkpoint hooks. */
+    /** Checkpoint pass. */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(samplers_.size());
-        for (const MissCurveSampler& s : samplers_) {
-            s.serialize(w);
-        }
-        w.vecB(accessed_);
-        w.vecU64(counts_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n == samplers_.size(), "sampler count mismatch");
+        ar.expect(samplers_.size(), "sampler count mismatch");
         for (MissCurveSampler& s : samplers_) {
-            s.deserialize(r);
+            s.checkpoint(ar);
         }
-        accessed_ = r.vecB();
-        counts_ = r.vecU64();
+        ar.seq(accessed_, [&](bool& a) { ar.b(a); });
+        ar.seq(counts_, [&](std::uint64_t& n) { ar.u64(n); });
         NDP_ASSERT(accessed_.size() == counts_.size());
     }
 

@@ -56,8 +56,8 @@ struct ArrivalParams
 /**
  * A deterministic generator of inter-arrival gaps. Gaps are >= 1 cycle,
  * so arrival times are strictly increasing. State (including the Rng)
- * checkpoints through serialize()/deserialize() -- the serving
- * generator's state is restored exactly, never replayed.
+ * checkpoints through one checkpoint() pass -- the serving generator's
+ * state is restored exactly, never replayed.
  */
 class ArrivalProcess
 {
@@ -67,8 +67,7 @@ class ArrivalProcess
     /** Cycles until the next arrival after the previous one. */
     virtual Cycles nextGap() = 0;
 
-    virtual void serialize(ckpt::Writer& w) const = 0;
-    virtual void deserialize(ckpt::Reader& r) = 0;
+    virtual void checkpoint(ckpt::Archive& ar) = 0;
 };
 
 /** One arrival-process implementation. */

@@ -34,26 +34,6 @@ expDraw(Rng& rng)
     return -std::log(1.0 - rng.nextDouble());
 }
 
-void
-serializeRng(ckpt::Writer& w, const Rng& rng)
-{
-    std::uint64_t s[4];
-    rng.state(s);
-    for (int i = 0; i < 4; ++i) {
-        w.u64(s[i]);
-    }
-}
-
-void
-deserializeRng(ckpt::Reader& r, Rng& rng)
-{
-    std::uint64_t s[4];
-    for (int i = 0; i < 4; ++i) {
-        s[i] = r.u64();
-    }
-    rng.setState(s);
-}
-
 /** Deterministic constant inter-arrival gap (tests, calibration). */
 class FixedArrival final : public ArrivalProcess
 {
@@ -66,8 +46,7 @@ class FixedArrival final : public ArrivalProcess
 
     Cycles nextGap() override { return gap_; }
 
-    void serialize(ckpt::Writer& w) const override { w.u64(gap_); }
-    void deserialize(ckpt::Reader& r) override { gap_ = r.u64(); }
+    void checkpoint(ckpt::Archive& ar) override { ar.u64(gap_); }
 
   private:
     Cycles gap_;
@@ -89,17 +68,10 @@ class PoissonArrival final : public ArrivalProcess
     }
 
     void
-    serialize(ckpt::Writer& w) const override
+    checkpoint(ckpt::Archive& ar) override
     {
-        w.d(period_);
-        serializeRng(w, rng_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r) override
-    {
-        period_ = r.d();
-        deserializeRng(r, rng_);
+        ar.d(period_);
+        ar.rng(rng_);
     }
 
   private:
@@ -154,27 +126,15 @@ class BurstyArrival final : public ArrivalProcess
     }
 
     void
-    serialize(ckpt::Writer& w) const override
+    checkpoint(ckpt::Archive& ar) override
     {
-        w.d(rateCalm_);
-        w.d(rateBurst_);
-        w.d(meanCalmDwell_);
-        w.d(meanBurstDwell_);
-        w.d(dwellLeft_);
-        w.b(burst_);
-        serializeRng(w, rng_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r) override
-    {
-        rateCalm_ = r.d();
-        rateBurst_ = r.d();
-        meanCalmDwell_ = r.d();
-        meanBurstDwell_ = r.d();
-        dwellLeft_ = r.d();
-        burst_ = r.b();
-        deserializeRng(r, rng_);
+        ar.d(rateCalm_);
+        ar.d(rateBurst_);
+        ar.d(meanCalmDwell_);
+        ar.d(meanBurstDwell_);
+        ar.d(dwellLeft_);
+        ar.b(burst_);
+        ar.rng(rng_);
     }
 
   private:
@@ -224,23 +184,13 @@ class DiurnalArrival final : public ArrivalProcess
     }
 
     void
-    serialize(ckpt::Writer& w) const override
+    checkpoint(ckpt::Archive& ar) override
     {
-        w.d(baseRate_);
-        w.d(amp_);
-        w.d(dayCycles_);
-        w.d(t_);
-        serializeRng(w, rng_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r) override
-    {
-        baseRate_ = r.d();
-        amp_ = r.d();
-        dayCycles_ = r.d();
-        t_ = r.d();
-        deserializeRng(r, rng_);
+        ar.d(baseRate_);
+        ar.d(amp_);
+        ar.d(dayCycles_);
+        ar.d(t_);
+        ar.rng(rng_);
     }
 
   private:

@@ -260,88 +260,36 @@ ServingGenerator::onRetire(const Access& acc, Cycles done)
 }
 
 void
-ServingGenerator::serializeExtra(ckpt::Writer& w) const
+ServingGenerator::checkpointExtra(ckpt::Archive& ar)
 {
-    w.section(kServingGenTag);
-    w.u64(tenants_.size());
-    for (const TenantRt& t : tenants_) {
-        t.arrival->serialize(w);
-        w.u64(t.clock);
-        w.u64(t.nextArrival);
-        w.b(t.exhausted);
-        w.u64(t.subPulled);
-        w.u64(t.queue.size());
-        for (const Cycles a : t.queue) {
-            w.u64(a);
-        }
-        w.u64(t.stats.arrivals);
-        w.u64(t.stats.started);
-        w.u64(t.stats.retired);
-        w.u64(t.stats.sloViolations);
-        w.vecU64(t.stats.latency.bins());
-        w.u64(t.stats.latency.overflow());
-        w.u64(t.stats.latency.count());
-        w.d(t.stats.latency.sum());
-        w.d(t.stats.latency.minValue());
-        w.d(t.stats.latency.maxValue());
-    }
-    w.u32(curTenant_);
-    w.u64(curArrival_);
-    w.u32(curLeft_);
-    w.b(curFirst_);
-    w.u64(inflight_.size());
-    for (const auto& [tenant, arrival] : inflight_) {
-        w.u32(tenant);
-        w.u64(arrival);
-    }
-    w.u64(lastNow_);
-}
-
-void
-ServingGenerator::deserializeExtra(ckpt::Reader& r)
-{
-    r.section(kServingGenTag);
-    const std::uint64_t n = r.u64();
-    NDP_ASSERT(n == tenants_.size(), "serving tenant count mismatch");
+    ar.section(kServingGenTag);
+    ar.expect(tenants_.size(), "serving tenant count mismatch");
     for (TenantRt& t : tenants_) {
-        t.arrival->deserialize(r);
-        t.clock = r.u64();
-        t.nextArrival = r.u64();
-        t.exhausted = r.b();
-        t.subPulled = r.u64();
-        t.queue.clear();
-        const std::uint64_t qn = r.u64();
-        for (std::uint64_t i = 0; i < qn; ++i) {
-            t.queue.push_back(r.u64());
-        }
-        t.stats.arrivals = r.u64();
-        t.stats.started = r.u64();
-        t.stats.retired = r.u64();
-        t.stats.sloViolations = r.u64();
-        std::vector<std::uint64_t> bins = r.vecU64();
-        const std::uint64_t overflow = r.u64();
-        const std::uint64_t count = r.u64();
-        const double sum = r.d();
-        const double lo = r.d();
-        const double hi = r.d();
-        NDP_ASSERT(bins.size() == t.stats.latency.bins().size(),
-                   "latency histogram shape mismatch");
-        t.stats.latency.restore(std::move(bins), overflow, count, sum,
-                                lo, hi);
+        t.arrival->checkpoint(ar);
+        ar.u64(t.clock);
+        ar.u64(t.nextArrival);
+        ar.b(t.exhausted);
+        ar.u64(t.subPulled);
+        ar.seq(t.queue, [&](Cycles& arrival) { ar.u64(arrival); });
+        ar.u64(t.stats.arrivals);
+        ar.u64(t.stats.started);
+        ar.u64(t.stats.retired);
+        ar.u64(t.stats.sloViolations);
+        ar.hist(t.stats.latency);
     }
-    curTenant_ = r.u32();
-    curArrival_ = r.u64();
-    curLeft_ = r.u32();
-    curFirst_ = r.b();
-    inflight_.clear();
-    const std::uint64_t fn = r.u64();
-    for (std::uint64_t i = 0; i < fn; ++i) {
-        const std::uint32_t tenant = r.u32();
-        const Cycles arrival = r.u64();
-        inflight_.emplace_back(tenant, arrival);
-    }
-    lastNow_ = r.u64();
+    ar.u32(curTenant_);
+    ar.u64(curArrival_);
+    ar.u32(curLeft_);
+    ar.b(curFirst_);
+    ar.seq(inflight_, [&](auto& req) {
+        ar.u32(req.first);
+        ar.u64(req.second);
+    });
+    ar.u64(lastNow_);
 
+    if (!ar.loading()) {
+        return;
+    }
     // The sub-generators' state is a pure function of how many accesses
     // they produced; fast-forward them by replay (the same mechanism
     // NdpSystem uses for non-serving generators).

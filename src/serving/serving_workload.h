@@ -88,8 +88,7 @@ class ServingGenerator final : public AccessGenerator
     void onRetire(const Access& acc, Cycles done) override;
 
     bool checkpointSelfContained() const override { return true; }
-    void serializeExtra(ckpt::Writer& w) const override;
-    void deserializeExtra(ckpt::Reader& r) override;
+    void checkpointExtra(ckpt::Archive& ar) override;
 
     /** Per-tenant counters (index = tenant order in ServingConfig). */
     const TenantServingStats& tenantStats(std::size_t tenant) const

@@ -5,9 +5,10 @@
  * A checkpoint is a versioned, CRC-checksummed binary image of all
  * deterministic simulator state, snapshotted at an epoch barrier (the
  * only point where no core is mid-step and no packet is in flight
- * between components). Components implement
- * `serialize(ckpt::Writer&)` / `deserialize(ckpt::Reader&)` hooks over
- * these primitives; `NdpSystem` orchestrates the full image.
+ * between components). Each component declares its checkpointed fields
+ * once, in one `checkpoint(ckpt::Archive&)` pass that saves them through
+ * a Writer or loads them through a Reader; `NdpSystem` orchestrates the
+ * full image.
  *
  * File layout (little-endian):
  *
@@ -34,12 +35,19 @@
 #ifndef NDPEXT_SIM_CHECKPOINT_H
 #define NDPEXT_SIM_CHECKPOINT_H
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/types.h"
+#include "sim/breakdown.h"
 
 namespace ndpext {
 namespace ckpt {
@@ -47,6 +55,11 @@ namespace ckpt {
 constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
+
+/** Integer and enum types an Archive stores at an explicit width. */
+template <typename T>
+concept Wire = (std::integral<T> && !std::same_as<T, bool>)
+    || std::is_enum_v<T>;
 
 /** CRC-32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
@@ -97,43 +110,6 @@ class Writer
     {
         u64(s.size());
         buf_.insert(buf_.end(), s.begin(), s.end());
-    }
-
-    template <typename T, typename Fn>
-    void
-    vec(const std::vector<T>& v, Fn&& each)
-    {
-        u64(v.size());
-        for (const T& e : v) {
-            each(e);
-        }
-    }
-
-    void
-    vecU64(const std::vector<std::uint64_t>& v)
-    {
-        vec(v, [this](std::uint64_t e) { u64(e); });
-    }
-
-    void
-    vecU32(const std::vector<std::uint32_t>& v)
-    {
-        vec(v, [this](std::uint32_t e) { u32(e); });
-    }
-
-    void
-    vecD(const std::vector<double>& v)
-    {
-        vec(v, [this](double e) { d(e); });
-    }
-
-    void
-    vecB(const std::vector<bool>& v)
-    {
-        u64(v.size());
-        for (const bool e : v) {
-            b(e);
-        }
     }
 
     /**
@@ -214,52 +190,10 @@ class Reader
     str()
     {
         const std::uint64_t n = u64();
-        NDP_ASSERT(pos_ + n <= size_, "checkpoint payload overrun");
+        NDP_ASSERT(n <= size_ - pos_, "checkpoint payload overrun");
         std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
         pos_ += n;
         return s;
-    }
-
-    template <typename Fn>
-    void
-    vec(Fn&& each)
-    {
-        const std::uint64_t n = u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            each(i);
-        }
-    }
-
-    std::vector<std::uint64_t>
-    vecU64()
-    {
-        std::vector<std::uint64_t> v;
-        vec([&](std::uint64_t) { v.push_back(u64()); });
-        return v;
-    }
-
-    std::vector<std::uint32_t>
-    vecU32()
-    {
-        std::vector<std::uint32_t> v;
-        vec([&](std::uint64_t) { v.push_back(u32()); });
-        return v;
-    }
-
-    std::vector<double>
-    vecD()
-    {
-        std::vector<double> v;
-        vec([&](std::uint64_t) { v.push_back(d()); });
-        return v;
-    }
-
-    std::vector<bool>
-    vecB()
-    {
-        std::vector<bool> v;
-        vec([&](std::uint64_t) { v.push_back(b()); });
-        return v;
     }
 
     void
@@ -272,12 +206,309 @@ class Reader
     }
 
     bool atEnd() const { return pos_ == size_; }
-    std::size_t pos() const { return pos_; }
+    std::size_t remaining() const { return size_ - pos_; }
 
   private:
     const std::uint8_t* data_;
     std::size_t size_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * One pass over a component's checkpointed state, built over a Writer
+ * (save) or a Reader (load). A component names each field once, in one
+ * `checkpoint(Archive&)` function: saving writes the field, loading
+ * assigns it, so the two directions cannot drift apart. Work that only
+ * a restore needs (rebuilding derived views, re-acquiring pooled
+ * objects) sits in the same function under `if (ar.loading())`.
+ *
+ * Saving must not mutate: every call reads its argument on save and
+ * assigns it only on load. The direction is chosen at run time, so a
+ * virtual hook stays one virtual function.
+ *
+ * Every element of a sequence or map writes at least one byte, so a
+ * count read from an image is bounded by the bytes left before any
+ * container grows (count()).
+ */
+class Archive
+{
+  public:
+    explicit Archive(Writer& w) : w_(&w) {}
+    explicit Archive(Reader& r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    /** Integer or enum fields, stored at the width the call names. */
+    template <typename T>
+        requires Wire<T>
+    void
+    u8(T& v)
+    {
+        if (loading()) {
+            v = static_cast<T>(r_->u8());
+        } else {
+            w_->u8(static_cast<std::uint8_t>(v));
+        }
+    }
+
+    template <typename T>
+        requires Wire<T>
+    void
+    u32(T& v)
+    {
+        if (loading()) {
+            v = static_cast<T>(r_->u32());
+        } else {
+            w_->u32(static_cast<std::uint32_t>(v));
+        }
+    }
+
+    template <typename T>
+        requires Wire<T>
+    void
+    u64(T& v)
+    {
+        if (loading()) {
+            v = static_cast<T>(r_->u64());
+        } else {
+            w_->u64(static_cast<std::uint64_t>(v));
+        }
+    }
+
+    void
+    b(bool& v)
+    {
+        if (loading()) {
+            v = r_->b();
+        } else {
+            w_->b(v);
+        }
+    }
+
+    void
+    d(double& v)
+    {
+        if (loading()) {
+            v = r_->d();
+        } else {
+            w_->d(v);
+        }
+    }
+
+    void
+    str(std::string& s)
+    {
+        if (loading()) {
+            s = r_->str();
+        } else {
+            w_->str(s);
+        }
+    }
+
+    void
+    section(std::uint32_t tag)
+    {
+        if (loading()) {
+            r_->section(tag);
+        } else {
+            w_->section(tag);
+        }
+    }
+
+    /**
+     * The element count of a sequence or map (u64). On load it must not
+     * exceed the bytes left, since every element writes at least one.
+     */
+    void
+    count(std::uint64_t& n)
+    {
+        u64(n);
+        if (loading()) {
+            NDP_ASSERT(n <= r_->remaining(), "checkpoint count ", n,
+                       " exceeds the ", r_->remaining(), " bytes left");
+        }
+    }
+
+    /** A count fixed by configuration: saved, and asserted on load. */
+    void
+    expect(std::uint64_t n, const char* what)
+    {
+        std::uint64_t got = n;
+        u64(got);
+        NDP_ASSERT(got == n, what, ": image has ", got, ", expected ", n);
+    }
+
+    /** A presence bit fixed by configuration: saved, asserted on load. */
+    void
+    expectFlag(bool present, const char* what)
+    {
+        bool got = present;
+        b(got);
+        NDP_ASSERT(got == present, what);
+    }
+
+    /**
+     * A sequence: its size, then `each(element)` for every element.
+     * Loading replaces the contents with that many default elements
+     * first.
+     */
+    template <typename C, typename Fn>
+    void
+    seq(C& c, Fn&& each)
+    {
+        std::uint64_t n = c.size();
+        count(n);
+        if (loading()) {
+            c.clear();
+            c.resize(n);
+        }
+        for (auto& e : c) {
+            each(e);
+        }
+    }
+
+    /** vector<bool> has no element references: pass each bit by copy. */
+    template <typename Fn>
+    void
+    seq(std::vector<bool>& v, Fn&& each)
+    {
+        std::uint64_t n = v.size();
+        count(n);
+        if (loading()) {
+            v.assign(n, false);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            bool e = v[i];
+            each(e);
+            if (loading()) {
+                v[i] = e;
+            }
+        }
+    }
+
+    /**
+     * A map or set in ascending key order: its size, then `each(key,
+     * value)` (a set: `each(key)`) per entry. The callback names the key
+     * too; saving passes it a copy, loading inserts what it read.
+     */
+    template <typename M, typename Fn>
+    void
+    map(M& m, Fn&& each)
+    {
+        constexpr bool kIsMap = requires { typename M::mapped_type; };
+        std::uint64_t n = m.size();
+        count(n);
+        if (loading()) {
+            m.clear();
+            for (std::uint64_t i = 0; i < n; ++i) {
+                typename M::key_type k{};
+                if constexpr (kIsMap) {
+                    typename M::mapped_type v{};
+                    each(k, v);
+                    m.emplace(std::move(k), std::move(v));
+                } else {
+                    each(k);
+                    m.insert(std::move(k));
+                }
+            }
+            return;
+        }
+        const auto visit = [&](auto& entry) {
+            if constexpr (kIsMap) {
+                typename M::key_type k = entry.first;
+                each(k, entry.second);
+            } else {
+                typename M::key_type k = entry;
+                each(k);
+            }
+        };
+        if constexpr (requires { typename M::key_compare; }) {
+            for (auto& entry : m) {
+                visit(entry);
+            }
+        } else {
+            // Unordered containers: sort, so equal states give equal bytes.
+            std::vector<decltype(&*m.begin())> sorted;
+            sorted.reserve(m.size());
+            for (auto& entry : m) {
+                sorted.push_back(&entry);
+            }
+            std::sort(sorted.begin(), sorted.end(),
+                      [](const auto* a, const auto* b) {
+                          if constexpr (kIsMap) {
+                              return a->first < b->first;
+                          } else {
+                              return *a < *b;
+                          }
+                      });
+            for (auto* entry : sorted) {
+                visit(*entry);
+            }
+        }
+    }
+
+    /** An xoshiro generator's four state words. */
+    void
+    rng(Rng& g)
+    {
+        std::uint64_t s[4];
+        g.state(s);
+        for (std::uint64_t& word : s) {
+            u64(word);
+        }
+        if (loading()) {
+            g.setState(s);
+        }
+    }
+
+    /** A histogram's bins and moments (the bucket width is config). */
+    void
+    hist(Histogram& h)
+    {
+        std::vector<std::uint64_t> bins;
+        if (!loading()) {
+            bins = h.bins();
+        }
+        std::uint64_t overflow = h.overflow();
+        std::uint64_t n = h.count();
+        double sum = h.sum();
+        double lo = h.minValue();
+        double hi = h.maxValue();
+        seq(bins, [this](std::uint64_t& v) { u64(v); });
+        u64(overflow);
+        u64(n);
+        d(sum);
+        d(lo);
+        d(hi);
+        if (loading()) {
+            NDP_ASSERT(bins.size() == h.bins().size(),
+                       "latency histogram shape mismatch");
+            h.restore(std::move(bins), overflow, n, sum, lo, hi);
+        }
+    }
+
+    /** The six latency-breakdown buckets. */
+    void
+    bd(LatencyBreakdown& v)
+    {
+        u64(v.metadata);
+        u64(v.icnIntra);
+        u64(v.icnInter);
+        u64(v.dramCache);
+        u64(v.extMem);
+        u64(v.requests);
+    }
+
+    /** A stream-id list (u32 each). */
+    void
+    sids(std::vector<StreamId>& v)
+    {
+        seq(v, [this](StreamId& sid) { u32(sid); });
+    }
+
+  private:
+    Writer* w_ = nullptr;
+    Reader* r_ = nullptr;
 };
 
 /** Parsed checkpoint file header (everything before the payload). */

@@ -85,27 +85,26 @@ class PacketPool
     std::uint64_t allocated() const { return allocated_; }
 
     /**
-     * Checkpoint hooks: equivalent-state restore. Packet contents are
+     * Checkpoint pass: equivalent-state restore. Packet contents are
      * reset on acquire(), so only the allocation counters matter; the
      * restored pool holds `allocated` packets, all free. Owners that
-     * keep live packets across barriers (MSHR slots) re-acquire them
-     * during their own deserialize, restoring inUse without touching
-     * the allocated/high-water counters.
+     * keep live packets across barriers (MSHR slots) re-acquire them in
+     * their own checkpoint pass, restoring inUse without touching the
+     * allocated/high-water counters.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(allocated_);
-        w.u64(highWater_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        NDP_ASSERT(allocated_ == 0 && inUse_ == 0,
-                   "pool restore requires a fresh pool");
-        const std::uint64_t alloc = r.u64();
-        highWater_ = r.u64();
+        if (ar.loading()) {
+            NDP_ASSERT(allocated_ == 0 && inUse_ == 0,
+                       "pool restore requires a fresh pool");
+        }
+        std::uint64_t alloc = allocated_;
+        ar.u64(alloc);
+        ar.u64(highWater_);
+        if (!ar.loading()) {
+            return;
+        }
         for (std::uint64_t i = 0; i < alloc; ++i) {
             if (slabUsed_ == kSlabPackets) {
                 slabs_.push_back(std::make_unique<Packet[]>(kSlabPackets));

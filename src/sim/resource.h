@@ -149,49 +149,31 @@ class BandwidthResource
     std::uint64_t reservations() const { return reservations_; }
     Cycles totalQueueCycles() const { return queueCycles_; }
 
-    void
-    reset()
-    {
-        head_ = 0;
-        count_ = 0;
-        reservations_ = 0;
-        queueCycles_ = 0;
-    }
-
     /**
-     * Checkpoint hooks. The bandwidth is configuration (rebuilt by the
+     * Checkpoint pass. The bandwidth is configuration (rebuilt by the
      * owner); only the busy list and counters travel. Intervals are
      * stored in logical order, so the restored window is equivalent with
      * head_ = 0 wherever the original window sat in the buffer.
      */
     void
-    serialize(ckpt::Writer& w) const
+    checkpoint(ckpt::Archive& ar)
     {
-        w.u64(count_);
+        std::uint64_t n = count_;
+        ar.count(n);
+        if (ar.loading()) {
+            NDP_ASSERT(n <= kMaxTracked, "bad interval count ", n);
+            if (n > 0 && buf_ == nullptr) {
+                buf_ = std::make_unique<Interval[]>(kCap);
+            }
+            head_ = 0;
+            count_ = n;
+        }
         for (std::size_t i = 0; i < count_; ++i) {
-            w.u64(at(i).start);
-            w.u64(at(i).end);
+            ar.u64(at(i).start);
+            ar.u64(at(i).end);
         }
-        w.u64(reservations_);
-        w.u64(queueCycles_);
-    }
-
-    void
-    deserialize(ckpt::Reader& r)
-    {
-        reset();
-        const std::uint64_t n = r.u64();
-        NDP_ASSERT(n <= kMaxTracked, "bad interval count ", n);
-        if (n > 0 && buf_ == nullptr) {
-            buf_ = std::make_unique<Interval[]>(kCap);
-        }
-        for (std::uint64_t i = 0; i < n; ++i) {
-            buf_[i].start = r.u64();
-            buf_[i].end = r.u64();
-        }
-        count_ = n;
-        reservations_ = r.u64();
-        queueCycles_ = r.u64();
+        ar.u64(reservations_);
+        ar.u64(queueCycles_);
     }
 
   private:

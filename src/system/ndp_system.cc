@@ -566,99 +566,63 @@ NdpSystem::run(const Workload& workload)
      *  attached (epoch_idx is telemetry-local). Names checkpoints. */
     std::uint64_t completed_epochs = 0;
 
-    // Full-machine snapshot at an epoch barrier: the only point where no
-    // core is mid-step and no packet is in flight between components.
-    // Section order is the restore order below.
-    const auto snapshot = [&]() {
-        ckpt::Writer w;
-        w.section(0x0515);
-        w.u64(completed_epochs);
-        w.u64(next_epoch);
-        w.u64(epoch_start);
-        w.u64(epoch_idx);
+    // Full-machine checkpoint pass at an epoch barrier: the only point
+    // where no core is mid-step and no packet is in flight between
+    // components. On load the payload already passed the CRC and the
+    // config-hash check, so any structural mismatch is an internal bug
+    // -- asserts, not recoverable errors.
+    const auto machineState = [&](ckpt::Archive& ar) {
+        ar.section(0x0515);
+        ar.u64(completed_epochs);
+        ar.u64(next_epoch);
+        ar.u64(epoch_start);
+        ar.u64(epoch_idx);
         // Stream-table read-only bits: the only mutable stream state
         // (write-to-read-only exceptions clear them mid-run).
-        std::vector<bool> read_only;
-        read_only.reserve(table.numStreams());
-        for (const StreamConfig& scfg : table.all()) {
-            read_only.push_back(scfg.readOnly);
+        ar.expect(table.numStreams(), "checkpoint stream-count mismatch");
+        for (std::size_t i = 0; i < table.numStreams(); ++i) {
+            const StreamConfig& scfg = table.all()[i];
+            bool read_only = scfg.readOnly;
+            ar.b(read_only);
+            if (ar.loading() && !read_only && scfg.readOnly) {
+                // Replay the write-to-read-only exception's table effect.
+                table.markWritten(scfg.sid);
+            }
         }
-        w.vecB(read_only);
-        noc.serialize(w);
-        ext.serialize(w);
-        w.b(fault != nullptr);
+        noc.checkpoint(ar);
+        ext.checkpoint(ar);
+        ar.expectFlag(fault != nullptr,
+                      "checkpoint fault-injector presence mismatch");
         if (fault != nullptr) {
-            fault->serialize(w);
+            fault->checkpoint(ar);
         }
-        cache.serialize(w);
-        runtime.serialize(w);
-        w.u64(cores.size());
-        for (const InOrderCore& core : cores) {
-            core.serialize(w);
+        cache.checkpoint(ar);
+        runtime.checkpoint(ar);
+        ar.expect(cores.size(), "checkpoint core-count mismatch");
+        for (InOrderCore& core : cores) {
+            core.checkpoint(ar);
         }
-        ready.serialize(w);
+        ready.checkpoint(ar, cores);
         // Generator side-state (serving frontend: arrival processes,
         // pending queues, latency records). A no-op for the default
         // count-replayed generators.
         for (CoreId c = 0; c < n; ++c) {
-            gens[c]->serializeExtra(w);
+            gens[c]->checkpointExtra(ar);
         }
-        w.b(telemetry_ != nullptr);
+        ar.expectFlag(telemetry_ != nullptr,
+                      "checkpoint telemetry presence mismatch");
         if (telemetry_ != nullptr) {
-            telemetry_->serialize(w);
+            telemetry_->checkpoint(ar);
         }
-        return w;
-    };
-
-    // Mirror of snapshot(). The payload already passed the CRC and the
-    // config-hash check, so any structural mismatch here is an internal
-    // producer/consumer bug -- asserts, not recoverable errors.
-    const auto restore = [&](ckpt::Reader& r) {
-        r.section(0x0515);
-        completed_epochs = r.u64();
-        next_epoch = r.u64();
-        epoch_start = r.u64();
-        epoch_idx = r.u64();
-        const std::vector<bool> read_only = r.vecB();
-        NDP_ASSERT(read_only.size() == table.numStreams(),
-                   "checkpoint stream-count mismatch");
-        for (std::size_t i = 0; i < read_only.size(); ++i) {
-            if (!read_only[i] && table.all()[i].readOnly) {
-                // Replay the write-to-read-only exception's table effect.
-                table.markWritten(table.all()[i].sid);
-            }
+        if (!ar.loading()) {
+            return;
         }
-        noc.deserialize(r);
-        ext.deserialize(r);
-        NDP_ASSERT(r.b() == (fault != nullptr),
-                   "checkpoint fault-injector presence mismatch");
-        if (fault != nullptr) {
-            fault->deserialize(r);
-        }
-        cache.deserialize(r);
-        runtime.deserialize(r);
-        NDP_ASSERT(r.u64() == cores.size(),
-                   "checkpoint core-count mismatch");
-        for (InOrderCore& core : cores) {
-            core.deserialize(r);
-        }
-        ready.deserialize(r, cores);
-        for (CoreId c = 0; c < n; ++c) {
-            gens[c]->deserializeExtra(r);
-        }
-        NDP_ASSERT(r.b() == (telemetry_ != nullptr),
-                   "checkpoint telemetry presence mismatch");
-        if (telemetry_ != nullptr) {
-            telemetry_->deserialize(r);
-        }
-        NDP_ASSERT(r.atEnd(), "checkpoint payload has trailing state");
-
         // Fast-forward the (freshly constructed) generators: replaying
         // the consumed accesses walks their RNG/index state to exactly
         // where the snapshot left off (generators are deterministic and
         // consume nothing once exhausted). Self-contained generators
         // (serving) restored their full state -- including their
-        // sub-generators -- in deserializeExtra above.
+        // sub-generators -- in checkpointExtra above.
         for (CoreId c = 0; c < n; ++c) {
             if (gens[c]->checkpointSelfContained()) {
                 continue;
@@ -673,7 +637,9 @@ NdpSystem::run(const Workload& workload)
 
     if (resume_) {
         ckpt::Reader r(resumePayload_);
-        restore(r);
+        ckpt::Archive ar(r);
+        machineState(ar);
+        NDP_ASSERT(r.atEnd(), "checkpoint payload has trailing state");
         // Derived, not stored: the restored injector knows the remaining
         // failure schedule.
         next_failure = fault != nullptr ? fault->nextFailureAt()
@@ -775,7 +741,9 @@ NdpSystem::run(const Workload& workload)
                         warn(ferr);
                     }
                 }
-                const ckpt::Writer w = snapshot();
+                ckpt::Writer w;
+                ckpt::Archive ar(w);
+                machineState(ar);
                 const std::string path = ckptPrefix_ + "."
                     + std::to_string(completed_epochs) + ".ckpt";
                 std::string err;

@@ -94,109 +94,38 @@ DecisionLog::writeRecordLine(std::ostream& os, const DecisionRecord& r) const
     os << "]}\n";
 }
 
-namespace {
-
 void
-writeSidVec(ckpt::Writer& w, const std::vector<StreamId>& sids)
+DecisionLog::checkpoint(ckpt::Archive& ar)
 {
-    w.u64(sids.size());
-    for (const StreamId sid : sids) {
-        w.u32(sid);
-    }
-}
-
-std::vector<StreamId>
-readSidVec(ckpt::Reader& r)
-{
-    std::vector<StreamId> sids(r.u64(), 0);
-    for (StreamId& sid : sids) {
-        sid = static_cast<StreamId>(r.u32());
-    }
-    return sids;
-}
-
-} // namespace
-
-void
-DecisionLog::serialize(ckpt::Writer& w) const
-{
-    w.u64(records_.size());
-    for (const DecisionRecord& rec : records_) {
-        w.str(rec.kind);
-        w.u64(rec.epoch);
-        w.u64(rec.cycles);
-        w.u64(rec.demands.size());
-        for (const DecisionRecord::Demand& d : rec.demands) {
-            w.u32(d.sid);
-            w.u64(d.footprintBytes);
-            w.u32(d.granuleBytes);
-            w.b(d.readOnly);
-            w.b(d.affine);
-            w.vecU32(d.accUnits);
-            w.vecU64(d.accCounts);
-            w.vecU64(d.curveCapacities);
-            w.vecD(d.curveMisses);
-        }
-        w.u64(rec.samplerAssignment.size());
-        for (const std::vector<StreamId>& sids : rec.samplerAssignment) {
-            writeSidVec(w, sids);
-        }
-        writeSidVec(w, rec.uncoveredStreams);
-        w.u64(rec.iterations);
-        w.u64(rec.extends);
-        w.u64(rec.merges);
-        w.u64(rec.allocs.size());
-        for (const DecisionRecord::Alloc& a : rec.allocs) {
-            w.u32(a.sid);
-            w.vecU32(a.shareRows);
-            w.u32(a.numGroups);
-        }
-        w.b(rec.applied);
-    }
-    w.u64(flushedRecords_);
-}
-
-void
-DecisionLog::deserialize(ckpt::Reader& r)
-{
-    records_.clear();
-    const std::uint64_t n = r.u64();
-    records_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        DecisionRecord rec;
-        rec.kind = r.str();
-        rec.epoch = r.u64();
-        rec.cycles = r.u64();
-        rec.demands.assign(r.u64(), DecisionRecord::Demand{});
-        for (DecisionRecord::Demand& d : rec.demands) {
-            d.sid = static_cast<StreamId>(r.u32());
-            d.footprintBytes = r.u64();
-            d.granuleBytes = r.u32();
-            d.readOnly = r.b();
-            d.affine = r.b();
-            d.accUnits = r.vecU32();
-            d.accCounts = r.vecU64();
-            d.curveCapacities = r.vecU64();
-            d.curveMisses = r.vecD();
-        }
-        rec.samplerAssignment.assign(r.u64(), {});
-        for (std::vector<StreamId>& sids : rec.samplerAssignment) {
-            sids = readSidVec(r);
-        }
-        rec.uncoveredStreams = readSidVec(r);
-        rec.iterations = r.u64();
-        rec.extends = r.u64();
-        rec.merges = r.u64();
-        rec.allocs.assign(r.u64(), DecisionRecord::Alloc{});
-        for (DecisionRecord::Alloc& a : rec.allocs) {
-            a.sid = static_cast<StreamId>(r.u32());
-            a.shareRows = r.vecU32();
-            a.numGroups = static_cast<std::uint16_t>(r.u32());
-        }
-        rec.applied = r.b();
-        records_.push_back(std::move(rec));
-    }
-    flushedRecords_ = r.u64();
+    ar.seq(records_, [&](DecisionRecord& rec) {
+        ar.str(rec.kind);
+        ar.u64(rec.epoch);
+        ar.u64(rec.cycles);
+        ar.seq(rec.demands, [&](DecisionRecord::Demand& d) {
+            ar.u32(d.sid);
+            ar.u64(d.footprintBytes);
+            ar.u32(d.granuleBytes);
+            ar.b(d.readOnly);
+            ar.b(d.affine);
+            ar.seq(d.accUnits, [&](UnitId& u) { ar.u32(u); });
+            ar.seq(d.accCounts, [&](std::uint64_t& n) { ar.u64(n); });
+            ar.seq(d.curveCapacities, [&](std::uint64_t& c) { ar.u64(c); });
+            ar.seq(d.curveMisses, [&](double& m) { ar.d(m); });
+        });
+        ar.seq(rec.samplerAssignment,
+               [&](std::vector<StreamId>& sids) { ar.sids(sids); });
+        ar.sids(rec.uncoveredStreams);
+        ar.u64(rec.iterations);
+        ar.u64(rec.extends);
+        ar.u64(rec.merges);
+        ar.seq(rec.allocs, [&](DecisionRecord::Alloc& a) {
+            ar.u32(a.sid);
+            ar.seq(a.shareRows, [&](std::uint32_t& rows) { ar.u32(rows); });
+            ar.u32(a.numGroups);
+        });
+        ar.b(rec.applied);
+    });
+    ar.u64(flushedRecords_);
 }
 
 } // namespace ndpext

@@ -98,9 +98,8 @@ class DecisionLog
     /** Records already moved out via flushJsonl(). */
     std::uint64_t flushedRecords() const { return flushedRecords_; }
 
-    /** Checkpoint hooks: the record list is replaced wholesale. */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    /** Checkpoint pass: the record list is replaced wholesale. */
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     void writeRecordLine(std::ostream& os, const DecisionRecord& r) const;

@@ -137,48 +137,22 @@ MetricRegistry::flushJsonl(std::ostream& os)
 }
 
 void
-MetricRegistry::serialize(ckpt::Writer& w) const
+MetricRegistry::checkpoint(ckpt::Archive& ar)
 {
-    w.u64(ring_.size());
-    for (const EpochSample& s : ring_) {
-        w.u64(s.epoch);
-        w.u64(s.cycles);
-        w.vecD(s.values);
-        w.u64(s.hists.size());
-        for (const EpochSample::HistSnapshot& h : s.hists) {
-            w.u64(h.count);
-            w.d(h.mean);
-            w.d(h.p50);
-            w.d(h.p99);
-            w.d(h.max);
-        }
-    }
-    w.u64(dropped_);
-    w.u64(flushedSamples_);
-}
-
-void
-MetricRegistry::deserialize(ckpt::Reader& r)
-{
-    ring_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        EpochSample s;
-        s.epoch = r.u64();
-        s.cycles = r.u64();
-        s.values = r.vecD();
-        s.hists.assign(r.u64(), EpochSample::HistSnapshot{});
-        for (EpochSample::HistSnapshot& h : s.hists) {
-            h.count = r.u64();
-            h.mean = r.d();
-            h.p50 = r.d();
-            h.p99 = r.d();
-            h.max = r.d();
-        }
-        ring_.push_back(std::move(s));
-    }
-    dropped_ = r.u64();
-    flushedSamples_ = r.u64();
+    ar.seq(ring_, [&](EpochSample& s) {
+        ar.u64(s.epoch);
+        ar.u64(s.cycles);
+        ar.seq(s.values, [&](double& v) { ar.d(v); });
+        ar.seq(s.hists, [&](EpochSample::HistSnapshot& h) {
+            ar.u64(h.count);
+            ar.d(h.mean);
+            ar.d(h.p50);
+            ar.d(h.p99);
+            ar.d(h.max);
+        });
+    });
+    ar.u64(dropped_);
+    ar.u64(flushedSamples_);
 }
 
 } // namespace ndpext

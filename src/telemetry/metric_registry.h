@@ -108,12 +108,11 @@ class MetricRegistry
     std::uint64_t flushedSamples() const { return flushedSamples_; }
 
     /**
-     * Checkpoint hooks: the sampled ring, drop counter and flush cursor
+     * Checkpoint pass: the sampled ring, drop counter and flush cursor
      * travel; metric/histogram registrations are re-made by the
-     * components of the restoring process before deserialize() runs.
+     * components of the restoring process before a load runs.
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     struct Metric

@@ -32,46 +32,6 @@ sameRequest(const RequestTraceRecord& a, const RequestTraceRecord& b)
     return a.core == b.core && a.arrival == b.arrival && a.done == b.done;
 }
 
-void
-writeRec(ckpt::Writer& w, const RequestTraceRecord& r)
-{
-    w.u32(r.tenant);
-    w.u32(r.core);
-    w.u64(r.arrival);
-    w.u64(r.start);
-    w.u64(r.done);
-    w.u64(r.queueWait);
-    w.u64(r.compute);
-    w.u64(r.l1);
-    w.u64(r.metadata);
-    w.u64(r.icnIntra);
-    w.u64(r.icnInter);
-    w.u64(r.dramCache);
-    w.u64(r.extMem);
-    w.u64(r.mshrQueue);
-}
-
-RequestTraceRecord
-readRec(ckpt::Reader& r)
-{
-    RequestTraceRecord rec;
-    rec.tenant = r.u32();
-    rec.core = r.u32();
-    rec.arrival = r.u64();
-    rec.start = r.u64();
-    rec.done = r.u64();
-    rec.queueWait = r.u64();
-    rec.compute = r.u64();
-    rec.l1 = r.u64();
-    rec.metadata = r.u64();
-    rec.icnIntra = r.u64();
-    rec.icnInter = r.u64();
-    rec.dramCache = r.u64();
-    rec.extMem = r.u64();
-    rec.mshrQueue = r.u64();
-    return rec;
-}
-
 /** Stage spans in causal order; rendered sequentially from arrival. */
 struct StageSlice
 {
@@ -297,70 +257,28 @@ RequestTraceCollector::flushJsonl(std::ostream& os)
 }
 
 void
-RequestTraceCollector::serialize(ckpt::Writer& w) const
+RequestTraceCollector::checkpoint(ckpt::Archive& ar)
 {
-    w.section(0x7ACE);
+    ar.section(0x7ACE);
     // Buffers are drained at every barrier before a snapshot is taken.
     for (const auto& buf : buffers_) {
         NDP_ASSERT(buf->records.empty());
     }
-    w.u64(cur_.size());
-    for (const Reservoir& res : cur_) {
-        w.u64(res.slow.size());
-        for (const RequestTraceRecord& r : res.slow) {
-            writeRec(w, r);
-        }
-        w.u64(res.uniform.size());
-        for (const RequestTraceRecord& r : res.uniform) {
-            writeRec(w, r);
-        }
-        w.u64(res.count);
-    }
-    w.u64(retained_.size());
-    for (const Exemplar& e : retained_) {
-        writeRec(w, e.rec);
-        w.u64(e.epoch);
-        w.b(e.slow);
-        w.u64(e.flowId);
-    }
-    w.u64(flushed_);
-    w.u64(nextFlowId_);
-}
-
-void
-RequestTraceCollector::deserialize(ckpt::Reader& r)
-{
-    r.section(0x7ACE);
-    const std::uint64_t ntenants = r.u64();
-    NDP_ASSERT(ntenants == cur_.size());
+    const auto rec = [&](RequestTraceRecord& r) { r.checkpoint(ar); };
+    ar.expect(cur_.size(), "request-trace tenant count mismatch");
     for (Reservoir& res : cur_) {
-        res.slow.clear();
-        res.uniform.clear();
-        const std::uint64_t nslow = r.u64();
-        res.slow.reserve(nslow);
-        for (std::uint64_t i = 0; i < nslow; ++i) {
-            res.slow.push_back(readRec(r));
-        }
-        const std::uint64_t nuni = r.u64();
-        res.uniform.reserve(nuni);
-        for (std::uint64_t i = 0; i < nuni; ++i) {
-            res.uniform.push_back(readRec(r));
-        }
-        res.count = r.u64();
+        ar.seq(res.slow, rec);
+        ar.seq(res.uniform, rec);
+        ar.u64(res.count);
     }
-    retained_.clear();
-    const std::uint64_t nret = r.u64();
-    retained_.reserve(nret);
-    for (std::uint64_t i = 0; i < nret; ++i) {
-        Exemplar e;
-        e.rec = readRec(r);
-        e.epoch = r.u64();
-        e.slow = r.b();
-        e.flowId = r.u64();
-        retained_.push_back(e);
-    }
-    flushed_ = r.u64();
-    nextFlowId_ = r.u64();
+    ar.seq(retained_, [&](Exemplar& e) {
+        e.rec.checkpoint(ar);
+        ar.u64(e.epoch);
+        ar.b(e.slow);
+        ar.u64(e.flowId);
+    });
+    ar.u64(flushed_);
+    ar.u64(nextFlowId_);
 }
 
 } // namespace ndpext

@@ -79,6 +79,25 @@ struct RequestTraceRecord
         return queueWait + compute + l1 + metadata + icnIntra + icnInter
             + dramCache + extMem + mshrQueue;
     }
+
+    void
+    checkpoint(ckpt::Archive& ar)
+    {
+        ar.u32(tenant);
+        ar.u32(core);
+        ar.u64(arrival);
+        ar.u64(start);
+        ar.u64(done);
+        ar.u64(queueWait);
+        ar.u64(compute);
+        ar.u64(l1);
+        ar.u64(metadata);
+        ar.u64(icnIntra);
+        ar.u64(icnInter);
+        ar.u64(dramCache);
+        ar.u64(extMem);
+        ar.u64(mshrQueue);
+    }
 };
 
 /**
@@ -173,13 +192,12 @@ class RequestTraceCollector
     void flushJsonl(std::ostream& os);
 
     /**
-     * Checkpoint hooks (own section tag). Reservoirs, retained
+     * Checkpoint pass (own section tag). Reservoirs, retained
      * exemplars, the flush cursor and the flow-id counter travel;
      * params and tenant metadata are reconstructed by the restoring
      * process (they are part of the config hash).
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     struct Reservoir

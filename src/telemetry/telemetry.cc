@@ -343,103 +343,26 @@ Telemetry::writeAll(std::string* error)
     return ok;
 }
 
-namespace {
-
 void
-writeSample(ckpt::Writer& w, const PacketSample& s)
+Telemetry::checkpoint(ckpt::Archive& ar)
 {
-    w.u32(s.core);
-    w.u32(s.sid);
-    w.u64(s.start);
-    w.u64(s.metadata);
-    w.u64(s.icnIntra);
-    w.u64(s.icnInter);
-    w.u64(s.dramCache);
-    w.u64(s.extMem);
-}
-
-PacketSample
-readSample(ckpt::Reader& r)
-{
-    PacketSample s;
-    s.core = static_cast<CoreId>(r.u32());
-    s.sid = static_cast<StreamId>(r.u32());
-    s.start = r.u64();
-    s.metadata = r.u64();
-    s.icnIntra = r.u64();
-    s.icnInter = r.u64();
-    s.dramCache = r.u64();
-    s.extMem = r.u64();
-    return s;
-}
-
-} // namespace
-
-void
-Telemetry::serialize(ckpt::Writer& w) const
-{
-    w.section(0x7E7E);
-    metrics_.serialize(w);
-    trace_.serialize(w);
-    decisions_.serialize(w);
-    w.vecU64(latencyHist_.bins());
-    w.u64(latencyHist_.overflow());
-    w.u64(latencyHist_.count());
-    w.d(latencyHist_.sum());
-    w.d(latencyHist_.minValue());
-    w.d(latencyHist_.maxValue());
-    w.u64(buffers_.size());
-    for (const auto& buf : buffers_) {
-        w.u64(buf->every);
-        w.u64(buf->seen);
-        w.u64(buf->samples.size());
-        for (const PacketSample& s : buf->samples) {
-            writeSample(w, s);
-        }
-    }
-    w.vecU64(drainedUpTo_);
-    w.u64(drained_.size());
-    for (const PacketSample& s : drained_) {
-        writeSample(w, s);
-    }
-    w.u64(drainedCount_);
-    reqTrace_.serialize(w);
-}
-
-void
-Telemetry::deserialize(ckpt::Reader& r)
-{
-    r.section(0x7E7E);
-    metrics_.deserialize(r);
-    trace_.deserialize(r);
-    decisions_.deserialize(r);
-    std::vector<std::uint64_t> bins = r.vecU64();
-    const std::uint64_t overflow = r.u64();
-    const std::uint64_t count = r.u64();
-    const double sum = r.d();
-    const double min = r.d();
-    const double max = r.d();
-    latencyHist_.restore(std::move(bins), overflow, count, sum, min, max);
-    const std::uint64_t nbuf = r.u64();
-    NDP_ASSERT(nbuf == buffers_.size(),
-               "packet-sample buffer count mismatch");
+    ar.section(0x7E7E);
+    metrics_.checkpoint(ar);
+    trace_.checkpoint(ar);
+    decisions_.checkpoint(ar);
+    ar.hist(latencyHist_);
+    const auto sample = [&](PacketSample& s) { s.checkpoint(ar); };
+    ar.expect(buffers_.size(), "packet-sample buffer count mismatch");
     for (auto& buf : buffers_) {
-        buf->every = r.u64();
-        buf->seen = r.u64();
-        buf->samples.assign(r.u64(), PacketSample{});
-        for (PacketSample& s : buf->samples) {
-            s = readSample(r);
-        }
+        ar.u64(buf->every);
+        ar.u64(buf->seen);
+        ar.seq(buf->samples, sample);
     }
-    drainedUpTo_ = r.vecU64();
-    const std::uint64_t ndrained = r.u64();
-    drained_.assign(ndrained, PacketSample{});
-    for (PacketSample& s : drained_) {
-        s = readSample(r);
-    }
-    drainedCount_ = r.u64();
-    reqTrace_.deserialize(r);
-    if (!cfg_.outPrefix.empty()) {
+    ar.seq(drainedUpTo_, [&](std::size_t& n) { ar.u64(n); });
+    ar.seq(drained_, sample);
+    ar.u64(drainedCount_);
+    reqTrace_.checkpoint(ar);
+    if (ar.loading() && !cfg_.outPrefix.empty()) {
         truncatePartFiles();
         // The side files now end exactly at the restored cursors; the
         // next flush must append, not truncate.

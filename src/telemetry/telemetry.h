@@ -83,6 +83,19 @@ struct PacketSample
     {
         return metadata + icnIntra + icnInter + dramCache + extMem;
     }
+
+    void
+    checkpoint(ckpt::Archive& ar)
+    {
+        ar.u32(core);
+        ar.u32(sid);
+        ar.u64(start);
+        ar.u64(metadata);
+        ar.u64(icnIntra);
+        ar.u64(icnInter);
+        ar.u64(dramCache);
+        ar.u64(extMem);
+    }
 };
 
 /**
@@ -189,14 +202,13 @@ class Telemetry
     bool writeAll(std::string* error = nullptr);
 
     /**
-     * Checkpoint hooks. Deserialize expects the restoring process to
-     * have constructed this object with the same config and called
+     * Checkpoint pass. Loading expects the restoring process to have
+     * constructed this object with the same config and called
      * initPacketSampling() with the same core count; everything the
      * sinks accumulated (ring, trace events, decisions, histogram,
      * sample buffers and drain cursors) is then replaced wholesale.
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     void emitPacketTrace(const PacketSample& s);

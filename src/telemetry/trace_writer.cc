@@ -135,43 +135,20 @@ TraceWriter::flushEventsTo(std::ostream& os)
 }
 
 void
-TraceWriter::serialize(ckpt::Writer& w) const
+TraceWriter::checkpoint(ckpt::Archive& ar)
 {
-    w.u64(flushed_);
-    w.u64(events_.size());
-    for (const Event& e : events_) {
-        w.u8(static_cast<std::uint8_t>(e.ph));
-        w.str(e.cat);
-        w.str(e.name);
-        w.u32(e.pid);
-        w.u32(e.tid);
-        w.u64(e.ts);
-        w.u64(e.dur);
-        w.u64(e.id);
-        w.str(e.argsJson);
-    }
-}
-
-void
-TraceWriter::deserialize(ckpt::Reader& r)
-{
-    flushed_ = r.u64();
-    events_.clear();
-    const std::uint64_t n = r.u64();
-    events_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Event e;
-        e.ph = static_cast<char>(r.u8());
-        e.cat = r.str();
-        e.name = r.str();
-        e.pid = r.u32();
-        e.tid = r.u32();
-        e.ts = r.u64();
-        e.dur = r.u64();
-        e.id = r.u64();
-        e.argsJson = r.str();
-        events_.push_back(std::move(e));
-    }
+    ar.u64(flushed_);
+    ar.seq(events_, [&](Event& e) {
+        ar.u8(e.ph);
+        ar.str(e.cat);
+        ar.str(e.name);
+        ar.u32(e.pid);
+        ar.u32(e.tid);
+        ar.u64(e.ts);
+        ar.u64(e.dur);
+        ar.u64(e.id);
+        ar.str(e.argsJson);
+    });
 }
 
 } // namespace ndpext

@@ -107,13 +107,12 @@ class TraceWriter
     void flushEventsTo(std::ostream& os);
 
     /**
-     * Checkpoint hooks. The event list is replaced wholesale at restore
+     * Checkpoint pass. The event list is replaced wholesale at restore
      * (it includes the metadata events the original process emitted, so
      * restore must run after this process's constructor-time metadata
      * would otherwise duplicate them -- the owner replaces, not merges).
      */
-    void serialize(ckpt::Writer& w) const;
-    void deserialize(ckpt::Reader& r);
+    void checkpoint(ckpt::Archive& ar);
 
   private:
     struct Event

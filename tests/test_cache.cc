@@ -135,7 +135,8 @@ TEST(SetAssocCache, CheckpointKeepsUseClocksBelow2To62)
     c.insert(1, true);
     c.insert(2, false);
     ckpt::Writer w;
-    c.serialize(w);
+    ckpt::Archive save(w);
+    c.checkpoint(save);
     std::vector<std::uint8_t> bytes = w.bytes();
     constexpr std::uint64_t kMax = (1ULL << 62) - 1;
     putU64(bytes, lastUseAt(0), kMax - 1);
@@ -144,9 +145,11 @@ TEST(SetAssocCache, CheckpointKeepsUseClocksBelow2To62)
 
     SetAssocCache restored(1, 2);
     ckpt::Reader r(bytes);
-    restored.deserialize(r);
+    ckpt::Archive load(r);
+    restored.checkpoint(load);
     ckpt::Writer again;
-    restored.serialize(again);
+    ckpt::Archive resave(again);
+    restored.checkpoint(resave);
     EXPECT_EQ(again.bytes(), bytes);
 }
 
@@ -155,13 +158,15 @@ TEST(SetAssocCache, CheckpointRejectsUseClocksFrom2To62)
     SetAssocCache c(1, 2);
     c.insert(1, false);
     ckpt::Writer w;
-    c.serialize(w);
+    ckpt::Archive save(w);
+    c.checkpoint(save);
     for (const std::size_t at : {lastUseAt(1), useClockAt(2)}) {
         std::vector<std::uint8_t> bytes = w.bytes();
         putU64(bytes, at, 1ULL << 62);
         SetAssocCache restored(1, 2);
         ckpt::Reader r(bytes);
-        EXPECT_DEATH(restored.deserialize(r), "out of range");
+        ckpt::Archive load(r);
+        EXPECT_DEATH(restored.checkpoint(load), "out of range");
     }
 }
 

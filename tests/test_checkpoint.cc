@@ -1,5 +1,6 @@
 /**
- * Checkpoint/restore coverage: byte-stream primitives, on-disk image
+ * Checkpoint/restore coverage: byte-stream primitives and the Archive
+ * pass over them, bounds on lengths read from an image, on-disk image
  * validation (every corruption class is a recoverable error, not an
  * abort), newest-valid discovery with fallback past corrupt images, and
  * the core resume invariant -- a run resumed from any epoch-barrier
@@ -8,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -42,22 +47,73 @@ writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes)
     ASSERT_TRUE(out.good()) << path;
 }
 
+/** Every Archive field kind, in one pass that saves or loads. */
+struct AllFields
+{
+    std::uint8_t small = 0;
+    bool yes = false;
+    bool no = true;
+    std::uint32_t word = 0;
+    std::uint64_t wide = 0;
+    double real = 0.0;
+    std::string text;
+    std::vector<std::uint64_t> u64s;
+    std::vector<std::uint32_t> u32s;
+    std::vector<double> reals;
+    std::vector<bool> bits;
+    std::map<std::uint32_t, std::uint64_t> ordered;
+    std::unordered_map<std::uint32_t, double> unordered;
+    std::unordered_set<std::uint64_t> keys;
+
+    void
+    checkpoint(ckpt::Archive& ar)
+    {
+        ar.section(7);
+        ar.u8(small);
+        ar.b(yes);
+        ar.b(no);
+        ar.u32(word);
+        ar.u64(wide);
+        ar.d(real);
+        ar.str(text);
+        ar.seq(u64s, [&](std::uint64_t& v) { ar.u64(v); });
+        ar.seq(u32s, [&](std::uint32_t& v) { ar.u32(v); });
+        ar.seq(reals, [&](double& v) { ar.d(v); });
+        ar.seq(bits, [&](bool& v) { ar.b(v); });
+        ar.map(ordered, [&](std::uint32_t& k, std::uint64_t& v) {
+            ar.u32(k);
+            ar.u64(v);
+        });
+        ar.map(unordered, [&](std::uint32_t& k, double& v) {
+            ar.u32(k);
+            ar.d(v);
+        });
+        ar.map(keys, [&](std::uint64_t& k) { ar.u64(k); });
+    }
+};
+
 TEST(CheckpointStream, RoundTripAllPrimitives)
 {
+    AllFields a;
+    a.small = 0xAB;
+    a.yes = true;
+    a.no = false;
+    a.word = 0xDEADBEEFu;
+    a.wide = 0x0123456789ABCDEFULL;
+    a.real = -1234.5678e-9;
+    a.text = "stream-based placement";
+    a.u64s = {1, 2, 3};
+    a.reals = {0.5, -0.25};
+    a.bits = {true, false, true};
+    a.ordered = {{9, 90}, {2, 20}};
+    a.unordered = {{30, 3.5}, {10, 1.5}, {20, 2.5}};
+    a.keys = {300, 100, 200};
     ckpt::Writer w;
-    w.section(7);
-    w.u8(0xAB);
-    w.b(true);
-    w.b(false);
-    w.u32(0xDEADBEEFu);
-    w.u64(0x0123456789ABCDEFULL);
-    w.d(-1234.5678e-9);
-    w.str("stream-based placement");
-    w.vecU64({1, 2, 3});
-    w.vecU32({});
-    w.vecD({0.5, -0.25});
-    w.vecB({true, false, true});
+    ckpt::Archive save(w);
+    a.checkpoint(save);
 
+    // The wire format: each field at its named width, containers as a
+    // u64 count, maps and sets in ascending key order.
     ckpt::Reader r(w.bytes());
     r.section(7);
     EXPECT_EQ(r.u8(), 0xAB);
@@ -67,11 +123,72 @@ TEST(CheckpointStream, RoundTripAllPrimitives)
     EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
     EXPECT_EQ(r.d(), -1234.5678e-9);
     EXPECT_EQ(r.str(), "stream-based placement");
-    EXPECT_EQ(r.vecU64(), (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_TRUE(r.vecU32().empty());
-    EXPECT_EQ(r.vecD(), (std::vector<double>{0.5, -0.25}));
-    EXPECT_EQ(r.vecB(), (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(r.u64(), 3u);
+    EXPECT_EQ(r.u64(), 1u);
+    EXPECT_EQ(r.u64(), 2u);
+    EXPECT_EQ(r.u64(), 3u);
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.u64(), 2u);
+    EXPECT_EQ(r.d(), 0.5);
+    EXPECT_EQ(r.d(), -0.25);
+    EXPECT_EQ(r.u64(), 3u);
+    EXPECT_TRUE(r.b());
+    EXPECT_FALSE(r.b());
+    EXPECT_TRUE(r.b());
+    EXPECT_EQ(r.u64(), 2u);
+    EXPECT_EQ(r.u32(), 2u);
+    EXPECT_EQ(r.u64(), 20u);
+    EXPECT_EQ(r.u32(), 9u);
+    EXPECT_EQ(r.u64(), 90u);
+    EXPECT_EQ(r.u64(), 3u);
+    for (const std::uint32_t k : {10u, 20u, 30u}) {
+        EXPECT_EQ(r.u32(), k);
+        EXPECT_EQ(r.d(), k / 10 + 0.5);
+    }
+    EXPECT_EQ(r.u64(), 3u);
+    for (const std::uint64_t k : {100u, 200u, 300u}) {
+        EXPECT_EQ(r.u64(), k);
+    }
     EXPECT_TRUE(r.atEnd());
+
+    // Loading through the same pass restores every field and saves
+    // back to the same bytes.
+    AllFields b;
+    b.u32s = {7}; // stale contents are replaced, not appended to
+    ckpt::Reader again(w.bytes());
+    ckpt::Archive load(again);
+    b.checkpoint(load);
+    EXPECT_TRUE(again.atEnd());
+    EXPECT_EQ(b.small, a.small);
+    EXPECT_EQ(b.yes, a.yes);
+    EXPECT_EQ(b.no, a.no);
+    EXPECT_EQ(b.word, a.word);
+    EXPECT_EQ(b.wide, a.wide);
+    EXPECT_EQ(b.real, a.real);
+    EXPECT_EQ(b.text, a.text);
+    EXPECT_EQ(b.u64s, a.u64s);
+    EXPECT_TRUE(b.u32s.empty());
+    EXPECT_EQ(b.reals, a.reals);
+    EXPECT_EQ(b.bits, a.bits);
+    EXPECT_EQ(b.ordered, a.ordered);
+    EXPECT_EQ(b.unordered, a.unordered);
+    EXPECT_EQ(b.keys, a.keys);
+    ckpt::Writer w2;
+    ckpt::Archive resave(w2);
+    b.checkpoint(resave);
+    EXPECT_EQ(w2.bytes(), w.bytes());
+}
+
+TEST(CheckpointStream, StringLengthCannotWrapTheBound)
+{
+    // pos + n wraps to a small number for n = 2^64 - 1; the bound must
+    // compare n against the bytes left instead.
+    ckpt::Writer w;
+    w.u8(1);
+    w.u64(~std::uint64_t{0});
+    ckpt::Reader r(w.bytes());
+    r.u8();
+    EXPECT_DEATH(r.str(), "overrun");
 }
 
 TEST(CheckpointStream, DoubleBitPatternsSurvive)
@@ -114,7 +231,9 @@ class CheckpointFileTest : public ::testing::Test
     {
         ckpt::Writer w;
         w.section(1);
-        w.vecU64({10, 20, 30});
+        for (const std::uint64_t v : {10, 20, 30}) {
+            w.u64(v);
+        }
         w.str("payload");
         return w.bytes();
     }
@@ -339,18 +458,49 @@ expectIdentical(const RunResult& a, const RunResult& b)
     expectSameStats(a, b);
 }
 
-TEST(CheckpointResume, ResumeIsBitIdentical)
+/**
+ * Resume cases, one per kind of state a resume restores: the stream
+ * path (pr), the cacheline-mode metadata caches (bfs under
+ * static-interleave), a configurator with state (recsys under nexus),
+ * the read-only replay after a write exception (backprop), and the
+ * fault injector's RNGs, poisoned and failed sets, failure cursor and
+ * emergency reconfiguration (faulty pr).
+ */
+class CheckpointResume : public ::testing::TestWithParam<RunCase>
 {
-    auto w = makeWorkload("pr");
+  protected:
+    SystemConfig
+    config() const
+    {
+        SystemConfig cfg = tinyConfig();
+        if (GetParam().faulty) {
+            // Rates high enough that every fault class draws after each
+            // resume point, so a lost RNG state shows.
+            addFaults(cfg, 5, 100'000, 1e-3);
+        }
+        return cfg;
+    }
+};
+
+TEST_P(CheckpointResume, ResumeIsBitIdentical)
+{
+    auto w = makeWorkload(GetParam().workload);
     w->prepare(tinyParams());
     const std::string prefix = freshPrefix("resume");
 
     // Golden: uninterrupted run, no checkpointing.
-    NdpSystem golden(tinyConfig(), PolicyKind::NdpExt);
+    NdpSystem golden(config(), GetParam().policy);
     const RunResult want = golden.run(*w);
+    if (GetParam().workload == std::string("backprop")) {
+        EXPECT_GE(want.writeExceptions, 1u);
+    }
+    if (GetParam().faulty) {
+        EXPECT_EQ(want.degraded.failedUnits, 1u);
+        EXPECT_EQ(want.degraded.emergencyReconfigs, 1u);
+    }
 
     // Checkpointing is observer-only: the emitting run matches golden.
-    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
+    NdpSystem emitter(config(), GetParam().policy);
     emitter.setCheckpointing(prefix, 1);
     const RunResult emitted = emitter.run(*w);
     expectIdentical(want, emitted);
@@ -366,7 +516,7 @@ TEST(CheckpointResume, ResumeIsBitIdentical)
     // Resume from the first, a middle, and the newest image.
     for (const std::uint64_t epoch :
          {std::uint64_t{1}, h.epoch / 2, h.epoch}) {
-        NdpSystem resumed(tinyConfig(), PolicyKind::NdpExt);
+        NdpSystem resumed(config(), GetParam().policy);
         const std::string image =
             prefix + "." + std::to_string(epoch) + ".ckpt";
         ASSERT_TRUE(resumed.setResume(image, *w, &error)) << error;
@@ -374,6 +524,61 @@ TEST(CheckpointResume, ResumeIsBitIdentical)
         const RunResult got = resumed.run(*w);
         expectIdentical(want, got);
     }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CheckpointResume,
+    ::testing::Values(
+        RunCase{"pr", "pr", PolicyKind::NdpExt, false},
+        RunCase{"bfs_interleave", "bfs", PolicyKind::StaticInterleave,
+                false},
+        RunCase{"recsys_nexus", "recsys", PolicyKind::Nexus, false},
+        RunCase{"backprop", "backprop", PolicyKind::NdpExt, false},
+        RunCase{"pr_faulty", "pr", PolicyKind::NdpExt, true}),
+    [](const ::testing::TestParamInfo<RunCase>& info) {
+        return std::string(info.param.name);
+    });
+
+/**
+ * An image whose CRC is valid but whose remap-table entry count is
+ * 2^40 must stop at the post-CRC count check, before any container is
+ * sized from it.
+ */
+TEST(CheckpointBounds, OversizedCountInValidImageAsserts)
+{
+    auto w = makeWorkload("backprop");
+    w->prepare(tinyParams());
+    const std::string prefix = freshPrefix("bounds");
+    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
+    emitter.setCheckpointing(prefix, 1);
+    emitter.run(*w);
+    const std::string image = prefix + ".1.ckpt";
+
+    // Header: magic 8, version 4, config hash 8, epoch 8, payload size
+    // 8, CRC 4; the payload follows.
+    constexpr std::size_t kCrcAt = 36;
+    constexpr std::size_t kPayloadAt = 40;
+    std::vector<std::uint8_t> bytes = readFile(image);
+    const std::uint8_t tag[4] = {0xAC, 0x0C, 0xC7, 0x5E}; // 0x5EC70CAC
+    const auto at = std::search(bytes.begin() + kPayloadAt, bytes.end(),
+                                std::begin(tag), std::end(tag));
+    ASSERT_NE(at, bytes.end()) << "no stream-cache section";
+    const std::size_t count_at =
+        static_cast<std::size_t>(at - bytes.begin()) + 4;
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[count_at + i] = i == 5 ? 1 : 0; // 2^40, little-endian
+    }
+    const std::uint32_t crc = ckpt::crc32(bytes.data() + kPayloadAt,
+                                          bytes.size() - kPayloadAt);
+    for (std::size_t i = 0; i < 4; ++i) {
+        bytes[kCrcAt + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    writeFile(image, bytes);
+
+    NdpSystem resumed(tinyConfig(), PolicyKind::NdpExt);
+    std::string error;
+    ASSERT_TRUE(resumed.setResume(image, *w, &error)) << error;
+    EXPECT_DEATH(resumed.run(*w), "checkpoint count 1099511627776 exceeds");
 }
 
 TEST(CheckpointResume, WrongWorkloadIsRejected)

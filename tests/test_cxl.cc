@@ -53,15 +53,6 @@ TEST(ExtendedMemory, CountsAccessesAndEnergy)
     EXPECT_GT(ext.dramEnergyNj(), 0.0);
 }
 
-TEST(ExtendedMemory, ResetClears)
-{
-    auto ext = makeExt();
-    ext.access(0, 64, false, 0);
-    ext.reset();
-    EXPECT_EQ(ext.accesses(), 0u);
-    EXPECT_DOUBLE_EQ(ext.linkEnergyNj(), 0.0);
-}
-
 TEST(ExtendedMemory, ReportPopulatesStats)
 {
     auto ext = makeExt();

@@ -123,16 +123,6 @@ TEST(DramDevice, BurstScalesWithSize)
     EXPECT_LT(d.burstCycles(64), d.burstCycles(1024));
 }
 
-TEST(DramDevice, ResetClearsState)
-{
-    DramDevice d(DramTimingParams::hbm3Unit(), kFreq);
-    d.accessRow(0, 5, 64, false, 0);
-    d.reset();
-    EXPECT_DOUBLE_EQ(d.dynamicEnergyNj(), 0.0);
-    const auto r = d.accessRow(0, 5, 64, false, 0);
-    EXPECT_FALSE(r.rowHit); // row closed again
-}
-
 TEST(DramDevice, ReportPopulatesStats)
 {
     DramDevice d(DramTimingParams::hbm3Unit(), kFreq);

@@ -353,10 +353,12 @@ TEST(MemBackendCheckpoint, EveryBackendRoundTrips)
         }
 
         ckpt::Writer w;
-        original->serialize(w);
+        ckpt::Archive save(w);
+        original->checkpoint(save);
         const auto restored = createMemBackend(cfg, kFreq);
         ckpt::Reader r(w.bytes());
-        restored->deserialize(r);
+        ckpt::Archive load(r);
+        restored->checkpoint(load);
         EXPECT_TRUE(r.atEnd()) << name;
 
         EXPECT_EQ(original->rowHits(), restored->rowHits()) << name;

@@ -200,17 +200,6 @@ TEST(NocModel, ReportIncludesQueueCounters)
     EXPECT_TRUE(stats.has("noc.linkReservations"));
 }
 
-TEST(NocModel, ResetClearsEverything)
-{
-    const auto t = paperTopo();
-    NocModel noc(t, NocParams{});
-    noc.transfer(0, 127, 64, 0);
-    noc.reset();
-    EXPECT_EQ(noc.transfers(), 0u);
-    EXPECT_DOUBLE_EQ(noc.energyNj(), 0.0);
-    EXPECT_EQ(noc.totalTransferCycles(), 0u);
-}
-
 /** Property: latency symmetric in zero-load conditions. */
 class NocSymmetryTest
     : public ::testing::TestWithParam<std::pair<UnitId, UnitId>>

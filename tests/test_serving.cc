@@ -138,20 +138,22 @@ TEST(ArrivalProcess, PoissonMeanTracksPeriod)
 
 TEST(ArrivalProcess, CheckpointResumesMidStream)
 {
-    // Serialize after 57 draws, restore into an instance built with a
+    // Save after 57 draws, restore into an instance built with a
     // *different* seed: the continuation must match the original
-    // exactly (deserialize restores all state, including the Rng).
+    // exactly (loading restores all state, including the Rng).
     for (const auto& name : arrivalProcesses().names()) {
         auto a = createArrivalProcess(name, params(600.0), 11);
         for (int i = 0; i < 57; ++i) {
             a->nextGap();
         }
         ckpt::Writer w;
-        a->serialize(w);
+        ckpt::Archive save(w);
+        a->checkpoint(save);
 
         auto b = createArrivalProcess(name, params(600.0), 999);
         ckpt::Reader r(w.bytes());
-        b->deserialize(r);
+        ckpt::Archive load(r);
+        b->checkpoint(load);
         for (int i = 0; i < 300; ++i) {
             EXPECT_EQ(a->nextGap(), b->nextGap()) << name << " @" << i;
         }
@@ -604,14 +606,16 @@ TEST(ServingGenerator, CheckpointRoundTripIsByteIdentical)
     drive(*gen, 300); // mid-run: queues, in-flight and stats populated
 
     ckpt::Writer snap;
-    gen->serializeExtra(snap);
+    ckpt::Archive save(snap);
+    gen->checkpointExtra(save);
 
     auto resumed = w.makeGenerator(2);
     ckpt::Reader r(snap.bytes());
-    resumed->deserializeExtra(r);
+    ckpt::Archive load(r);
+    resumed->checkpointExtra(load);
 
-    // Both must emit identical traffic from here on and then serialize
-    // to identical bytes.
+    // Both must emit identical traffic from here on and then save to
+    // identical bytes.
     Access a;
     Access b;
     Cycles now = 300 * 200;
@@ -634,8 +638,10 @@ TEST(ServingGenerator, CheckpointRoundTripIsByteIdentical)
     }
     ckpt::Writer wa;
     ckpt::Writer wb;
-    gen->serializeExtra(wa);
-    resumed->serializeExtra(wb);
+    ckpt::Archive saveA(wa);
+    ckpt::Archive saveB(wb);
+    gen->checkpointExtra(saveA);
+    resumed->checkpointExtra(saveB);
     EXPECT_EQ(wa.bytes(), wb.bytes());
 }
 

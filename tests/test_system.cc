@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
 #include <string>
 
 #include "system/host_system.h"
@@ -73,22 +72,6 @@ TEST(NdpSystem, RunsPageRankToCompletion)
     EXPECT_LE(res.missRate, 1.0);
 }
 
-/** One configuration of the determinism check. */
-struct RunCase
-{
-    const char* name;
-    const char* workload;
-    PolicyKind policy;
-    bool faulty;
-};
-
-/** Print a case by name, so test names do not carry its bytes. */
-void
-PrintTo(const RunCase& c, std::ostream* os)
-{
-    *os << c.name;
-}
-
 class NdpSystemRuns : public ::testing::TestWithParam<RunCase>
 {
   protected:
@@ -97,13 +80,7 @@ class NdpSystemRuns : public ::testing::TestWithParam<RunCase>
     {
         SystemConfig cfg = tinyConfig();
         if (GetParam().faulty) {
-            // One unit failure plus the three Bernoulli fault classes,
-            // all drawn from the one injector.
-            cfg.faults.seed = 99;
-            cfg.faults.cxlTransientProb = 1e-3;
-            cfg.faults.cxlPoisonProb = 1e-5;
-            cfg.faults.dramBitProb = 1e-5;
-            cfg.faults.unitFailures.push_back({3, 150'000});
+            addFaults(cfg, 3, 150'000, 1e-5);
         }
         NdpSystem sys(cfg, GetParam().policy);
         return sys.run(w);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Helpers shared by the system-level tests: fresh output directories
- * and the full-stats comparison of two runs.
+ * Helpers shared by the system-level tests: fresh output directories,
+ * the run cases and fault mix, and the full-stats comparison of two
+ * runs.
  */
 
 #ifndef NDPEXT_TESTS_TEST_UTIL_H
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "system/ndp_system.h"
@@ -30,6 +32,37 @@ freshPrefix(const std::string& name)
         ADD_FAILURE() << "mkdtemp failed for " << dir;
     }
     return dir + "/" + name;
+}
+
+/** One workload/policy configuration of a system-level test. */
+struct RunCase
+{
+    const char* name;
+    const char* workload;
+    PolicyKind policy;
+    bool faulty;
+};
+
+/** Print a case by name, so test names do not carry its bytes. */
+inline void
+PrintTo(const RunCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+/**
+ * Fail `unit` at cycle `at` and enable the three Bernoulli fault
+ * classes, all drawn from the one injector: CXL transient errors at
+ * 1e-3, CXL poison and DRAM bit faults at `rare_prob`.
+ */
+inline void
+addFaults(SystemConfig& cfg, UnitId unit, Cycles at, double rare_prob)
+{
+    cfg.faults.seed = 99;
+    cfg.faults.cxlTransientProb = 1e-3;
+    cfg.faults.cxlPoisonProb = rare_prob;
+    cfg.faults.dramBitProb = rare_prob;
+    cfg.faults.unitFailures.push_back({unit, at});
 }
 
 /**
