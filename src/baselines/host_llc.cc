@@ -23,27 +23,12 @@ void
 HostLlcController::recvAtomic(Packet& pkt)
 {
     if (pkt.op == MemOp::Writeback) {
-        writeback(pkt.src, pkt.addr, pkt.ready);
+        handleWriteback(pkt);
         return;
     }
-    Access acc;
-    acc.addr = pkt.addr;
-    acc.size = pkt.bytes;
-    acc.isWrite = pkt.isWrite();
-    acc.sid = pkt.sid;
-    acc.elem = pkt.elem;
-    const LatencyBreakdown before = bd_;
-    const MemResult res = access(pkt.src, acc, pkt.ready);
-    // Attribute this request's bucket deltas to the packet.
-    LatencyBreakdown delta = bd_;
-    delta.metadata -= before.metadata;
-    delta.icnIntra -= before.icnIntra;
-    delta.icnInter -= before.icnInter;
-    delta.dramCache -= before.dramCache;
-    delta.extMem -= before.extMem;
-    delta.requests -= before.requests;
-    pkt.bd.merge(delta);
-    pkt.ready = res.done;
+    handleAccess(pkt);
+    pkt.bd.requests += 1;
+    bd_.merge(pkt.bd);
 }
 
 std::uint32_t
@@ -56,59 +41,55 @@ HostLlcController::hopsBetween(std::uint32_t a, std::uint32_t b) const
     return (ax > bx ? ax - bx : bx - ax) + (ay > by ? ay - by : by - ay);
 }
 
-MemResult
-HostLlcController::access(CoreId core, const Access& acc, Cycles now)
+void
+HostLlcController::handleAccess(Packet& pkt)
 {
-    NDP_ASSERT(core < params_.numCores);
-    ++bd_.requests;
-    Cycles t = now;
-
-    const std::uint64_t line = acc.addr / kCachelineBytes;
+    NDP_ASSERT(pkt.src < params_.numCores);
+    const bool is_write = pkt.isWrite();
+    const std::uint64_t line = pkt.addr / kCachelineBytes;
     // Static NUCA: lines hashed across all banks.
     const std::uint32_t bank =
         static_cast<std::uint32_t>(mix64(line) % banks_.size());
-    const std::uint32_t hops = hopsBetween(core, bank);
+    const std::uint32_t hops = hopsBetween(pkt.src, bank);
 
     const Cycles route = static_cast<Cycles>(hops) * params_.hopCycles;
-    t += route + params_.llcBankCycles;
-    bd_.icnIntra += route;
-    bd_.dramCache += params_.llcBankCycles; // LLC array access bucket
+    pkt.ready += route + params_.llcBankCycles;
+    pkt.bd.icnIntra += route;
+    pkt.bd.dramCache += params_.llcBankCycles; // LLC array access bucket
     nocEnergyNj_ += 64.0 * 8.0 * params_.hopPjPerBit * 1e-3
         * static_cast<double>(hops);
 
-    if (banks_[bank].access(line, acc.isWrite)) {
+    if (banks_[bank].access(line, is_write)) {
         ++hits_;
         // Response route back.
-        t += route;
-        bd_.icnIntra += route;
-        return MemResult{t};
+        pkt.ready += route;
+        pkt.bd.icnIntra += route;
+        return;
     }
     ++misses_;
 
-    const auto ev = banks_[bank].insert(line, acc.isWrite);
+    const auto ev = banks_[bank].insert(line, is_write);
     if (ev.valid && ev.dirty) {
         dram_->access(ev.key * kCachelineBytes, kCachelineBytes, true,
-                      t);
+                      pkt.ready);
     }
-    const DramResult dr = dram_->access(acc.addr, kCachelineBytes,
-                                       acc.isWrite, t);
-    bd_.extMem += dr.done - t;
-    t = dr.done + route;
-    bd_.icnIntra += route;
-    return MemResult{t};
+    const DramResult dr =
+        dram_->access(pkt.addr, kCachelineBytes, is_write, pkt.ready);
+    pkt.bd.extMem += dr.done - pkt.ready;
+    pkt.ready = dr.done + route;
+    pkt.bd.icnIntra += route;
 }
 
 void
-HostLlcController::writeback(CoreId core, Addr line_addr, Cycles now)
+HostLlcController::handleWriteback(const Packet& pkt)
 {
-    (void)core;
-    const std::uint64_t line = line_addr / kCachelineBytes;
+    const std::uint64_t line = pkt.addr / kCachelineBytes;
     const std::uint32_t bank =
         static_cast<std::uint32_t>(mix64(line) % banks_.size());
     if (banks_[bank].contains(line)) {
         banks_[bank].access(line, true);
     } else {
-        dram_->access(line_addr, kCachelineBytes, true, now);
+        dram_->access(pkt.addr, kCachelineBytes, true, pkt.ready);
     }
 }
 

@@ -17,7 +17,6 @@
 
 #include "cache/set_assoc_cache.h"
 #include "common/types.h"
-#include "cpu/core.h"
 #include "mem/mem_backend.h"
 #include "sim/breakdown.h"
 #include "sim/packet.h"
@@ -52,9 +51,6 @@ class HostLlcController : public MemSink
     /** Core entry point: dispatches reads/writes and writebacks. */
     void recvAtomic(Packet& pkt) final;
 
-    MemResult access(CoreId core, const Access& access, Cycles now);
-    void writeback(CoreId core, Addr line_addr, Cycles now);
-
     const LatencyBreakdown& breakdown() const { return bd_; }
     std::uint64_t llcHits() const { return hits_; }
     std::uint64_t llcMisses() const { return misses_; }
@@ -72,6 +68,11 @@ class HostLlcController : public MemSink
     void counters(Counters& out, const std::string& prefix) const;
 
   private:
+    /** A read or write: charges pkt.bd and advances pkt.ready. */
+    void handleAccess(Packet& pkt);
+    /** A dirty L1 line: non-blocking, so the packet is not charged. */
+    void handleWriteback(const Packet& pkt);
+
     std::uint32_t hopsBetween(std::uint32_t a, std::uint32_t b) const;
 
     HostParams params_;

@@ -76,13 +76,9 @@ InOrderCore::attributeStall(Cycles wait, const MshrSlot& blocking)
 {
     memStallCycles_ += wait;
 
-    static const LatencyBreakdown kNoService{};
-    const LatencyBreakdown& bd =
-        blocking.pkt != nullptr ? blocking.pkt->bd : kNoService;
-    const StreamId sid =
-        blocking.pkt != nullptr ? blocking.pkt->sid : kNoStream;
+    const StreamId sid = blocking.pkt.sid;
     Cycles shares[6] = {0, 0, 0, 0, 0, 0};
-    splitWait(wait, bd, shares);
+    splitWait(wait, blocking.pkt.bd, shares);
     stall_.metadata += shares[0];
     stall_.icnIntra += shares[1];
     stall_.icnInter += shares[2];
@@ -183,37 +179,25 @@ InOrderCore::step(AccessGenerator& gen)
         attributeStall(issue - now_, *slot);
     }
 
-    // Recycle the slot's pooled packet in place (the stall window above
+    // The new miss takes over the slot's packet (the stall window above
     // was already blamed on its previous occupant).
-    Packet* pkt = slot->pkt;
-    if (pkt == nullptr) {
-        pkt = pool_.acquire();
-        slot->pkt = pkt;
-    } else {
-        *pkt = Packet{};
-    }
-    pkt->addr = acc.addr;
-    pkt->bytes = acc.size;
-    pkt->op = acc.isWrite ? MemOp::Write : MemOp::Read;
-    pkt->sid = acc.sid;
-    pkt->elem = acc.elem;
-    pkt->src = id_;
-    pkt->ready = issue;
-    mem_.recvAtomic(*pkt);
-    NDP_ASSERT(pkt->ready >= issue);
+    Packet& pkt = slot->pkt;
+    pkt = Packet::request(acc, id_, issue);
+    mem_.recvAtomic(pkt);
+    NDP_ASSERT(pkt.ready >= issue);
     if (telSink_ != nullptr && telSink_->tick()) {
         PacketSample s;
         s.core = id_;
-        s.sid = pkt->sid;
+        s.sid = pkt.sid;
         s.start = issue;
-        s.metadata = pkt->bd.metadata;
-        s.icnIntra = pkt->bd.icnIntra;
-        s.icnInter = pkt->bd.icnInter;
-        s.dramCache = pkt->bd.dramCache;
-        s.extMem = pkt->bd.extMem;
+        s.metadata = pkt.bd.metadata;
+        s.icnIntra = pkt.bd.icnIntra;
+        s.icnInter = pkt.bd.icnInter;
+        s.dramCache = pkt.bd.dramCache;
+        s.extMem = pkt.bd.extMem;
         telSink_->record(s);
     }
-    slot->free = pkt->ready;
+    slot->free = pkt.ready;
     now_ = issue + params_.l1HitCycles; // issue occupancy, then overlap
     if (reqOpen_) {
         req_.l1 += params_.l1HitCycles;
@@ -230,7 +214,7 @@ InOrderCore::step(AccessGenerator& gen)
                 // request latency -- split it over the final packet's
                 // own service breakdown.
                 Cycles shares[6] = {0, 0, 0, 0, 0, 0};
-                splitWait(done - now_, pkt->bd, shares);
+                splitWait(done - now_, pkt.bd, shares);
                 addShares(req_, shares);
             }
             req_.done = done;
@@ -241,13 +225,8 @@ InOrderCore::step(AccessGenerator& gen)
 
     const auto ev = l1d_.insert(line, acc.isWrite);
     if (ev.valid && ev.dirty) {
-        Packet* wb = pool_.acquire();
-        wb->addr = ev.key * params_.lineBytes;
-        wb->op = MemOp::Writeback;
-        wb->src = id_;
-        wb->ready = issue;
-        mem_.recvAtomic(*wb);
-        pool_.release(wb);
+        Packet wb = Packet::writeback(ev.key * params_.lineBytes, id_, issue);
+        mem_.recvAtomic(wb);
     }
     return true;
 }

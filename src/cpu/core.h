@@ -24,7 +24,6 @@
 #include "cpu/access_generator.h"
 #include "sim/breakdown.h"
 #include "sim/packet.h"
-#include "sim/packet_pool.h"
 #include "sim/stats.h"
 #include "telemetry/request_trace.h"
 
@@ -71,12 +70,6 @@ struct CoreParams
      * busy. Set to 1 for strict stall-on-miss.
      */
     std::uint32_t mshrs = 8;
-};
-
-/** Completion of a request issued to the memory system. */
-struct MemResult
-{
-    Cycles done = 0;
 };
 
 class InOrderCore
@@ -165,14 +158,10 @@ class InOrderCore
      */
     void setRequestTraceSink(RequestTraceBuffer* sink) { reqSink_ = sink; }
 
-    /** The core's private packet pool (engine telemetry). */
-    const PacketPool& packetPool() const { return pool_; }
-
     /**
      * Checkpoint pass. MSHR slots keep only what later stall
-     * attribution reads (owning sid + service breakdown); their packets
-     * are re-acquired from the restored pool, which also reconstructs
-     * the pool's inUse count.
+     * attribution reads: completion time, owning sid and service
+     * breakdown.
      */
     void
     checkpoint(ckpt::Archive& ar)
@@ -192,22 +181,11 @@ class InOrderCore
         ar.seq(streamStall_, [&](Cycles& c) { ar.u64(c); });
         ar.u64(noStreamStall_);
         l1d_.checkpoint(ar);
-        pool_.checkpoint(ar);
         ar.expect(mshr_.size(), "MSHR count mismatch");
         for (MshrSlot& slot : mshr_) {
             ar.u64(slot.free);
-            bool live = slot.pkt != nullptr;
-            ar.b(live);
-            if (ar.loading()) {
-                slot.pkt = live ? pool_.acquire() : nullptr;
-                if (live) {
-                    slot.pkt->src = id_;
-                }
-            }
-            if (live) {
-                ar.u32(slot.pkt->sid);
-                ar.bd(slot.pkt->bd);
-            }
+            ar.u32(slot.pkt.sid);
+            ar.bd(slot.pkt.bd);
         }
         ar.b(reqOpen_);
         if (ar.loading()) {
@@ -231,15 +209,15 @@ class InOrderCore
   private:
     /**
      * One MSHR: completion time plus the occupying packet (for stall
-     * attribution). The packet is acquired from the core's pool on
-     * first use and recycled in place on every later miss through this
-     * slot, so its identity and service breakdown stay readable until
-     * the slot is reused. Null until the slot first carries a miss.
+     * attribution). Each miss through the slot overwrites the packet,
+     * so its identity and service breakdown stay readable until the
+     * slot is reused. A slot that never carried a miss holds a default
+     * packet: no stream, no recorded service.
      */
     struct MshrSlot
     {
         Cycles free = 0;
-        Packet* pkt = nullptr;
+        Packet pkt;
     };
 
     /**
@@ -255,8 +233,6 @@ class InOrderCore
     CoreParams params_;
     MemSink& mem_;
     SetAssocCache l1d_;
-    /** Pool behind the MSHR packets and writeback scratch packets. */
-    PacketPool pool_;
 
     Cycles now_ = 0;
     /** In-flight misses (one entry per MSHR). */

@@ -12,16 +12,6 @@ ExtendedMemory::ExtendedMemory(const CxlParams& cxl,
 {
 }
 
-void
-ExtendedMemory::recvAtomic(Packet& pkt)
-{
-    const CxlResult res =
-        access(pkt.addr, pkt.bytes, pkt.isWrite(), pkt.ready, pkt.sid);
-    pkt.bd.extMem += res.done - pkt.ready;
-    pkt.ready = res.done;
-    pkt.poisoned = res.poisoned;
-}
-
 ExtendedMemory::StreamCounters&
 ExtendedMemory::countersFor(StreamId sid)
 {

@@ -24,7 +24,6 @@
 #include "common/types.h"
 #include "fault/fault_injector.h"
 #include "mem/mem_backend.h"
-#include "sim/packet.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
 
@@ -68,13 +67,6 @@ class ExtendedMemory
 
     /** Attach (or detach with nullptr) the fault injector. */
     void setFaultInjector(FaultInjector* fault) { fault_ = fault; }
-
-    /**
-     * Packet protocol: service pkt at the CXL attach point, advancing
-     * pkt.ready, charging the extMem bucket, and setting pkt.poisoned on
-     * a poisoned read.
-     */
-    void recvAtomic(Packet& pkt);
 
     /**
      * Access `bytes` at `addr`, arriving at the CXL port at `now`. `sid`

@@ -55,16 +55,6 @@ RefreshDramBackend::refreshAlign(Cycles t)
 }
 
 DramResult
-RefreshDramBackend::access(Addr addr, std::uint32_t bytes, bool is_write,
-                           Cycles now)
-{
-    const std::uint64_t row_linear = addr / params_.rowBytes;
-    const std::uint32_t bank = row_linear % banks_.size();
-    const std::uint64_t row = row_linear / banks_.size();
-    return accessRow(bank, row, bytes, is_write, now);
-}
-
-DramResult
 RefreshDramBackend::accessRow(std::uint32_t bank_idx, std::uint64_t row,
                               std::uint32_t bytes, bool is_write, Cycles now)
 {

@@ -39,9 +39,6 @@ class RefreshDramBackend : public MemBackend
     RefreshDramBackend(const MemBackendConfig& cfg,
                        std::uint64_t core_freq_mhz);
 
-    DramResult access(Addr addr, std::uint32_t bytes, bool is_write,
-                      Cycles now) override;
-
     DramResult accessRow(std::uint32_t bank, std::uint64_t row,
                          std::uint32_t bytes, bool is_write,
                          Cycles now) override;

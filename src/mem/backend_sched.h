@@ -48,9 +48,6 @@ class SchedDramBackend : public MemBackend
     SchedDramBackend(const MemBackendConfig& cfg,
                      std::uint64_t core_freq_mhz, bool row_hit_first);
 
-    DramResult access(Addr addr, std::uint32_t bytes, bool is_write,
-                      Cycles now) override;
-
     DramResult accessRow(std::uint32_t bank, std::uint64_t row,
                          std::uint32_t bytes, bool is_write,
                          Cycles now) override;

@@ -33,18 +33,11 @@
 
 namespace ndpext {
 
-/**
- * A set of banks behind one shared data bus. Addresses are mapped
- * row-interleaved across banks: consecutive rows go to different banks,
- * maximizing bank-level parallelism for streaming patterns.
- */
+/** A set of banks behind one shared data bus. */
 class DramDevice : public MemBackend
 {
   public:
     DramDevice(const DramTimingParams& params, std::uint64_t core_freq_mhz);
-
-    DramResult access(Addr addr, std::uint32_t bytes, bool is_write,
-                      Cycles now) override;
 
     DramResult accessRow(std::uint32_t bank, std::uint64_t row,
                          std::uint32_t bytes, bool is_write,

@@ -173,19 +173,6 @@ MemBackendConfig::setTunable(const std::string& key, const std::string& value)
     std::sort(tunables.begin(), tunables.end());
 }
 
-std::string
-MemBackendConfig::describe() const
-{
-    std::string out = backend;
-    if (timingSet && !timing.name.empty()) {
-        out += ",timing=" + timing.name;
-    }
-    for (const auto& [k, v] : tunables) {
-        out += "," + k + "=" + v;
-    }
-    return out;
-}
-
 void
 MemBackendConfig::hashInto(ckpt::Writer& w) const
 {
@@ -295,15 +282,6 @@ MemBackend::dynamicEnergyNj() const
         static_cast<double>(bytesRead_ + bytesWritten_) * 8.0;
     return bits * params_.rdWrPjPerBit * 1e-3
         + static_cast<double>(activations_) * params_.actPreNj;
-}
-
-double
-MemBackend::rowHitRate() const
-{
-    const std::uint64_t total = rowHits_ + rowMisses_;
-    return total == 0 ? 1.0
-                      : static_cast<double>(rowHits_)
-                            / static_cast<double>(total);
 }
 
 void

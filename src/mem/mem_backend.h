@@ -120,7 +120,7 @@ struct MemBackendConfig
      *  default-constructed placeholder (roles fill defaults lazily). */
     bool timingSet = false;
     /** Backend-specific tunables, kept sorted by key (canonical order
-     *  for hashing and describe()). Values are numeric strings. */
+     *  for hashing). Values are numeric strings. */
     std::vector<std::pair<std::string, std::string>> tunables;
 
     MemBackendConfig() = default;
@@ -139,9 +139,6 @@ struct MemBackendConfig
 
     /** Set (or replace) one tunable, keeping the canonical sort order. */
     void setTunable(const std::string& key, const std::string& value);
-
-    /** "name,preset=...,key=val,..." round-trippable description. */
-    std::string describe() const;
 
     /**
      * Canonical encoding of the full backend identity (name, timing,
@@ -163,10 +160,10 @@ struct MemBackendConfig
 
 /**
  * A memory device: a set of banks behind one shared data bus. Concrete
- * backends implement the access path; the base class owns the timing
- * parameters (converted to core cycles once at construction), the common
- * traffic counters and the energy model, so every backend reports the
- * same baseline statistics under its extras.
+ * backends implement accessRow(); the base class owns the row
+ * interleave, the timing parameters (converted to core cycles once at
+ * construction), the common traffic counters and the energy model, so
+ * every backend reports the same baseline statistics under its extras.
  */
 class MemBackend
 {
@@ -180,14 +177,23 @@ class MemBackend
     /**
      * Issue an access. @param addr byte address within this device's
      * local address space; @param bytes transfer size; @param now request
-     * time. Addresses map row-interleaved across banks.
+     * time. Addresses map row-interleaved across banks: consecutive rows
+     * go to different banks, maximizing bank-level parallelism for
+     * streaming patterns.
      */
-    virtual DramResult access(Addr addr, std::uint32_t bytes,
-                              bool is_write, Cycles now) = 0;
+    DramResult
+    access(Addr addr, std::uint32_t bytes, bool is_write, Cycles now)
+    {
+        const std::uint64_t row_linear = addr / params_.rowBytes;
+        const std::uint32_t banks = params_.totalBanks();
+        return accessRow(static_cast<std::uint32_t>(row_linear % banks),
+                         row_linear / banks, bytes, is_write, now);
+    }
 
     /**
-     * Issue an access to an explicit (bank, row) pair, used by the
-     * stream cache which manages DRAM rows directly.
+     * Issue an access to an explicit (bank, row) pair: what every
+     * backend implements. The stream cache calls it directly, since it
+     * manages DRAM rows itself.
      */
     virtual DramResult accessRow(std::uint32_t bank, std::uint64_t row,
                                  std::uint32_t bytes, bool is_write,
@@ -220,9 +226,6 @@ class MemBackend
 
     /** Total dynamic energy so far, in nanojoules. */
     virtual double dynamicEnergyNj() const;
-
-    /** Row hits / (hits + misses); 1.0 before the first access. */
-    double rowHitRate() const;
 
     std::uint64_t rowHits() const { return rowHits_; }
     std::uint64_t rowMisses() const { return rowMisses_; }

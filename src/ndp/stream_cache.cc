@@ -181,27 +181,24 @@ StreamCacheController::dramAt(const CacheLocation& loc, std::uint32_t bytes,
 }
 
 void
-StreamCacheController::nocLeg(Packet& pkt, UnitId src, UnitId dst,
-                              std::uint32_t bytes)
+StreamCacheController::chargeNoc(Packet& pkt, const NocResult& res)
 {
-    pkt.hopSrc = src;
-    pkt.hopDst = dst;
-    pkt.bytes = bytes;
-    noc_.recvAtomic(pkt);
+    const Cycles intra =
+        static_cast<Cycles>(res.intraHops) * noc_.params().intraHopCycles;
+    pkt.bd.icnIntra += intra;
+    pkt.bd.icnInter += (res.done - pkt.ready) - intra;
+    pkt.ready = res.done;
 }
 
 void
-StreamCacheController::extLeg(Packet& pkt, Addr addr, std::uint32_t bytes,
-                              bool is_write)
+StreamCacheController::chargeExt(Packet& pkt, Addr addr, std::uint32_t bytes,
+                                 bool is_write)
 {
-    const Addr addr0 = pkt.addr;
-    const std::uint32_t bytes0 = pkt.bytes;
-    const MemOp op0 = pkt.op;
-    pkt.addr = addr;
-    pkt.bytes = bytes;
-    pkt.op = is_write ? MemOp::Write : MemOp::Read;
-    ext_.recvAtomic(pkt);
-    if (pkt.poisoned) {
+    const CxlResult res =
+        ext_.access(addr, bytes, is_write, pkt.ready, pkt.sid);
+    pkt.bd.extMem += res.done - pkt.ready;
+    pkt.ready = res.done;
+    if (res.poisoned) {
         // Poisoned read: the host exception handler repairs the line
         // (re-materialises it from the source copy) and the access
         // completes with the repaired data after the penalty.
@@ -211,11 +208,25 @@ StreamCacheController::extLeg(Packet& pkt, Addr addr, std::uint32_t bytes,
             : Cycles(0);
         pkt.ready += penalty;
         pkt.bd.extMem += penalty;
-        pkt.poisoned = false;
     }
-    pkt.addr = addr0;
-    pkt.bytes = bytes0;
-    pkt.op = op0;
+}
+
+void
+StreamCacheController::extRoundTrip(UnitId unit, Packet& pkt, Addr addr,
+                                    std::uint32_t bytes, bool is_write)
+{
+    chargeNoc(pkt, noc_.transferToCxl(unit, params_.reqBytes, pkt.ready,
+                                      pkt.sid));
+    chargeExt(pkt, addr, bytes, is_write);
+    chargeNoc(pkt, noc_.transferFromCxl(unit, bytes, pkt.ready, pkt.sid));
+}
+
+void
+StreamCacheController::extWriteThrough(UnitId unit, Packet& pkt, Addr addr,
+                                       std::uint32_t bytes)
+{
+    chargeNoc(pkt, noc_.transferToCxl(unit, bytes, pkt.ready, pkt.sid));
+    chargeExt(pkt, addr, bytes, true);
 }
 
 bool
@@ -231,26 +242,13 @@ StreamCacheController::eccFaultOnHit(bool hit)
 }
 
 void
-StreamCacheController::bypassToExt(UnitId unit, Packet& pkt, Addr addr,
-                                   std::uint32_t bytes, bool is_write)
-{
-    nocLeg(pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
-    extLeg(pkt, addr, bytes, is_write);
-    nocLeg(pkt, Packet::kCxlEndpoint, unit, bytes);
-}
-
-void
 StreamCacheController::fetchFill(Packet& pkt, UnitId unit,
                                  const StreamConfig& cfg,
                                  std::uint64_t granule,
                                  const CacheLocation& loc)
 {
     const std::uint32_t bytes = granuleFetchBytes(cfg);
-    const Addr addr = granuleAddr(cfg, granule);
-
-    nocLeg(pkt, unit, Packet::kCxlEndpoint, params_.reqBytes);
-    extLeg(pkt, addr, bytes, false);
-    nocLeg(pkt, Packet::kCxlEndpoint, unit, bytes);
+    extRoundTrip(unit, pkt, granuleAddr(cfg, granule), bytes, false);
 
     // Install into the local DRAM row(s); critical word forwarded in
     // parallel, so the requester sees the fill completion time.
@@ -265,16 +263,11 @@ StreamCacheController::writebackVictim(UnitId unit, const StreamConfig& cfg,
 {
     // Off the critical path: reserve bandwidth, do not stall the
     // requester. The scratch packet's latency breakdown is discarded.
-    const std::uint32_t bytes = granuleFetchBytes(cfg);
-    Packet* wb = pool_.acquire();
-    wb->addr = granuleAddr(cfg, victim_granule);
-    wb->op = MemOp::Writeback;
-    wb->src = kNoUnit;
-    wb->ready = t;
-    wb->sid = cfg.sid; // the victim's stream owns the writeback energy
-    nocLeg(*wb, unit, Packet::kCxlEndpoint, bytes);
-    extLeg(*wb, wb->addr, bytes, true);
-    pool_.release(wb);
+    Packet wb;
+    wb.ready = t;
+    wb.sid = cfg.sid; // the victim's stream owns the writeback energy
+    extWriteThrough(unit, wb, granuleAddr(cfg, victim_granule),
+                    granuleFetchBytes(cfg));
     ++writebacks_;
 }
 
@@ -295,7 +288,7 @@ StreamCacheController::metadataLookup(UnitId unit, Packet& pkt)
     const UnitId home =
         static_cast<UnitId>(mix64(key) % units_.size());
     if (home != unit) {
-        nocLeg(pkt, unit, home, 32);
+        chargeNoc(pkt, noc_.transfer(unit, home, 32, pkt.ready, pkt.sid));
     }
     const DramResult dr = units_[home]->dram->access(
         key * 4, kCachelineBytes, false, pkt.ready);
@@ -307,7 +300,7 @@ StreamCacheController::metadataLookup(UnitId unit, Packet& pkt)
     pkt.bd.metadata += dr.done - pkt.ready;
     pkt.ready = dr.done;
     if (home != unit) {
-        nocLeg(pkt, home, unit, 32);
+        chargeNoc(pkt, noc_.transfer(home, unit, 32, pkt.ready, pkt.sid));
     }
 }
 
@@ -339,21 +332,6 @@ StreamCacheController::recvAtomic(Packet& pkt)
     }
 }
 
-MemResult
-StreamCacheController::access(CoreId core, const Access& acc, Cycles now)
-{
-    Packet pkt = Packet::request(acc, core, now);
-    recvAtomic(pkt);
-    return MemResult{pkt.ready};
-}
-
-void
-StreamCacheController::writeback(CoreId core, Addr line_addr, Cycles now)
-{
-    Packet pkt = Packet::writeback(line_addr, core, now);
-    recvAtomic(pkt);
-}
-
 namespace {
 
 void
@@ -383,7 +361,7 @@ StreamCacheController::handleAccess(Packet& pkt)
         sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
         ++noStreamCost_.slbLookups;
         ++bypasses_;
-        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
+        extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     } else {
         const Cycles slb_lat = units_[u]->slb.lookup(pkt.sid);
@@ -395,7 +373,7 @@ StreamCacheController::handleAccess(Packet& pkt)
 
     if (pkt.sid == kNoStream) {
         ++bypasses_;
-        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
+        extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
@@ -439,7 +417,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         // pre-first-epoch): stream directly from extended memory.
         ++uncached_;
         bumpStreamCounter(streamMisses_, cfg.sid);
-        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
+        extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
@@ -451,13 +429,14 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         ++failedRedirects_;
         ++uncached_;
         bumpStreamCounter(streamMisses_, cfg.sid);
-        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
+        extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
     const bool remote = loc.unit != u;
 
     if (remote) {
-        nocLeg(pkt, u, loc.unit, params_.reqBytes);
+        chargeNoc(pkt, noc_.transfer(u, loc.unit, params_.reqBytes, pkt.ready,
+                                     pkt.sid));
     }
     pkt.ready += params_.unitHandlerCycles;
     pkt.bd.metadata += params_.unitHandlerCycles;
@@ -465,59 +444,32 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
     TagStore& ts = storeFor(loc.unit, cfg.sid);
     if (!ts.usable()) {
         ++uncached_;
-        bypassToExt(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
+        extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
 
     const bool is_write = pkt.isWrite();
-    if (params_.cachelineMode) {
-        // Baseline path: the metadata lookup already resolved the tag;
-        // a hit needs one DRAM data access, a miss fetches the line.
-        const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
-        if (res.hit && !eccFaultOnHit(true)) {
-            ++hits_;
-            bumpStreamCounter(streamHits_, cfg.sid);
-            const DramResult dr =
-                dramAt(loc, kCachelineBytes, is_write, pkt.ready, cfg.sid);
-            pkt.bd.dramCache += dr.done - pkt.ready;
-            pkt.ready = dr.done;
-        } else {
-            ++misses_;
-            bumpStreamCounter(streamMisses_, cfg.sid);
-            if (!res.hit && res.evictedDirty) {
-                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
-            }
-            fetchFill(pkt, loc.unit, cfg, granule, loc);
+    // Cacheline mode and affine streams resolve the tag before DRAM is
+    // touched: the metadata lookup already did in cacheline mode, and
+    // affine streams pay an SRAM tag-array lookup. Indirect streams keep
+    // the tag with the data in DRAM.
+    const bool tag_first =
+        params_.cachelineMode || cfg.type == StreamType::Affine;
+    TagStore::Result res;
+    if (tag_first) {
+        if (!params_.cachelineMode) {
+            pkt.ready += params_.ataCycles;
+            pkt.bd.metadata += params_.ataCycles;
+            sramEnergyNj_ += params_.ataPjPerLookup * 1e-3;
+            ++costFor(cfg.sid).ataLookups;
         }
-    } else if (cfg.type == StreamType::Affine) {
-        // SRAM tag array first; DRAM touched only as needed.
-        pkt.ready += params_.ataCycles;
-        pkt.bd.metadata += params_.ataCycles;
-        sramEnergyNj_ += params_.ataPjPerLookup * 1e-3;
-        ++costFor(cfg.sid).ataLookups;
-
-        const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
-        if (res.hit && !eccFaultOnHit(true)) {
-            ++hits_;
-            bumpStreamCounter(streamHits_, cfg.sid);
-            const DramResult dr =
-                dramAt(loc, kCachelineBytes, is_write, pkt.ready, cfg.sid);
-            pkt.bd.dramCache += dr.done - pkt.ready;
-            pkt.ready = dr.done;
-        } else {
-            ++misses_;
-            bumpStreamCounter(streamMisses_, cfg.sid);
-            if (!res.hit && res.evictedDirty) {
-                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
-            }
-            fetchFill(pkt, loc.unit, cfg, granule, loc);
-        }
+        res = ts.accessFill(loc.unitSlot, granule, is_write);
     } else {
-        // Indirect: tag-with-data. Direct-mapped (default): one DRAM
-        // access returns tag + data. Associative without prediction: one
-        // wider access reads the whole set. With way prediction, read
-        // only the predicted (MRU) way and pay a second access when a
-        // hit lands in another way.
+        // Tag-with-data. Direct-mapped (default): one DRAM access
+        // returns tag + data. Associative without prediction: one wider
+        // access reads the whole set. With way prediction, read only the
+        // predicted (MRU) way and pay a second access when a hit lands
+        // in another way.
         const std::uint32_t set_factor =
             (params_.indirectWays > 1 && !params_.indirectWayPrediction)
             ? params_.indirectWays
@@ -529,7 +481,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         pkt.bd.dramCache += dr.done - pkt.ready;
         pkt.ready = dr.done;
 
-        const auto res = ts.accessFill(loc.unitSlot, granule, is_write);
+        res = ts.accessFill(loc.unitSlot, granule, is_write);
         if (params_.indirectWays > 1 && params_.indirectWayPrediction) {
             ++wayPredictions_;
             if (res.hit && res.way != res.predictedWay) {
@@ -542,21 +494,29 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
                 pkt.ready = retry.done;
             }
         }
-        if (res.hit && !eccFaultOnHit(true)) {
-            ++hits_;
-            bumpStreamCounter(streamHits_, cfg.sid);
-        } else {
-            ++misses_;
-            bumpStreamCounter(streamMisses_, cfg.sid);
-            if (!res.hit && res.evictedDirty) {
-                writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
-            }
-            fetchFill(pkt, loc.unit, cfg, granule, loc);
+    }
+    if (res.hit && !eccFaultOnHit(true)) {
+        ++hits_;
+        bumpStreamCounter(streamHits_, cfg.sid);
+        if (tag_first) {
+            // The checked tag hit: one DRAM data access.
+            const DramResult dr =
+                dramAt(loc, kCachelineBytes, is_write, pkt.ready, cfg.sid);
+            pkt.bd.dramCache += dr.done - pkt.ready;
+            pkt.ready = dr.done;
         }
+    } else {
+        ++misses_;
+        bumpStreamCounter(streamMisses_, cfg.sid);
+        if (!res.hit && res.evictedDirty) {
+            writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
+        }
+        fetchFill(pkt, loc.unit, cfg, granule, loc);
     }
 
     if (remote) {
-        nocLeg(pkt, loc.unit, u, params_.rspBytes);
+        chargeNoc(pkt, noc_.transfer(loc.unit, u, params_.rspBytes, pkt.ready,
+                                     pkt.sid));
     }
 }
 
@@ -569,8 +529,7 @@ StreamCacheController::handleWriteback(Packet& pkt)
     const StreamId sid = streams_.findByAddr(line_addr);
     if (sid == kNoStream) {
         // Non-stream dirty line: write straight to extended memory.
-        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(pkt, line_addr, kCachelineBytes, true);
+        extWriteThrough(u, pkt, line_addr, kCachelineBytes);
         return;
     }
     const StreamConfig& cfg = streams_.stream(sid);
@@ -579,8 +538,7 @@ StreamCacheController::handleWriteback(Packet& pkt)
         raiseWriteException(sid);
     }
     if (remap_.groupSlots(sid, u) == 0) {
-        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(pkt, line_addr, kCachelineBytes, true);
+        extWriteThrough(u, pkt, line_addr, kCachelineBytes);
         return;
     }
     const std::uint64_t granule = params_.cachelineMode
@@ -590,12 +548,12 @@ StreamCacheController::handleWriteback(Packet& pkt)
     if (unitFailed(loc.unit)) {
         // Serving unit is dead: write through to extended memory.
         ++failedRedirects_;
-        nocLeg(pkt, u, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(pkt, line_addr, kCachelineBytes, true);
+        extWriteThrough(u, pkt, line_addr, kCachelineBytes);
         return;
     }
     if (loc.unit != u) {
-        nocLeg(pkt, u, loc.unit, kCachelineBytes);
+        chargeNoc(pkt, noc_.transfer(u, loc.unit, kCachelineBytes, pkt.ready,
+                                     pkt.sid));
         pkt.ready = now; // fire-and-forget: requester is not stalled
     }
     TagStore& ts = storeFor(loc.unit, sid);
@@ -604,8 +562,7 @@ StreamCacheController::handleWriteback(Packet& pkt)
         dramAt(loc, kCachelineBytes, true, now, sid);
     } else {
         // Not cached: write through to extended memory.
-        nocLeg(pkt, loc.unit, Packet::kCxlEndpoint, kCachelineBytes);
-        extLeg(pkt, line_addr, kCachelineBytes, true);
+        extWriteThrough(loc.unit, pkt, line_addr, kCachelineBytes);
     }
 }
 
@@ -958,7 +915,6 @@ StreamCacheController::checkpoint(ckpt::Archive& ar)
     ar.bd(noStreamBd_);
     ar.seq(streamCost_, [&](StreamCost& c) { c.checkpoint(ar); });
     noStreamCost_.checkpoint(ar);
-    pool_.checkpoint(ar);
     if (ar.loading()) {
         // Every memoized TagStore* referenced pre-restore storage.
         dropStoreMemo();

@@ -19,11 +19,12 @@
  *      that collapses its replication groups (Section IV-B).
  *
  * Packet flow: the controller is the MemSink every NDP core sends its
- * Packets to; internally the packet is handed straight to the machine's
- * NocModel and ExtendedMemory, each leg advancing pkt.ready and
- * charging the matching LatencyBreakdown bucket. Every access reaches
- * the serving unit's own tag store and DRAM device, whichever stack the
- * requester sits on.
+ * Packets to. For each leg it calls the machine's NocModel
+ * (transfer/transferToCxl/transferFromCxl), ExtendedMemory::access or
+ * the unit's MemBackend itself, then advances pkt.ready to the leg's
+ * completion and charges the matching LatencyBreakdown bucket. Every
+ * access reaches the serving unit's own tag store and DRAM device,
+ * whichever stack the requester sits on.
  *
  * Degraded mode (FaultInjector attached): a failed NDP unit loses its
  * DRAM-cache slice, tag stores and samplers -- an immediate capacity
@@ -47,7 +48,6 @@
 
 #include "cache/set_assoc_cache.h"
 #include "common/types.h"
-#include "cpu/core.h"
 #include "cxl/extended_memory.h"
 #include "mem/mem_backend.h"
 #include "ndp/remap_table.h"
@@ -57,7 +57,6 @@
 #include "sampler/sampler.h"
 #include "sim/breakdown.h"
 #include "sim/packet.h"
-#include "sim/packet_pool.h"
 #include "stream/stream_table.h"
 
 namespace ndpext {
@@ -148,10 +147,6 @@ class StreamCacheController : public MemSink
 
     /** Core entry point: dispatches accesses and writebacks. */
     void recvAtomic(Packet& pkt) final;
-
-    /** Convenience wrappers building a Packet (tests, host-style use). */
-    MemResult access(CoreId core, const Access& access, Cycles now);
-    void writeback(CoreId core, Addr line_addr, Cycles now);
 
     /** Granule (caching unit) of a stream in bytes. */
     std::uint32_t granuleOf(const StreamConfig& cfg) const;
@@ -255,10 +250,6 @@ class StreamCacheController : public MemSink
     }
     const MemBackend& unitDram(UnitId unit) const;
 
-    /** Telemetry of the victim-writeback scratch-packet pool. */
-    std::uint64_t packetPoolHighWater() const { return pool_.highWater(); }
-    std::uint64_t packetPoolAllocated() const { return pool_.allocated(); }
-
     /**
      * Declare the controller's counters under `prefix`: the latency
      * breakdown (`.lat`), hit/miss/traffic and degraded-mode counters,
@@ -335,18 +326,27 @@ class StreamCacheController : public MemSink
     /** Access path for stream data resident (or installable) in cache. */
     void accessCached(UnitId src, const StreamConfig& cfg, Packet& pkt);
 
-    /** One NoC leg: src -> dst (Packet::kCxlEndpoint = portal). */
-    void nocLeg(Packet& pkt, UnitId src, UnitId dst, std::uint32_t bytes);
+    /**
+     * Advance pkt.ready to a NoC transfer's arrival (the transfer
+     * started at pkt.ready), charging its intra-stack hops to icnIntra
+     * and the rest to icnInter.
+     */
+    void chargeNoc(Packet& pkt, const NocResult& res);
 
     /**
-     * One extended-memory leg at the packet's current time, including
-     * poison escalation; the packet's addr/bytes/op are preserved.
+     * One extended-memory access at pkt.ready, charged to extMem; a
+     * poisoned read escalates to the host and pays its penalty.
      */
-    void extLeg(Packet& pkt, Addr addr, std::uint32_t bytes, bool is_write);
+    void chargeExt(Packet& pkt, Addr addr, std::uint32_t bytes, bool is_write);
 
-    /** Direct extended-memory round trip (non-stream or uncached). */
-    void bypassToExt(UnitId unit, Packet& pkt, Addr addr,
-                     std::uint32_t bytes, bool is_write);
+    /** Round trip from `unit` to extended memory: request flit to the
+     *  CXL portal, the access, and `bytes` back. */
+    void extRoundTrip(UnitId unit, Packet& pkt, Addr addr,
+                      std::uint32_t bytes, bool is_write);
+
+    /** One-way write of `bytes` from `unit` through to extended memory. */
+    void extWriteThrough(UnitId unit, Packet& pkt, Addr addr,
+                         std::uint32_t bytes);
 
     /** Did this cache hit's data suffer an ECC-detected bit fault? */
     bool eccFaultOnHit(bool hit);
@@ -439,9 +439,6 @@ class StreamCacheController : public MemSink
      */
     std::vector<TagStore*> storeCache_;
     std::uint32_t storeCacheStride_ = 0;
-
-    /** Pool for victim-writeback scratch packets. */
-    PacketPool pool_;
 
     /** Row accounting (reconfigurations, collapses). */
     std::uint64_t invalidatedRows_ = 0;

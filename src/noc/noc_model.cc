@@ -38,25 +38,6 @@ NocModel::NocModel(const MeshTopology& topo, const NocParams& params)
     }
 }
 
-void
-NocModel::recvAtomic(Packet& pkt)
-{
-    NocResult res;
-    if (pkt.hopDst == Packet::kCxlEndpoint) {
-        res = transferToCxl(pkt.hopSrc, pkt.bytes, pkt.ready, pkt.sid);
-    } else if (pkt.hopSrc == Packet::kCxlEndpoint) {
-        res = transferFromCxl(pkt.hopDst, pkt.bytes, pkt.ready, pkt.sid);
-    } else {
-        res = transfer(pkt.hopSrc, pkt.hopDst, pkt.bytes, pkt.ready,
-                       pkt.sid);
-    }
-    const Cycles intra =
-        static_cast<Cycles>(res.intraHops) * params_.intraHopCycles;
-    pkt.bd.icnIntra += intra;
-    pkt.bd.icnInter += (res.done - pkt.ready) - intra;
-    pkt.ready = res.done;
-}
-
 Cycles
 NocModel::reserveHop(StackId stack, int dir, std::uint32_t bytes, Cycles at)
 {

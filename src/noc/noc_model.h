@@ -21,7 +21,6 @@
 
 #include "common/types.h"
 #include "noc/mesh.h"
-#include "sim/packet.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
 
@@ -57,14 +56,6 @@ class NocModel
 
     NocModel(const NocModel&) = delete;
     NocModel& operator=(const NocModel&) = delete;
-
-    /**
-     * Packet protocol: move pkt.bytes along the leg pkt.hopSrc ->
-     * pkt.hopDst (Packet::kCxlEndpoint addresses the CXL portal),
-     * advancing pkt.ready and charging the elapsed cycles to the packet's
-     * icnIntra/icnInter buckets.
-     */
-    void recvAtomic(Packet& pkt);
 
     /**
      * Move `bytes` from unit `src` to unit `dst` starting at `now`;

@@ -1,10 +1,7 @@
 #include "runtime/config_algorithm.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/bitutils.h"
 #include "common/logging.h"
@@ -609,31 +606,16 @@ ConfigAlgorithm::run(std::vector<StreamDemand> demands)
         }
     }
 
-    const bool trace = std::getenv("NDPEXT_TRACE_CONFIG") != nullptr;
-    const auto budget_t0 = std::chrono::steady_clock::now();
     while (iterations_ < params_.maxIterations) {
-        // Anytime budgets: every iteration boundary is a valid placement
+        // Anytime budget: every iteration boundary is a valid placement
         // (the floor allocation above guarantees feasibility), so we can
-        // stop here and emit the best-so-far configuration. The
-        // iteration cap is deterministic; the wall-clock cap is advisory
-        // and only polled every 64 iterations to keep it off the hot
-        // path.
+        // stop here and emit the best-so-far configuration. The cap is
+        // counted, not timed, so it is deterministic.
         if (params_.budgetIterations != 0
             && iterations_ >= params_.budgetIterations) {
             ++budgetHits_;
             lastBudgetHit_ = true;
             break;
-        }
-        if (params_.budgetMicros != 0 && (iterations_ & 63u) == 0
-            && iterations_ != 0) {
-            const auto dt =
-                std::chrono::steady_clock::now() - budget_t0;
-            if (std::chrono::duration<double, std::micro>(dt).count()
-                >= static_cast<double>(params_.budgetMicros)) {
-                ++budgetHits_;
-                lastBudgetHit_ = true;
-                break;
-            }
         }
         ++iterations_;
         // NextSteepestSlopeSeg: the stream with max marginal utility over
@@ -685,15 +667,6 @@ ConfigAlgorithm::run(std::vector<StreamDemand> demands)
             break; // all curves flat or exhausted
         }
         SState& s = *best;
-        if (trace) {
-            std::fprintf(stderr,
-                         "[cfg] it=%llu sid=%u pos=%llu slope=%g tgt=%llu\n",
-                         static_cast<unsigned long long>(iterations_),
-                         s.d.sid,
-                         static_cast<unsigned long long>(s.posBytes),
-                         best_seg.slope,
-                         static_cast<unsigned long long>(best_seg.target));
-        }
 
         std::uint64_t next = best_seg.target;
         if (next == 0 || next > s.d.footprintBytes) {

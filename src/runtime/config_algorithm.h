@@ -100,12 +100,6 @@ struct ConfigParams
      * so results are bit-identical across hosts.
      */
     std::uint64_t budgetIterations = 0;
-    /**
-     * Anytime budget (advisory): wall-clock cap in microseconds,
-     * checked every 64 iterations. Host-dependent by nature -- never
-     * use it where bit-identical results are required. 0 = unlimited.
-     */
-    std::uint64_t budgetMicros = 0;
 };
 
 class ConfigAlgorithm

@@ -200,11 +200,6 @@ struct RuntimeParams
      * across hosts.
      */
     std::uint64_t solverBudgetIters = 0;
-    /**
-     * Advisory wall-clock cap per configuration run in microseconds
-     * (`--solver-budget-us`; 0 = unlimited). Host-dependent.
-     */
-    std::uint64_t solverBudgetMicros = 0;
 };
 
 class NdpRuntime

@@ -52,7 +52,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 
@@ -219,8 +219,8 @@ class Reader
  * (save) or a Reader (load). A component names each field once, in one
  * `checkpoint(Archive&)` function: saving writes the field, loading
  * assigns it, so the two directions cannot drift apart. Work that only
- * a restore needs (rebuilding derived views, re-acquiring pooled
- * objects) sits in the same function under `if (ar.loading())`.
+ * a restore needs (rebuilding derived views, dropping memoized
+ * pointers) sits in the same function under `if (ar.loading())`.
  *
  * Saving must not mutate: every call reads its argument on save and
  * assigns it only on load. The direction is chosen at run time, so a

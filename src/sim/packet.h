@@ -2,15 +2,15 @@
  * @file
  * The unit of communication between memory-system components.
  *
- * A Packet is created at the L1-miss point and threaded through the
- * memory system (core -> controller -> NoC -> DRAM / extended memory).
- * Components operate in atomic mode: recvAtomic() advances the packet's
- * `ready` time and charges the elapsed cycles to the matching bucket of
- * the packet's accumulating LatencyBreakdown, so the requester ends up
- * with both the completion time and the Fig. 2(a)-style attribution of
- * where those cycles went. This mirrors gem5's atomic packet protocol
- * without its ports: a core sends to the MemSink it was built with, and
- * the controller calls its NocModel and ExtendedMemory directly.
+ * A Packet is created at the L1-miss point and handed to the core's
+ * MemSink, the one way a request enters the memory system. The sink
+ * services it in atomic mode: for every leg (NoC, DRAM, extended
+ * memory) it calls the model that does the work, advances the packet's
+ * `ready` time to the leg's completion and charges the elapsed cycles
+ * to the matching bucket of the packet's LatencyBreakdown, so the
+ * requester ends up with both the completion time and the Fig.
+ * 2(a)-style attribution of where those cycles went. This mirrors
+ * gem5's atomic packet protocol without its ports.
  */
 
 #ifndef NDPEXT_SIM_PACKET_H
@@ -44,33 +44,11 @@ struct Packet
     /** Requesting core. */
     CoreId src = 0;
 
-    /**
-     * Current interconnect leg, consumed by NocModel::recvAtomic.
-     * kCxlEndpoint as either end addresses the CXL portal.
-     */
-    UnitId hopSrc = kNoUnit;
-    UnitId hopDst = kNoUnit;
-
     /** The packet's current simulated time; components advance it. */
     Cycles ready = 0;
 
     /** Accumulated per-bucket latency along the packet's path. */
     LatencyBreakdown bd;
-
-    /** Set by ExtendedMemory when a read returned a poisoned line. */
-    bool poisoned = false;
-
-    /**
-     * Intrusive PacketPool hooks (sim/packet_pool.h): the free-list
-     * link threads released packets without any side allocation, and
-     * `pooled` marks a packet currently sitting in the free list so a
-     * double release is caught at the release point.
-     */
-    Packet* poolNext = nullptr;
-    bool pooled = false;
-
-    /** Sentinel unit id addressing the CXL attach point. */
-    static constexpr UnitId kCxlEndpoint = kNoUnit - 1;
 
     bool isWrite() const { return op != MemOp::Read; }
 

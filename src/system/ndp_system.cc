@@ -47,7 +47,6 @@ makeConfigurator(PolicyKind policy, const SystemConfig& cfg,
         params.dramLatency = probe->rowHitLatency();
         params.allowReplication = cfg.allowReplication;
         params.budgetIterations = cfg.runtime.solverBudgetIters;
-        params.budgetMicros = cfg.runtime.solverBudgetMicros;
         return std::make_unique<NdpExtConfigurator>(params, noc);
       }
       case PolicyKind::NdpExtStatic:
@@ -256,7 +255,6 @@ NdpSystem::configHash(const Workload& workload) const
     w.u64(cfg_.runtime.minSamplerAccesses);
     w.b(cfg_.runtime.solverWarmStart);
     w.u64(cfg_.runtime.solverBudgetIters);
-    w.u64(cfg_.runtime.solverBudgetMicros);
     w.b(cfg_.allowReplication);
     w.u64(cfg_.faults.seed);
     w.d(cfg_.faults.cxlTransientProb);
@@ -822,27 +820,16 @@ NdpSystem::run(const Workload& workload)
     }
     res.stats.addAll(perCore);
 
-    // Engine throughput telemetry. Step and pool counters are
-    // deterministic and gate nothing; the wall clock is host-dependent
-    // and advisory (the "Micros" suffix excludes it from bit-identity
-    // checks).
+    // Engine throughput telemetry. The step counter is deterministic
+    // and gates nothing; the wall clock is host-dependent and advisory
+    // (the "Micros" suffix excludes it from bit-identity checks).
     {
         res.engineWallMicros = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 engine_end - engine_start)
                 .count());
-        std::uint64_t pool_high = cache.packetPoolHighWater();
-        std::uint64_t pool_alloc = cache.packetPoolAllocated();
-        for (const auto& core : cores) {
-            pool_high += core.packetPool().highWater();
-            pool_alloc += core.packetPool().allocated();
-        }
         res.stats.set("engine.eventsFired",
                       static_cast<double>(ready.steps()));
-        res.stats.set("engine.packetPool.highWater",
-                      static_cast<double>(pool_high));
-        res.stats.set("engine.packetPool.allocated",
-                      static_cast<double>(pool_alloc));
         res.stats.set("engine.wallMicros",
                       static_cast<double>(res.engineWallMicros));
     }

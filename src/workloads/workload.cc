@@ -62,19 +62,4 @@ Workload::addDense(std::string name, StreamType type, std::uint64_t bytes,
     return configs_.back().sid;
 }
 
-StreamId
-Workload::addMatrix(std::string name, std::uint64_t rows,
-                    std::uint64_t cols, std::uint32_t elem_size,
-                    bool read_only, bool col_major)
-{
-    const std::uint64_t bytes = rows * cols * elem_size;
-    StreamConfig cfg = StreamConfig::matrix2d(
-        std::move(name), allocBytes(bytes), rows, cols, elem_size,
-        col_major);
-    cfg.readOnly = read_only;
-    cfg.sid = static_cast<StreamId>(configs_.size());
-    configs_.push_back(std::move(cfg));
-    return configs_.back().sid;
-}
-
 } // namespace ndpext

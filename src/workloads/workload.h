@@ -95,11 +95,6 @@ class Workload
                       std::uint64_t bytes, std::uint32_t elem_size,
                       bool read_only);
 
-    /** Register a 2-D affine matrix stream (optionally column-major). */
-    StreamId addMatrix(std::string name, std::uint64_t rows,
-                       std::uint64_t cols, std::uint32_t elem_size,
-                       bool read_only, bool col_major = false);
-
     WorkloadParams p_;
     std::vector<StreamConfig> configs_;
 

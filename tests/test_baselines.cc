@@ -7,6 +7,7 @@
 #include "baselines/host_llc.h"
 #include "baselines/nuca_policies.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace ndpext {
 namespace {
@@ -236,9 +237,9 @@ TEST(HostLlc, HitFasterThanMiss)
     HostLlcController llc{HostParams{}};
     Access a;
     a.addr = 0x4000;
-    const auto r1 = llc.access(0, a, 0);
-    const auto r2 = llc.access(0, a, r1.done);
-    EXPECT_LT(r2.done - r1.done, r1.done);
+    const auto r1 = send(llc, 0, a, 0);
+    const auto r2 = send(llc, 0, a, r1.ready);
+    EXPECT_LT(r2.ready - r1.ready, r1.ready);
     EXPECT_EQ(llc.llcHits(), 1u);
     EXPECT_EQ(llc.llcMisses(), 1u);
 }
@@ -266,11 +267,11 @@ TEST(HostLlc, RemoteBankCostsHops)
     }
     ASSERT_TRUE(have_near && have_far);
     // Warm both, then compare hit latencies from core 0.
-    Cycles t = llc.access(0, near, 0).done;
-    t = llc.access(0, far, t).done;
-    const auto hn = llc.access(0, near, t);
-    const auto hf = llc.access(0, far, hn.done);
-    EXPECT_LT(hn.done - t, hf.done - hn.done);
+    Cycles t = send(llc, 0, near, 0).ready;
+    t = send(llc, 0, far, t).ready;
+    const auto hn = send(llc, 0, near, t);
+    const auto hf = send(llc, 0, far, hn.ready);
+    EXPECT_LT(hn.ready - t, hf.ready - hn.ready);
 }
 
 TEST(HostLlc, DramEnergyAccrues)
@@ -278,7 +279,7 @@ TEST(HostLlc, DramEnergyAccrues)
     HostLlcController llc{HostParams{}};
     Access a;
     a.addr = 0x9000;
-    llc.access(3, a, 0);
+    send(llc, 3, a, 0);
     EXPECT_GT(llc.dramEnergyNj(), 0.0);
 }
 

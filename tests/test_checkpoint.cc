@@ -540,6 +540,39 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
+ * The image layout is pinned: the first image of a small fault-free pr
+ * run under NDPExt has a fixed version, config hash, payload size and
+ * payload CRC, so a change to any checkpoint pass or to the config hash
+ * fails here rather than only when an old image is resumed.
+ */
+TEST(CheckpointFormat, ImageIsPinned)
+{
+    auto w = makeWorkload("pr");
+    WorkloadParams params = tinyParams();
+    params.footprintBytes = 4_MiB;
+    params.accessesPerCore = 2000;
+    w->prepare(params);
+    const std::string prefix = freshPrefix("pinned");
+    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
+    emitter.setCheckpointing(prefix, 1);
+    emitter.run(*w);
+
+    ckpt::CheckpointHeader h;
+    std::string error;
+    ASSERT_TRUE(ckpt::probeCheckpoint(prefix + ".1.ckpt", &h, &error))
+        << error;
+    const char* why =
+        "the checkpoint image changed. If its layout changed, bump "
+        "kCheckpointVersion and re-pin these values. If only simulated "
+        "values moved, re-pin them in the change that re-pins "
+        "bench/baselines.";
+    EXPECT_EQ(h.version, 4u) << why;
+    EXPECT_EQ(h.configHash, 791912146930649146u) << why;
+    EXPECT_EQ(h.payloadSize, 409302u) << why;
+    EXPECT_EQ(h.payloadCrc, 1095608923u) << why;
+}
+
+/**
  * An image whose CRC is valid but whose remap-table entry count is
  * 2^40 must stop at the post-CRC count check, before any container is
  * sized from it.

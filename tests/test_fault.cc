@@ -14,6 +14,7 @@
 #include "ndp/stream_cache.h"
 #include "runtime/ndp_runtime.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -234,7 +235,7 @@ struct Rig
                     acc.addr = cfg.addrOf(acc.elem);
                     acc.size = cfg.elemSize;
                     acc.isWrite = false;
-                    t = cache->access(c, acc, t).done;
+                    t = send(*cache, c, acc, t).ready;
                 }
             }
         }

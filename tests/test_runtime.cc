@@ -5,6 +5,7 @@
 #include "ndp/stream_cache.h"
 #include "runtime/ndp_runtime.h"
 #include "runtime/static_config.h"
+#include "test_util.h"
 
 namespace ndpext {
 namespace {
@@ -144,7 +145,7 @@ TEST(Runtime, EpochReconfiguresFromProfile)
         a.sid = sid;
         a.elem = e % cfg.numElems();
         a.addr = cfg.addrOf(a.elem);
-        t = rig.cache->access(2, a, t).done;
+        t = send(*rig.cache, 2, a, t).ready;
     }
     runtime.onEpochEnd(t);
     // One initial (default) configuration at start plus the epoch one.
@@ -171,10 +172,10 @@ TEST(Runtime, PartialMethodStopsAdapting)
     a.sid = sid;
     a.elem = 1;
     a.addr = cfg.addrOf(1);
-    rig.cache->access(0, a, 0);
+    send(*rig.cache, 0, a, 0);
     runtime.onEpochEnd(500); // within the partial window
     EXPECT_EQ(runtime.reconfigurations(), 2u); // initial + this epoch
-    rig.cache->access(0, a, 2000);
+    send(*rig.cache, 0, a, 2000);
     runtime.onEpochEnd(5000); // beyond it
     EXPECT_EQ(runtime.reconfigurations(), 2u);
 }
@@ -199,7 +200,7 @@ TEST(Runtime, StableConfigsAreSkipped)
             a.sid = sid;
             a.elem = e % cfg.numElems();
             a.addr = cfg.addrOf(a.elem);
-            t = rig.cache->access(0, a, t).done;
+            t = send(*rig.cache, 0, a, t).ready;
         }
         runtime.onEpochEnd(t);
     }

@@ -290,7 +290,6 @@ TEST(ConfigBudget, ZeroBudgetIsBitIdenticalToUnlimited)
 
     ConfigParams zero = fix.params();
     zero.budgetIterations = 0;
-    zero.budgetMicros = 0;
     ConfigAlgorithm same(zero, fix.noc);
     const auto got = same.run(denseDemands(12));
 
@@ -445,7 +444,7 @@ struct RuntimeRig
             a.sid = sid;
             a.elem = e % cfg.numElems();
             a.addr = cfg.addrOf(a.elem);
-            t = cache->access(0, a, t).done;
+            t = send(*cache, 0, a, t).ready;
         }
         return t;
     }

@@ -4,110 +4,54 @@
 
 #include "ndp/stream_cache.h"
 #include "runtime/static_config.h"
+#include "test_util.h"
 
 namespace ndpext {
 namespace {
 
-struct Rig
-{
-    MeshTopology topo{2, 1, 2, 2}; // 8 units
-    NocParams nocParams;
-    NocModel noc{topo, nocParams};
-    CxlParams cxlParams;
-    ExtendedMemory ext{cxlParams, DramTimingParams::ddr5Extended(), 2000};
-    StreamTable table;
-    StreamCacheParams params;
-    std::unique_ptr<StreamCacheController> cache;
-
-    explicit Rig(bool cacheline_mode = false,
-                 RemapMode mode = RemapMode::ConsistentHash)
-    {
-        params.cachelineMode = cacheline_mode;
-        params.remapMode = mode;
-        params.sampler.minCapacityBytes = 1_KiB;
-        params.sampler.maxCapacityBytes = 256_KiB;
-        params.sampler.numCapacities = 8;
-        params.affineCapBytesPerUnit = 64_KiB;
-        cache = std::make_unique<StreamCacheController>(
-            params, table, noc, ext, DramTimingParams::hbm3Unit(),
-            256_KiB, 2000);
-    }
-
-    StreamId
-    addStream(StreamType type, std::uint64_t bytes, std::uint32_t elem,
-              bool read_only)
-    {
-        auto cfg = StreamConfig::dense(
-            "s" + std::to_string(table.numStreams()), type,
-            0x100000 + table.numStreams() * 0x1000000, bytes, elem);
-        cfg.readOnly = read_only;
-        return table.configureStream(cfg);
-    }
-
-    void
-    allocateEverything()
-    {
-        cache->applyConfiguration(makeStaticEqualConfig(
-            table, cache->numUnits(), cache->rowsPerUnit(),
-            cache->rowBytes(), params.affineCapBytesPerUnit));
-    }
-
-    Access
-    accessOf(StreamId sid, ElemId elem, bool write = false)
-    {
-        const StreamConfig& cfg = table.stream(sid);
-        Access a;
-        a.sid = sid;
-        a.elem = elem;
-        a.addr = cfg.addrOf(elem);
-        a.isWrite = write;
-        return a;
-    }
-};
-
 TEST(StreamCache, NonStreamAccessBypasses)
 {
-    Rig rig;
+    CacheRig rig;
     Access a;
     a.sid = kNoStream;
     a.addr = 0x10;
-    const auto r = rig.cache->access(0, a, 0);
-    EXPECT_GT(r.done, 800u); // paid the CXL round trip
+    const auto r = send(*rig.cache, 0, a, 0);
+    EXPECT_GT(r.ready, 800u); // paid the CXL round trip
     EXPECT_EQ(rig.cache->bypasses(), 1u);
 }
 
 TEST(StreamCache, UnallocatedStreamGoesToExtendedMemory)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
-    const auto r = rig.cache->access(0, rig.accessOf(sid, 5), 0);
-    EXPECT_GT(r.done, 800u);
+    const auto r = send(*rig.cache, 0, rig.accessOf(sid, 5), 0);
+    EXPECT_GT(r.ready, 800u);
     EXPECT_EQ(rig.cache->uncachedStreamAccesses(), 1u);
 }
 
 TEST(StreamCache, MissThenHitIndirect)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
     rig.allocateEverything();
-    const auto r1 = rig.cache->access(0, rig.accessOf(sid, 5), 0);
+    const auto r1 = send(*rig.cache, 0, rig.accessOf(sid, 5), 0);
     EXPECT_EQ(rig.cache->cacheMisses(), 1u);
-    const auto r2 = rig.cache->access(0, rig.accessOf(sid, 5), r1.done);
+    const auto r2 = send(*rig.cache, 0, rig.accessOf(sid, 5), r1.ready);
     EXPECT_EQ(rig.cache->cacheHits(), 1u);
-    EXPECT_LT(r2.done - r1.done, r1.done); // hit far cheaper than miss
+    EXPECT_LT(r2.ready - r1.ready, r1.ready); // hit far cheaper than miss
 }
 
 TEST(StreamCache, AffineBlockGivesSpatialHits)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Affine, 256_KiB, 8, true);
     rig.allocateEverything();
     Cycles t = 0;
     // First element misses and fetches a 1 kB block = 128 elements.
-    t = rig.cache->access(0, rig.accessOf(sid, 0), t).done;
+    t = send(*rig.cache, 0, rig.accessOf(sid, 0), t).ready;
     EXPECT_EQ(rig.cache->cacheMisses(), 1u);
     for (ElemId e = 1; e < 128; ++e) {
-        t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+        t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
     }
     EXPECT_EQ(rig.cache->cacheMisses(), 1u); // all spatial hits
     EXPECT_EQ(rig.cache->cacheHits(), 127u);
@@ -115,19 +59,19 @@ TEST(StreamCache, AffineBlockGivesSpatialHits)
 
 TEST(StreamCache, WriteToReadOnlyRaisesExceptionOnce)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
     rig.allocateEverything();
-    rig.cache->access(0, rig.accessOf(sid, 1, true), 0);
+    send(*rig.cache, 0, rig.accessOf(sid, 1, true), 0);
     EXPECT_EQ(rig.cache->writeExceptions(), 1u);
     EXPECT_FALSE(rig.table.stream(sid).readOnly);
-    rig.cache->access(0, rig.accessOf(sid, 2, true), 100000);
+    send(*rig.cache, 0, rig.accessOf(sid, 2, true), 100000);
     EXPECT_EQ(rig.cache->writeExceptions(), 1u); // only the first write
 }
 
 TEST(StreamCache, CollapseReplicationMergesGroups)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
     // Hand-build a 2-group replicated allocation.
     StreamAlloc alloc(rig.cache->numUnits());
@@ -136,37 +80,37 @@ TEST(StreamCache, CollapseReplicationMergesGroups)
     alloc.groupOf = {0, 0, 0, 0, 1, 1, 0, 0};
     rig.cache->applyConfiguration({{sid, alloc}});
     ASSERT_EQ(rig.cache->remap().alloc(sid)->numGroups, 2u);
-    rig.cache->access(0, rig.accessOf(sid, 1, true), 0);
+    send(*rig.cache, 0, rig.accessOf(sid, 1, true), 0);
     EXPECT_EQ(rig.cache->remap().alloc(sid)->numGroups, 1u);
 }
 
 TEST(StreamCache, RemoteAccessesCostInterconnect)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 256_KiB, 8, true);
     // All space on unit 7, accessed from unit 0 (different stack).
     StreamAlloc alloc(rig.cache->numUnits());
     alloc.numGroups = 1;
     alloc.shareRows[7] = 32;
     rig.cache->applyConfiguration({{sid, alloc}});
-    rig.cache->access(0, rig.accessOf(sid, 3), 0);
+    send(*rig.cache, 0, rig.accessOf(sid, 3), 0);
     const auto& bd = rig.cache->breakdown();
     EXPECT_GT(bd.icnIntra + bd.icnInter, 0u);
 }
 
 TEST(StreamCache, LocalPlacementAvoidsInterconnect)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 256_KiB, 8, true);
     StreamAlloc alloc(rig.cache->numUnits());
     alloc.numGroups = 1;
     alloc.shareRows[0] = 32;
     rig.cache->applyConfiguration({{sid, alloc}});
     // Warm then hit locally from unit 0.
-    const auto r1 = rig.cache->access(0, rig.accessOf(sid, 3), 0);
+    const auto r1 = send(*rig.cache, 0, rig.accessOf(sid, 3), 0);
     const Cycles icn_after_miss =
         rig.cache->breakdown().icnIntra + rig.cache->breakdown().icnInter;
-    rig.cache->access(0, rig.accessOf(sid, 3), r1.done);
+    send(*rig.cache, 0, rig.accessOf(sid, 3), r1.ready);
     const Cycles icn_after_hit =
         rig.cache->breakdown().icnIntra + rig.cache->breakdown().icnInter;
     // The hit added no interconnect cycles (local unit, no CXL).
@@ -175,12 +119,12 @@ TEST(StreamCache, LocalPlacementAvoidsInterconnect)
 
 TEST(StreamCache, SamplersObserveAccesses)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
     rig.allocateEverything();
     rig.cache->samplerBank(0).assign({{sid, 8}});
     for (ElemId e = 0; e < 100; ++e) {
-        rig.cache->access(0, rig.accessOf(sid, e), e * 10000);
+        send(*rig.cache, 0, rig.accessOf(sid, e), e * 10000);
     }
     EXPECT_TRUE(rig.cache->samplerBank(0).accessedBitvector()[sid]);
     EXPECT_EQ(rig.cache->samplerBank(0).accessCount(sid), 100u);
@@ -190,7 +134,7 @@ TEST(StreamCache, SamplersObserveAccesses)
 
 TEST(StreamCache, ReconfigurationAccountsInvalidations)
 {
-    Rig rig(false, RemapMode::Modulo);
+    CacheRig rig(false, RemapMode::Modulo);
     const auto sid = rig.addStream(StreamType::Indirect, 256_KiB, 8, true);
     StreamAlloc a1(rig.cache->numUnits());
     a1.numGroups = 1;
@@ -208,7 +152,7 @@ TEST(StreamCache, ReconfigurationAccountsInvalidations)
 
 TEST(StreamCache, ConsistentHashPreservesRows)
 {
-    Rig rig(false, RemapMode::ConsistentHash);
+    CacheRig rig(false, RemapMode::ConsistentHash);
     const auto sid = rig.addStream(StreamType::Indirect, 256_KiB, 8, true);
     StreamAlloc a1(rig.cache->numUnits());
     a1.numGroups = 1;
@@ -223,7 +167,7 @@ TEST(StreamCache, ConsistentHashPreservesRows)
 
 TEST(StreamCache, SurvivingRowsKeepCachedData)
 {
-    Rig rig(false, RemapMode::ConsistentHash);
+    CacheRig rig(false, RemapMode::ConsistentHash);
     const auto sid = rig.addStream(StreamType::Indirect, 256_KiB, 8, true);
     StreamAlloc a1(rig.cache->numUnits());
     a1.numGroups = 1;
@@ -232,7 +176,7 @@ TEST(StreamCache, SurvivingRowsKeepCachedData)
     // Warm a bunch of elements.
     Cycles t = 0;
     for (ElemId e = 0; e < 64; ++e) {
-        t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+        t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
     }
     const auto misses_before = rig.cache->cacheMisses();
     // Re-apply the identical allocation: cached rows survive, so the
@@ -241,7 +185,7 @@ TEST(StreamCache, SurvivingRowsKeepCachedData)
     // whole working set as bulk invalidation would.
     rig.cache->applyConfiguration({{sid, a1}});
     for (ElemId e = 0; e < 64; ++e) {
-        t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+        t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
     }
     const auto new_misses = rig.cache->cacheMisses() - misses_before;
     EXPECT_LT(new_misses, 16u) << "survival should avoid a full re-fetch";
@@ -249,13 +193,13 @@ TEST(StreamCache, SurvivingRowsKeepCachedData)
 
 TEST(StreamCacheBaseline, MetadataCacheTracksHitRate)
 {
-    Rig rig(/*cacheline_mode=*/true);
+    CacheRig rig(/*cacheline_mode=*/true);
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, false);
     rig.allocateEverything();
     Cycles t = 0;
     for (int rep = 0; rep < 3; ++rep) {
         for (ElemId e = 0; e < 512; ++e) {
-            t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+            t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
         }
     }
     // Small working set: metadata cache should hit most of the time.
@@ -265,21 +209,21 @@ TEST(StreamCacheBaseline, MetadataCacheTracksHitRate)
 
 TEST(StreamCacheBaseline, CachelineModeMissThenHit)
 {
-    Rig rig(/*cacheline_mode=*/true);
+    CacheRig rig(/*cacheline_mode=*/true);
     const auto sid = rig.addStream(StreamType::Affine, 64_KiB, 8, true);
     rig.allocateEverything();
-    const auto r1 = rig.cache->access(0, rig.accessOf(sid, 0), 0);
+    const auto r1 = send(*rig.cache, 0, rig.accessOf(sid, 0), 0);
     EXPECT_EQ(rig.cache->cacheMisses(), 1u);
-    rig.cache->access(0, rig.accessOf(sid, 0), r1.done);
+    send(*rig.cache, 0, rig.accessOf(sid, 0), r1.ready);
     EXPECT_EQ(rig.cache->cacheHits(), 1u);
     // Next line misses again: no 1 kB block prefetch for baselines.
-    rig.cache->access(0, rig.accessOf(sid, 8), 2 * r1.done);
+    send(*rig.cache, 0, rig.accessOf(sid, 8), 2 * r1.ready);
     EXPECT_EQ(rig.cache->cacheMisses(), 2u);
 }
 
 TEST(StreamCache, WayPredictionTracksAccuracy)
 {
-    Rig rig;
+    CacheRig rig;
     rig.params.indirectWays = 4;
     rig.params.indirectWayPrediction = true;
     rig.cache = std::make_unique<StreamCacheController>(
@@ -292,7 +236,7 @@ TEST(StreamCache, WayPredictionTracksAccuracy)
     // MRU predictor keeps missing, then re-touch one so it hits.
     for (int rep = 0; rep < 50; ++rep) {
         for (ElemId e = 0; e < 64; ++e) {
-            t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+            t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
         }
     }
     const double rate = rig.cache->wayPredictionRate();
@@ -303,7 +247,7 @@ TEST(StreamCache, WayPredictionTracksAccuracy)
 
 TEST(StreamCache, AssociativeWithoutPredictionStillWorks)
 {
-    Rig rig;
+    CacheRig rig;
     rig.params.indirectWays = 4;
     rig.cache = std::make_unique<StreamCacheController>(
         rig.params, rig.table, rig.noc, rig.ext,
@@ -312,10 +256,10 @@ TEST(StreamCache, AssociativeWithoutPredictionStillWorks)
     rig.allocateEverything();
     Cycles t = 0;
     for (ElemId e = 0; e < 128; ++e) {
-        t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+        t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
     }
     for (ElemId e = 0; e < 128; ++e) {
-        t = rig.cache->access(0, rig.accessOf(sid, e), t).done;
+        t = send(*rig.cache, 0, rig.accessOf(sid, e), t).ready;
     }
     // Second pass hits (working set fits).
     EXPECT_GE(rig.cache->cacheHits(), 100u);
@@ -324,11 +268,11 @@ TEST(StreamCache, AssociativeWithoutPredictionStillWorks)
 
 TEST(StreamCache, BreakdownRequestsMatchAccesses)
 {
-    Rig rig;
+    CacheRig rig;
     const auto sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
     rig.allocateEverything();
     for (ElemId e = 0; e < 50; ++e) {
-        rig.cache->access(0, rig.accessOf(sid, e), e * 100000);
+        send(*rig.cache, 0, rig.accessOf(sid, e), e * 100000);
     }
     EXPECT_EQ(rig.cache->breakdown().requests, 50u);
     EXPECT_EQ(rig.cache->cacheHits() + rig.cache->cacheMisses(), 50u);

@@ -14,13 +14,14 @@
 #include <string>
 #include <vector>
 
-#include "ndp/stream_cache.h"
-#include "runtime/static_config.h"
+#include "baselines/host_llc.h"
+#include "common/rng.h"
 #include "serving/serving_workload.h"
 #include "sim/packet.h"
 #include "system/ndp_system.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/tiny_json.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -92,106 +93,216 @@ TEST(MetricRegistry, JsonlRoundTripsThroughParser)
 
 // --- LatencyBreakdown end-to-end accumulation ---------------------------
 
-/** Minimal controller rig (same shape as test_stream_cache). */
-struct Rig
+/** The sum of every counter `component` declares as `name`. */
+template <typename Component>
+double
+counterValue(const Component& component, const std::string& name)
 {
-    MeshTopology topo{2, 1, 2, 2}; // 8 units
-    NocParams nocParams;
-    NocModel noc{topo, nocParams};
-    CxlParams cxlParams;
-    ExtendedMemory ext{cxlParams, DramTimingParams::ddr5Extended(), 2000};
-    StreamTable table;
-    StreamCacheParams params;
-    std::unique_ptr<StreamCacheController> cache;
-
-    Rig()
-    {
-        params.sampler.minCapacityBytes = 1_KiB;
-        params.sampler.maxCapacityBytes = 256_KiB;
-        params.sampler.numCapacities = 8;
-        params.affineCapBytesPerUnit = 64_KiB;
-        cache = std::make_unique<StreamCacheController>(
-            params, table, noc, ext, DramTimingParams::hbm3Unit(), 256_KiB,
-            2000);
+    Counters list;
+    component.counters(list, "x");
+    double sum = 0.0;
+    for (const Counter& c : list) {
+        if (c.name == "x." + name) {
+            sum += c.read();
+        }
     }
-
-    StreamId
-    addStream(std::uint64_t bytes)
-    {
-        auto cfg = StreamConfig::dense(
-            "s" + std::to_string(table.numStreams()), StreamType::Indirect,
-            0x100000 + table.numStreams() * 0x1000000, bytes, 8);
-        cfg.readOnly = true;
-        return table.configureStream(cfg);
-    }
-
-    void
-    allocateEverything()
-    {
-        cache->applyConfiguration(makeStaticEqualConfig(
-            table, cache->numUnits(), cache->rowsPerUnit(),
-            cache->rowBytes(), params.affineCapBytesPerUnit));
-    }
-};
+    return sum;
+}
 
 /**
- * The breakdown must account for every cycle of a packet's service: the
- * stage buckets sum to exactly (ready - issue) on every path through the
- * datapath (hit, miss, uncached stream, non-stream bypass, write).
+ * Sends requests to one memory sink and checks that each one accounts
+ * for every cycle of its service: the stage buckets sum to exactly
+ * (ready - issue), and the packet counts as one request.
  */
-TEST(LatencyBreakdown, PacketStageSumsEqualTotalLatency)
+template <typename Sink>
+struct StageCheck
 {
-    Rig rig;
-    const StreamId sid = rig.addStream(64_KiB);
-    rig.cache->applyConfiguration(makeStaticEqualConfig(
-        rig.table, rig.cache->numUnits(), rig.cache->rowsPerUnit(),
-        rig.cache->rowBytes(), rig.params.affineCapBytesPerUnit));
-    // Configured after the allocation pass, so this stream stays
-    // unallocated and its accesses go to extended memory.
-    const StreamId uncached = rig.addStream(64_KiB);
-
+    Sink& sink;
     std::uint64_t verified = 0;
-    auto verify = [&](Packet pkt) {
+
+    /** Service `pkt`; returns its latency. */
+    Cycles
+    operator()(Packet pkt)
+    {
         const Cycles issue = pkt.ready;
-        rig.cache->recvAtomic(pkt);
+        sink.recvAtomic(pkt);
         EXPECT_EQ(pkt.ready - issue, pkt.bd.total())
             << "unaccounted cycles on packet " << verified;
         EXPECT_EQ(pkt.bd.requests, 1u);
         ++verified;
         return pkt.ready - issue;
-    };
+    }
 
-    const StreamConfig& cfg = rig.table.stream(sid);
+    /** A dirty-line writeback is not a request: the count stays. */
+    void
+    writeback(Addr line_addr, CoreId core, Cycles now)
+    {
+        const std::uint64_t before = sink.breakdown().requests;
+        Packet pkt = Packet::writeback(line_addr, core, now);
+        sink.recvAtomic(pkt);
+        EXPECT_EQ(sink.breakdown().requests, before)
+            << "writeback counted as a request";
+    }
+};
+
+/** Stream mode: indirect misses and hits, an affine stream's tag-array
+ *  miss and hit, an unallocated stream and a non-stream bypass. */
+void
+streamModePaths()
+{
+    CacheRig rig;
+    const StreamId sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
+    const StreamId affine = rig.addStream(StreamType::Affine, 64_KiB, 8, true);
+    rig.allocateEverything();
+    // Configured after the allocation pass, so this stream stays
+    // unallocated and its accesses go to extended memory.
+    const StreamId uncached =
+        rig.addStream(StreamType::Indirect, 64_KiB, 8, true);
+    StageCheck<StreamCacheController> check{*rig.cache};
+
     for (ElemId e = 0; e < 64; ++e) {
-        Access a;
-        a.sid = sid;
-        a.elem = e;
-        a.addr = cfg.addrOf(e);
-        verify(Packet::request(a, /*core=*/e % 8, /*now=*/e * 10));
+        check(Packet::request(rig.accessOf(sid, e), /*core=*/e % 8,
+                              /*now=*/e * 10));
     }
     // Re-touch the first elements: now hits, still fully accounted.
+    const std::uint64_t hits = rig.cache->cacheHits();
     for (ElemId e = 0; e < 8; ++e) {
-        Access a;
-        a.sid = sid;
-        a.elem = e;
-        a.addr = cfg.addrOf(e);
-        verify(Packet::request(a, 0, 10'000 + e * 10));
+        check(Packet::request(rig.accessOf(sid, e), 0, 10'000 + e * 10));
     }
-    // Uncached stream -> extended memory.
-    const StreamConfig& ucfg = rig.table.stream(uncached);
-    Access ua;
-    ua.sid = uncached;
-    ua.elem = 3;
-    ua.addr = ucfg.addrOf(3);
-    const Cycles uncached_lat = verify(Packet::request(ua, 1, 20'000));
-    EXPECT_GT(uncached_lat, 0u);
-    // Non-stream bypass.
-    Access ba;
-    ba.sid = kNoStream;
-    ba.addr = 0x40;
-    EXPECT_GT(verify(Packet::request(ba, 2, 30'000)), 0u);
-    EXPECT_GE(verified, 74u);
+    EXPECT_EQ(rig.cache->cacheHits(), hits + 8);
+    // Affine: the first element misses in the SRAM tag array and
+    // fetches its 1 kB block, which the next element then hits.
+    const std::uint64_t misses = rig.cache->cacheMisses();
+    check(Packet::request(rig.accessOf(affine, 0), 3, 15'000));
+    EXPECT_EQ(rig.cache->cacheMisses(), misses + 1);
+    check(Packet::request(rig.accessOf(affine, 1), 3, 18'000));
+    EXPECT_EQ(rig.cache->cacheHits(), hits + 9);
+    EXPECT_GT(check(Packet::request(rig.accessOf(uncached, 3), 1, 20'000)),
+              0u);
+    Access bypass;
+    bypass.sid = kNoStream;
+    bypass.addr = 0x40;
+    EXPECT_GT(check(Packet::request(bypass, 2, 30'000)), 0u);
+    check.writeback(rig.table.stream(sid).addrOf(0), 1, 40'000);
+    EXPECT_EQ(check.verified, 76u);
 }
+
+/** Cacheline mode: metadata-cache misses (one homed on a remote unit)
+ *  and hits, line misses and hits, and a miss that evicts a dirty line. */
+void
+cachelineModePaths()
+{
+    CacheRig rig(/*cacheline_mode=*/true);
+    const StreamId sid = rig.addStream(StreamType::Indirect, 64_KiB, 8, false);
+    rig.allocateEverything();
+    StageCheck<StreamCacheController> check{*rig.cache};
+
+    // Metadata is spread over the units by a hash of its 512 B block;
+    // send from the unit after the block's home, so its miss is remote.
+    const Access first = rig.accessOf(sid, 0);
+    const std::uint32_t units = rig.cache->numUnits();
+    const CoreId core = static_cast<CoreId>(
+        (mix64(first.addr / rig.params.metadataGranuleBytes) + 1) % units);
+    check(Packet::request(first, core, 0));
+    // The next line shares the metadata block: metadata hit, line miss.
+    check(Packet::request(rig.accessOf(sid, 8), core, 10'000));
+    // The first line again: metadata hit, line hit.
+    check(Packet::request(first, core, 20'000));
+    EXPECT_DOUBLE_EQ(rig.cache->metadataHitRate(), 2.0 / 3.0);
+    EXPECT_EQ(rig.cache->cacheMisses(), 2u);
+    EXPECT_EQ(rig.cache->cacheHits(), 1u);
+
+    // Write lines until a miss evicts a dirty one (cacheline-mode tag
+    // stores are direct-mapped, so hashed lines soon collide).
+    const auto victims = [&] {
+        return counterValue(*rig.cache, "writebacks");
+    };
+    const ElemId lines = rig.table.stream(sid).numElems() / 8;
+    Cycles t = 30'000;
+    for (ElemId line = 0; line < lines && victims() == 0.0; ++line) {
+        t += 10'000;
+        check(Packet::request(rig.accessOf(sid, line * 8, /*write=*/true),
+                              core, t));
+    }
+    EXPECT_EQ(victims(), 1.0) << "no miss evicted a dirty line";
+    check.writeback(first.addr, core, t);
+}
+
+/** Host: an LLC miss, hits, and a miss that evicts a dirty line. */
+void
+hostPaths()
+{
+    HostParams params;
+    params.numCores = 4;
+    params.meshX = 2;
+    params.meshY = 2;
+    params.llcBankBytes = 4_KiB; // 256 lines in all: victims come early
+    HostLlcController llc(params);
+    StageCheck<HostLlcController> check{llc};
+
+    Access a;
+    a.addr = 0x4000;
+    check(Packet::request(a, 0, 0));
+    // Hits from every core: most cross the mesh to the line's bank.
+    for (CoreId c = 0; c < params.numCores; ++c) {
+        check(Packet::request(a, c, 1'000 * (c + 1)));
+    }
+    EXPECT_EQ(llc.llcMisses(), 1u);
+    EXPECT_EQ(llc.llcHits(), 4u);
+
+    // Write new lines until a miss evicts a dirty one: that miss makes
+    // two DRAM accesses, the victim's write and its own fill.
+    const auto dramAccesses = [&] {
+        return counterValue(llc, "dram.rowHits")
+            + counterValue(llc, "dram.rowMisses");
+    };
+    bool dirty_victim = false;
+    a.isWrite = true;
+    for (std::uint64_t i = 1; i <= 4096 && !dirty_victim; ++i) {
+        a.addr = 0x4000 + i * kCachelineBytes;
+        const double before = dramAccesses();
+        check(Packet::request(a, static_cast<CoreId>(i % 4), i * 1'000));
+        dirty_victim = dramAccesses() - before == 2.0;
+    }
+    EXPECT_TRUE(dirty_victim) << "no miss evicted a dirty line";
+    check.writeback(0x4000, 0, 10'000'000);
+}
+
+/** One memory sink and the paths a request can take through it. */
+struct SinkCase
+{
+    const char* name;
+    void (*paths)();
+};
+
+void
+PrintTo(const SinkCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class PacketBreakdown : public ::testing::TestWithParam<SinkCase>
+{
+};
+
+/**
+ * Every request path accounts for every cycle: whichever sink serves a
+ * packet and whichever way it takes, the breakdown's stage buckets sum
+ * to exactly (ready - issue).
+ */
+TEST_P(PacketBreakdown, StageSumsEqualTotalLatency)
+{
+    GetParam().paths();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sinks, PacketBreakdown,
+    ::testing::Values(SinkCase{"stream_mode", streamModePaths},
+                      SinkCase{"cacheline_mode", cachelineModePaths},
+                      SinkCase{"host", hostPaths}),
+    [](const ::testing::TestParamInfo<SinkCase>& info) {
+        return std::string(info.param.name);
+    });
 
 // --- System-level telemetry ---------------------------------------------
 

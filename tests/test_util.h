@@ -1,8 +1,8 @@
 /**
  * @file
- * Helpers shared by the system-level tests: fresh output directories,
- * the run cases and fault mix, and the full-stats comparison of two
- * runs.
+ * Helpers shared by the tests: one request sent to a memory sink, a
+ * stream cache rig, fresh output directories, the run cases and fault
+ * mix, and the full-stats comparison of two runs.
  */
 
 #ifndef NDPEXT_TESTS_TEST_UTIL_H
@@ -11,12 +11,87 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <ostream>
 #include <string>
 
+#include "ndp/stream_cache.h"
+#include "runtime/static_config.h"
+#include "sim/packet.h"
 #include "system/ndp_system.h"
 
 namespace ndpext {
+
+/** Send `acc` from `core` to `mem` at `now`, as a core's L1 miss does;
+ *  returns the serviced packet (`ready` is its completion). */
+inline Packet
+send(MemSink& mem, CoreId core, const Access& acc, Cycles now)
+{
+    Packet pkt = Packet::request(acc, core, now);
+    mem.recvAtomic(pkt);
+    return pkt;
+}
+
+/**
+ * A stream cache controller over an 8-unit machine (2x1 stacks of 2x2
+ * units), with helpers to configure streams and build their accesses.
+ */
+struct CacheRig
+{
+    MeshTopology topo{2, 1, 2, 2}; // 8 units
+    NocParams nocParams;
+    NocModel noc{topo, nocParams};
+    CxlParams cxlParams;
+    ExtendedMemory ext{cxlParams, DramTimingParams::ddr5Extended(), 2000};
+    StreamTable table;
+    StreamCacheParams params;
+    std::unique_ptr<StreamCacheController> cache;
+
+    explicit CacheRig(bool cacheline_mode = false,
+                      RemapMode mode = RemapMode::ConsistentHash)
+    {
+        params.cachelineMode = cacheline_mode;
+        params.remapMode = mode;
+        params.sampler.minCapacityBytes = 1_KiB;
+        params.sampler.maxCapacityBytes = 256_KiB;
+        params.sampler.numCapacities = 8;
+        params.affineCapBytesPerUnit = 64_KiB;
+        cache = std::make_unique<StreamCacheController>(
+            params, table, noc, ext, DramTimingParams::hbm3Unit(),
+            256_KiB, 2000);
+    }
+
+    StreamId
+    addStream(StreamType type, std::uint64_t bytes, std::uint32_t elem,
+              bool read_only)
+    {
+        auto cfg = StreamConfig::dense(
+            "s" + std::to_string(table.numStreams()), type,
+            0x100000 + table.numStreams() * 0x1000000, bytes, elem);
+        cfg.readOnly = read_only;
+        return table.configureStream(cfg);
+    }
+
+    void
+    allocateEverything()
+    {
+        cache->applyConfiguration(makeStaticEqualConfig(
+            table, cache->numUnits(), cache->rowsPerUnit(),
+            cache->rowBytes(), params.affineCapBytesPerUnit));
+    }
+
+    Access
+    accessOf(StreamId sid, ElemId elem, bool write = false)
+    {
+        const StreamConfig& cfg = table.stream(sid);
+        Access a;
+        a.sid = sid;
+        a.elem = elem;
+        a.addr = cfg.addrOf(elem);
+        a.isWrite = write;
+        return a;
+    }
+};
 
 /**
  * The path prefix `name` inside a fresh, empty directory under the gtest

@@ -32,7 +32,6 @@
  *   --epoch=N            reconfiguration interval in cycles
  *   --solver-warm-start  incremental sampler assignment (delta re-solve)
  *   --solver-budget-iters=N  deterministic anytime iteration cap
- *   --solver-budget-us=N advisory wall-clock cap per decision
  *   --seed=N             workload seed (default 42)
  *   --fault=SPEC         inject faults (repeatable). SPECs:
  *                          unit:<id>@<cycle>    kill NDP unit at cycle
@@ -116,8 +115,6 @@ constexpr const char* kUsage =
     "  --solver-budget-iters=N  deterministic anytime budget: cap each\n"
     "                      placement decision at N refinement iterations\n"
     "                      (best-so-far placement is kept; 0 = off)\n"
-    "  --solver-budget-us=N  advisory wall-clock budget per decision in\n"
-    "                      microseconds (host-dependent; 0 = off)\n"
     "  --seed=N            workload seed\n"
     "  --fault=SPEC        unit:<id>@<cycle> | stack:<id>@<cycle> |\n"
     "                      cxl-transient:p=<p> | cxl-poison:p=<p> |\n"
@@ -189,7 +186,6 @@ struct Options
     std::uint64_t epoch = 0;
     bool solverWarmStart = false;
     std::uint64_t solverBudgetIters = 0;
-    std::uint64_t solverBudgetMicros = 0;
     std::uint64_t seed = 42;
     /** Raw --fault specs; parsed once the geometry is known. */
     std::vector<std::string> faultSpecs;
@@ -428,8 +424,6 @@ parseArgs(int argc, char** argv)
             opt.solverWarmStart = true;
         } else if (arg.rfind("--solver-budget-iters=", 0) == 0) {
             opt.solverBudgetIters = number("--solver-budget-iters=");
-        } else if (arg.rfind("--solver-budget-us=", 0) == 0) {
-            opt.solverBudgetMicros = number("--solver-budget-us=");
         } else if (arg.rfind("--seed=", 0) == 0) {
             opt.seed = number("--seed=");
         } else if (arg.rfind("--fault=", 0) == 0) {
@@ -643,7 +637,6 @@ main(int argc, char** argv)
     }
     cfg.runtime.solverWarmStart = opt.solverWarmStart;
     cfg.runtime.solverBudgetIters = opt.solverBudgetIters;
-    cfg.runtime.solverBudgetMicros = opt.solverBudgetMicros;
     if (opt.memBackendUnitSet) {
         cfg.memBackendUnit = opt.memBackendUnit;
     }
