@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/atomic_file.h"
@@ -195,26 +196,23 @@ Telemetry::flushToDisk(std::string* error)
 }
 
 bool
-Telemetry::readPartText(const char* suffix, std::uint64_t expected_lines,
-                        std::string* out, std::string* error) const
+Telemetry::openPart(const char* suffix, std::uint64_t expected_lines,
+                    std::ifstream* is, std::string* error) const
 {
-    out->clear();
     if (expected_lines == 0) {
         return true;
     }
     const std::string path = partPath(suffix);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is) {
+    is->open(path, std::ios::in | std::ios::binary);
+    if (!*is) {
         if (error != nullptr) {
             *error = "cannot read telemetry side file '" + path + "'";
         }
         return false;
     }
-    *out = buf.str();
-    const std::uint64_t lines = static_cast<std::uint64_t>(
-        std::count(out->begin(), out->end(), '\n'));
+    using Chars = std::istreambuf_iterator<char>;
+    const auto lines = static_cast<std::uint64_t>(
+        std::count(Chars(*is), Chars(), '\n'));
     if (lines != expected_lines) {
         if (error != nullptr) {
             *error = "telemetry side file '" + path + "' has "
@@ -223,6 +221,8 @@ Telemetry::readPartText(const char* suffix, std::uint64_t expected_lines,
         }
         return false;
     }
+    is->clear();
+    is->seekg(0);
     return true;
 }
 
@@ -296,44 +296,44 @@ Telemetry::writeAll(std::string* error)
         return true;
     };
     // Stitch flushed side-file content back in front of the in-memory
-    // remainder; byte-identical to a run that never flushed.
-    std::string metricsPart;
-    std::string decisionsPart;
-    std::string exemplarsPart;
-    std::string tracePart;
-    if (!readPartText(".metrics.part", metrics_.flushedSamples(),
-                      &metricsPart, error)
-        || !readPartText(".decisions.part", decisions_.flushedRecords(),
-                         &decisionsPart, error)
-        || !readPartText(".exemplars.part", reqTrace_.flushedExemplars(),
-                         &exemplarsPart, error)
-        || !readPartText(".trace.part", trace_.flushedEvents(), &tracePart,
-                         error)) {
+    // remainder; byte-identical to a run that never flushed. The side
+    // files are checked whole first, then streamed, never held in memory:
+    // they grow with run length.
+    std::ifstream metricsPart;
+    std::ifstream decisionsPart;
+    std::ifstream exemplarsPart;
+    std::ifstream tracePart;
+    if (!openPart(".metrics.part", metrics_.flushedSamples(), &metricsPart,
+                  error)
+        || !openPart(".decisions.part", decisions_.flushedRecords(),
+                     &decisionsPart, error)
+        || !openPart(".exemplars.part", reqTrace_.flushedExemplars(),
+                     &exemplarsPart, error)
+        || !openPart(".trace.part", trace_.flushedEvents(), &tracePart,
+                     error)) {
         return false;
     }
-    std::vector<std::string> traceLines;
-    traceLines.reserve(trace_.flushedEvents());
-    for (std::size_t pos = 0; pos < tracePart.size();) {
-        const std::size_t nl = tracePart.find('\n', pos);
-        traceLines.push_back(tracePart.substr(pos, nl - pos));
-        pos = nl + 1;
-    }
+    const auto copy = [](std::ostream& os, std::ifstream& part) {
+        if (part.is_open()) {
+            os << part.rdbuf();
+        }
+    };
     bool ok = writeTo(".metrics.jsonl",
                       [&](std::ostream& os) {
-                          os << metricsPart;
+                          copy(os, metricsPart);
                           metrics_.writeJsonl(os);
                       })
         && writeTo(".trace.json",
                    [&](std::ostream& os) {
-                       trace_.writeStitched(os, traceLines);
+                       trace_.writeStitched(os, tracePart);
                    })
         && writeTo(".decisions.jsonl", [&](std::ostream& os) {
-               os << decisionsPart;
+               copy(os, decisionsPart);
                decisions_.writeJsonl(os);
            });
     if (ok && reqTrace_.active()) {
         ok = writeTo(".exemplars.jsonl", [&](std::ostream& os) {
-            os << exemplarsPart;
+            copy(os, exemplarsPart);
             reqTrace_.writeJsonl(os);
         });
     }

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -216,8 +217,8 @@ class Telemetry
     bool appendPart(const char* suffix,
                     const std::function<void(std::ostream&)>& writer,
                     std::string* error);
-    bool readPartText(const char* suffix, std::uint64_t expected_lines,
-                      std::string* out, std::string* error) const;
+    bool openPart(const char* suffix, std::uint64_t expected_lines,
+                  std::ifstream* is, std::string* error) const;
     void truncatePartFiles();
     void removePartFiles() const;
 

@@ -1,5 +1,7 @@
 #include "telemetry/trace_writer.h"
 
+#include <sstream>
+
 #include "common/logging.h"
 #include "telemetry/json_out.h"
 
@@ -95,18 +97,20 @@ void
 TraceWriter::write(std::ostream& os) const
 {
     NDP_ASSERT(flushed_ == 0);
-    writeStitched(os, {});
+    std::istringstream none;
+    writeStitched(os, none);
 }
 
 void
-TraceWriter::writeStitched(std::ostream& os,
-                           const std::vector<std::string>& part_lines) const
+TraceWriter::writeStitched(std::ostream& os, std::istream& part) const
 {
-    NDP_ASSERT(part_lines.size() == flushed_);
-    const std::size_t total = part_lines.size() + events_.size();
+    const std::size_t total = flushed_ + events_.size();
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
     std::size_t i = 0;
-    for (const std::string& line : part_lines) {
+    std::string line;
+    for (std::uint64_t n = 0; n < flushed_; ++n) {
+        NDP_ASSERT(std::getline(part, line),
+                   "trace side file holds fewer than ", flushed_, " events");
         os << line;
         if (++i != total) {
             os << ",";

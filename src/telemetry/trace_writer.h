@@ -30,6 +30,7 @@
 #define NDPEXT_TELEMETRY_TRACE_WRITER_H
 
 #include <cstdint>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -91,13 +92,13 @@ class TraceWriter
     void write(std::ostream& os) const;
 
     /**
-     * Serialize with `part_lines` (the flushed per-event renderings, in
-     * emission order) stitched in front of the in-memory remainder.
-     * Byte-identical to what write() on a never-flushed writer with the
-     * same event sequence would produce.
+     * Serialize with the flushedEvents() lines read from `part` (the
+     * flushed per-event renderings, in emission order) stitched in front
+     * of the in-memory remainder, one line at a time. Byte-identical to
+     * what write() on a never-flushed writer with the same event
+     * sequence would produce.
      */
-    void writeStitched(std::ostream& os,
-                       const std::vector<std::string>& part_lines) const;
+    void writeStitched(std::ostream& os, std::istream& part) const;
 
     /**
      * Append one rendered line per buffered event to `os`, clear the

@@ -279,13 +279,9 @@ TEST(TraceWriter, FlushedStitchedOutputMatchesUnflushedWrite)
     flushed.flushEventsTo(part);
     EXPECT_EQ(flushed.flushedEvents(), 33u);
     feed(flushed, 11, 20);
-    std::vector<std::string> lines;
     std::istringstream in(part.str());
-    for (std::string line; std::getline(in, line);) {
-        lines.push_back(line);
-    }
     std::ostringstream got;
-    flushed.writeStitched(got, lines);
+    flushed.writeStitched(got, in);
     EXPECT_EQ(got.str(), want.str());
 }
 
@@ -543,6 +539,34 @@ TEST(RequestTraceSystem, ResumeStitchesByteIdenticalArtifacts)
         EXPECT_FALSE(got.empty()) << suffix;
         EXPECT_EQ(got, slurp(gold + suffix)) << suffix;
     }
+}
+
+/**
+ * writeAll checks every side file's line count against its flush cursor
+ * before it streams any of them: a side file with a stray line fails
+ * the stitch and no final file is written.
+ */
+TEST(RequestTraceSystem, StitchRefusesSideFileWithStrayLine)
+{
+    const ServingConfig serving = busyTenants();
+    SystemConfig cfg = tinySystem();
+    cfg.serving = serving;
+    ServingWorkload w(serving, cfg.runtime.epochCycles);
+    w.prepare(tinyParams());
+
+    const std::string prefix = freshPrefix("reqtrace_stray");
+    auto tel = tracingTelemetry(prefix);
+    NdpSystem sys(cfg, PolicyKind::NdpExt);
+    sys.attachTelemetry(tel.get());
+    sys.setCheckpointing(prefix + ".ckpt", 1);
+    (void)sys.run(w);
+    ASSERT_FALSE(slurp(prefix + ".trace.part").empty());
+    std::ofstream(prefix + ".trace.part", std::ios::app) << "{}\n";
+
+    std::string error;
+    EXPECT_FALSE(tel->writeAll(&error));
+    EXPECT_NE(error.find(".trace.part' has "), std::string::npos) << error;
+    EXPECT_FALSE(std::ifstream(prefix + ".metrics.jsonl").good());
 }
 
 std::uint64_t
