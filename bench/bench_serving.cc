@@ -16,11 +16,14 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/logging.h"
 #include "serving/serving_workload.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/tiny_json.h"
 
 using namespace ndpext;
 
@@ -62,56 +65,49 @@ servingConfig(const Regime& regime, Cycles horizon)
 
 /**
  * Where each tenant's tail goes: the dominant stage (by summed cycles)
- * across the slow exemplars the request tracer retained. Printed as
- * context under the table; not a recorded baseline column (telemetry
- * is observer-only and the deterministic columns already pin the run).
+ * across the slow exemplars the request tracer retained, read back from
+ * the rendered exemplar lines. Printed as context under the table; not
+ * a recorded baseline column (telemetry is observer-only and the
+ * deterministic columns already pin the run).
  */
 std::string
 tailBlame(const Telemetry& tel, const ServingConfig& sc)
 {
-    struct StageView
-    {
-        const char* name;
-        Cycles RequestTraceRecord::*field;
-    };
-    static const StageView kStages[] = {
-        {"queueWait", &RequestTraceRecord::queueWait},
-        {"compute", &RequestTraceRecord::compute},
-        {"l1", &RequestTraceRecord::l1},
-        {"metadata", &RequestTraceRecord::metadata},
-        {"icnIntra", &RequestTraceRecord::icnIntra},
-        {"icnInter", &RequestTraceRecord::icnInter},
-        {"dramCache", &RequestTraceRecord::dramCache},
-        {"extMem", &RequestTraceRecord::extMem},
-        {"mshrQueue", &RequestTraceRecord::mshrQueue},
-    };
+    std::vector<json::ValuePtr> lines;
+    std::string error;
+    const bool parsed = json::parseLines(
+        std::string(tel.pending(Telemetry::kExemplars)), lines, &error);
+    NDP_ASSERT(parsed, "exemplar lines do not parse: ", error);
     std::string out;
     for (std::size_t t = 0; t < sc.tenants.size(); ++t) {
-        Cycles total = 0;
-        Cycles perStage[9] = {};
-        for (const auto& e : tel.requestTrace().retained()) {
-            if (!e.slow || e.rec.tenant != t) {
+        double total = 0.0;
+        // (stage, summed cycles) in the lines' stage order.
+        std::vector<std::pair<std::string, double>> perStage;
+        for (const json::ValuePtr& line : lines) {
+            if (line->str("kind") != "slow"
+                || line->str("tenant") != sc.tenants[t].name) {
                 continue;
             }
-            total += e.rec.latency();
-            for (std::size_t s = 0; s < 9; ++s) {
-                perStage[s] += e.rec.*kStages[s].field;
+            total += line->num("latency");
+            const auto& stages = line->get("stages")->object;
+            perStage.resize(stages.size());
+            for (std::size_t s = 0; s < stages.size(); ++s) {
+                perStage[s].first = stages[s].first;
+                perStage[s].second += stages[s].second->number;
             }
         }
         std::size_t top = 0;
-        for (std::size_t s = 1; s < 9; ++s) {
-            if (perStage[s] > perStage[top]) {
+        for (std::size_t s = 1; s < perStage.size(); ++s) {
+            if (perStage[s].second > perStage[top].second) {
                 top = s;
             }
         }
         char buf[96];
         std::snprintf(buf, sizeof buf, "%s%s=%s(%.0f%%)",
                       t == 0 ? "" : " ", sc.tenants[t].name.c_str(),
-                      total == 0 ? "none" : kStages[top].name,
-                      total == 0 ? 0.0
-                                 : 100.0
-                              * static_cast<double>(perStage[top])
-                              / static_cast<double>(total));
+                      total == 0.0 ? "none" : perStage[top].first.c_str(),
+                      total == 0.0 ? 0.0
+                                   : 100.0 * perStage[top].second / total);
         out += buf;
     }
     return out;

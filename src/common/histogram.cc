@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -69,15 +68,6 @@ Histogram::percentile(double q) const
         }
     }
     return max_;
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream oss;
-    oss << "n=" << count_ << " mean=" << mean() << " p50=" << percentile(0.5)
-        << " p99=" << percentile(0.99) << " max=" << max_;
-    return oss.str();
 }
 
 } // namespace ndpext

@@ -7,7 +7,6 @@
 #define NDPEXT_COMMON_HISTOGRAM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ndpext {
@@ -31,9 +30,6 @@ class Histogram
 
     /** Value below which `q` (in [0,1]) of the samples fall (approximate). */
     double percentile(double q) const;
-
-    /** One-line summary "n=... mean=... p50=... p99=... max=...". */
-    std::string summary() const;
 
     /** Raw state, for checkpoint/restore (bucketMax_ is configuration). */
     const std::vector<std::uint64_t>& bins() const { return bins_; }

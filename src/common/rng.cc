@@ -41,14 +41,6 @@ Rng::Rng(std::uint64_t seed)
     }
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    NDP_ASSERT(lo <= hi);
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
 void
 Rng::discard(std::uint64_t n)
 {

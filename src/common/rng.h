@@ -70,9 +70,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Uniform in [lo, hi]. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /**
      * Advance the state as if next() had been called n times, in
      * O(log n) 256x256 GF(2) matrix squarings of the (linear) state

@@ -1,6 +1,7 @@
 #include "cpu/core.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "sim/packet.h"
@@ -28,24 +29,24 @@ namespace {
 void
 splitWait(Cycles wait, const LatencyBreakdown& bd, Cycles out[6])
 {
+    constexpr std::size_t kN = std::size(kServiceStages);
     const Cycles service = bd.total();
     if (service == 0) {
-        out[5] += wait;
+        out[kN] += wait;
         return;
     }
-    const Cycles part[5] = {bd.metadata, bd.icnIntra, bd.icnInter,
-                            bd.dramCache, bd.extMem};
-    Cycles share[5];
-    Cycles rem[5];
+    Cycles share[kN];
+    Cycles rem[kN];
     Cycles assigned = 0;
-    for (int i = 0; i < 5; ++i) {
-        share[i] = wait * part[i] / service;
-        rem[i] = wait * part[i] % service;
+    for (std::size_t i = 0; i < kN; ++i) {
+        const Cycles part = bd.*kServiceStages[i].field;
+        share[i] = wait * part / service;
+        rem[i] = wait * part % service;
         assigned += share[i];
     }
     for (Cycles left = wait - assigned; left > 0; --left) {
-        int best = 0;
-        for (int i = 1; i < 5; ++i) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < kN; ++i) {
             if (rem[i] > rem[best]) {
                 best = i;
             }
@@ -53,7 +54,7 @@ splitWait(Cycles wait, const LatencyBreakdown& bd, Cycles out[6])
         ++share[best];
         rem[best] = 0;
     }
-    for (int i = 0; i < 5; ++i) {
+    for (std::size_t i = 0; i < kN; ++i) {
         out[i] += share[i];
     }
 }
@@ -186,16 +187,7 @@ InOrderCore::step(AccessGenerator& gen)
     mem_.recvAtomic(pkt);
     NDP_ASSERT(pkt.ready >= issue);
     if (telSink_ != nullptr && telSink_->tick()) {
-        PacketSample s;
-        s.core = id_;
-        s.sid = pkt.sid;
-        s.start = issue;
-        s.metadata = pkt.bd.metadata;
-        s.icnIntra = pkt.bd.icnIntra;
-        s.icnInter = pkt.bd.icnInter;
-        s.dramCache = pkt.bd.dramCache;
-        s.extMem = pkt.bd.extMem;
-        telSink_->record(s);
+        telSink_->record({id_, pkt.sid, issue, pkt.bd});
     }
     slot->free = pkt.ready;
     now_ = issue + params_.l1HitCycles; // issue occupancy, then overlap

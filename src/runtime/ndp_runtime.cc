@@ -435,7 +435,7 @@ NdpRuntime::recordDecision(
         rec.allocs.push_back(std::move(out));
     }
     rec.applied = applied;
-    telemetry_->decisions().add(std::move(rec));
+    telemetry_->decisions().add(rec);
 }
 
 void

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 
 #include "common/types.h"
 #include "sim/stats.h"
@@ -62,28 +61,36 @@ struct LatencyBreakdown
     }
 };
 
+/** One service stage of a LatencyBreakdown: its name and member. */
+struct ServiceStage
+{
+    const char* name;
+    Cycles LatencyBreakdown::*field;
+};
+
+/** The five service stages, in Fig. 2(a) (and checkpoint) order. */
+inline constexpr ServiceStage kServiceStages[] = {
+    {"metadata", &LatencyBreakdown::metadata},
+    {"icnIntra", &LatencyBreakdown::icnIntra},
+    {"icnInter", &LatencyBreakdown::icnInter},
+    {"dramCache", &LatencyBreakdown::dramCache},
+    {"extMem", &LatencyBreakdown::extMem},
+};
+
 /**
- * Declare the six LatencyBreakdown counters under `prefix`
- * (metadata, icnIntra, icnInter, dramCache, extMem, requests); each
- * reader calls `get` for the live breakdown.
+ * Declare the six LatencyBreakdown counters under `prefix` (the five
+ * service stages, then requests); each reader calls `get` for the live
+ * breakdown.
  */
 inline void
 breakdownCounters(Counters& out, const std::string& prefix,
                   const std::function<LatencyBreakdown()>& get)
 {
-    using Field = std::uint64_t LatencyBreakdown::*;
-    static const std::pair<const char*, Field> kFields[] = {
-        {"metadata", &LatencyBreakdown::metadata},
-        {"icnIntra", &LatencyBreakdown::icnIntra},
-        {"icnInter", &LatencyBreakdown::icnInter},
-        {"dramCache", &LatencyBreakdown::dramCache},
-        {"extMem", &LatencyBreakdown::extMem},
-        {"requests", &LatencyBreakdown::requests},
-    };
     const CounterScope add{out, prefix};
-    for (const auto& [name, field] : kFields) {
-        add(name, [get, field = field] { return double(get().*field); });
+    for (const ServiceStage& s : kServiceStages) {
+        add(s.name, [get, field = s.field] { return double(get().*field); });
     }
+    add("requests", [get] { return double(get().requests); });
 }
 
 } // namespace ndpext

@@ -52,7 +52,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 4;
+constexpr std::uint32_t kCheckpointVersion = 5;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 
@@ -487,15 +487,13 @@ class Archive
         }
     }
 
-    /** The six latency-breakdown buckets. */
+    /** The six latency-breakdown buckets: the stages, then requests. */
     void
     bd(LatencyBreakdown& v)
     {
-        u64(v.metadata);
-        u64(v.icnIntra);
-        u64(v.icnInter);
-        u64(v.dramCache);
-        u64(v.extMem);
+        for (const ServiceStage& s : kServiceStages) {
+            u64(v.*s.field);
+        }
         u64(v.requests);
     }
 

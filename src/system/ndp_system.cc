@@ -85,17 +85,9 @@ streamCounters(Counters& out, const StreamTable& table,
         }
         return double(total);
     });
-    using BdField = Cycles LatencyBreakdown::*;
-    static const std::pair<const char*, BdField> kService[] = {
-        {"metadata", &LatencyBreakdown::metadata},
-        {"icnIntra", &LatencyBreakdown::icnIntra},
-        {"icnInter", &LatencyBreakdown::icnInter},
-        {"dramCache", &LatencyBreakdown::dramCache},
-        {"extMem", &LatencyBreakdown::extMem},
-    };
-    for (const auto& [name, field] : kService) {
-        series.emplace_back(std::string("serviceCycles.") + name,
-                            [&cache, field = field](StreamId sid) {
+    for (const ServiceStage& stage : kServiceStages) {
+        series.emplace_back(std::string("serviceCycles.") + stage.name,
+                            [&cache, field = stage.field](StreamId sid) {
                                 const LatencyBreakdown bd = sid == kNoStream
                                     ? cache.nonStreamBreakdown()
                                     : cache.streamBreakdown(sid);
@@ -285,13 +277,9 @@ NdpSystem::configHash(const Workload& workload) const
     if (telemetry_ != nullptr) {
         const TelemetryConfig& tc = telemetry_->config();
         w.u64(tc.packetSampleEvery);
-        w.u64(tc.ringCapacity);
-        w.d(tc.latencyHistMax);
-        w.u64(tc.latencyHistBuckets);
         w.b(tc.traceRequests);
         w.u64(tc.traceSlowK);
         w.u64(tc.traceUniformK);
-        w.u64(tc.traceSeed);
     }
     return ckpt::fnv1a(w.bytes());
 }
@@ -731,9 +719,9 @@ NdpSystem::run(const Workload& workload)
             ++completed_epochs;
             if (ckptEvery_ != 0 && completed_epochs % ckptEvery_ == 0) {
                 if (telemetry_ != nullptr) {
-                    // Bound image growth: move rendered telemetry to the
-                    // on-disk .part side files so the snapshot only
-                    // carries un-flushed state (DESIGN.md §6).
+                    // Bound image growth: append the rendered telemetry
+                    // to its .part side files, so the snapshot carries
+                    // only their byte counts (DESIGN.md §6).
                     std::string ferr;
                     if (!telemetry_->flushToDisk(&ferr)) {
                         warn(ferr);

@@ -14,8 +14,9 @@
  *
  * The log is deliberately decoupled from runtime types (plain structs)
  * so the telemetry library stays at the bottom of the dependency stack.
- * Serialization is JSONL: one record per line, schema pinned by the
- * ctest check (tools/ndpext_report check) and documented in DESIGN.md §6.
+ * add() renders each record as it arrives, as JSONL: one record per
+ * line, schema pinned by the ctest check (tools/ndpext_report check)
+ * and documented in DESIGN.md §6.
  */
 
 #ifndef NDPEXT_TELEMETRY_DECISION_LOG_H
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "sim/checkpoint.h"
 
 namespace ndpext {
 
@@ -80,32 +80,14 @@ struct DecisionRecord
 class DecisionLog
 {
   public:
-    void add(DecisionRecord record) { records_.push_back(std::move(record)); }
+    /** Records render into `os`, which must outlive the log. */
+    explicit DecisionLog(std::ostream& os) : os_(os) {}
 
-    std::size_t numRecords() const { return records_.size(); }
-    const std::vector<DecisionRecord>& records() const { return records_; }
-
-    /** One JSON object per record, schema in DESIGN.md §6. */
-    void writeJsonl(std::ostream& os) const;
-
-    /**
-     * writeJsonl + clear: records move to `os` (a .part side file),
-     * only the flushed-count cursor stays, so checkpoint images do not
-     * grow with the number of logged decisions.
-     */
-    void flushJsonl(std::ostream& os);
-
-    /** Records already moved out via flushJsonl(). */
-    std::uint64_t flushedRecords() const { return flushedRecords_; }
-
-    /** Checkpoint pass: the record list is replaced wholesale. */
-    void checkpoint(ckpt::Archive& ar);
+    /** Render one record as a JSON line (schema in DESIGN.md §6). */
+    void add(const DecisionRecord& r);
 
   private:
-    void writeRecordLine(std::ostream& os, const DecisionRecord& r) const;
-
-    std::vector<DecisionRecord> records_;
-    std::uint64_t flushedRecords_ = 0;
+    std::ostream& os_;
 };
 
 } // namespace ndpext

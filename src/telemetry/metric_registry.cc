@@ -5,18 +5,12 @@
 
 namespace ndpext {
 
-MetricRegistry::MetricRegistry(std::size_t ring_capacity)
-    : capacity_(ring_capacity)
-{
-    NDP_ASSERT(ring_capacity > 0);
-}
-
 void
 MetricRegistry::registerCounter(const std::string& name,
                                 std::function<double()> read)
 {
     NDP_ASSERT(read != nullptr, "metric ", name, " has no reader");
-    NDP_ASSERT(ring_.empty(),
+    NDP_ASSERT(!sampled_,
                "metric ", name, " registered after the first sample()");
     const auto it = index_.find(name);
     if (it != index_.end()) {
@@ -49,110 +43,37 @@ MetricRegistry::registerHistogram(const std::string& name,
 void
 MetricRegistry::sample(std::uint64_t epoch, Cycles cycles)
 {
-    EpochSample s;
-    s.epoch = epoch;
-    s.cycles = cycles;
-    s.values.reserve(metrics_.size());
-    for (const Metric& m : metrics_) {
+    sampled_ = true;
+    os_ << "{\"epoch\":" << epoch << ",\"cycles\":" << cycles
+        << ",\"metrics\":{";
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
         double v = 0.0;
-        for (const auto& src : m.sources) {
+        for (const auto& src : metrics_[i].sources) {
             v += src();
         }
-        s.values.push_back(v);
-    }
-    s.hists.reserve(hists_.size());
-    for (const HistEntry& h : hists_) {
-        EpochSample::HistSnapshot snap;
-        snap.count = h.hist->count();
-        snap.mean = h.hist->mean();
-        snap.p50 = h.hist->percentile(0.5);
-        snap.p99 = h.hist->percentile(0.99);
-        snap.max = h.hist->maxValue();
-        s.hists.push_back(snap);
-    }
-    if (ring_.size() == capacity_) {
-        ring_.pop_front();
-        ++dropped_;
-    }
-    ring_.push_back(std::move(s));
-}
-
-double
-MetricRegistry::latest(const std::string& name) const
-{
-    const auto it = index_.find(name);
-    if (it == index_.end() || ring_.empty()) {
-        return 0.0;
-    }
-    return ring_.back().values[it->second];
-}
-
-void
-MetricRegistry::writeSampleLine(std::ostream& os, const EpochSample& s) const
-{
-    os << "{\"epoch\":" << s.epoch << ",\"cycles\":" << s.cycles
-       << ",\"metrics\":{";
-    bool first = true;
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        if (!first) {
-            os << ",";
+        if (i > 0) {
+            os_ << ",";
         }
-        first = false;
-        os << jsonout::str(metrics_[i].name) << ":"
-           << jsonout::num(s.values[i]);
+        os_ << jsonout::str(metrics_[i].name) << ":" << jsonout::num(v);
     }
-    os << "}";
-    if (!s.hists.empty()) {
-        os << ",\"histograms\":{";
+    os_ << "}";
+    if (!hists_.empty()) {
+        os_ << ",\"histograms\":{";
         for (std::size_t i = 0; i < hists_.size(); ++i) {
             if (i > 0) {
-                os << ",";
+                os_ << ",";
             }
-            const auto& h = s.hists[i];
-            os << jsonout::str(hists_[i].name) << ":{\"count\":" << h.count
-               << ",\"mean\":" << jsonout::num(h.mean)
-               << ",\"p50\":" << jsonout::num(h.p50)
-               << ",\"p99\":" << jsonout::num(h.p99)
-               << ",\"max\":" << jsonout::num(h.max) << "}";
+            const Histogram& h = *hists_[i].hist;
+            os_ << jsonout::str(hists_[i].name)
+                << ":{\"count\":" << h.count()
+                << ",\"mean\":" << jsonout::num(h.mean())
+                << ",\"p50\":" << jsonout::num(h.percentile(0.5))
+                << ",\"p99\":" << jsonout::num(h.percentile(0.99))
+                << ",\"max\":" << jsonout::num(h.maxValue()) << "}";
         }
-        os << "}";
+        os_ << "}";
     }
-    os << "}\n";
-}
-
-void
-MetricRegistry::writeJsonl(std::ostream& os) const
-{
-    for (const EpochSample& s : ring_) {
-        writeSampleLine(os, s);
-    }
-}
-
-void
-MetricRegistry::flushJsonl(std::ostream& os)
-{
-    writeJsonl(os);
-    flushedSamples_ += ring_.size();
-    ring_.clear();
-}
-
-void
-MetricRegistry::checkpoint(ckpt::Archive& ar)
-{
-    ar.seq(ring_, [&](EpochSample& s) {
-        ar.u64(s.epoch);
-        ar.u64(s.cycles);
-        ar.seq(s.values, [&](double& v) { ar.d(v); });
-        ar.seq(s.hists, [&](EpochSample::HistSnapshot& h) {
-            ar.u64(h.count);
-            ar.d(h.mean);
-            ar.d(h.p50);
-            ar.d(h.p99);
-            ar.d(h.max);
-        });
-    });
-    ar.u64(dropped_);
-    ar.u64(flushedSamples_);
+    os_ << "}\n";
 }
 
 } // namespace ndpext

@@ -11,10 +11,8 @@
  * same list, so the final sample equals the --stats-json value of every
  * name both carry.
  *
- * sample() snapshots every metric into a fixed-capacity ring buffer of
- * EpochSample records (oldest epochs are dropped once full, counted in
- * droppedSamples()); writeJsonl() flushes the buffered series as one JSON
- * object per line:
+ * sample() renders every metric as one JSON object per line into the
+ * registry's output stream:
  *
  *   {"epoch":0,"cycles":250000,"metrics":{"cache.hits":123, ...}}
  *
@@ -27,7 +25,6 @@
 #define NDPEXT_TELEMETRY_METRIC_REGISTRY_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <ostream>
@@ -36,35 +33,15 @@
 
 #include "common/histogram.h"
 #include "common/types.h"
-#include "sim/checkpoint.h"
 #include "sim/stats.h"
 
 namespace ndpext {
 
-/** One sampled point-in-time snapshot of every registered metric. */
-struct EpochSample
-{
-    std::uint64_t epoch = 0;
-    Cycles cycles = 0;
-    /** Values in registration order (summed over duplicate sources). */
-    std::vector<double> values;
-    /** count/mean/p50/p99/max per registered histogram, in order. */
-    struct HistSnapshot
-    {
-        std::uint64_t count = 0;
-        double mean = 0.0;
-        double p50 = 0.0;
-        double p99 = 0.0;
-        double max = 0.0;
-    };
-    std::vector<HistSnapshot> hists;
-};
-
 class MetricRegistry
 {
   public:
-    /** @param ring_capacity epochs retained before dropping the oldest. */
-    explicit MetricRegistry(std::size_t ring_capacity = 4096);
+    /** Samples render into `os`, which must outlive the registry. */
+    explicit MetricRegistry(std::ostream& os) : os_(os) {}
 
     /** Pull-mode source for a metric; must stay valid until the last
      *  sample(). Re-registering a name adds a source (values sum). */
@@ -74,45 +51,11 @@ class MetricRegistry
     /** registerCounter() for every entry of the list, in order. */
     void registerCounters(const Counters& list);
 
-    /** Register a live histogram; snapshots record its summary stats. */
+    /** Register a live histogram; samples record its summary stats. */
     void registerHistogram(const std::string& name, const Histogram* hist);
 
-    /** Snapshot every metric at an epoch barrier. */
+    /** Render one line: every metric's value at an epoch barrier. */
     void sample(std::uint64_t epoch, Cycles cycles);
-
-    std::size_t numMetrics() const { return metrics_.size(); }
-    std::size_t numSamples() const { return ring_.size(); }
-    std::uint64_t droppedSamples() const { return dropped_; }
-    const std::deque<EpochSample>& samples() const { return ring_; }
-
-    /** Name of metric `i` (registration order, deduplicated). */
-    const std::string& metricName(std::size_t i) const
-    {
-        return metrics_[i].name;
-    }
-
-    /** Latest sampled value of a metric by name (0 if never sampled). */
-    double latest(const std::string& name) const;
-
-    /** Flush the buffered epoch series as JSONL (one object per epoch). */
-    void writeJsonl(std::ostream& os) const;
-
-    /**
-     * writeJsonl + clear: the samples move to `os` (a .part side file)
-     * and only the flushed-count cursor stays in memory, keeping
-     * checkpoint images flat across epochs.
-     */
-    void flushJsonl(std::ostream& os);
-
-    /** Samples already moved out via flushJsonl(). */
-    std::uint64_t flushedSamples() const { return flushedSamples_; }
-
-    /**
-     * Checkpoint pass: the sampled ring, drop counter and flush cursor
-     * travel; metric/histogram registrations are re-made by the
-     * components of the restoring process before a load runs.
-     */
-    void checkpoint(ckpt::Archive& ar);
 
   private:
     struct Metric
@@ -127,15 +70,11 @@ class MetricRegistry
         const Histogram* hist = nullptr;
     };
 
-    void writeSampleLine(std::ostream& os, const EpochSample& s) const;
-
+    std::ostream& os_;
     std::vector<Metric> metrics_;
     std::map<std::string, std::size_t> index_;
     std::vector<HistEntry> hists_;
-    std::deque<EpochSample> ring_;
-    std::size_t capacity_;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t flushedSamples_ = 0;
+    bool sampled_ = false;
 };
 
 } // namespace ndpext

@@ -10,6 +10,9 @@ namespace ndpext {
 
 namespace {
 
+/** Seed of the counter-hashed reservoir draws. */
+constexpr std::uint64_t kReservoirSeed = 0x7ACE5EED;
+
 /**
  * Slow-reservoir order: latency desc, ties broken (arrival, core) asc so
  * the retained set is independent of drain interleaving details.
@@ -125,7 +128,8 @@ RequestTraceCollector::offer(const RequestTraceRecord& r)
             // checkpoint, and the decision for the n-th request of a
             // tenant is a pure function of (seed, tenant, n).
             const std::uint64_t draw = mix64(
-                p_.seed ^ mix64(static_cast<std::uint64_t>(r.tenant) + 1));
+                kReservoirSeed
+                ^ mix64(static_cast<std::uint64_t>(r.tenant) + 1));
             const std::uint64_t j = mix64(draw ^ res.count) % res.count;
             if (j < p_.uniformK) {
                 res.uniform[j] = r;
@@ -137,17 +141,13 @@ RequestTraceCollector::offer(const RequestTraceRecord& r)
 void
 RequestTraceCollector::finalizeEpoch(std::uint64_t epoch)
 {
-    for (std::size_t t = 0; t < cur_.size(); ++t) {
-        Reservoir& res = cur_[t];
-        std::vector<Exemplar> picked;
-        picked.reserve(res.slow.size() + res.uniform.size());
+    for (Reservoir& res : cur_) {
         for (const RequestTraceRecord& r : res.slow) {
-            picked.push_back({r, epoch, true, 0});
+            exportExemplar(r, epoch, true);
         }
         // Uniform sample, minus requests already retained as slow;
         // (arrival, core) order keeps the output readable and stable.
-        std::vector<RequestTraceRecord> uni = res.uniform;
-        std::sort(uni.begin(), uni.end(),
+        std::sort(res.uniform.begin(), res.uniform.end(),
                   [](const RequestTraceRecord& a,
                      const RequestTraceRecord& b) {
                       if (a.arrival != b.arrival) {
@@ -155,20 +155,15 @@ RequestTraceCollector::finalizeEpoch(std::uint64_t epoch)
                       }
                       return a.core < b.core;
                   });
-        for (const RequestTraceRecord& r : uni) {
+        for (const RequestTraceRecord& r : res.uniform) {
             const bool dup = std::any_of(
                 res.slow.begin(), res.slow.end(),
                 [&](const RequestTraceRecord& s) {
                     return sameRequest(s, r);
                 });
             if (!dup) {
-                picked.push_back({r, epoch, false, 0});
+                exportExemplar(r, epoch, false);
             }
-        }
-        for (Exemplar& e : picked) {
-            e.flowId = nextFlowId_++;
-            emitExemplarTrace(e);
-            retained_.push_back(e);
         }
         res.slow.clear();
         res.uniform.clear();
@@ -177,107 +172,75 @@ RequestTraceCollector::finalizeEpoch(std::uint64_t epoch)
 }
 
 void
-RequestTraceCollector::emitExemplarTrace(const Exemplar& e)
+RequestTraceCollector::exportExemplar(const RequestTraceRecord& r,
+                                      std::uint64_t epoch, bool slow)
 {
-    if (trace_ == nullptr) {
-        return;
-    }
-    const RequestTraceRecord& r = e.rec;
-    const std::uint32_t tid = r.tenant;
-    const std::string args = "{\"kind\":"
-        + jsonout::str(e.slow ? "slow" : "uniform")
-        + ",\"epoch\":" + std::to_string(e.epoch)
-        + ",\"core\":" + std::to_string(r.core)
-        + ",\"latency\":" + std::to_string(r.latency()) + "}";
-    trace_->completeSpan("request", "request", TraceWriter::kPidRequests,
-                         tid, r.arrival, r.latency(), args);
-    // Child stage slices laid out sequentially in causal order. This is
-    // an *attribution* tree -- the stall shares did not actually occur
-    // back-to-back -- but the widths are the exact cycle attribution
-    // and they tile [arrival, done) with no gap (stage-sum identity).
-    Cycles cursor = r.arrival;
-    for (const StageSlice& s : kStages) {
-        const Cycles dur = r.*(s.field);
-        if (dur == 0) {
-            continue;
+    const std::uint64_t flow = nextFlowId_++;
+    const char* kind = slow ? "slow" : "uniform";
+    if (trace_ != nullptr) {
+        const std::uint32_t tid = r.tenant;
+        const std::string args = "{\"kind\":" + jsonout::str(kind)
+            + ",\"epoch\":" + std::to_string(epoch)
+            + ",\"core\":" + std::to_string(r.core)
+            + ",\"latency\":" + std::to_string(r.latency()) + "}";
+        trace_->completeSpan("request", "request", TraceWriter::kPidRequests,
+                             tid, r.arrival, r.latency(), args);
+        // Child stage slices laid out sequentially in causal order. This
+        // is an *attribution* tree -- the stall shares did not actually
+        // occur back-to-back -- but the widths are the exact cycle
+        // attribution and they tile [arrival, done) with no gap
+        // (stage-sum identity).
+        Cycles cursor = r.arrival;
+        for (const StageSlice& s : kStages) {
+            const Cycles dur = r.*(s.field);
+            if (dur == 0) {
+                continue;
+            }
+            trace_->completeSpan("request", s.name,
+                                 TraceWriter::kPidRequests, tid, cursor,
+                                 dur);
+            cursor += dur;
         }
-        trace_->completeSpan("request", s.name, TraceWriter::kPidRequests,
-                             tid, cursor, dur);
-        cursor += dur;
+        trace_->flowStart("request", "req", TraceWriter::kPidRequests, tid,
+                          r.arrival, flow);
+        trace_->flowStep("request", "req", TraceWriter::kPidRequests, tid,
+                         r.start, flow);
+        trace_->flowEnd("request", "req", TraceWriter::kPidRequests, tid,
+                        r.done, flow);
     }
-    trace_->flowStart("request", "req", TraceWriter::kPidRequests, tid,
-                      r.arrival, e.flowId);
-    trace_->flowStep("request", "req", TraceWriter::kPidRequests, tid,
-                     r.start, e.flowId);
-    trace_->flowEnd("request", "req", TraceWriter::kPidRequests, tid,
-                    r.done, e.flowId);
-}
 
-void
-RequestTraceCollector::writeExemplarLine(std::ostream& os,
-                                         const Exemplar& e) const
-{
-    const RequestTraceRecord& r = e.rec;
     NDP_ASSERT(r.tenant < tenants_.size());
     const TenantMeta& tm = tenants_[r.tenant];
     const bool violation = tm.sloCycles > 0 && r.latency() > tm.sloCycles;
-    os << "{\"epoch\":" << e.epoch << ",\"tenant\":" << jsonout::str(tm.name)
-       << ",\"qos\":" << jsonout::str(tm.reserved ? "reserved" : "best-effort")
-       << ",\"kind\":" << jsonout::str(e.slow ? "slow" : "uniform")
-       << ",\"core\":" << r.core << ",\"flow\":" << e.flowId
-       << ",\"arrival\":" << r.arrival << ",\"start\":" << r.start
-       << ",\"done\":" << r.done << ",\"latency\":" << r.latency()
-       << ",\"sloCycles\":" << tm.sloCycles
-       << ",\"violation\":" << (violation ? 1 : 0) << ",\"stages\":{";
+    os_ << "{\"epoch\":" << epoch << ",\"tenant\":" << jsonout::str(tm.name)
+        << ",\"qos\":"
+        << jsonout::str(tm.reserved ? "reserved" : "best-effort")
+        << ",\"kind\":" << jsonout::str(kind) << ",\"core\":" << r.core
+        << ",\"flow\":" << flow << ",\"arrival\":" << r.arrival
+        << ",\"start\":" << r.start << ",\"done\":" << r.done
+        << ",\"latency\":" << r.latency()
+        << ",\"sloCycles\":" << tm.sloCycles
+        << ",\"violation\":" << (violation ? 1 : 0) << ",\"stages\":{";
     bool first = true;
     for (const StageSlice& s : kStages) {
         if (!first) {
-            os << ",";
+            os_ << ",";
         }
         first = false;
-        os << "\"" << s.name << "\":" << r.*(s.field);
+        os_ << "\"" << s.name << "\":" << r.*(s.field);
     }
-    os << "}}\n";
-}
-
-void
-RequestTraceCollector::writeJsonl(std::ostream& os) const
-{
-    for (const Exemplar& e : retained_) {
-        writeExemplarLine(os, e);
-    }
-}
-
-void
-RequestTraceCollector::flushJsonl(std::ostream& os)
-{
-    writeJsonl(os);
-    flushed_ += retained_.size();
-    retained_.clear();
+    os_ << "}}\n";
 }
 
 void
 RequestTraceCollector::checkpoint(ckpt::Archive& ar)
 {
-    ar.section(0x7ACE);
-    // Buffers are drained at every barrier before a snapshot is taken.
     for (const auto& buf : buffers_) {
-        NDP_ASSERT(buf->records.empty());
+        NDP_ASSERT(buf->records.empty(), "request buffer not drained");
     }
-    const auto rec = [&](RequestTraceRecord& r) { r.checkpoint(ar); };
-    ar.expect(cur_.size(), "request-trace tenant count mismatch");
-    for (Reservoir& res : cur_) {
-        ar.seq(res.slow, rec);
-        ar.seq(res.uniform, rec);
-        ar.u64(res.count);
+    for (const Reservoir& res : cur_) {
+        NDP_ASSERT(res.count == 0, "request reservoir not finalized");
     }
-    ar.seq(retained_, [&](Exemplar& e) {
-        e.rec.checkpoint(ar);
-        ar.u64(e.epoch);
-        ar.b(e.slow);
-        ar.u64(e.flowId);
-    });
-    ar.u64(flushed_);
     ar.u64(nextFlowId_);
 }
 

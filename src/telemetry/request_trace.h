@@ -22,12 +22,13 @@
  * keeps the K slowest requests plus a size-U uniform sample (reservoir
  * sampling with a counter-hashed deterministic RNG -- no global RNG
  * state, no wall clock), so p99 exemplars are always retained at
- * bounded memory regardless of request count. Finalized exemplars are
- * exported to the Perfetto writer as flow-linked span trees (pid 4
- * "requests", one track per tenant; the child stage slices are an
- * attribution tree laid out sequentially, not the true interleaving)
- * and to a JSONL exemplar file (<prefix>.exemplars.jsonl, schema in
- * DESIGN.md section 6).
+ * bounded memory regardless of request count. At each epoch barrier
+ * the epoch's exemplars are rendered and the reservoirs emptied: as
+ * flow-linked span trees into the Perfetto writer (pid 4 "requests",
+ * one track per tenant; the child stage slices are an attribution tree
+ * laid out sequentially, not the true interleaving) and as JSONL lines
+ * into the collector's output stream (<prefix>.exemplars.jsonl, schema
+ * in DESIGN.md section 6).
  *
  * Observer-only: nothing here feeds back into timing, placement or RNG
  * state; stats/stdout are byte-identical with tracing on or off.
@@ -79,31 +80,11 @@ struct RequestTraceRecord
         return queueWait + compute + l1 + metadata + icnIntra + icnInter
             + dramCache + extMem + mshrQueue;
     }
-
-    void
-    checkpoint(ckpt::Archive& ar)
-    {
-        ar.u32(tenant);
-        ar.u32(core);
-        ar.u64(arrival);
-        ar.u64(start);
-        ar.u64(done);
-        ar.u64(queueWait);
-        ar.u64(compute);
-        ar.u64(l1);
-        ar.u64(metadata);
-        ar.u64(icnIntra);
-        ar.u64(icnInter);
-        ar.u64(dramCache);
-        ar.u64(extMem);
-        ar.u64(mshrQueue);
-    }
 };
 
 /**
  * Sink handed to one core: the core pushes every completed request;
- * the system drains it at barriers. Always empty
- * at an epoch barrier after the drain, so checkpoints stay small.
+ * the system drains it at barriers, so it is empty at every snapshot.
  */
 struct RequestTraceBuffer
 {
@@ -121,8 +102,6 @@ class RequestTraceCollector
         std::uint64_t slowK = 8;
         /** Uniform-sample size per tenant per epoch. */
         std::uint64_t uniformK = 8;
-        /** Seed for the counter-hashed reservoir RNG. */
-        std::uint64_t seed = 0x7ACE5EED;
     };
 
     /** Static per-tenant facts (exemplar lines, track names). */
@@ -133,18 +112,11 @@ class RequestTraceCollector
         Cycles sloCycles = 0;
     };
 
-    /** A retained request trace. */
-    struct Exemplar
+    /** Exemplar lines render into `os`, which must outlive the collector. */
+    RequestTraceCollector(const Params& params, std::ostream& os)
+        : p_(params), os_(os)
     {
-        RequestTraceRecord rec;
-        std::uint64_t epoch = 0;
-        /** True: one of the epoch's K slowest; false: uniform sample. */
-        bool slow = true;
-        /** Flow id linking the exported span tree (unique per run). */
-        std::uint64_t flowId = 0;
-    };
-
-    explicit RequestTraceCollector(const Params& params) : p_(params) {}
+    }
 
     RequestTraceCollector(const RequestTraceCollector&) = delete;
     RequestTraceCollector& operator=(const RequestTraceCollector&) = delete;
@@ -160,8 +132,6 @@ class RequestTraceCollector
     /** True once init() armed it (buffers exist). */
     bool active() const { return !buffers_.empty(); }
 
-    const std::vector<TenantMeta>& tenants() const { return tenants_; }
-
     /** The buffer core `c` writes into (null when inactive). */
     RequestTraceBuffer* buffer(CoreId c);
 
@@ -173,29 +143,17 @@ class RequestTraceCollector
 
     /**
      * Epoch barrier: select this epoch's exemplars (slow-K first, then
-     * the uniform sample minus duplicates), emit their span trees and
-     * flow events, append them to the retained list, and reset the
-     * reservoirs for the next epoch.
+     * the uniform sample minus duplicates), render their span trees,
+     * flow events and JSONL lines, and reset the reservoirs for the
+     * next epoch.
      */
     void finalizeEpoch(std::uint64_t epoch);
 
-    /** Retained exemplars not yet flushed to disk. */
-    const std::vector<Exemplar>& retained() const { return retained_; }
-
-    /** Exemplar lines already flushed to the .part file. */
-    std::uint64_t flushedExemplars() const { return flushed_; }
-
-    /** One JSON object per retained exemplar (schema: DESIGN.md §6). */
-    void writeJsonl(std::ostream& os) const;
-
-    /** writeJsonl + clear: the flushed count advances. */
-    void flushJsonl(std::ostream& os);
-
     /**
-     * Checkpoint pass (own section tag). Reservoirs, retained
-     * exemplars, the flush cursor and the flow-id counter travel;
-     * params and tenant metadata are reconstructed by the restoring
-     * process (they are part of the config hash).
+     * Checkpoint pass: the flow-id counter. Snapshots are taken after
+     * the epoch's drain and finalize, so the buffers and reservoirs are
+     * empty (asserted); params and tenant metadata are reconstructed by
+     * the restoring process (they are part of the config hash).
      */
     void checkpoint(ckpt::Archive& ar);
 
@@ -210,16 +168,16 @@ class RequestTraceCollector
     };
 
     void offer(const RequestTraceRecord& r);
-    void emitExemplarTrace(const Exemplar& e);
-    void writeExemplarLine(std::ostream& os, const Exemplar& e) const;
+    /** Render one exemplar: its span tree, flow events and JSONL line. */
+    void exportExemplar(const RequestTraceRecord& r, std::uint64_t epoch,
+                        bool slow);
 
     Params p_;
+    std::ostream& os_;
     std::vector<TenantMeta> tenants_;
     TraceWriter* trace_ = nullptr;
     std::vector<std::unique_ptr<RequestTraceBuffer>> buffers_;
     std::vector<Reservoir> cur_;
-    std::vector<Exemplar> retained_;
-    std::uint64_t flushed_ = 0;
     std::uint64_t nextFlowId_ = 1;
 };
 

@@ -1,9 +1,18 @@
 /**
  * @file
- * Telemetry facade: one object owning the three observability sinks --
- * the MetricRegistry (epoch time-series), the TraceWriter (Perfetto
- * trace), and the DecisionLog (runtime-decision replay) -- plus the
- * per-core packet-sample buffers the cores fill as they step.
+ * Telemetry facade: one object owning the four outputs -- the epoch
+ * metric series (MetricRegistry), the Perfetto trace (TraceWriter), the
+ * runtime-decision log (DecisionLog) and the request exemplars
+ * (RequestTraceCollector) -- plus the per-core packet-sample buffers
+ * the cores fill as they step.
+ *
+ * Each sink renders a record into its output's text the moment it is
+ * emitted; the text is the record's only representation. Every output
+ * is then handled by one mechanism: flushToDisk() appends the pending
+ * text to a <prefix><stem>.part side file and counts its bytes,
+ * checkpoint() carries the pending text and that count, and writeAll()
+ * writes side file + pending text (+ the trace footer) to the final
+ * file.
  *
  * Contract (DESIGN.md §6): telemetry is OBSERVER-ONLY. Attaching it must
  * never change a RunResult: metrics are pull-mode reads taken at epoch
@@ -23,14 +32,15 @@
 #define NDPEXT_TELEMETRY_TELEMETRY_H
 
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/types.h"
+#include "sim/breakdown.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/request_trace.h"
@@ -49,11 +59,6 @@ struct TelemetryConfig
     std::string outPrefix;
     /** Sample every Nth L1 miss per core into the trace (0 = off). */
     std::uint64_t packetSampleEvery = 64;
-    /** Epoch ring-buffer capacity (oldest epochs drop beyond this). */
-    std::size_t ringCapacity = 4096;
-    /** Packet-latency histogram range in cycles (overflow bin beyond). */
-    double latencyHistMax = 20000.0;
-    std::size_t latencyHistBuckets = 200;
 
     /** End-to-end request tracing (serving runs only). */
     bool traceRequests = false;
@@ -61,42 +66,16 @@ struct TelemetryConfig
     std::uint64_t traceSlowK = 8;
     /** Uniform exemplar sample per tenant per epoch. */
     std::uint64_t traceUniformK = 8;
-    /** Exemplar-reservoir hash seed. */
-    std::uint64_t traceSeed = 0x7ACE5EED;
 };
 
-/** One sampled memory request, reconstructed from its LatencyBreakdown. */
+/** One sampled memory request: where and when, and its stage split. */
 struct PacketSample
 {
     CoreId core = 0;
     StreamId sid = 0;
     /** Issue cycle at the core (span start in the trace). */
     Cycles start = 0;
-    /** Stage cycles, same buckets as LatencyBreakdown. */
-    Cycles metadata = 0;
-    Cycles icnIntra = 0;
-    Cycles icnInter = 0;
-    Cycles dramCache = 0;
-    Cycles extMem = 0;
-
-    Cycles
-    total() const
-    {
-        return metadata + icnIntra + icnInter + dramCache + extMem;
-    }
-
-    void
-    checkpoint(ckpt::Archive& ar)
-    {
-        ar.u32(core);
-        ar.u32(sid);
-        ar.u64(start);
-        ar.u64(metadata);
-        ar.u64(icnIntra);
-        ar.u64(icnInter);
-        ar.u64(dramCache);
-        ar.u64(extMem);
-    }
+    LatencyBreakdown bd;
 };
 
 /**
@@ -117,12 +96,22 @@ struct PacketSampleBuffer
         return every != 0 && (seen++ % every) == 0;
     }
 
-    void record(PacketSample s) { samples.push_back(s); }
+    void record(const PacketSample& s) { samples.push_back(s); }
 };
 
 class Telemetry
 {
   public:
+    /** The four outputs, in the order writeAll() writes them. */
+    enum Output : std::uint8_t
+    {
+        kMetrics,
+        kTrace,
+        kDecisions,
+        kExemplars,
+    };
+    static constexpr std::size_t kNumOutputs = 4;
+
     explicit Telemetry(const TelemetryConfig& config);
 
     Telemetry(const Telemetry&) = delete;
@@ -133,9 +122,13 @@ class Telemetry
     MetricRegistry& metrics() { return metrics_; }
     TraceWriter& trace() { return trace_; }
     DecisionLog& decisions() { return decisions_; }
-    const MetricRegistry& metrics() const { return metrics_; }
-    const TraceWriter& trace() const { return trace_; }
-    const DecisionLog& decisions() const { return decisions_; }
+
+    /**
+     * Output `o`'s text rendered since its last flush, valid until the
+     * next record or flush. With an empty prefix nothing is flushed, so
+     * this is the whole output so far (the trace lacks trace().footer()).
+     */
+    std::string_view pending(Output o) const { return out_[o].text.view(); }
 
     /** Create one sample buffer per core (before the run starts). */
     void initPacketSampling(std::uint32_t num_cores);
@@ -144,16 +137,11 @@ class Telemetry
     PacketSampleBuffer* packetBuffer(CoreId c);
 
     /**
-     * Barrier-side: move new per-core samples (since the last drain)
-     * into the trace and the epoch latency histogram, in core-id order.
+     * Barrier-side: render every buffered sample into the trace and add
+     * it to the latency histogram, in core-id order, then empty the
+     * buffers.
      */
     void drainPacketSamples();
-
-    /** Every drained sample, for tests and the final trace flush. */
-    const std::vector<PacketSample>& drainedSamples() const
-    {
-        return drained_;
-    }
 
     /** Cumulative latency histogram over drained samples. */
     const Histogram& packetLatencyHist() const { return latencyHist_; }
@@ -173,69 +161,79 @@ class Telemetry
     /** Barrier-side: move completed requests into their reservoirs. */
     void drainRequestTraces();
 
-    /** Epoch barrier: select + export this epoch's exemplars. */
+    /** Epoch barrier: select + render this epoch's exemplars. */
     void finalizeRequestEpoch(std::uint64_t epoch);
-
-    RequestTraceCollector& requestTrace() { return reqTrace_; }
-    const RequestTraceCollector& requestTrace() const { return reqTrace_; }
 
     /** Snapshot all metrics at an epoch barrier. */
     void sampleEpoch(std::uint64_t epoch, Cycles cycles);
 
     /**
-     * Move everything accumulated so far out of memory into
-     * <prefix>.{metrics,trace,decisions,exemplars}.part side files (one
-     * rendered line per unit, appended) and drop the in-memory copies,
-     * so the next checkpoint image stays flat no matter how many epochs
-     * ran. Called right before each snapshot; writeAll() stitches the
-     * side files back in front of the in-memory remainder. No-op
-     * (returns true) when outPrefix is empty.
+     * Append each output's pending text to its <prefix><stem>.part side
+     * file (.metrics, .trace, .decisions, .exemplars) and clear it, so
+     * the next checkpoint image stays flat no matter how many epochs
+     * ran. A side file is truncated first while nothing has been
+     * flushed to it. Called right before each snapshot. A failed append
+     * keeps that output's text and byte count and returns false with
+     * `error` (if non-null) filled. No-op (returns true) when outPrefix
+     * is empty.
      */
     bool flushToDisk(std::string* error = nullptr);
 
     /**
      * Write <prefix>.{metrics.jsonl, trace.json, decisions.jsonl} and,
-     * when request tracing is armed, <prefix>.exemplars.jsonl; flushed
-     * .part side files are stitched in and removed on success.
+     * when request tracing is armed, <prefix>.exemplars.jsonl: each is
+     * its side file, then its pending text, then (trace only) the
+     * footer. Every side file must hold exactly its flushed byte count,
+     * or nothing is written; the side files are removed on success.
      * No-op (returns true) when outPrefix is empty; returns false and
-     * fills `error` (if non-null) on the first I/O failure.
+     * fills `error` (if non-null) on the first failure.
      */
     bool writeAll(std::string* error = nullptr);
 
     /**
-     * Checkpoint pass. Loading expects the restoring process to have
-     * constructed this object with the same config and called
-     * initPacketSampling() with the same core count; everything the
-     * sinks accumulated (ring, trace events, decisions, histogram,
-     * sample buffers and drain cursors) is then replaced wholesale.
+     * Checkpoint pass: per output the pending text and flushed byte
+     * count, the trace's event count, the latency histogram, each
+     * core's sample counter and the exemplar flow-id counter. Snapshots
+     * follow the barrier's drains, so the sample buffers, request
+     * buffers and reservoirs are empty (asserted, not stored). Loading
+     * expects this object constructed with the same config and armed
+     * with the same cores and tenants; it replaces the pending text and
+     * cuts each side file back to its byte count (a missing or shorter
+     * side file asserts).
      */
     void checkpoint(ckpt::Archive& ar);
 
   private:
+    /**
+     * One output: the text rendered since the last flush, and the bytes
+     * already appended to <prefix><stem>.part.
+     */
+    struct OutputFile
+    {
+        OutputFile(const char* s, const char* e) : stem(s), ext(e) {}
+
+        const char* stem;
+        const char* ext;
+        std::ostringstream text;
+        std::uint64_t flushed = 0;
+    };
+
     void emitPacketTrace(const PacketSample& s);
-    std::string partPath(const char* suffix) const;
-    bool appendPart(const char* suffix,
-                    const std::function<void(std::ostream&)>& writer,
-                    std::string* error);
-    bool openPart(const char* suffix, std::uint64_t expected_lines,
-                  std::ifstream* is, std::string* error) const;
-    void truncatePartFiles();
-    void removePartFiles() const;
+    std::string partPath(const OutputFile& o) const;
 
     TelemetryConfig cfg_;
+    OutputFile out_[kNumOutputs] = {
+        {".metrics", ".jsonl"},
+        {".trace", ".json"},
+        {".decisions", ".jsonl"},
+        {".exemplars", ".jsonl"},
+    };
     MetricRegistry metrics_;
     TraceWriter trace_;
     DecisionLog decisions_;
     RequestTraceCollector reqTrace_;
     Histogram latencyHist_;
     std::vector<std::unique_ptr<PacketSampleBuffer>> buffers_;
-    /** Per-core drain watermark into buffers_[c]->samples. */
-    std::vector<std::size_t> drainedUpTo_;
-    std::vector<PacketSample> drained_;
-    /** Samples ever drained (metric source; survives flushToDisk). */
-    std::uint64_t drainedCount_ = 0;
-    /** First flushToDisk truncates stale .part files, later ones append. */
-    bool partFresh_ = true;
 };
 
 } // namespace ndpext

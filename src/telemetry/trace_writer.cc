@@ -1,18 +1,43 @@
 #include "telemetry/trace_writer.h"
 
-#include <sstream>
-
-#include "common/logging.h"
 #include "telemetry/json_out.h"
 
 namespace ndpext {
+
+TraceWriter::TraceWriter(std::ostream& os) : os_(os)
+{
+    os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+}
+
+void
+TraceWriter::begin(char ph, const std::string& cat, const std::string& name,
+                   std::uint32_t pid, std::uint32_t tid, Cycles ts)
+{
+    if (events_++ != 0) {
+        os_ << ",\n";
+    }
+    os_ << "{\"ph\":\"" << ph << "\",\"cat\":" << jsonout::str(cat)
+        << ",\"name\":" << jsonout::str(name) << ",\"pid\":" << pid
+        << ",\"tid\":" << tid << ",\"ts\":" << ts;
+}
+
+void
+TraceWriter::end(const std::string& args_json)
+{
+    if (!args_json.empty()) {
+        os_ << ",\"args\":" << args_json;
+    }
+    os_ << "}";
+}
 
 void
 TraceWriter::completeSpan(const std::string& cat, const std::string& name,
                           std::uint32_t pid, std::uint32_t tid, Cycles ts,
                           Cycles dur, const std::string& args_json)
 {
-    events_.push_back({'X', cat, name, pid, tid, ts, dur, 0, args_json});
+    begin('X', cat, name, pid, tid, ts);
+    os_ << ",\"dur\":" << dur;
+    end(args_json);
 }
 
 void
@@ -20,14 +45,30 @@ TraceWriter::instant(const std::string& cat, const std::string& name,
                      std::uint32_t pid, std::uint32_t tid, Cycles ts,
                      const std::string& args_json)
 {
-    events_.push_back({'i', cat, name, pid, tid, ts, 0, 0, args_json});
+    begin('i', cat, name, pid, tid, ts);
+    os_ << ",\"s\":\"g\"";
+    end(args_json);
 }
 
 void
 TraceWriter::counter(const std::string& name, std::uint32_t pid, Cycles ts,
                      const std::string& args_json)
 {
-    events_.push_back({'C', "metric", name, pid, 0, ts, 0, 0, args_json});
+    begin('C', "metric", name, pid, 0, ts);
+    end(args_json);
+}
+
+void
+TraceWriter::flow(char ph, const std::string& cat, const std::string& name,
+                  std::uint32_t pid, std::uint32_t tid, Cycles ts,
+                  std::uint64_t id)
+{
+    begin(ph, cat, name, pid, tid, ts);
+    os_ << ",\"id\":" << id;
+    if (ph == 'f') {
+        os_ << ",\"bp\":\"e\"";
+    }
+    end("");
 }
 
 void
@@ -35,7 +76,7 @@ TraceWriter::flowStart(const std::string& cat, const std::string& name,
                        std::uint32_t pid, std::uint32_t tid, Cycles ts,
                        std::uint64_t id)
 {
-    events_.push_back({'s', cat, name, pid, tid, ts, 0, id, ""});
+    flow('s', cat, name, pid, tid, ts, id);
 }
 
 void
@@ -43,7 +84,7 @@ TraceWriter::flowStep(const std::string& cat, const std::string& name,
                       std::uint32_t pid, std::uint32_t tid, Cycles ts,
                       std::uint64_t id)
 {
-    events_.push_back({'t', cat, name, pid, tid, ts, 0, id, ""});
+    flow('t', cat, name, pid, tid, ts, id);
 }
 
 void
@@ -51,108 +92,22 @@ TraceWriter::flowEnd(const std::string& cat, const std::string& name,
                      std::uint32_t pid, std::uint32_t tid, Cycles ts,
                      std::uint64_t id)
 {
-    events_.push_back({'f', cat, name, pid, tid, ts, 0, id, ""});
+    flow('f', cat, name, pid, tid, ts, id);
 }
 
 void
 TraceWriter::processName(std::uint32_t pid, const std::string& name)
 {
-    events_.push_back({'M', "__metadata", "process_name", pid, 0, 0, 0, 0,
-                       "{\"name\":" + jsonout::str(name) + "}"});
+    begin('M', "__metadata", "process_name", pid, 0, 0);
+    end("{\"name\":" + jsonout::str(name) + "}");
 }
 
 void
 TraceWriter::threadName(std::uint32_t pid, std::uint32_t tid,
                         const std::string& name)
 {
-    events_.push_back({'M', "__metadata", "thread_name", pid, tid, 0, 0, 0,
-                       "{\"name\":" + jsonout::str(name) + "}"});
-}
-
-void
-TraceWriter::renderEvent(std::ostream& os, const Event& e)
-{
-    os << "{\"ph\":\"" << e.ph << "\",\"cat\":" << jsonout::str(e.cat)
-       << ",\"name\":" << jsonout::str(e.name) << ",\"pid\":" << e.pid
-       << ",\"tid\":" << e.tid << ",\"ts\":" << e.ts;
-    if (e.ph == 'X') {
-        os << ",\"dur\":" << e.dur;
-    }
-    if (e.ph == 'i') {
-        os << ",\"s\":\"g\"";
-    }
-    if (e.ph == 's' || e.ph == 't' || e.ph == 'f') {
-        os << ",\"id\":" << e.id;
-        if (e.ph == 'f') {
-            os << ",\"bp\":\"e\"";
-        }
-    }
-    if (!e.argsJson.empty()) {
-        os << ",\"args\":" << e.argsJson;
-    }
-    os << "}";
-}
-
-void
-TraceWriter::write(std::ostream& os) const
-{
-    NDP_ASSERT(flushed_ == 0);
-    std::istringstream none;
-    writeStitched(os, none);
-}
-
-void
-TraceWriter::writeStitched(std::ostream& os, std::istream& part) const
-{
-    const std::size_t total = flushed_ + events_.size();
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-    std::size_t i = 0;
-    std::string line;
-    for (std::uint64_t n = 0; n < flushed_; ++n) {
-        NDP_ASSERT(std::getline(part, line),
-                   "trace side file holds fewer than ", flushed_, " events");
-        os << line;
-        if (++i != total) {
-            os << ",";
-        }
-        os << "\n";
-    }
-    for (const Event& e : events_) {
-        renderEvent(os, e);
-        if (++i != total) {
-            os << ",";
-        }
-        os << "\n";
-    }
-    os << "]}\n";
-}
-
-void
-TraceWriter::flushEventsTo(std::ostream& os)
-{
-    for (const Event& e : events_) {
-        renderEvent(os, e);
-        os << "\n";
-    }
-    flushed_ += events_.size();
-    events_.clear();
-}
-
-void
-TraceWriter::checkpoint(ckpt::Archive& ar)
-{
-    ar.u64(flushed_);
-    ar.seq(events_, [&](Event& e) {
-        ar.u8(e.ph);
-        ar.str(e.cat);
-        ar.str(e.name);
-        ar.u32(e.pid);
-        ar.u32(e.tid);
-        ar.u64(e.ts);
-        ar.u64(e.dur);
-        ar.u64(e.id);
-        ar.str(e.argsJson);
-    });
+    begin('M', "__metadata", "thread_name", pid, tid, 0);
+    end("{\"name\":" + jsonout::str(name) + "}");
 }
 
 } // namespace ndpext

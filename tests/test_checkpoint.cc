@@ -23,6 +23,7 @@
 
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 #include "workloads/workload.h"
 
@@ -542,8 +543,9 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * The image layout is pinned: the first image of a small fault-free pr
  * run under NDPExt has a fixed version, config hash, payload size and
- * payload CRC, so a change to any checkpoint pass or to the config hash
- * fails here rather than only when an old image is resumed.
+ * payload CRC, without telemetry and with it attached, so a change to
+ * any checkpoint pass (the telemetry section's included) or to the
+ * config hash fails here rather than only when an old image is resumed.
  */
 TEST(CheckpointFormat, ImageIsPinned)
 {
@@ -552,24 +554,39 @@ TEST(CheckpointFormat, ImageIsPinned)
     params.footprintBytes = 4_MiB;
     params.accessesPerCore = 2000;
     w->prepare(params);
-    const std::string prefix = freshPrefix("pinned");
-    NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
-    emitter.setCheckpointing(prefix, 1);
-    emitter.run(*w);
-
-    ckpt::CheckpointHeader h;
-    std::string error;
-    ASSERT_TRUE(ckpt::probeCheckpoint(prefix + ".1.ckpt", &h, &error))
-        << error;
+    const auto firstImage = [&w](Telemetry* tel, const std::string& prefix) {
+        NdpSystem emitter(tinyConfig(), PolicyKind::NdpExt);
+        emitter.attachTelemetry(tel);
+        emitter.setCheckpointing(prefix, 1);
+        emitter.run(*w);
+        ckpt::CheckpointHeader h;
+        std::string error;
+        EXPECT_TRUE(ckpt::probeCheckpoint(prefix + ".1.ckpt", &h, &error))
+            << error;
+        return h;
+    };
     const char* why =
         "the checkpoint image changed. If its layout changed, bump "
         "kCheckpointVersion and re-pin these values. If only simulated "
         "values moved, re-pin them in the change that re-pins "
         "bench/baselines.";
-    EXPECT_EQ(h.version, 4u) << why;
-    EXPECT_EQ(h.configHash, 791912146930649146u) << why;
-    EXPECT_EQ(h.payloadSize, 409302u) << why;
-    EXPECT_EQ(h.payloadCrc, 1095608923u) << why;
+
+    const ckpt::CheckpointHeader plain =
+        firstImage(nullptr, freshPrefix("pinned"));
+    EXPECT_EQ(plain.version, 5u) << why;
+    EXPECT_EQ(plain.configHash, 791912146930649146u) << why;
+    EXPECT_EQ(plain.payloadSize, 409302u) << why;
+    EXPECT_EQ(plain.payloadCrc, 1095608923u) << why;
+
+    TelemetryConfig tc;
+    tc.outPrefix = freshPrefix("pinned_telemetry");
+    Telemetry tel(tc);
+    const ckpt::CheckpointHeader traced =
+        firstImage(&tel, tc.outPrefix + ".ckpt");
+    EXPECT_EQ(traced.version, 5u) << why;
+    EXPECT_EQ(traced.configHash, 12540278523562607767u) << why;
+    EXPECT_EQ(traced.payloadSize, 411106u) << why;
+    EXPECT_EQ(traced.payloadCrc, 3679856855u) << why;
 }
 
 /**

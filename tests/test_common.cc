@@ -43,19 +43,6 @@ TEST(Rng, BoundedStaysInRange)
     }
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(9);
-    std::set<std::int64_t> seen;
-    for (int i = 0; i < 1000; ++i) {
-        const auto v = rng.nextRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        seen.insert(v);
-    }
-    EXPECT_EQ(seen.size(), 7u); // all values hit
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(11);
@@ -207,9 +194,6 @@ TEST(Histogram, EmptyIsZeroSafe)
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
     EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
-    const std::string s = h.summary();
-    EXPECT_NE(s.find("n=0"), std::string::npos);
-    EXPECT_EQ(s.find("nan"), std::string::npos);
 }
 
 /** A single wide bucket cannot report quantiles outside [min, max]. */

@@ -31,7 +31,8 @@ namespace {
 
 TEST(MetricRegistry, DuplicateNamesSumAcrossSources)
 {
-    MetricRegistry reg;
+    std::ostringstream os;
+    MetricRegistry reg(os);
     double a = 3.0;
     double b = 4.0;
     const Counters list = {
@@ -40,44 +41,36 @@ TEST(MetricRegistry, DuplicateNamesSumAcrossSources)
         {"x.rate", [] { return 0.5; }},
     };
     reg.registerCounters(list);
-    EXPECT_EQ(reg.numMetrics(), 2u);
     reg.sample(0, 100);
-    EXPECT_DOUBLE_EQ(reg.latest("x.count"), 7.0);
-    EXPECT_DOUBLE_EQ(reg.latest("x.rate"), 0.5);
     a = 10.0;
     reg.sample(1, 200);
-    EXPECT_DOUBLE_EQ(reg.latest("x.count"), 14.0);
-    EXPECT_DOUBLE_EQ(reg.latest("nonexistent"), 0.0);
-}
 
-TEST(MetricRegistry, RingDropsOldestBeyondCapacity)
-{
-    MetricRegistry reg(2);
-    reg.registerCounter("c", [] { return 1.0; });
-    reg.sample(0, 10);
-    reg.sample(1, 20);
-    reg.sample(2, 30);
-    EXPECT_EQ(reg.numSamples(), 2u);
-    EXPECT_EQ(reg.droppedSamples(), 1u);
-    EXPECT_EQ(reg.samples().front().epoch, 1u);
+    const auto lines = parsedLines(os.str());
+    ASSERT_EQ(lines.size(), 2u);
+    const json::Value* first = lines[0]->get("metrics");
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->object.size(), 2u);
+    EXPECT_DOUBLE_EQ(first->num("x.count"), 7.0);
+    EXPECT_DOUBLE_EQ(first->num("x.rate"), 0.5);
+    const json::Value* second = lines[1]->get("metrics");
+    ASSERT_NE(second, nullptr);
+    EXPECT_DOUBLE_EQ(second->num("x.count"), 14.0);
+    EXPECT_EQ(second->get("nonexistent"), nullptr);
 }
 
 TEST(MetricRegistry, JsonlRoundTripsThroughParser)
 {
-    MetricRegistry reg;
     Histogram hist(100.0, 10);
     hist.add(5.0);
     hist.add(50.0);
+    std::ostringstream os;
+    MetricRegistry reg(os);
     reg.registerCounter("cache.hits", [] { return 42.0; });
     reg.registerHistogram("lat", &hist);
     reg.sample(0, 1000);
     reg.sample(1, 2000);
 
-    std::ostringstream os;
-    reg.writeJsonl(os);
-    std::vector<json::ValuePtr> lines;
-    std::string error;
-    ASSERT_TRUE(json::parseLines(os.str(), lines, &error)) << error;
+    const auto lines = parsedLines(os.str());
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_DOUBLE_EQ(lines[1]->num("epoch"), 1.0);
     EXPECT_DOUBLE_EQ(lines[1]->num("cycles"), 2000.0);
@@ -440,55 +433,77 @@ TEST(Telemetry, CollectsMetricsSamplesAndDecisions)
         sys.attachTelemetry(tel.get());
         const RunResult res = sys.run(in.workload);
 
-        const MetricRegistry& mr = tel->metrics();
-        EXPECT_GE(mr.numSamples(), 2u);
+        // The final metrics line is the last epoch sample.
+        const auto epochs = parsedLines(tel->pending(Telemetry::kMetrics));
+        ASSERT_GE(epochs.size(), 2u);
+        const json::Value* last = epochs.back()->get("metrics");
+        ASSERT_NE(last, nullptr);
         std::set<std::string> sampled;
-        for (std::size_t i = 0; i < mr.numMetrics(); ++i) {
-            const std::string& name = mr.metricName(i);
+        for (const auto& [name, value] : last->object) {
             sampled.insert(name);
             if (name == "telemetry.packetSamples") {
                 continue;
             }
             EXPECT_TRUE(res.stats.has(name)) << name << " not in stats";
-            EXPECT_EQ(mr.latest(name), res.stats.get(name)) << name;
+            EXPECT_EQ(value->number, res.stats.get(name)) << name;
         }
         for (const auto& [name, value] : res.stats.raw()) {
             (void)value;
             EXPECT_TRUE(sampled.count(name) != 0 || isRunLevelStat(name))
                 << name << " not in telemetry";
         }
-        EXPECT_EQ(mr.latest("cores.accesses"),
+        EXPECT_EQ(last->num("cores.accesses"),
                   static_cast<double>(res.accesses));
         EXPECT_EQ(sampled.count("fault.linkErrorsInjected"),
                   in.cfg.faults.anyFaults() ? 1u : 0u);
         EXPECT_EQ(sampled.count("tenant.emb.arrivals"),
                   in.cfg.serving.tenants.empty() ? 0u : 1u);
 
-        // Sampled packets: every stage split is internally consistent
-        // and feeds the latency histogram.
-        ASSERT_FALSE(tel->drainedSamples().empty());
-        for (const PacketSample& s : tel->drainedSamples()) {
-            EXPECT_EQ(s.total(),
-                      s.metadata + s.icnIntra + s.icnInter + s.dramCache
-                          + s.extMem);
-            EXPECT_GT(s.total(), 0u);
-            EXPECT_LT(s.core, 8u);
+        // Sampled packets: each parent span's stage slices tile it
+        // exactly, and every sample feeds the latency histogram.
+        std::string error;
+        const json::ValuePtr trace = json::parse(
+            std::string(tel->pending(Telemetry::kTrace))
+                + tel->trace().footer(),
+            &error);
+        ASSERT_NE(trace, nullptr) << error;
+        std::uint64_t packets = 0;
+        double span = 0.0;
+        double stages = 0.0;
+        for (const auto& ev : trace->get("traceEvents")->array) {
+            if (ev->str("cat") != "packet") {
+                continue;
+            }
+            if (ev->str("name").rfind("pkt", 0) == 0) {
+                EXPECT_EQ(stages, span) << "packet " << packets;
+                ++packets;
+                span = ev->num("dur");
+                stages = 0.0;
+                EXPECT_GT(span, 0.0);
+                EXPECT_LT(ev->num("tid"), 8.0);
+            } else {
+                stages += ev->num("dur");
+            }
         }
-        EXPECT_EQ(tel->packetLatencyHist().count(),
-                  tel->drainedSamples().size());
+        EXPECT_EQ(stages, span) << "packet " << packets;
+        ASSERT_GT(packets, 0u);
+        EXPECT_EQ(tel->packetLatencyHist().count(), packets);
+        EXPECT_EQ(last->num("telemetry.packetSamples"),
+                  static_cast<double>(packets));
 
         // Decision log: an initial record plus one per completed epoch.
-        const auto& decisions = tel->decisions().records();
+        const auto decisions =
+            parsedLines(tel->pending(Telemetry::kDecisions));
         ASSERT_GE(decisions.size(), 2u);
-        EXPECT_EQ(decisions.front().kind, "initial");
-        EXPECT_FALSE(decisions.front().allocs.empty());
+        EXPECT_EQ(decisions.front()->str("kind"), "initial");
+        EXPECT_FALSE(decisions.front()->get("allocs")->array.empty());
         bool sawEpoch = false;
-        for (const DecisionRecord& d : decisions) {
-            EXPECT_EQ(d.samplerAssignment.size(), 8u);
-            if (d.kind == "epoch") {
+        for (const json::ValuePtr& d : decisions) {
+            EXPECT_EQ(d->get("samplerAssignment")->array.size(), 8u);
+            if (d->str("kind") == "epoch") {
                 sawEpoch = true;
-                EXPECT_GT(d.cycles, 0u);
-                EXPECT_FALSE(d.demands.empty());
+                EXPECT_GT(d->num("cycles"), 0.0);
+                EXPECT_FALSE(d->get("demands")->array.empty());
             }
         }
         EXPECT_TRUE(sawEpoch);

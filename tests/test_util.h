@@ -2,7 +2,8 @@
  * @file
  * Helpers shared by the tests: one request sent to a memory sink, a
  * stream cache rig, fresh output directories, the run cases and fault
- * mix, and the full-stats comparison of two runs.
+ * mix, the full-stats comparison of two runs, and parsing of rendered
+ * telemetry lines.
  */
 
 #ifndef NDPEXT_TESTS_TEST_UTIL_H
@@ -14,11 +15,14 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ndp/stream_cache.h"
 #include "runtime/static_config.h"
 #include "sim/packet.h"
 #include "system/ndp_system.h"
+#include "telemetry/tiny_json.h"
 
 namespace ndpext {
 
@@ -160,6 +164,16 @@ expectSameStats(const RunResult& a, const RunResult& b)
         }
     }
     EXPECT_EQ(a.stats.raw().size(), b.stats.raw().size());
+}
+
+/** Parse rendered JSONL text; a test failure names the bad line. */
+inline std::vector<json::ValuePtr>
+parsedLines(std::string_view text)
+{
+    std::vector<json::ValuePtr> lines;
+    std::string error;
+    EXPECT_TRUE(json::parseLines(std::string(text), lines, &error)) << error;
+    return lines;
 }
 
 } // namespace ndpext
