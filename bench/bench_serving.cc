@@ -138,6 +138,7 @@ main(int argc, char** argv)
         w.prepare(bench::benchWorkloadParams(args, cfg.numUnits()));
         TelemetryConfig tc;
         tc.traceRequests = true; // in-memory tail exemplars only
+        tc.packetSampleEvery = 0; // tailBlame reads no packet slices
         Telemetry tel(tc);
         const RunResult r =
             bench::runPolicy(cfg, PolicyKind::NdpExt, w, &tel);

@@ -1,6 +1,7 @@
 #include "ndp/remap_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/logging.h"
@@ -29,6 +30,12 @@ virtualSpotsPerRow(std::uint32_t row_bytes)
     return std::max<std::uint32_t>(1, std::min<std::uint32_t>(8, v));
 }
 
+/**
+ * Rows a unit may give one ring: row offsets fill spotHash's low 24 bits,
+ * so the spot hashes of one ring stay distinct.
+ */
+constexpr std::uint32_t kMaxRingRows = 1u << 24;
+
 /** Ring spot identity: stable across epochs for the same logical row. */
 std::uint64_t
 spotHash(StreamId sid, UnitId unit, std::uint32_t row_offset,
@@ -37,6 +44,14 @@ spotHash(StreamId sid, UnitId unit, std::uint32_t row_offset,
     return mix64((static_cast<std::uint64_t>(sid) << 48)
                  ^ (static_cast<std::uint64_t>(unit) << 32)
                  ^ (static_cast<std::uint64_t>(vnode) << 24) ^ row_offset);
+}
+
+/** Ring bucket of a hash: its top `bits` bits (no bits: one bucket). */
+std::size_t
+bucketOf(std::uint64_t hash, unsigned bits)
+{
+    // Two shifts, so that bits = 0 never shifts a 64-bit word by 64.
+    return static_cast<std::size_t>((hash >> 1) >> (63 - bits));
 }
 
 } // namespace
@@ -95,23 +110,11 @@ StreamRemapTable::buildViews(Entry& entry, StreamId sid, const NocModel& noc)
         gv.slots.push_back(slots);
         gv.slotPrefix.push_back(gv.totalSlots);
         gv.totalSlots += slots;
-        if (mode_ == RemapMode::ConsistentHash) {
-            const std::uint32_t vnodes = virtualSpotsPerRow(rowBytes_);
-            for (std::uint32_t r = 0; r < alloc.shareRows[u]; ++r) {
-                for (std::uint32_t v = 0; v < vnodes; ++v) {
-                    gv.ring.push_back(GroupView::Spot{
-                        spotHash(sid, u, r, v),
-                        static_cast<std::uint32_t>(gv.units.size() - 1),
-                        r});
-                }
-            }
-        }
     }
-    for (auto& gv : entry.groups) {
-        std::sort(gv.ring.begin(), gv.ring.end(),
-                  [](const GroupView::Spot& a, const GroupView::Spot& b) {
-                      return a.hash < b.hash;
-                  });
+    if (mode_ == RemapMode::ConsistentHash) {
+        for (GroupView& gv : entry.groups) {
+            buildRing(gv, sid, alloc);
+        }
     }
 
     // Serving group per from-unit: slot-weighted nearest group.
@@ -136,6 +139,70 @@ StreamRemapTable::buildViews(Entry& entry, StreamId sid, const NocModel& noc)
             }
         }
         entry.serving[from] = best_g;
+    }
+}
+
+void
+StreamRemapTable::buildRing(GroupView& gv, StreamId sid,
+                            const StreamAlloc& alloc) const
+{
+    // Spot hashes are distinct (mix64 is a bijection and spotHash packs
+    // row, vnode and unit into separate bit fields), so any correct sort
+    // gives the same ring. This one is linear: count the spots into fine
+    // buckets by their top hash bits, write each straight to its fine
+    // bucket's next index, then finish with one insertion pass. That pass
+    // moves each spot only within its fine bucket, which holds about one
+    // spot, so its branches rarely mispredict.
+    const std::uint32_t vnodes = virtualSpotsPerRow(rowBytes_);
+    std::uint64_t spots = 0;
+    for (const UnitId u : gv.units) {
+        NDP_ASSERT(alloc.shareRows[u] <= kMaxRingRows, "sid=", sid, " unit ",
+                   u, ": ", alloc.shareRows[u],
+                   " rows overflow the ring's 24-bit row field");
+        spots += std::uint64_t{alloc.shareRows[u]} * vnodes;
+    }
+    NDP_ASSERT(spots <= UINT32_MAX, "sid=", sid, ": ", spots,
+               " ring spots overflow the bucket index");
+    const auto forEachSpot = [&](auto&& fn) {
+        for (std::uint32_t m = 0; m < gv.units.size(); ++m) {
+            const UnitId u = gv.units[m];
+            for (std::uint32_t r = 0; r < alloc.shareRows[u]; ++r) {
+                for (std::uint32_t v = 0; v < vnodes; ++v) {
+                    fn(GroupView::Spot{spotHash(sid, u, r, v), m, r});
+                }
+            }
+        }
+    };
+
+    // The index's buckets hold about four spots (at most 2^29 buckets, as
+    // spots < 2^32); fine buckets split each into four.
+    gv.bucketBits = std::bit_width(std::max<std::uint64_t>(1, spots / 4)) - 1;
+    const unsigned fine_bits = gv.bucketBits + 2;
+    // Counts go to [f + 2]; after the prefix sum [f + 1] is fine bucket
+    // f's write cursor, and after the writes it is its end.
+    std::vector<std::uint32_t> fine((std::size_t{1} << fine_bits) + 2, 0);
+    forEachSpot([&](const GroupView::Spot& s) {
+        ++fine[bucketOf(s.hash, fine_bits) + 2];
+    });
+    std::partial_sum(fine.begin(), fine.end(), fine.begin());
+    std::vector<GroupView::Spot>& ring = gv.ring;
+    ring.resize(spots);
+    forEachSpot([&](const GroupView::Spot& s) {
+        ring[fine[bucketOf(s.hash, fine_bits) + 1]++] = s;
+    });
+    for (std::size_t i = 1; i < ring.size(); ++i) {
+        const GroupView::Spot s = ring[i];
+        std::size_t j = i;
+        for (; j > 0 && ring[j - 1].hash > s.hash; --j) {
+            ring[j] = ring[j - 1];
+        }
+        ring[j] = s;
+    }
+    // Bucket b of the index is fine buckets 4b .. 4b + 3.
+    const std::size_t buckets = std::size_t{1} << gv.bucketBits;
+    gv.bucketStart.resize(buckets + 1);
+    for (std::size_t b = 0; b <= buckets; ++b) {
+        gv.bucketStart[b] = fine[b << 2];
     }
 }
 
@@ -287,29 +354,29 @@ StreamRemapTable::locate(StreamId sid, std::uint64_t granule_id,
         return loc;
     }
 
-    // Consistent hashing: first spot with hash >= h, wrapping.
-    auto it = std::lower_bound(
-        gv.ring.begin(), gv.ring.end(), h,
-        [](const GroupView::Spot& s, std::uint64_t key) {
-            return s.hash < key;
-        });
-    if (it == gv.ring.end()) {
-        it = gv.ring.begin();
+    // Consistent hashing: first spot with hash >= h, wrapping. Every spot
+    // of a later bucket hashes above h, so the scan stops inside h's
+    // bucket or at the first spot after it.
+    const std::size_t b = bucketOf(h, gv.bucketBits);
+    std::size_t i = gv.bucketStart[b];
+    while (i < gv.bucketStart[b + 1] && gv.ring[i].hash < h) {
+        ++i;
     }
-    const std::size_t m = it->member;
+    const GroupView::Spot& spot = gv.ring[i == gv.ring.size() ? 0 : i];
+    const std::size_t m = spot.member;
     loc.unit = gv.units[m];
     if (e.granuleBytes <= rowBytes_) {
         const std::uint64_t slots_per_row = rowBytes_ / e.granuleBytes;
-        loc.unitSlot = static_cast<std::uint64_t>(it->rowOffset)
+        loc.unitSlot = static_cast<std::uint64_t>(spot.rowOffset)
                 * slots_per_row
             + mix64(h) % slots_per_row;
-        loc.deviceRow = e.alloc.rowBase[loc.unit] + it->rowOffset;
+        loc.deviceRow = e.alloc.rowBase[loc.unit] + spot.rowOffset;
     } else {
         // Blocks larger than a row: the spot's row selects the block slot
         // containing it.
         const std::uint64_t rows_per_granule =
             e.granuleBytes / rowBytes_;
-        std::uint64_t slot = it->rowOffset / rows_per_granule;
+        std::uint64_t slot = spot.rowOffset / rows_per_granule;
         const std::uint64_t slots = gv.slots[m];
         if (slot >= slots) {
             slot = slots == 0 ? 0 : slots - 1;

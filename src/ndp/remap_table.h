@@ -175,6 +175,12 @@ class StreamRemapTable
             std::uint32_t rowOffset;
         };
         std::vector<Spot> ring;
+        /**
+         * Bucket index over the ring: the spots whose hash has top
+         * `bucketBits` bits b sit at [bucketStart[b], bucketStart[b + 1]).
+         */
+        std::vector<std::uint32_t> bucketStart;
+        unsigned bucketBits = 0;
     };
 
     struct Entry
@@ -190,6 +196,8 @@ class StreamRemapTable
     };
 
     void buildViews(Entry& entry, StreamId sid, const NocModel& noc);
+    void buildRing(GroupView& gv, StreamId sid,
+                   const StreamAlloc& alloc) const;
     void computeSurvival(Entry& old_entry, Entry& new_entry, StreamId sid);
 
     std::uint64_t slotsOf(const StreamAlloc& alloc, UnitId unit,

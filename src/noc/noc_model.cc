@@ -42,8 +42,8 @@ Cycles
 NocModel::reserveHop(StackId stack, int dir, std::uint32_t bytes, Cycles at)
 {
     BandwidthResource& link = links_[stack][static_cast<std::size_t>(dir)];
-    const Cycles start = link.reserve(bytes, at);
-    return start + params_.interHopCycles + link.serviceCycles(bytes);
+    const Cycles service = link.serviceCycles(bytes);
+    return link.reserveFor(service, at) + params_.interHopCycles + service;
 }
 
 Cycles

@@ -15,40 +15,35 @@ namespace ckpt {
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables: [0] is the bytewise table, and [k][i] is the CRC
+ * register after byte i is followed by k zero bytes.
+ */
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k) {
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
         }
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < t.size(); ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+        }
+    }
+    return t;
 }
 
 std::string
 errnoString()
 {
     return std::strerror(errno);
-}
-
-void
-putU32(std::vector<std::uint8_t>& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void
-putU64(std::vector<std::uint8_t>& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
 }
 
 std::uint32_t
@@ -147,10 +142,20 @@ readHeaderAndMaybePayload(const std::string& path, CheckpointHeader* header,
 std::uint32_t
 crc32(const std::uint8_t* data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    // Eight bytes a step: fold the register into the first four, then
+    // look up each byte by how many bytes follow it in the step.
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = c ^ getU32(data);
+        const std::uint32_t hi = getU32(data + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu]
+            ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu]
+            ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu]
+            ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size) {
+        c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
     }
     return c ^ 0xFFFFFFFFu;
 }
@@ -178,43 +183,55 @@ saveCheckpoint(const std::string& path, std::uint64_t config_hash,
         return false;
     };
 
-    std::vector<std::uint8_t> image;
-    image.reserve(kHeaderBytes + payload.size());
-    image.insert(image.end(), kCheckpointMagic, kCheckpointMagic + 8);
-    putU32(image, kCheckpointVersion);
-    putU64(image, config_hash);
-    putU64(image, epoch);
-    putU64(image, payload.size());
-    putU32(image, crc32(payload.data(), payload.size()));
-    image.insert(image.end(), payload.begin(), payload.end());
+    Writer head;
+    for (const char c : kCheckpointMagic) {
+        head.u8(static_cast<std::uint8_t>(c));
+    }
+    head.u32(kCheckpointVersion);
+    head.u64(config_hash);
+    head.u64(epoch);
+    head.u64(payload.size());
+    head.u32(crc32(payload.data(), payload.size()));
 
     const std::string tmp = path + ".tmp";
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
         return fail("open '" + tmp + "': " + errnoString());
     }
-    std::size_t off = 0;
-    while (off < image.size()) {
-        const ssize_t n = ::write(fd, image.data() + off, image.size() - off);
-        if (n < 0) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return fail("write: " + errnoString());
+    // The header, then the payload straight from the caller's buffer.
+    const auto writeAll = [fd](const std::uint8_t* data, std::size_t size) {
+        while (size > 0) {
+            const ssize_t n = ::write(fd, data, size);
+            if (n < 0) {
+                return false;
+            }
+            data += n;
+            size -= static_cast<std::size_t>(n);
         }
-        off += static_cast<std::size_t>(n);
+        return true;
+    };
+    // Remove the temp file on failure; errno is read before the clean-up
+    // calls can overwrite it.
+    const auto abandon = [&](const char* what, bool close_fd) {
+        const std::string why = std::string(what) + ": " + errnoString();
+        if (close_fd) {
+            ::close(fd);
+        }
+        ::unlink(tmp.c_str());
+        return fail(why);
+    };
+    if (!writeAll(head.bytes().data(), head.bytes().size())
+        || !writeAll(payload.data(), payload.size())) {
+        return abandon("write", true);
     }
     if (::fsync(fd) != 0) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return fail("fsync: " + errnoString());
+        return abandon("fsync", true);
     }
     if (::close(fd) != 0) {
-        ::unlink(tmp.c_str());
-        return fail("close: " + errnoString());
+        return abandon("close", false);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        return fail("rename: " + errnoString());
+        return abandon("rename", false);
     }
     return true;
 }

@@ -83,17 +83,13 @@ class Writer
     void
     u32(std::uint32_t v)
     {
-        for (int i = 0; i < 4; ++i) {
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-        }
+        put(v);
     }
 
     void
     u64(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-        }
+        put(v);
     }
 
     /** Doubles travel as raw bit patterns: restore is bit-exact. */
@@ -126,6 +122,18 @@ class Writer
     const std::vector<std::uint8_t>& bytes() const { return buf_; }
 
   private:
+    /** Append `v` little-endian in one insert. */
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t le[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
+        buf_.insert(buf_.end(), le, le + sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 

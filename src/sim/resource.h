@@ -89,7 +89,6 @@ class BandwidthResource
     Cycles
     reserve(std::uint64_t bytes, Cycles now)
     {
-        NDP_ASSERT(bytesPerCycle_ > 0.0, "unconfigured bandwidth resource");
         return reserveFor(serviceCycles(bytes), now);
     }
 
@@ -134,6 +133,7 @@ class BandwidthResource
     Cycles
     serviceCycles(std::uint64_t bytes) const
     {
+        NDP_ASSERT(bytesPerCycle_ > 0.0, "unconfigured bandwidth resource");
         const double c = static_cast<double>(bytes) / bytesPerCycle_;
         const auto whole = static_cast<Cycles>(c);
         return whole + (static_cast<double>(whole) < c ? 1 : 0);

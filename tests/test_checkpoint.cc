@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -214,6 +215,41 @@ TEST(CheckpointStream, DoubleBitPatternsSurvive)
     EXPECT_EQ(a, b);
 }
 
+/** Byte-at-a-time CRC-32 (IEEE, reflected), one bit per step. */
+std::uint32_t
+referenceCrc32(const std::uint8_t* data, std::size_t size)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k) {
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointStream, Crc32MatchesBytewiseReference)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(ckpt::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                          check.size()),
+              0xCBF43926u);
+    // Every length 0-64 from every start offset 0-7: the eight-byte
+    // steps, their alignment and the bytewise tail.
+    std::vector<std::uint8_t> buf(72);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(ckpt::crc32(buf.data() + off, len),
+                      referenceCrc32(buf.data() + off, len))
+                << "offset " << off << ", length " << len;
+        }
+    }
+}
+
 class CheckpointFileTest : public ::testing::Test
 {
   protected:
@@ -259,6 +295,19 @@ TEST_F(CheckpointFileTest, SaveLoadRoundTrip)
     // No stray temp file left behind.
     std::ifstream tmp(file + ".tmp");
     EXPECT_FALSE(tmp.good());
+}
+
+TEST_F(CheckpointFileTest, FailedRenameRemovesTempFile)
+{
+    // A directory stands where the image goes: the write and the fsync
+    // succeed, the rename fails, and the temp file must not stay behind.
+    const std::string dir = path("dir.ckpt");
+    std::filesystem::create_directories(dir);
+    std::string error;
+    EXPECT_FALSE(ckpt::saveCheckpoint(dir, 1, 1, samplePayload(), &error));
+    EXPECT_NE(error.find("rename: "), std::string::npos) << error;
+    EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(CheckpointFileTest, MissingFileIsRecoverable)

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "ndp/remap_table.h"
 
@@ -187,6 +189,93 @@ TEST(RemapTable, ConsistentHashKeepsMostMappingsStable)
     // Only ~4/64 of the spots vanished; far fewer than half the keys move.
     EXPECT_LT(moved, 4000 / 2);
     EXPECT_GT(moved, 0);
+}
+
+/** A resolved location as (unit, deviceRow, unitSlot). */
+using Where = std::tuple<UnitId, std::uint32_t, std::uint64_t>;
+
+/** Where granules 0 .. n-1 of `sid` resolve for an access from `from`. */
+std::vector<Where>
+locateFirst(const StreamRemapTable& t, StreamId sid, std::uint64_t n,
+            UnitId from)
+{
+    std::vector<Where> out;
+    for (std::uint64_t g = 0; g < n; ++g) {
+        const CacheLocation loc = t.locate(sid, g, from);
+        out.emplace_back(loc.unit, loc.deviceRow, loc.unitSlot);
+    }
+    return out;
+}
+
+// The pinned locations below were recorded with a whole-ring sort and a
+// binary search over it, the reference the bucketed ring must reproduce;
+// any change to the ring order or the lookup shows here.
+
+TEST(RemapTable, OneSpotRingLocationsArePinned)
+{
+    // One unit, one 256 B row, one vnode: one spot, one bucket; every
+    // granule lands on that row, at slot mix64(h) % 32.
+    MeshTopology topo{1, 1, 1, 1};
+    NocParams params;
+    NocModel noc{topo, params};
+    StreamRemapTable t(1, 1, 256, RemapMode::ConsistentHash);
+    StreamAlloc a(1);
+    a.numGroups = 1;
+    a.shareRows = {1};
+    t.setAlloc(3, a, 8, noc);
+    const std::vector<Where> pinned = {
+        {0, 0, 2},  {0, 0, 9},  {0, 0, 27}, {0, 0, 16},
+        {0, 0, 10}, {0, 0, 14}, {0, 0, 31}, {0, 0, 11},
+    };
+    EXPECT_EQ(locateFirst(t, 3, pinned.size(), 0), pinned);
+}
+
+TEST(RemapTable, WrappingRingLocationsArePinned)
+{
+    // Two units x two 512 B rows x two vnodes: eight spots in two
+    // buckets. Granules 7, 19 and 21 hash past the last spot and wrap to
+    // the first one (unit 0, row offset 1).
+    MeshTopology topo{1, 1, 2, 1};
+    NocParams params;
+    NocModel noc{topo, params};
+    StreamRemapTable t(2, 4, 512, RemapMode::ConsistentHash);
+    StreamAlloc a(2);
+    a.numGroups = 1;
+    a.shareRows = {2, 2};
+    a.rowBase = {1, 0};
+    t.setAlloc(1, a, 64, noc);
+    const std::vector<Where> pinned = {
+        {0, 1, 7},  {1, 0, 1},  {0, 2, 8},  {1, 0, 0},  {0, 2, 13},
+        {1, 0, 0},  {0, 2, 10}, {0, 2, 10}, {1, 1, 11}, {1, 0, 6},
+        {0, 1, 0},  {1, 0, 4},  {1, 0, 2},  {1, 0, 0},  {1, 0, 1},
+        {1, 1, 14}, {1, 0, 0},  {0, 1, 4},  {0, 2, 13}, {0, 2, 10},
+        {1, 0, 5},  {0, 2, 10}, {1, 0, 1},  {1, 0, 0},
+    };
+    EXPECT_EQ(locateFirst(t, 1, pinned.size(), 0), pinned);
+}
+
+TEST(RemapTable, ReplicatedRingLocationsArePinned)
+{
+    // Two replication groups, each with its own ring: unit 0 is served
+    // by group 0 (units 0 and 1), unit 4 by group 1 (units 4 and 5).
+    Fixture f;
+    StreamRemapTable t(kUnits, kRowsPerUnit, kRowBytes,
+                       RemapMode::ConsistentHash);
+    auto alloc = twoGroupAlloc();
+    alloc.rowBase = {10, 20, 0, 0, 30, 40, 0, 0};
+    t.setAlloc(0, alloc, 8, f.noc);
+    const std::vector<Where> group0 = {
+        {1, 22, 621},  {0, 16, 1595}, {1, 20, 157},  {1, 21, 469},
+        {0, 11, 441},  {0, 15, 1475}, {1, 21, 391},  {0, 17, 1976},
+        {0, 13, 769},  {0, 16, 1688}, {0, 15, 1367}, {0, 14, 1244},
+    };
+    const std::vector<Where> group1 = {
+        {5, 41, 365}, {4, 30, 59},  {4, 30, 157}, {4, 32, 725},
+        {4, 32, 697}, {4, 33, 963}, {5, 41, 391}, {4, 33, 952},
+        {5, 40, 1},   {4, 32, 664}, {4, 31, 343}, {5, 41, 476},
+    };
+    EXPECT_EQ(locateFirst(t, 0, group0.size(), 0), group0);
+    EXPECT_EQ(locateFirst(t, 0, group1.size(), 4), group1);
 }
 
 /** Property sweep over granule sizes: locate() is always in-bounds. */
