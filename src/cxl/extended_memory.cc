@@ -33,13 +33,14 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     // A transient link error loses the transaction; the endpoint retries
     // after capped exponential backoff. Every attempt occupies link
     // bandwidth and spends transfer energy.
+    // Each leg divides for its service cycles once.
+    const Cycles req_service = link_.serviceCycles(64);
     Cycles t = now;
     Cycles at_device = 0;
     std::uint32_t attempt = 0;
     for (;;) {
-        const Cycles req_start = link_.reserve(64, t);
-        at_device =
-            req_start + cxl_.linkLatencyCycles + link_.serviceCycles(64);
+        at_device = link_.reserveFor(req_service, t) + cxl_.linkLatencyCycles
+            + req_service;
         linkEnergyNj_ += 64.0 * 8.0 * cxl_.pjPerBit * 1e-3;
         linkBytes_ += 64;
         sc.linkBytes += 64;
@@ -67,9 +68,9 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     }
 
     // Response payload back over the link.
-    const Cycles rsp_start = link_.reserve(bytes, dr.done);
-    const Cycles done =
-        rsp_start + cxl_.linkLatencyCycles + link_.serviceCycles(bytes);
+    const Cycles rsp_service = link_.serviceCycles(bytes);
+    const Cycles done = link_.reserveFor(rsp_service, dr.done)
+        + cxl_.linkLatencyCycles + rsp_service;
 
     ++accesses_;
     linkEnergyNj_ +=

@@ -1,85 +1,14 @@
 #include "fault/fault_injector.h"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace ndpext {
 
 namespace {
-
-/** Parse "5M" / "200K" / "1G" / "12345" into a cycle count. */
-bool
-parseCycles(const std::string& text, Cycles* out)
-{
-    if (text.empty()) {
-        return false;
-    }
-    std::uint64_t mult = 1;
-    std::string digits = text;
-    switch (std::toupper(static_cast<unsigned char>(text.back()))) {
-      case 'K':
-        mult = 1'000;
-        digits.pop_back();
-        break;
-      case 'M':
-        mult = 1'000'000;
-        digits.pop_back();
-        break;
-      case 'G':
-        mult = 1'000'000'000;
-        digits.pop_back();
-        break;
-      default:
-        break;
-    }
-    if (digits.empty()
-        || digits.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    try {
-        *out = std::stoull(digits) * mult;
-    } catch (const std::exception&) {
-        return false;
-    }
-    return true;
-}
-
-bool
-parseProb(const std::string& text, double* out)
-{
-    if (text.rfind("p=", 0) != 0) {
-        return false;
-    }
-    try {
-        std::size_t used = 0;
-        const double p = std::stod(text.substr(2), &used);
-        if (used != text.size() - 2 || p < 0.0 || p > 1.0) {
-            return false;
-        }
-        *out = p;
-    } catch (const std::exception&) {
-        return false;
-    }
-    return true;
-}
-
-bool
-parseId(const std::string& text, std::uint32_t* out)
-{
-    if (text.empty()
-        || text.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    try {
-        const unsigned long v = std::stoul(text);
-        *out = static_cast<std::uint32_t>(v);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return true;
-}
 
 bool
 fail(std::string* error, const std::string& msg)
@@ -111,11 +40,17 @@ parseFaultSpec(const std::string& spec, std::uint32_t units_per_stack,
                                    + "': expected " + kind
                                    + ":<id>@<cycle>");
         }
-        std::uint32_t id = 0;
+        // Unit ids are 32-bit, and so is a stack's last unit id.
+        const std::uint64_t max_id = kind == "unit" || units_per_stack == 0
+            ? std::numeric_limits<UnitId>::max()
+            : (std::uint64_t{1} << 32) / units_per_stack - 1;
+        std::uint64_t id = 0;
         Cycles when = 0;
-        if (!parseId(arg.substr(0, at), &id)) {
+        if (!parseCount(arg.substr(0, at), max_id, &id)) {
             return fail(error, "fault spec '" + spec + "': bad " + kind
-                                   + " id '" + arg.substr(0, at) + "'");
+                                   + " id '" + arg.substr(0, at)
+                                   + "' (want an integer in [0, "
+                                   + std::to_string(max_id) + "])");
         }
         if (!parseCycles(arg.substr(at + 1), &when)) {
             return fail(error, "fault spec '" + spec + "': bad cycle '"
@@ -123,8 +58,9 @@ parseFaultSpec(const std::string& spec, std::uint32_t units_per_stack,
                                    + "' (want digits with optional"
                                      " K/M/G suffix)");
         }
+        const auto uid = static_cast<UnitId>(id);
         if (kind == "unit") {
-            params.unitFailures.push_back(UnitFailure{id, when});
+            params.unitFailures.push_back(UnitFailure{uid, when});
         } else {
             if (units_per_stack == 0) {
                 return fail(error, "fault spec '" + spec
@@ -133,7 +69,7 @@ parseFaultSpec(const std::string& spec, std::uint32_t units_per_stack,
             }
             for (std::uint32_t u = 0; u < units_per_stack; ++u) {
                 params.unitFailures.push_back(
-                    UnitFailure{id * units_per_stack + u, when});
+                    UnitFailure{uid * units_per_stack + u, when});
             }
         }
         return true;
@@ -151,7 +87,8 @@ parseFaultSpec(const std::string& spec, std::uint32_t units_per_stack,
                                + "' (want unit, stack, cxl-transient,"
                                  " cxl-poison, or dram-bit)");
     }
-    if (!parseProb(arg, target)) {
+    if (arg.rfind("p=", 0) != 0
+        || !parseReal(std::string_view(arg).substr(2), 0.0, 1.0, target)) {
         return fail(error, "fault spec '" + spec
                                + "': expected p=<prob in [0,1]>");
     }

@@ -8,12 +8,19 @@ namespace ndpext {
 
 namespace {
 
+// JEDEC defaults: tREFI 3.9 us, tRFC ~295 ns at the device clock.
+constexpr double kRefi = 9360.0;
+constexpr double kRfc = 708.0;
+constexpr double kPdIdle = 2000.0;
+constexpr double kSrIdle = 200000.0;
+
+/** A DRAM-clock tunable in core cycles. */
 Cycles
-toCoreCyclesRoundUp(double dram_cycles, double dram_mhz, double core_mhz)
+dramTunable(const MemBackendConfig& cfg, const char* key, double fallback,
+            std::uint64_t core_freq_mhz)
 {
-    const double c = dram_cycles * core_mhz / dram_mhz;
-    const auto whole = static_cast<Cycles>(c);
-    return whole + (static_cast<double>(whole) < c ? 1 : 0);
+    return toCoreCycles(cfg.tunable(key, fallback), cfg.timing.clockMhz,
+                        static_cast<double>(core_freq_mhz));
 }
 
 } // namespace
@@ -21,24 +28,32 @@ toCoreCyclesRoundUp(double dram_cycles, double dram_mhz, double core_mhz)
 RefreshDramBackend::RefreshDramBackend(const MemBackendConfig& cfg,
                                        std::uint64_t core_freq_mhz)
     : MemBackend(cfg.timing, core_freq_mhz),
-      // JEDEC defaults: tREFI 3.9 us, tRFC ~295 ns at the device clock.
-      refiCycles_(toCoreCyclesRoundUp(
-          cfg.tunable("refi", 9360.0), cfg.timing.clockMhz,
-          static_cast<double>(core_freq_mhz))),
-      rfcCycles_(toCoreCyclesRoundUp(
-          cfg.tunable("rfc", 708.0), cfg.timing.clockMhz,
-          static_cast<double>(core_freq_mhz))),
-      pdIdleCycles_(static_cast<Cycles>(cfg.tunable("pd-idle", 2000.0))),
+      refiCycles_(dramTunable(cfg, "refi", kRefi, core_freq_mhz)),
+      rfcCycles_(dramTunable(cfg, "rfc", kRfc, core_freq_mhz)),
+      pdIdleCycles_(static_cast<Cycles>(cfg.tunable("pd-idle", kPdIdle))),
       pdExitCycles_(static_cast<Cycles>(cfg.tunable("pd-exit", 30.0))),
-      srIdleCycles_(static_cast<Cycles>(cfg.tunable("sr-idle", 200000.0))),
+      srIdleCycles_(static_cast<Cycles>(cfg.tunable("sr-idle", kSrIdle))),
       srExitCycles_(static_cast<Cycles>(cfg.tunable("sr-exit", 500.0))),
       banks_(cfg.timing.totalBanks())
 {
-    NDP_ASSERT(refiCycles_ > rfcCycles_,
-               "tREFI must exceed tRFC (refi=", refiCycles_,
-               " rfc=", rfcCycles_, " core cycles)");
-    NDP_ASSERT(srIdleCycles_ >= pdIdleCycles_,
-               "self-refresh threshold below power-down threshold");
+    // The validation rules, for library callers that skip validate().
+    const std::string why = crossCheck(cfg, core_freq_mhz);
+    NDP_ASSERT(why.empty(), why);
+}
+
+std::string
+RefreshDramBackend::crossCheck(const MemBackendConfig& cfg,
+                               std::uint64_t core_freq_mhz)
+{
+    const Cycles refi = dramTunable(cfg, "refi", kRefi, core_freq_mhz);
+    const Cycles rfc = dramTunable(cfg, "rfc", kRfc, core_freq_mhz);
+    if (refi <= rfc) {
+        return "refi must exceed rfc in core cycles (refi="
+            + std::to_string(refi) + ", rfc=" + std::to_string(rfc) + ")";
+    }
+    return cfg.tunable("sr-idle", kSrIdle) < cfg.tunable("pd-idle", kPdIdle)
+        ? "sr-idle must be >= pd-idle"
+        : "";
 }
 
 Cycles

@@ -25,6 +25,7 @@
 #define NDPEXT_MEM_BACKEND_REFRESH_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -38,6 +39,14 @@ class RefreshDramBackend : public MemBackend
   public:
     RefreshDramBackend(const MemBackendConfig& cfg,
                        std::uint64_t core_freq_mhz);
+
+    /**
+     * The rules across tunables: tREFI > tRFC once both are in core
+     * cycles, and sr-idle >= pd-idle. The diagnostic, or "" when both
+     * hold (MemBackendInfo::crossCheck).
+     */
+    static std::string crossCheck(const MemBackendConfig& cfg,
+                                  std::uint64_t core_freq_mhz);
 
     DramResult accessRow(std::uint32_t bank, std::uint64_t row,
                          std::uint32_t bytes, bool is_write,

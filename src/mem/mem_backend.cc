@@ -1,37 +1,19 @@
 #include "mem/mem_backend.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace ndpext {
 
-namespace {
-
-/** Convert DRAM-clock cycles to core cycles, rounding up. */
 Cycles
-toCoreCycles(std::uint32_t dram_cycles, double dram_mhz, double core_mhz)
+toCoreCycles(double dram_cycles, double dram_mhz, double core_mhz)
 {
-    const double c = static_cast<double>(dram_cycles) * core_mhz / dram_mhz;
+    const double c = dram_cycles * core_mhz / dram_mhz;
     const auto whole = static_cast<Cycles>(c);
     return whole + (static_cast<double>(whole) < c ? 1 : 0);
 }
-
-bool
-isNumeric(const std::string& s)
-{
-    if (s.empty()) {
-        return false;
-    }
-    const char* cstr = s.c_str();
-    char* end = nullptr;
-    std::strtod(cstr, &end);
-    return end == cstr + s.size();
-}
-
-} // namespace
 
 DramTimingParams
 DramTimingParams::hbm3Unit()
@@ -154,7 +136,10 @@ MemBackendConfig::tunable(const std::string& key, double fallback) const
 {
     for (const auto& [k, v] : tunables) {
         if (k == key) {
-            return std::strtod(v.c_str(), nullptr);
+            double out = 0.0;
+            const bool ok = parseReal(v, -kMaxReal, kMaxReal, &out);
+            NDP_ASSERT(ok, "tunable ", key, "='", v, "' is not numeric");
+            return out;
         }
     }
     return fallback;
@@ -212,24 +197,20 @@ MemBackendConfig::parseSpec(const std::string& spec, MemBackendConfig* out,
     }
 
     MemBackendConfig cfg;
-    std::size_t pos = spec.find(',');
-    cfg.backend = spec.substr(0, pos);
+    const std::size_t comma = spec.find(',');
+    cfg.backend = spec.substr(0, comma);
     if (cfg.backend.empty()) {
         return fail("backend spec '" + spec + "' has an empty name");
     }
-    while (pos != std::string::npos) {
-        const std::size_t start = pos + 1;
-        pos = spec.find(',', start);
-        const std::string item = spec.substr(
-            start,
-            pos == std::string::npos ? std::string::npos : pos - start);
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-            return fail("backend option '" + item
-                        + "' is not of the form key=value");
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
+    std::vector<std::pair<std::string, std::string>> pairs;
+    std::string bad;
+    if (comma != std::string::npos
+        && !splitKeyValues(std::string_view(spec).substr(comma + 1), &pairs,
+                           &bad)) {
+        return fail("backend option '" + bad
+                    + "' is not of the form key=value");
+    }
+    for (const auto& [key, value] : pairs) {
         if (key == "preset") {
             if (!dramPreset(value, &cfg.timing)) {
                 std::string known;
@@ -242,7 +223,8 @@ MemBackendConfig::parseSpec(const std::string& spec, MemBackendConfig* out,
             cfg.timingSet = true;
             continue;
         }
-        if (!isNumeric(value)) {
+        double v = 0.0;
+        if (!parseReal(value, -kMaxReal, kMaxReal, &v)) {
             return fail("backend option '" + key + "=" + value
                         + "' must have a numeric value");
         }

@@ -95,6 +95,9 @@ struct DramTimingParams
 const std::vector<std::string>& dramPresetNames();
 bool dramPreset(const std::string& name, DramTimingParams* out);
 
+/** Convert DRAM-clock cycles to core cycles, rounding up. */
+Cycles toCoreCycles(double dram_cycles, double dram_mhz, double core_mhz);
+
 /** Completion info of one DRAM access. */
 struct DramResult
 {
@@ -151,8 +154,8 @@ struct MemBackendConfig
      * Parse "NAME[,key=val...]" from the CLI. `preset=NAME` resolves the
      * timing preset immediately; every other key must be numeric and is
      * stored as a tunable (validated against the registry's declared
-     * keys in SystemConfig::validate, not here). Returns false with a
-     * diagnostic in `*error` on malformed input.
+     * keys and ranges in SystemConfig::validate, not here). Returns
+     * false with a diagnostic in `*error` on malformed input.
      */
     static bool parseSpec(const std::string& spec, MemBackendConfig* out,
                           std::string* error);

@@ -7,6 +7,16 @@
 
 namespace ndpext {
 
+namespace {
+
+/** Queue depths and DRAM-clock timings are 32-bit counts. */
+constexpr ValueRange kPositiveU32{
+    .lo = 1, .hi = 4294967295.0, .integer = true};
+/** Core-clock cycles: whole doubles are exact up to 2^53. */
+constexpr ValueRange kCycles{.hi = 9007199254740992.0, .integer = true};
+
+} // namespace
+
 const NamedTable<MemBackendInfo>&
 memBackends()
 {
@@ -28,7 +38,8 @@ memBackends()
                 "FCFS controller: bounded per-bank queue, strict "
                 "arrival-order service (no row-hit reordering)",
                 {
-                    {"queue", "per-bank request queue entries (default 8)"},
+                    {"queue", "per-bank request queue entries (default 8)",
+                     kPositiveU32},
                 },
                 [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
                     return std::make_unique<SchedDramBackend>(
@@ -40,9 +51,12 @@ memBackends()
                 "FR-FCFS controller: bounded per-bank queue, row-hit-first "
                 "reordering with a starvation cap",
                 {
-                    {"queue", "per-bank request queue entries (default 8)"},
-                    {"cap", "FR-FCFS starvation cap: max consecutive "
-                            "reordered row hits per bank (default 4)"},
+                    {"queue", "per-bank request queue entries (default 8)",
+                     kPositiveU32},
+                    {"cap",
+                     "FR-FCFS starvation cap: max consecutive "
+                     "reordered row hits per bank (default 4)",
+                     kPositiveU32},
                 },
                 [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
                     return std::make_unique<SchedDramBackend>(
@@ -54,22 +68,30 @@ memBackends()
                 "Banked model plus tREFI/tRFC refresh blackouts and "
                 "fast/slow-exit power-down idle states with wake penalties",
                 {
-                    {"refi", "refresh interval tREFI in DRAM cycles "
-                             "(default 9360)"},
-                    {"rfc", "refresh cycle time tRFC in DRAM cycles "
-                            "(default 708)"},
-                    {"pd-idle", "idle core cycles before fast-exit "
-                                "power-down (default 2000)"},
-                    {"pd-exit", "fast-exit wake penalty, core cycles "
-                                "(default 30)"},
-                    {"sr-idle", "idle core cycles before self-refresh "
-                                "(default 200000)"},
-                    {"sr-exit", "self-refresh wake penalty, core cycles "
-                                "(default 500)"},
+                    {"refi",
+                     "refresh interval tREFI in DRAM cycles (default 9360)",
+                     kPositiveU32},
+                    {"rfc",
+                     "refresh cycle time tRFC in DRAM cycles (default 708)",
+                     {.hi = kPositiveU32.hi, .integer = true}},
+                    {"pd-idle",
+                     "idle core cycles before fast-exit power-down "
+                     "(default 2000)",
+                     kCycles},
+                    {"pd-exit",
+                     "fast-exit wake penalty, core cycles (default 30)",
+                     kCycles},
+                    {"sr-idle",
+                     "idle core cycles before self-refresh (default 200000)",
+                     kCycles},
+                    {"sr-exit",
+                     "self-refresh wake penalty, core cycles (default 500)",
+                     kCycles},
                 },
                 [](const MemBackendConfig& cfg, std::uint64_t freq_mhz) {
                     return std::make_unique<RefreshDramBackend>(cfg, freq_mhz);
                 },
+                &RefreshDramBackend::crossCheck,
             },
         },
     };

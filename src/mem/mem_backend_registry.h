@@ -4,10 +4,11 @@
  *
  * memBackends() holds one row per backend implementation: name,
  * description, tunable schema and factory. CLI frontends enumerate it
- * for `--list-mem-backends`, SystemConfig::validate checks names and
- * tunable keys against it (with an edit-distance did-you-mean on unknown
- * names), and createMemBackend() in mem/mem_backend.h constructs by
- * name. Adding a backend is one row in mem_backend_registry.cc.
+ * for `--list-mem-backends`, SystemConfig::validate checks names,
+ * tunable keys, their ranges and the cross-tunable rules against it
+ * (with an edit-distance did-you-mean on unknown names), and
+ * createMemBackend() in mem/mem_backend.h constructs by name. Adding a
+ * backend is one row in mem_backend_registry.cc.
  */
 
 #ifndef NDPEXT_MEM_MEM_BACKEND_REGISTRY_H
@@ -34,6 +35,11 @@ struct MemBackendInfo
     std::function<std::unique_ptr<MemBackend>(const MemBackendConfig&,
                                               std::uint64_t core_freq_mhz)>
         factory;
+    /** Rules across tunables, run once each is in range: the
+     *  diagnostic, or "" when they hold. Null when there are none. */
+    std::function<std::string(const MemBackendConfig&,
+                              std::uint64_t core_freq_mhz)>
+        crossCheck = nullptr;
 };
 
 /** The built-in backends, sorted by name. */

@@ -493,12 +493,6 @@ NdpRuntime::emergencyReconfigure()
 }
 
 void
-NdpRuntime::onUnitFailure(UnitId unit, Cycles now)
-{
-    onUnitFailures({unit}, now);
-}
-
-void
 NdpRuntime::onUnitFailures(const std::vector<UnitId>& units, Cycles now)
 {
     lastNow_ = std::max(lastNow_, now);

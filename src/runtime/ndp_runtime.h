@@ -219,21 +219,15 @@ class NdpRuntime
     void onEpochEnd(Cycles now);
 
     /**
-     * A whole NDP unit (memory side) failed. Updates the health bitmap,
-     * degrades the cache (redirects, replica collapse), informs the
-     * configurator, and -- for reconfiguring policies -- immediately
-     * runs an *out-of-epoch* emergency reconfiguration that re-places
-     * every stream around the dead unit. Static policies stay degraded
-     * (their accesses to the dead slice redirect to extended memory
-     * forever -- the headline gap in bench_fault_degradation).
-     * `now` (when known) timestamps the telemetry decision record.
-     */
-    void onUnitFailure(UnitId unit, Cycles now = 0);
-
-    /**
-     * Batch variant: units that fail at the same cycle (e.g., a whole
-     * stack dying) degrade together and trigger a *single* emergency
-     * reconfiguration instead of one per unit.
+     * NDP units (memory side) failed at the same cycle, e.g. one unit or
+     * a whole stack. Updates the health bitmap, degrades the cache
+     * (redirects, replica collapse), informs the configurator, and --
+     * for reconfiguring policies -- immediately runs one *out-of-epoch*
+     * emergency reconfiguration that re-places every stream around the
+     * dead units. Static policies stay degraded (their accesses to a
+     * dead slice redirect to extended memory forever -- the headline gap
+     * in bench_fault_degradation). `now` (when known) timestamps the
+     * telemetry decision record.
      */
     void onUnitFailures(const std::vector<UnitId>& units, Cycles now = 0);
 

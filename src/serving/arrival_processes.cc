@@ -222,24 +222,34 @@ arrivalProcesses()
             {
                 "bursty",
                 "two-state MMPP: calm/burst phases with exponential dwell",
+                // A burst is at least as fast as calm; a dwell shorter
+                // than a cycle would spin nextGap on sub-cycle phases.
                 {
                     {"burst-factor",
-                     "rate multiplier while bursting (default 8)"},
-                    {"burst-frac", "long-run fraction of time bursting "
-                                   "(default 0.15)"},
+                     "rate multiplier while bursting (default 8)",
+                     {.lo = 1}},
+                    {"burst-frac",
+                     "long-run fraction of time bursting (default 0.15)",
+                     {.hi = 1}},
                     {"burst-cycles",
-                     "mean burst dwell in cycles (default 100000)"},
+                     "mean burst dwell in cycles (default 100000)",
+                     {.lo = 1}},
                 },
                 factoryOf<BurstyArrival>(),
             },
             {
                 "diurnal",
                 "sinusoidal rate trace (non-homogeneous Poisson, thinned)",
+                // Thinning against the peak rate needs amp >= 0; a
+                // period of at least one cycle keeps t / day-cycles
+                // finite (at 0 the rate is NaN and nextGap never ends).
                 {
-                    {"amp", "peak-to-mean rate modulation in [0,1) "
-                            "(default 0.8)"},
+                    {"amp",
+                     "peak-to-mean rate modulation in [0,1) (default 0.8)",
+                     {.hi = 1, .hiOpen = true}},
                     {"day-cycles",
-                     "diurnal period in cycles (default 2000000)"},
+                     "diurnal period in cycles (default 2000000)",
+                     {.lo = 1}},
                 },
                 factoryOf<DiurnalArrival>(),
             },

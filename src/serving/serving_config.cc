@@ -1,85 +1,32 @@
 #include "serving/serving_config.h"
 
-#include <cmath>
-#include <cstdlib>
-#include <sstream>
+#include <limits>
 
+#include "common/parse.h"
 #include "common/suggest.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
 
-namespace {
-
-/** Split "a=1,b=2" into key/value pairs; empty value is an error. */
-bool
-splitPairs(const std::string& spec,
-           std::vector<std::pair<std::string, std::string>>* out,
-           std::string* error)
-{
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty()) {
-            continue;
-        }
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-            *error = "--tenant: expected key=value, got '" + item + "'";
-            return false;
-        }
-        out->emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    }
-    if (out->empty()) {
-        *error = "--tenant: empty spec";
-        return false;
-    }
-    return true;
-}
-
-bool
-parseNum(const std::string& key, const std::string& val, double* out,
-         std::string* error)
-{
-    char* end = nullptr;
-    const double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0' || !std::isfinite(v)) {
-        *error = "--tenant: " + key + " expects a number, got '" + val
-            + "'";
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-bool
-parseUint(const std::string& key, const std::string& val,
-          std::uint64_t* out, std::string* error)
-{
-    double v = 0.0;
-    if (!parseNum(key, val, &v, error)) {
-        return false;
-    }
-    if (v < 0.0 || v != std::floor(v)) {
-        *error = "--tenant: " + key + " expects a non-negative integer, "
-            + "got '" + val + "'";
-        return false;
-    }
-    *out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-} // namespace
-
 bool
 parseTenantSpec(const std::string& spec, TenantSpec* out,
                 std::string* error)
 {
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
     std::vector<std::pair<std::string, std::string>> pairs;
-    if (!splitPairs(spec, &pairs, error)) {
+    std::string bad;
+    if (!splitKeyValues(spec, &pairs, &bad)) {
+        *error = "--tenant: expected key=value, got '" + bad + "'";
+        return false;
+    }
+    if (pairs.empty()) {
+        *error = "--tenant: empty spec";
         return false;
     }
     for (const auto& [key, val] : pairs) {
+        // Integer keys take the count grammar, bounded by their field.
+        bool integer = true;
+        bool ok = true;
         if (key == "name") {
             out->name = val;
         } else if (key == "workload") {
@@ -96,47 +43,38 @@ parseTenantSpec(const std::string& spec, TenantSpec* out,
                     "'best-effort', got '" + val + "'";
                 return false;
             }
-        } else if (key == "period") {
-            if (!parseNum(key, val, &out->periodCycles, error)) {
-                return false;
-            }
-        } else if (key == "reserve-pct") {
-            if (!parseNum(key, val, &out->reservePct, error)) {
-                return false;
-            }
         } else if (key == "req") {
-            std::uint64_t v = 0;
-            if (!parseUint(key, val, &v, error)) {
-                return false;
-            }
-            out->requestAccesses = static_cast<std::uint32_t>(v);
+            ok = parseCount(val, &out->requestAccesses);
         } else if (key == "slo") {
-            if (!parseUint(key, val, &out->sloCycles, error)) {
-                return false;
-            }
+            ok = parseCount(val, &out->sloCycles);
         } else if (key == "arrive") {
-            if (!parseUint(key, val, &out->arriveEpoch, error)) {
-                return false;
-            }
+            ok = parseCount(val, &out->arriveEpoch);
         } else if (key == "depart") {
-            if (!parseUint(key, val, &out->departEpoch, error)) {
-                return false;
-            }
+            ok = parseCount(val, &out->departEpoch);
         } else if (key == "footprint-mb") {
             std::uint64_t mb = 0;
-            if (!parseUint(key, val, &mb, error)) {
-                return false;
-            }
+            ok = parseCount(val, kMax / 1_MiB, &mb);
             out->footprintBytes = mb * 1_MiB;
+        } else if (key == "period") {
+            integer = false;
+            ok = parseReal(val, -kMaxReal, kMaxReal, &out->periodCycles);
+        } else if (key == "reserve-pct") {
+            integer = false;
+            ok = parseReal(val, -kMaxReal, kMaxReal, &out->reservePct);
         } else {
             // Everything else must be an arrival-process tunable;
-            // validateServingConfig checks the key against the table
-            // once the arrival name is known.
+            // validateServingConfig checks the key and its range against
+            // the table once the arrival name is known.
+            integer = false;
             double v = 0.0;
-            if (!parseNum(key, val, &v, error)) {
-                return false;
-            }
+            ok = parseReal(val, -kMaxReal, kMaxReal, &v);
             out->arrivalTunables.emplace_back(key, v);
+        }
+        if (!ok) {
+            *error = "--tenant: " + key + " expects "
+                + (integer ? "an integer that fits its field" : "a number")
+                + ", got '" + val + "'";
+            return false;
         }
     }
     if (out->workload.empty()) {
@@ -196,24 +134,11 @@ validateServingConfig(const ServingConfig& cfg, std::string* error)
             }
             return fail(why);
         }
-        for (const auto& [key, val] : t.arrivalTunables) {
-            bool declared = false;
-            for (const Tunable& tun : info->tunables) {
-                declared = declared || tun.key == key;
-            }
-            if (!declared) {
-                std::vector<std::string> keys;
-                for (const Tunable& tun : info->tunables) {
-                    keys.push_back(tun.key);
-                }
-                std::string why = flag + ": arrival '" + t.arrival
-                    + "' has no tunable '" + key + "'";
-                const std::string hint = closestName(key, keys);
-                if (!hint.empty()) {
-                    why += " (did you mean '" + hint + "'?)";
-                }
-                return fail(why);
-            }
+        std::string why;
+        if (!checkTunables(info->tunables, t.arrivalTunables,
+                           flag + ": arrival '" + t.arrival + "'",
+                           "--list-arrivals", &why)) {
+            return fail(why);
         }
         // Tenant names become metric-key segments ("tenant.<name>.p99"),
         // so the separator characters are off limits.

@@ -10,6 +10,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/parse.h"
+
 namespace ndpext {
 namespace ckpt {
 
@@ -296,13 +298,14 @@ findLatestValidCheckpoint(const std::string& prefix, std::string* path,
             || name.compare(name.size() - 5, 5, ".ckpt") != 0) {
             continue;
         }
-        const std::string mid =
-            name.substr(base.size() + 1, name.size() - base.size() - 6);
-        if (mid.empty()
-            || mid.find_first_not_of("0123456789") != std::string::npos) {
+        // A name whose epoch is not a 64-bit count does not match.
+        std::uint64_t epoch = 0;
+        if (!parseCount(std::string_view(name).substr(
+                            base.size() + 1, name.size() - base.size() - 6),
+                        &epoch)) {
             continue;
         }
-        epochs.push_back(std::stoull(mid));
+        epochs.push_back(epoch);
     }
     ::closedir(d);
     std::sort(epochs.rbegin(), epochs.rend());

@@ -82,19 +82,10 @@ class BandwidthResource
     }
 
     /**
-     * Reserve the resource for a transfer of `bytes` arriving at `now`.
-     * @return the time the transfer starts (>= now); the transfer
-     *         completes at start + serviceCycles(bytes).
-     */
-    Cycles
-    reserve(std::uint64_t bytes, Cycles now)
-    {
-        return reserveFor(serviceCycles(bytes), now);
-    }
-
-    /**
-     * Occupy the resource for `duration` cycles starting at the earliest
-     * gap at or after `now` (first-fit insertion into the busy list).
+     * Occupy the resource for `duration` cycles (a transfer's
+     * serviceCycles) starting at the earliest gap at or after `now`
+     * (first-fit insertion into the busy list).
+     * @return the time the occupation starts (>= now).
      */
     Cycles
     reserveFor(Cycles duration, Cycles now)

@@ -1,6 +1,7 @@
 #include "system/system_config.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "mem/mem_backend_registry.h"
@@ -119,9 +120,14 @@ SystemConfig::validate(std::string* error) const
         }
         return false;
     };
-    if (numUnits() == 0) {
-        return fail("system geometry has zero units (stacks "
-                    + std::to_string(stacksX) + "x"
+    // In a double, the product of four 32-bit sides cannot wrap.
+    const double units =
+        static_cast<double>(stacksX) * stacksY * unitsX * unitsY;
+    if (units == 0 || units > std::numeric_limits<UnitId>::max()) {
+        return fail(std::string("system geometry has ")
+                    + (units == 0 ? "zero units"
+                                  : "more units than a 32-bit unit id holds")
+                    + " (stacks " + std::to_string(stacksX) + "x"
                     + std::to_string(stacksY) + ", units "
                     + std::to_string(unitsX) + "x"
                     + std::to_string(unitsY) + ")");
@@ -137,16 +143,15 @@ SystemConfig::validate(std::string* error) const
     }
     const auto& backends = memBackends();
     for (const auto& [role, roleCfg] :
-         {std::pair<const char*, const MemBackendConfig*>{
-              "unit", &memBackendUnit},
-          {"ext", &memBackendExt},
-          {"host", &memBackendHost}}) {
-        const MemBackendInfo* info = backends.find(roleCfg->backend);
+         {std::pair<const char*, MemBackendConfig>{"unit", unitMemBackend()},
+          {"ext", extMemBackend()},
+          {"host", hostMemBackend()}}) {
+        const std::string what = "memory backend '" + roleCfg.backend
+            + "' for role '" + role + "'";
+        const MemBackendInfo* info = backends.find(roleCfg.backend);
         if (info == nullptr) {
-            std::string why = "unknown memory backend '"
-                              + roleCfg->backend + "' for role '" + role
-                              + "'";
-            const std::string hint = backends.suggest(roleCfg->backend);
+            std::string why = "unknown " + what;
+            const std::string hint = backends.suggest(roleCfg.backend);
             if (!hint.empty()) {
                 why += " (did you mean '" + hint + "'?)";
             } else {
@@ -158,14 +163,15 @@ SystemConfig::validate(std::string* error) const
             }
             return fail(why);
         }
-        for (const auto& [key, value] : roleCfg->tunables) {
-            const bool declared = std::any_of(
-                info->tunables.begin(), info->tunables.end(),
-                [&key = key](const Tunable& t) { return t.key == key; });
-            if (!declared) {
-                return fail("memory backend '" + roleCfg->backend
-                            + "' has no tunable '" + key
-                            + "' (see --list-mem-backends)");
+        std::string why;
+        if (!checkTunables(info->tunables, roleCfg.tunables, what,
+                           "--list-mem-backends", &why)) {
+            return fail(why);
+        }
+        if (info->crossCheck != nullptr) {
+            why = info->crossCheck(roleCfg, coreFreqMhz);
+            if (!why.empty()) {
+                return fail(what + ": " + why);
             }
         }
     }

@@ -1,10 +1,11 @@
 #include "workloads/trace_workload.h"
 
-#include <exception>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace ndpext {
 
@@ -87,23 +88,25 @@ TraceWorkload::parse(std::istream& in, std::uint32_t num_cores,
             line.resize(hash);
         }
         std::istringstream ss(line);
-        std::string kind;
-        if (!(ss >> kind)) {
+        std::vector<std::string> tok;
+        for (std::string t; ss >> t;) {
+            tok.push_back(std::move(t));
+        }
+        if (tok.empty()) {
             continue; // blank line
         }
-        if (kind == "stream") {
-            std::string name;
-            std::string type_str;
-            std::string base_str;
-            std::uint64_t size = 0;
-            std::uint32_t elem_size = 0;
-            std::string rw;
-            if (!(ss >> name >> type_str >> base_str >> size >> elem_size
-                  >> rw)) {
+        // A numeric field that does not parse names itself and its text.
+        auto bad = [&](const char* field, const std::string& text) {
+            return fail("bad " + std::string(field) + " '" + text + "'");
+        };
+        if (tok[0] == "stream") {
+            if (tok.size() != 7) {
                 return fail("malformed stream record (expected: stream "
                             "<name> <affine|indirect> <base-hex> <size> "
                             "<elemSize> <ro|rw>)");
             }
+            const std::string& type_str = tok[2];
+            const std::string& rw = tok[6];
             StreamType type;
             if (type_str == "affine") {
                 type = StreamType::Affine;
@@ -114,41 +117,59 @@ TraceWorkload::parse(std::istream& in, std::uint32_t num_cores,
                             + "' (expected affine|indirect)");
             }
             Addr base = 0;
-            try {
-                std::size_t used = 0;
-                base = static_cast<Addr>(
-                    std::stoull(base_str, &used, 0));
-                if (used != base_str.size()) {
-                    return fail("bad stream base '" + base_str + "'");
-                }
-            } catch (const std::exception&) {
-                return fail("bad stream base '" + base_str + "'");
+            std::uint64_t size = 0;
+            std::uint32_t elem_size = 0;
+            if (!parseAddress(tok[3], &base)) {
+                return bad("stream base", tok[3]);
+            }
+            if (!parseCount(tok[4], &size)) {
+                return bad("stream size", tok[4]);
+            }
+            if (!parseCount(tok[5], &elem_size)) {
+                return bad("stream elemSize", tok[5]);
             }
             if (rw != "ro" && rw != "rw") {
                 return fail("expected ro|rw, got '" + rw + "'");
             }
-            if (size == 0 || elem_size == 0 || size < elem_size) {
+            if (size == 0 || elem_size == 0 || size % elem_size != 0) {
                 return fail("bad stream geometry (size=" +
                             std::to_string(size) + " elemSize="
-                            + std::to_string(elem_size) + ")");
+                            + std::to_string(elem_size)
+                            + "; size must be a positive multiple of "
+                              "elemSize)");
+            }
+            if (w->configs_.size() >= kNoStream) {
+                return fail("too many streams (at most "
+                            + std::to_string(kNoStream) + ")");
             }
             StreamConfig cfg =
-                StreamConfig::dense(name, type, base, size, elem_size);
+                StreamConfig::dense(tok[1], type, base, size, elem_size);
             cfg.readOnly = rw == "ro";
             cfg.sid = static_cast<StreamId>(w->configs_.size());
             w->configs_.push_back(std::move(cfg));
             footprint += size;
-        } else if (kind == "a") {
-            std::uint32_t core = 0;
-            std::uint32_t sid = 0;
-            ElemId elem = 0;
-            std::string rw;
-            std::uint32_t compute = 2;
-            if (!(ss >> core >> sid >> elem >> rw)) {
+        } else if (tok[0] == "a") {
+            if (tok.size() != 5 && tok.size() != 6) {
                 return fail("malformed access record (expected: a <core> "
                             "<sid> <elem> <r|w> [computeCycles])");
             }
-            ss >> compute; // optional
+            std::uint32_t core = 0;
+            std::uint32_t sid = 0;
+            ElemId elem = 0;
+            const std::string& rw = tok[4];
+            std::uint32_t compute = 2;
+            if (!parseCount(tok[1], &core)) {
+                return bad("core", tok[1]);
+            }
+            if (!parseCount(tok[2], &sid)) {
+                return bad("sid", tok[2]);
+            }
+            if (!parseCount(tok[3], &elem)) {
+                return bad("elem", tok[3]);
+            }
+            if (tok.size() == 6 && !parseCount(tok[5], &compute)) {
+                return bad("computeCycles", tok[5]);
+            }
             if (core >= num_cores) {
                 return fail("core " + std::to_string(core)
                             + " >= " + std::to_string(num_cores));
@@ -168,7 +189,7 @@ TraceWorkload::parse(std::istream& in, std::uint32_t num_cores,
                 static_cast<StreamId>(sid), elem, rw == "w",
                 std::max<std::uint32_t>(1, compute)});
         } else {
-            return fail("unknown record '" + kind
+            return fail("unknown record '" + tok[0]
                         + "' (expected 'stream' or 'a')");
         }
     }

@@ -10,7 +10,9 @@
  *   ...one line per stream, then...
  *   a <core> <sid> <elem> <r|w> [computeCycles]
  *
- * Access lines are replayed in file order per core. Example:
+ * Numbers are decimal counts (common/parse.h) that must fit their field;
+ * the base may also be `0x` hex. Access lines are replayed in file order
+ * per core. Example:
  *
  *   # two streams, three accesses
  *   stream edges affine 0x100000 4096 4 ro

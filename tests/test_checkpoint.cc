@@ -446,6 +446,25 @@ TEST_F(CheckpointFileTest, FindLatestSkipsCorruptNewest)
     EXPECT_EQ(h.epoch, 2u);
 }
 
+TEST_F(CheckpointFileTest, FindLatestSkipsEpochThatOverflows)
+{
+    // A stray name whose epoch does not fit 64 bits matches nothing; it
+    // once aborted the supervisor with an uncaught std::out_of_range.
+    const std::string prefix = path("run");
+    std::string error;
+    ASSERT_TRUE(
+        ckpt::saveCheckpoint(prefix + ".3.ckpt", 1, 3, samplePayload(),
+                             &error));
+    writeFile(prefix + ".99999999999999999999.ckpt", {'j', 'u', 'n', 'k'});
+    std::string found;
+    ckpt::CheckpointHeader h;
+    ASSERT_TRUE(
+        ckpt::findLatestValidCheckpoint(prefix, &found, &h, &error))
+        << error;
+    EXPECT_EQ(found, prefix + ".3.ckpt");
+    EXPECT_EQ(h.epoch, 3u);
+}
+
 TEST_F(CheckpointFileTest, FindLatestReportsWhyWhenAllInvalid)
 {
     const std::string prefix = path("run");

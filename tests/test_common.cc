@@ -1,14 +1,21 @@
-/** Unit tests for the common substrate: RNG, bit utilities, histogram. */
+/**
+ * Unit tests for the common substrate: RNG, bit utilities, histogram and
+ * the user-input grammar.
+ */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bitutils.h"
 #include "common/histogram.h"
+#include "common/named_table.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -243,6 +250,195 @@ TEST(Shuffle, IsPermutation)
     shuffle(v, rng);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, sorted);
+}
+
+// --- User-input grammar (common/parse.h) -------------------------------
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+TEST(ParseCount, AcceptsDigitsUpToMax)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseCount("0", 10, &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseCount("10", 10, &v));
+    EXPECT_EQ(v, 10u);
+    EXPECT_TRUE(parseCount("18446744073709551615", kU64Max, &v));
+    EXPECT_EQ(v, kU64Max);
+    EXPECT_TRUE(parseCount("007", 10, &v));
+    EXPECT_EQ(v, 7u);
+}
+
+TEST(ParseCount, RejectsOverMaxSignsSpacesAndGarbage)
+{
+    std::uint64_t v = 7;
+    for (const char* bad :
+         {"", "11", "+1", "-1", " 1", "1 ", "1x", "0x1", "1e3", "1.0",
+          "1K"}) {
+        EXPECT_FALSE(parseCount(bad, 10, &v)) << bad;
+    }
+    EXPECT_FALSE(parseCount("18446744073709551616", kU64Max, &v));
+    EXPECT_FALSE(parseCount("99999999999999999999", kU64Max, &v));
+    EXPECT_FALSE(parseCount("1", 0, &v));
+    EXPECT_EQ(v, 7u) << "a failed parse leaves *out alone";
+}
+
+TEST(ParseCount, TypedFormBoundsByTheDestination)
+{
+    std::uint32_t v32 = 0;
+    EXPECT_TRUE(parseCount("4294967295", &v32));
+    EXPECT_EQ(v32, 4294967295u);
+    EXPECT_FALSE(parseCount("4294967296", &v32));
+    std::uint16_t v16 = 0;
+    EXPECT_TRUE(parseCount("65535", &v16));
+    EXPECT_FALSE(parseCount("65536", &v16));
+}
+
+TEST(ParseCycles, SuffixesScaleInEitherCase)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseCycles("12345", &v));
+    EXPECT_EQ(v, 12345u);
+    EXPECT_TRUE(parseCycles("5K", &v));
+    EXPECT_EQ(v, 5'000u);
+    EXPECT_TRUE(parseCycles("5k", &v));
+    EXPECT_EQ(v, 5'000u);
+    EXPECT_TRUE(parseCycles("2M", &v));
+    EXPECT_EQ(v, 2'000'000u);
+    EXPECT_TRUE(parseCycles("3g", &v));
+    EXPECT_EQ(v, 3'000'000'000u);
+    // The largest product that fits, and the first that does not.
+    EXPECT_TRUE(parseCycles("18446744073709551K", &v));
+    EXPECT_EQ(v, 18'446'744'073'709'551'000u);
+    EXPECT_TRUE(parseCycles("18446744073709551615", &v));
+    EXPECT_EQ(v, kU64Max);
+}
+
+TEST(ParseCycles, RejectsOverflowSignsAndGarbage)
+{
+    std::uint64_t v = 7;
+    for (const char* bad :
+         {"", "K", "-1", "+1", "-1K", " 5M", "5M ", "5X", "5KK", "5.5M",
+          "18446744073709552K", "18446744073709552M", "18446744073710G",
+          "18446744073709551616"}) {
+        EXPECT_FALSE(parseCycles(bad, &v)) << bad;
+    }
+    EXPECT_EQ(v, 7u);
+}
+
+TEST(ParseAddress, HexOrDecimal)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseAddress("0x100000", &v));
+    EXPECT_EQ(v, 0x100000u);
+    EXPECT_TRUE(parseAddress("0XaBcD", &v));
+    EXPECT_EQ(v, 0xabcdu);
+    EXPECT_TRUE(parseAddress("0xffffffffffffffff", &v));
+    EXPECT_EQ(v, kU64Max);
+    EXPECT_TRUE(parseAddress("4096", &v));
+    EXPECT_EQ(v, 4096u);
+    EXPECT_TRUE(parseAddress("0", &v));
+    EXPECT_EQ(v, 0u);
+    for (const char* bad :
+         {"", "0x", "0x1g", "0x10000000000000000", "-0x10", "-5", "0100",
+          "12abc", " 0x10"}) {
+        EXPECT_FALSE(parseAddress(bad, &v)) << bad;
+    }
+}
+
+TEST(ParseReal, WholeStringFiniteAndInRange)
+{
+    double v = 0.0;
+    EXPECT_TRUE(parseReal("0.5", 0.0, 1.0, &v));
+    EXPECT_DOUBLE_EQ(v, 0.5);
+    EXPECT_TRUE(parseReal("1e-3", 0.0, 1.0, &v));
+    EXPECT_DOUBLE_EQ(v, 1e-3);
+    EXPECT_TRUE(parseReal("1", 0.0, 1.0, &v)) << "bounds are inclusive";
+    EXPECT_TRUE(parseReal("-2.5", -kMaxReal, kMaxReal, &v));
+    EXPECT_DOUBLE_EQ(v, -2.5);
+    v = 7.0;
+    for (const char* bad :
+         {"", "abc", " 0.5", "0.5 ", "0.5x", "1.5", "-0.1", "inf", "nan",
+          "1e400"}) {
+        EXPECT_FALSE(parseReal(bad, 0.0, 1.0, &v)) << bad;
+    }
+    EXPECT_DOUBLE_EQ(v, 7.0);
+}
+
+TEST(SplitKeyValues, SplitsAndNamesTheBadItem)
+{
+    std::vector<std::pair<std::string, std::string>> pairs;
+    std::string bad;
+    ASSERT_TRUE(splitKeyValues("a=1,,b=x=y,", &pairs, &bad));
+    ASSERT_EQ(pairs.size(), 2u);
+    EXPECT_EQ(pairs[0], (std::pair<std::string, std::string>{"a", "1"}));
+    EXPECT_EQ(pairs[1], (std::pair<std::string, std::string>{"b", "x=y"}));
+
+    pairs.clear();
+    EXPECT_TRUE(splitKeyValues("", &pairs, &bad));
+    EXPECT_TRUE(pairs.empty());
+    for (const char* item : {"a", "=1", "a="}) {
+        pairs.clear();
+        EXPECT_FALSE(
+            splitKeyValues(std::string("k=v,") + item, &pairs, &bad))
+            << item;
+        EXPECT_EQ(bad, item);
+    }
+}
+
+TEST(ValueRange, ContainsAndDescribe)
+{
+    const ValueRange queue{.lo = 1, .hi = 4294967295.0, .integer = true};
+    EXPECT_TRUE(queue.contains(1.0));
+    EXPECT_TRUE(queue.contains(4294967295.0));
+    EXPECT_FALSE(queue.contains(0.0));
+    EXPECT_FALSE(queue.contains(4294967296.0));
+    EXPECT_FALSE(queue.contains(8.5));
+    EXPECT_EQ(queue.describe(), "an integer in [1, 4294967295]");
+
+    const ValueRange amp{.hi = 1, .hiOpen = true};
+    EXPECT_TRUE(amp.contains(0.0));
+    EXPECT_TRUE(amp.contains(0.999));
+    EXPECT_FALSE(amp.contains(1.0));
+    EXPECT_FALSE(amp.contains(-1.5));
+    EXPECT_EQ(amp.describe(), "a number in [0, 1)");
+
+    EXPECT_EQ(ValueRange{.lo = 1}.describe(), "a number >= 1");
+}
+
+TEST(CheckTunables, KeyValueAndRange)
+{
+    const std::vector<Tunable> declared = {
+        {"queue", "entries", {.lo = 1, .hi = 64, .integer = true}},
+        {"frac", "fraction", {.hi = 1}},
+    };
+    std::string error;
+    using Text = std::vector<std::pair<std::string, std::string>>;
+    EXPECT_TRUE(checkTunables(declared, Text{{"queue", "8"}, {"frac", "0.5"}},
+                              "row 'x'", "--list", &error))
+        << error;
+
+    EXPECT_FALSE(checkTunables(declared, Text{{"queu", "8"}}, "row 'x'",
+                               "--list", &error));
+    EXPECT_EQ(error,
+              "row 'x' has no tunable 'queu' (did you mean 'queue'?)");
+    EXPECT_FALSE(checkTunables(declared, Text{{"zzzzzz", "8"}}, "row 'x'",
+                               "--list", &error));
+    EXPECT_EQ(error, "row 'x' has no tunable 'zzzzzz' (see --list)");
+    EXPECT_FALSE(checkTunables(declared, Text{{"queue", "abc"}}, "row 'x'",
+                               "--list", &error));
+    EXPECT_EQ(error, "row 'x': queue=abc must be an integer in [1, 64]");
+    EXPECT_FALSE(checkTunables(declared, Text{{"queue", "0"}}, "row 'x'",
+                               "--list", &error));
+    EXPECT_EQ(error,
+              "row 'x': queue=0 must be an integer in [1, 64]");
+
+    using Numbers = std::vector<std::pair<std::string, double>>;
+    EXPECT_TRUE(checkTunables(declared, Numbers{{"frac", 1.0}}, "row 'x'",
+                              "--list", &error));
+    EXPECT_FALSE(checkTunables(declared, Numbers{{"frac", -1.5}}, "row 'x'",
+                               "--list", &error));
+    EXPECT_EQ(error, "row 'x': frac=-1.5 must be a number in [0, 1]");
 }
 
 } // namespace

@@ -133,13 +133,37 @@ TEST(ParseFaultSpec, RejectsMalformedSpecs)
          {"", "unit", "unit:", "unit:3", "unit:3@", "unit:x@5M",
           "unit:3@5X", "unit:3@-1", "cxl-poison", "cxl-poison:0.5",
           "cxl-poison:p=", "cxl-poison:p=2.0", "cxl-poison:p=-0.1",
-          "cxl-poison:p=abc", "dram-bit:q=0.5", "nonsense:p=0.5"}) {
+          "cxl-poison:p=abc", "dram-bit:q=0.5", "nonsense:p=0.5",
+          // Ids are 32-bit, a stack's last unit id too (8 per stack).
+          "unit:4294967296@5K", "unit:4294967301@5K", "unit:-1@5K",
+          "stack:536870912@1K",
+          // The cycle count must fit 64 bits after its suffix.
+          "unit:3@18446744073709552K", "unit:3@18446744073709551616",
+          "cxl-poison:p=0.5x", "cxl-poison:p= 0.5", "cxl-poison:p=nan"}) {
         err.clear();
         EXPECT_FALSE(parseFaultSpec(bad, 8, p, &err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
+    EXPECT_TRUE(p.unitFailures.empty());
     // stack specs need units-per-stack.
     EXPECT_FALSE(parseFaultSpec("stack:0@1K", 0, p, &err));
+}
+
+TEST(ParseFaultSpec, LargestIdsFitTheirUnitIds)
+{
+    FaultParams p;
+    std::string err;
+    EXPECT_TRUE(parseFaultSpec("unit:4294967295@1K", 8, p, &err)) << err;
+    EXPECT_TRUE(parseFaultSpec("stack:536870911@1K", 8, p, &err)) << err;
+    ASSERT_EQ(p.unitFailures.size(), 9u);
+    EXPECT_EQ(p.unitFailures[1].unit, 4294967288u);
+    EXPECT_EQ(p.unitFailures.back().unit, 4294967295u);
+    // SystemConfig::validate then rejects ids past the machine's units.
+    SystemConfig cfg = SystemConfig::scaledDefault();
+    cfg.faults = p;
+    std::string error;
+    EXPECT_FALSE(cfg.validate(&error));
+    EXPECT_NE(error.find("nonexistent unit"), std::string::npos) << error;
 }
 
 // ------------------------------------------------- CXL degraded paths
@@ -257,7 +281,7 @@ TEST(UnitFailure, EmergencyReconfigExcludesFailedUnit)
     rig.touchAll(sids, 0);
 
     const UnitId dead = 3;
-    runtime.onUnitFailure(dead);
+    runtime.onUnitFailures({dead});
     EXPECT_EQ(runtime.emergencyReconfigurations(), 1u);
     EXPECT_EQ(runtime.failedUnits(), 1u);
     EXPECT_TRUE(runtime.unitFailed(dead));
@@ -290,7 +314,7 @@ TEST(UnitFailure, EmergencyReconfigExcludesFailedUnit)
               bd.requests);
 
     // A second failure of the same unit is a no-op.
-    runtime.onUnitFailure(dead);
+    runtime.onUnitFailures({dead});
     EXPECT_EQ(runtime.emergencyReconfigurations(), 1u);
     EXPECT_EQ(runtime.failedUnits(), 1u);
 }
@@ -307,7 +331,7 @@ TEST(UnitFailure, StaticPolicyRedirectsInsteadOfReconfiguring)
     runtime.start();
     rig.touchAll(sids, 0);
 
-    runtime.onUnitFailure(2);
+    runtime.onUnitFailures({2});
     EXPECT_EQ(runtime.emergencyReconfigurations(), 0u);
 
     // The dead unit's share is still in the remap table; accesses that

@@ -165,10 +165,63 @@ TEST(MemBackendSpec, RejectsMalformedInput)
     EXPECT_FALSE(
         MemBackendConfig::parseSpec("frfcfs,queue=abc", &cfg, &error));
     EXPECT_NE(error.find("numeric"), std::string::npos) << error;
+    for (const char* spec :
+         {"frfcfs,queue=8x", "frfcfs,queue= 8", "frfcfs,queue=inf",
+          "frfcfs,queue=1e999"}) {
+        EXPECT_FALSE(MemBackendConfig::parseSpec(spec, &cfg, &error))
+            << spec;
+        EXPECT_NE(error.find("numeric"), std::string::npos) << error;
+    }
+    EXPECT_FALSE(MemBackendConfig::parseSpec(",queue=8", &cfg, &error));
+    EXPECT_NE(error.find("empty name"), std::string::npos) << error;
     EXPECT_FALSE(
         MemBackendConfig::parseSpec("banked,preset=ddr9", &cfg, &error));
     EXPECT_NE(error.find("unknown timing preset"), std::string::npos)
         << error;
+}
+
+TEST(MemBackendSpec, ValidateRejectsTunablesOutsideTheirRange)
+{
+    // queue=0 and the refresh pair once panicked in the backend's
+    // constructor; queue=-5 ran with -5.0 cast to uint32_t.
+    struct Case
+    {
+        const char* spec;
+        const char* diagnostic;
+    };
+    for (const Case& c :
+         {Case{"frfcfs,queue=0", "queue=0 must be an integer in [1, "},
+          Case{"frfcfs,queue=-5", "queue=-5 must be an integer in [1, "},
+          Case{"fcfs,queue=8.5", "queue=8.5 must be an integer"},
+          Case{"frfcfs,cap=0", "cap=0 must be an integer in [1, "},
+          Case{"refresh,pd-exit=-1", "pd-exit=-1 must be an integer"},
+          Case{"refresh,refi=1,rfc=5",
+               "refi must exceed rfc in core cycles"},
+          Case{"refresh,pd-idle=5000,sr-idle=4000",
+               "sr-idle must be >= pd-idle"}}) {
+        SystemConfig cfg = SystemConfig::scaledDefault();
+        std::string error;
+        ASSERT_TRUE(
+            MemBackendConfig::parseSpec(c.spec, &cfg.memBackendUnit, &error))
+            << error;
+        EXPECT_FALSE(cfg.validate(&error)) << c.spec;
+        EXPECT_NE(error.find("for role 'unit'"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(c.diagnostic), std::string::npos) << error;
+    }
+    // The defaults and the values the repo uses stay valid.
+    for (const char* spec :
+         {"frfcfs", "fcfs", "refresh", "frfcfs,queue=16,cap=2",
+          "frfcfs,preset=lpddr5x,queue=16", "refresh,preset=lpddr5x",
+          "refresh,pd-idle=1000000000,sr-idle=2000000000",
+          "refresh,pd-idle=1000,sr-idle=5000,sr-exit=500"}) {
+        SystemConfig cfg = SystemConfig::scaledDefault();
+        std::string error;
+        ASSERT_TRUE(
+            MemBackendConfig::parseSpec(spec, &cfg.memBackendExt, &error))
+            << error;
+        EXPECT_TRUE(cfg.validate(&error)) << spec << ": " << error;
+    }
 }
 
 TEST(MemBackendSpec, ValidateRejectsUnknownNameWithSuggestion)

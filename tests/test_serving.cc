@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -188,6 +189,20 @@ TEST(TenantSpec, ParsesFullSpec)
     EXPECT_DOUBLE_EQ(t.arrivalTunables[0].second, 4.0);
 }
 
+TEST(TenantSpec, LargestIntegerKeysFitTheirFields)
+{
+    TenantSpec t;
+    std::string error;
+    ASSERT_TRUE(parseTenantSpec("workload=mv,req=4294967295,"
+                                "slo=18446744073709551615,"
+                                "footprint-mb=17592186044415",
+                                &t, &error))
+        << error;
+    EXPECT_EQ(t.requestAccesses, 4294967295u);
+    EXPECT_EQ(t.sloCycles, std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(t.footprintBytes, 17592186044415u * 1_MiB);
+}
+
 TEST(TenantSpec, DefaultsArePoissonBestEffort)
 {
     TenantSpec t;
@@ -218,6 +233,25 @@ TEST(TenantSpec, ParseErrorsNameTheOffendingKey)
 
     EXPECT_FALSE(parseTenantSpec("workload=mv,slo=-5", &t, &error));
     EXPECT_NE(error.find("slo"), std::string::npos) << error;
+
+    // Integer keys take the count grammar, bounded by where they land.
+    for (const char* bad :
+         {"workload=mv,req=4294967296", "workload=mv,req=4294967297",
+          "workload=mv,slo=1e30", "workload=mv,slo=6e4",
+          "workload=mv,slo=60000.0", "workload=mv,arrive=1.5",
+          "workload=mv,depart=-1",
+          "workload=mv,footprint-mb=17592186044416"}) {
+        const std::string spec = bad;
+        const std::string key =
+            spec.substr(12, spec.find('=', 12) - 12);
+        EXPECT_FALSE(parseTenantSpec(spec, &t, &error)) << spec;
+        EXPECT_NE(error.find("--tenant: " + key + " expects an integer"),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_FALSE(parseTenantSpec("workload=mv,amp=0.5x", &t, &error));
+    EXPECT_NE(error.find("amp expects a number"), std::string::npos)
+        << error;
 
     TenantSpec fresh;
     EXPECT_FALSE(parseTenantSpec("period=100", &fresh, &error));
@@ -299,6 +333,48 @@ TEST(ValidateServing, UnknownNamesGetDidYouMean)
     error = validationError(cfg);
     EXPECT_NE(error.find("did you mean 'burst-frac'"), std::string::npos)
         << error;
+}
+
+TEST(ValidateServing, RejectsArrivalTunablesOutsideTheirRange)
+{
+    // amp=-1.5, day-cycles=0 and burst-cycles=0 made nextGap loop
+    // forever; the other values are just outside their ranges.
+    struct Case
+    {
+        const char* arrival;
+        const char* key;
+        double value;
+        const char* range;
+    };
+    for (const Case& c :
+         {Case{"diurnal", "amp", -1.5, "in [0, 1)"},
+          Case{"diurnal", "amp", 1.0, "in [0, 1)"},
+          Case{"diurnal", "day-cycles", 0.0, ">= 1"},
+          Case{"bursty", "burst-cycles", 0.0, ">= 1"},
+          Case{"bursty", "burst-frac", 1.5, "in [0, 1]"},
+          Case{"bursty", "burst-factor", 0.5, ">= 1"}}) {
+        ServingConfig cfg;
+        cfg.tenants.push_back(tenant("a", "pr", 14000.0));
+        cfg.tenants[0].arrival = c.arrival;
+        cfg.tenants[0].arrivalTunables.emplace_back(c.key, c.value);
+        const std::string error = validationError(cfg);
+        EXPECT_NE(error.find("--tenant[0] (a): arrival '"
+                             + std::string(c.arrival) + "': " + c.key),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(c.range), std::string::npos) << error;
+    }
+    // Every default and the values the repo uses stay valid.
+    ServingConfig ok;
+    ok.tenants.push_back(tenant("a", "pr", 14000.0));
+    ok.tenants[0].arrival = "diurnal";
+    ok.tenants[0].arrivalTunables = {{"amp", 0.8}, {"day-cycles", 2e6}};
+    ok.tenants.push_back(tenant("b", "mv", 6000.0));
+    ok.tenants[1].arrival = "bursty";
+    ok.tenants[1].arrivalTunables = {
+        {"burst-factor", 6.0}, {"burst-frac", 0.15}, {"burst-cycles", 1e5}};
+    std::string error;
+    EXPECT_TRUE(validateServingConfig(ok, &error)) << error;
 }
 
 TEST(ValidateServing, RejectsMetricUnsafeTenantNames)

@@ -77,16 +77,17 @@ TEST(StatGroup, DumpOrdered)
 TEST(BandwidthResource, NoContentionStartsImmediately)
 {
     BandwidthResource r(16.0);
-    EXPECT_EQ(r.reserve(64, 100), 100u);
+    EXPECT_EQ(r.reserveFor(r.serviceCycles(64), 100), 100u);
     EXPECT_EQ(r.serviceCycles(64), 4u);
 }
 
 TEST(BandwidthResource, BackToBackQueues)
 {
     BandwidthResource r(16.0);
-    EXPECT_EQ(r.reserve(64, 0), 0u);  // busy until 4
-    EXPECT_EQ(r.reserve(64, 0), 4u);  // queued
-    EXPECT_EQ(r.reserve(64, 100), 100u); // idle again
+    const Cycles t64 = r.serviceCycles(64); // 4 cycles
+    EXPECT_EQ(r.reserveFor(t64, 0), 0u);     // busy until 4
+    EXPECT_EQ(r.reserveFor(t64, 0), 4u);     // queued
+    EXPECT_EQ(r.reserveFor(t64, 100), 100u); // idle again
     EXPECT_EQ(r.reservations(), 3u);
     EXPECT_EQ(r.totalQueueCycles(), 4u);
 }
@@ -104,9 +105,10 @@ TEST(BandwidthResource, OutOfOrderReservationFillsGaps)
     // the gap-filling interval model is what keeps end-to-end analytic
     // evaluation from fabricating phantom queueing.
     BandwidthResource r(16.0);
-    EXPECT_EQ(r.reserve(64, 10000), 10000u);
-    EXPECT_EQ(r.reserve(64, 0), 0u); // earlier arrival, free gap
-    EXPECT_EQ(r.reserve(64, 9998), 9998u + 6u)
+    const Cycles t64 = r.serviceCycles(64); // 4 cycles
+    EXPECT_EQ(r.reserveFor(t64, 10000), 10000u);
+    EXPECT_EQ(r.reserveFor(t64, 0), 0u); // earlier arrival, free gap
+    EXPECT_EQ(r.reserveFor(t64, 9998), 9998u + 6u)
         << "overlap with the future interval queues behind it";
 }
 
@@ -131,8 +133,8 @@ TEST(BandwidthResource, ReserveForZeroTakesOneCycle)
 TEST(BandwidthResource, NextFreeTracksLatestInterval)
 {
     BandwidthResource r(16.0);
-    r.reserve(64, 100);
-    r.reserve(64, 10);
+    r.reserveFor(r.serviceCycles(64), 100);
+    r.reserveFor(r.serviceCycles(64), 10);
     EXPECT_EQ(r.nextFree(), 104u);
 }
 

@@ -48,6 +48,30 @@ TEST(SystemConfig, PresetsAreConsistent)
     EXPECT_EQ(paper.runtime.epochCycles, 50'000'000u);
 }
 
+TEST(SystemConfig, RejectsGeometryThatOverflowsUnitId)
+{
+    // 1024 x 1024 stacks of 1024 x 5 units is 5 * 2^30 units, which
+    // numUnits() would wrap to 2^30. validate() alone: no machine.
+    SystemConfig cfg = SystemConfig::scaledDefault();
+    cfg.stacksX = cfg.stacksY = cfg.unitsX = 1024;
+    cfg.unitsY = 5;
+    std::string error;
+    EXPECT_FALSE(cfg.validate(&error));
+    EXPECT_NE(error.find("more units than a 32-bit unit id holds"),
+              std::string::npos)
+        << error;
+
+    // 2^64 units: a product that 64-bit arithmetic would wrap to zero.
+    cfg.stacksX = cfg.stacksY = 65536;
+    cfg.unitsX = cfg.unitsY = 65536;
+    EXPECT_FALSE(cfg.validate(&error));
+    EXPECT_NE(error.find("32-bit unit id"), std::string::npos) << error;
+
+    cfg.stacksX = 0;
+    EXPECT_FALSE(cfg.validate(&error));
+    EXPECT_NE(error.find("zero units"), std::string::npos) << error;
+}
+
 TEST(SystemConfig, PolicyNamesRoundTrip)
 {
     for (const auto kind :

@@ -144,6 +144,63 @@ TEST(TraceWorkload, RecoverableParseReportsSourceAndLine)
     EXPECT_NE(error.find("inline.trace:3: "), std::string::npos) << error;
     EXPECT_NE(error.find("unknown record 'bogus'"), std::string::npos)
         << error;
+
+    // Each bad field is a file:line diagnostic, never a wrapped value,
+    // a silently dropped token or a panic.
+    struct Case
+    {
+        const char* line;
+        const char* diagnostic;
+    };
+    for (const Case& c :
+         {Case{"a 0 0 0 r -5", "bad computeCycles '-5'"},
+          Case{"a 0 0 0 r 2x", "bad computeCycles '2x'"},
+          Case{"a 0 0 0 r 4294967296", "bad computeCycles '4294967296'"},
+          Case{"a 0 0 0 r 2 extra", "malformed access record"},
+          Case{"a -1 0 0 r", "bad core '-1'"},
+          Case{"a 0 0x0 0 r", "bad sid '0x0'"},
+          Case{"a 0 0 1e3 r", "bad elem '1e3'"},
+          Case{"stream t affine 0x100000 16385 4 ro",
+               "bad stream geometry (size=16385 elemSize=4"},
+          Case{"stream t affine 0x2000 64 8 ro extra",
+               "malformed stream record"},
+          Case{"stream t affine -5 64 8 ro", "bad stream base '-5'"},
+          Case{"stream t affine 0100 64 8 ro", "bad stream base '0100'"},
+          Case{"stream t affine 0x2000 64x 8 ro", "bad stream size '64x'"},
+          Case{"stream t affine 0x2000 64 4294967296 ro",
+               "bad stream elemSize '4294967296'"}}) {
+        std::istringstream bad(std::string(
+                                   "stream s affine 0x1000 64 8 ro\n")
+                               + c.line + "\n");
+        EXPECT_EQ(TraceWorkload::parse(bad, 1, "inline.trace", &error),
+                  nullptr)
+            << c.line;
+        EXPECT_NE(error.find("inline.trace:2: " + std::string(c.diagnostic)),
+                  std::string::npos)
+            << error;
+    }
+    // A decimal base and an explicit compute count still parse.
+    std::istringstream ok("stream s affine 4096 64 8 ro\na 0 0 7 w 0\n");
+    auto parsed = TraceWorkload::parse(ok, 1, "inline.trace", &error);
+    ASSERT_NE(parsed, nullptr) << error;
+    EXPECT_EQ(parsed->streamConfigs()[0].base, 4096u);
+    EXPECT_EQ(parsed->coreTrace(0)[0].computeCycles, 1u); // clamped to >= 1
+}
+
+TEST(TraceWorkload, StreamIdsFitTheirType)
+{
+    // Stream ids are 16-bit and kNoStream is reserved, so the 65536th
+    // stream is a diagnostic rather than a wrapped id.
+    std::string text;
+    for (std::uint32_t i = 0; i <= kNoStream; ++i) {
+        text += "stream s affine 0x0 8 8 ro\n";
+    }
+    std::istringstream in(text);
+    std::string error;
+    EXPECT_EQ(TraceWorkload::parse(in, 1, "many.trace", &error), nullptr);
+    EXPECT_NE(error.find("many.trace:65536: too many streams"),
+              std::string::npos)
+        << error;
 }
 
 TEST(TraceWorkload, ParseFileDiagnosesCorruptFixture)

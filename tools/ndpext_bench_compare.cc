@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "telemetry/tiny_json.h"
 
 using namespace ndpext;
@@ -198,9 +199,8 @@ main(int argc, char** argv)
             return 0;
         }
         if (arg.rfind("--tolerance=", 0) == 0) {
-            char* end = nullptr;
-            tolerance = std::strtod(arg.c_str() + 12, &end);
-            if (end == nullptr || *end != '\0' || tolerance < 0.0) {
+            if (!parseReal(std::string_view(arg).substr(12), 0.0, kMaxReal,
+                           &tolerance)) {
                 usageError("bad --tolerance value '" + arg + "'");
             }
         } else if (arg.rfind("--advisory=", 0) == 0) {

@@ -74,6 +74,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "telemetry/tiny_json.h"
 
 using namespace ndpext;
@@ -275,7 +276,10 @@ streamHitMiss(const Run& run)
         if (dot == std::string::npos) {
             continue;
         }
-        const std::uint64_t sid = std::strtoull(rest.c_str(), nullptr, 10);
+        std::uint64_t sid = 0;
+        if (!parseCount(std::string_view(rest).substr(0, dot), &sid)) {
+            continue;
+        }
         const std::string field = rest.substr(dot + 1);
         if (field == "hits") {
             per_stream[sid].first = value->number;
@@ -1638,9 +1642,8 @@ main(int argc, char** argv)
             if (arg == "--strict") {
                 strict = true;
             } else if (arg.rfind("--tolerance=", 0) == 0) {
-                char* end = nullptr;
-                tolerance = std::strtod(arg.c_str() + 12, &end);
-                if (end == nullptr || *end != '\0' || tolerance < 0.0) {
+                if (!parseReal(std::string_view(arg).substr(12), 0.0,
+                               kMaxReal, &tolerance)) {
                     usageError("bad --tolerance value '" + arg + "'");
                 }
             } else if (!arg.empty() && arg[0] == '-') {

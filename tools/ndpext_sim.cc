@@ -79,11 +79,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "common/logging.h"
+#include "common/parse.h"
 #include "common/suggest.h"
 #include "mem/mem_backend_registry.h"
 #include "serving/serving_workload.h"
@@ -154,22 +156,6 @@ usageError(const std::string& message)
     std::exit(2);
 }
 
-/** Strict unsigned parse: whole string, base 10, no sign/garbage. */
-bool
-parseU64(const std::string& text, std::uint64_t& out)
-{
-    if (text.empty()
-        || text.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    try {
-        out = std::stoull(text);
-    } catch (const std::exception&) {
-        return false; // out of range
-    }
-    return true;
-}
-
 struct Options
 {
     std::string workload = "pr";
@@ -212,6 +198,8 @@ struct Options
     bool dumpStats = false;
 };
 
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
 bool
 parseGrid(const std::string& value, std::uint32_t& x, std::uint32_t& y)
 {
@@ -221,50 +209,15 @@ parseGrid(const std::string& value, std::uint32_t& x, std::uint32_t& y)
     }
     std::uint64_t xv = 0;
     std::uint64_t yv = 0;
-    if (!parseU64(value.substr(0, pos), xv)
-        || !parseU64(value.substr(pos + 1), yv)) {
+    if (!parseCount(value.substr(0, pos), 1024, &xv)
+        || !parseCount(value.substr(pos + 1), 1024, &yv)) {
         return false;
     }
-    if (xv == 0 || yv == 0 || xv > 1024 || yv > 1024) {
+    if (xv == 0 || yv == 0) {
         return false;
     }
     x = static_cast<std::uint32_t>(xv);
     y = static_cast<std::uint32_t>(yv);
-    return true;
-}
-
-/** Unsigned parse with K/M/G suffixes (5M = 5,000,000). */
-bool
-parseCycles(const std::string& text, std::uint64_t& out)
-{
-    if (text.empty()) {
-        return false;
-    }
-    std::uint64_t scale = 1;
-    std::string digits = text;
-    switch (text.back()) {
-      case 'K':
-      case 'k':
-        scale = 1'000;
-        digits.pop_back();
-        break;
-      case 'M':
-      case 'm':
-        scale = 1'000'000;
-        digits.pop_back();
-        break;
-      case 'G':
-      case 'g':
-        scale = 1'000'000'000;
-        digits.pop_back();
-        break;
-      default:
-        break;
-    }
-    if (!parseU64(digits, out)) {
-        return false;
-    }
-    out *= scale;
     return true;
 }
 
@@ -325,12 +278,15 @@ parseArgs(int argc, char** argv)
         auto value = [&](const char* prefix) -> std::string {
             return arg.substr(std::string(prefix).size());
         };
-        auto number = [&](const char* prefix) -> std::uint64_t {
+        // A count in [lo, hi]; hi bounds values scaled where stored.
+        auto number = [&](const char* prefix, std::uint64_t lo = 0,
+                          std::uint64_t hi = kU64Max) -> std::uint64_t {
             std::uint64_t out = 0;
-            if (!parseU64(value(prefix), out)) {
+            if (!parseCount(value(prefix), hi, &out) || out < lo) {
                 usageError("bad " + std::string(prefix, strlen(prefix) - 1)
-                           + ": '" + value(prefix)
-                           + "' (expected a non-negative integer)");
+                           + ": '" + value(prefix) + "' (expected an "
+                           + "integer in [" + std::to_string(lo) + ", "
+                           + std::to_string(hi) + "])");
             }
             return out;
         };
@@ -406,16 +362,9 @@ parseArgs(int argc, char** argv)
                            + "' (expected XxY with X,Y in 1..1024)");
             }
         } else if (arg.rfind("--cache-kb=", 0) == 0) {
-            opt.cacheKb = number("--cache-kb=");
-            if (opt.cacheKb == 0) {
-                usageError("bad --cache-kb: 0 (the DRAM cache needs at "
-                           "least one row per unit)");
-            }
+            opt.cacheKb = number("--cache-kb=", 1, kU64Max / 1024);
         } else if (arg.rfind("--footprint-mb=", 0) == 0) {
-            opt.footprintMb = number("--footprint-mb=");
-            if (opt.footprintMb == 0) {
-                usageError("bad --footprint-mb: 0");
-            }
+            opt.footprintMb = number("--footprint-mb=", 1, kU64Max / 1_MiB);
         } else if (arg.rfind("--accesses=", 0) == 0) {
             opt.accesses = number("--accesses=");
         } else if (arg.rfind("--epoch=", 0) == 0) {
@@ -433,7 +382,7 @@ parseArgs(int argc, char** argv)
         } else if (arg.rfind("--tenant=", 0) == 0) {
             opt.tenantSpecs.push_back(value("--tenant="));
         } else if (arg.rfind("--horizon=", 0) == 0) {
-            if (!parseCycles(value("--horizon="), opt.horizon)
+            if (!parseCycles(value("--horizon="), &opt.horizon)
                 || opt.horizon == 0) {
                 usageError("bad --horizon: '" + value("--horizon=")
                            + "' (expected a positive cycle count, "
@@ -446,10 +395,7 @@ parseArgs(int argc, char** argv)
                 usageError("bad --checkpoint: empty output prefix");
             }
         } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            opt.checkpointEvery = number("--checkpoint-every=");
-            if (opt.checkpointEvery == 0) {
-                usageError("bad --checkpoint-every: 0 (expected >= 1)");
-            }
+            opt.checkpointEvery = number("--checkpoint-every=", 1);
         } else if (arg.rfind("--resume=", 0) == 0) {
             opt.resume = value("--resume=");
             if (opt.resume.empty()) {
@@ -471,10 +417,7 @@ parseArgs(int argc, char** argv)
             opt.traceRequests = true;
         } else if (arg.rfind("--trace-requests=", 0) == 0) {
             opt.traceRequests = true;
-            opt.traceK = number("--trace-requests=");
-            if (opt.traceK == 0) {
-                usageError("bad --trace-requests: 0 (expected >= 1)");
-            }
+            opt.traceK = number("--trace-requests=", 1);
         } else if (arg == "--dump-stats") {
             opt.dumpStats = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -653,13 +596,6 @@ main(int argc, char** argv)
         if (!parseFaultSpec(spec, cfg.unitsX * cfg.unitsY, cfg.faults,
                             &error)) {
             usageError("bad --fault: " + error);
-        }
-    }
-    for (const UnitFailure& f : cfg.faults.unitFailures) {
-        if (f.unit >= cfg.numUnits()) {
-            usageError("bad --fault: unit " + std::to_string(f.unit)
-                       + " >= " + std::to_string(cfg.numUnits())
-                       + " units");
         }
     }
     for (const std::string& spec : opt.tenantSpecs) {

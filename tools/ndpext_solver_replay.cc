@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "runtime/ndp_runtime.h"
 #include "runtime/sampler_assign.h"
 #include "telemetry/tiny_json.h"
@@ -76,15 +77,16 @@ struct Options
     bool verbose = false;
 };
 
-std::uint64_t
+/** The count after `prefix`; a usage error unless it fits T. */
+template <typename T>
+T
 number(const std::string& arg, const char* prefix)
 {
-    const std::string v = arg.substr(std::strlen(prefix));
-    try {
-        return std::stoull(v);
-    } catch (...) {
+    T v = 0;
+    if (!parseCount(std::string_view(arg).substr(std::strlen(prefix)), &v)) {
         usageError("bad number in " + arg);
     }
+    return v;
 }
 
 Options
@@ -99,23 +101,19 @@ parseArgs(int argc, char** argv)
         } else if (arg == "-v") {
             opt.verbose = true;
         } else if (arg.rfind("--samplers=", 0) == 0) {
-            opt.samplers = static_cast<std::uint32_t>(
-                number(arg, "--samplers="));
+            opt.samplers = number<std::uint32_t>(arg, "--samplers=");
         } else if (arg.rfind("--budget-iters=", 0) == 0) {
-            opt.budgetIters = number(arg, "--budget-iters=");
+            opt.budgetIters = number<std::uint64_t>(arg, "--budget-iters=");
         } else if (arg.rfind("--max-regret-pct=", 0) == 0) {
-            try {
-                opt.maxRegretPct =
-                    std::stod(arg.substr(std::strlen("--max-regret-pct=")));
-            } catch (...) {
+            if (!parseReal(std::string_view(arg).substr(
+                               std::strlen("--max-regret-pct=")),
+                           -kMaxReal, kMaxReal, &opt.maxRegretPct)) {
                 usageError("bad number in " + arg);
             }
         } else if (arg.rfind("--rows-per-unit=", 0) == 0) {
-            opt.rowsPerUnit = static_cast<std::uint32_t>(
-                number(arg, "--rows-per-unit="));
+            opt.rowsPerUnit = number<std::uint32_t>(arg, "--rows-per-unit=");
         } else if (arg.rfind("--row-bytes=", 0) == 0) {
-            opt.rowBytes = static_cast<std::uint32_t>(
-                number(arg, "--row-bytes="));
+            opt.rowBytes = number<std::uint32_t>(arg, "--row-bytes=");
         } else if (!arg.empty() && arg[0] == '-') {
             usageError("unknown option " + arg);
         } else if (opt.input.empty()) {

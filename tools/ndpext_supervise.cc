@@ -47,6 +47,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/parse.h"
 #include "sim/checkpoint.h"
 #include "telemetry/tiny_json.h"
 
@@ -102,12 +103,10 @@ parseFlag(const std::string& arg, const char* name, std::string* value)
 }
 
 std::uint64_t
-parseU64(const std::string& value, const char* flag, const char* argv0)
+count(const std::string& value, const char* flag, const char* argv0)
 {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || value.empty()) {
+    std::uint64_t v = 0;
+    if (!ndpext::parseCount(value, &v)) {
         std::fprintf(stderr, "%s: bad value for %s: '%s'\n", argv0, flag,
                      value.c_str());
         std::exit(2);
@@ -131,16 +130,16 @@ parseArgs(int argc, char** argv)
         } else if (parseFlag(arg, "--checkpoint-every", &value)) {
             opt.checkpointEvery = value;
         } else if (parseFlag(arg, "--max-retries", &value)) {
-            opt.maxRetries = parseU64(value, "--max-retries", argv[0]);
+            opt.maxRetries = count(value, "--max-retries", argv[0]);
         } else if (parseFlag(arg, "--kill-after-ms", &value)) {
-            opt.killAfterMs = parseU64(value, "--kill-after-ms", argv[0]);
+            opt.killAfterMs = count(value, "--kill-after-ms", argv[0]);
             if (opt.killAfterMs == 0) {
                 std::fprintf(stderr, "%s: --kill-after-ms must be > 0\n",
                              argv[0]);
                 std::exit(2);
             }
         } else if (parseFlag(arg, "--hang-after-ms", &value)) {
-            opt.hangAfterMs = parseU64(value, "--hang-after-ms", argv[0]);
+            opt.hangAfterMs = count(value, "--hang-after-ms", argv[0]);
             if (opt.hangAfterMs == 0) {
                 std::fprintf(stderr, "%s: --hang-after-ms must be > 0\n",
                              argv[0]);
