@@ -28,10 +28,11 @@ main()
     for (Addr a = 0x100000; a < 0x100000 + 4096 * 4; a += 4) {
         scan.push_back(a);
     }
-    ZipfSampler zipf(8192, 0.8, 3);
+    const ZipfSampler zipf(8192, 0.8);
+    Rng rows(3);
     std::vector<Addr> gather;
     for (int i = 0; i < 4000; ++i) {
-        gather.push_back(0x200000 + zipf.next() * 8);
+        gather.push_back(0x200000 + zipf.next(rows) * 8);
     }
 
     const auto scan_info = inferStream(scan);

@@ -90,7 +90,7 @@ parseReal(std::string_view text, double lo, double hi, double* out)
 bool
 splitKeyValues(std::string_view spec,
                std::vector<std::pair<std::string, std::string>>* pairs,
-               std::string* bad)
+               std::string* error)
 {
     while (!spec.empty()) {
         const std::string_view item = spec.substr(0, spec.find(','));
@@ -101,10 +101,17 @@ splitKeyValues(std::string_view spec,
         const std::size_t eq = item.find('=');
         if (eq == std::string_view::npos || eq == 0
             || eq + 1 == item.size()) {
-            *bad = std::string(item);
+            *error = "expected key=value, got '" + std::string(item) + "'";
             return false;
         }
-        pairs->emplace_back(item.substr(0, eq), item.substr(eq + 1));
+        const std::string_view key = item.substr(0, eq);
+        for (const auto& pair : *pairs) {
+            if (pair.first == key) {
+                *error = "key '" + std::string(key) + "' is given twice";
+                return false;
+            }
+        }
+        pairs->emplace_back(key, item.substr(eq + 1));
     }
     return true;
 }

@@ -51,10 +51,11 @@ bool parseAddress(std::string_view text, std::uint64_t* out);
 bool parseReal(std::string_view text, double lo, double hi, double* out);
 
 /** Split "k=v,k=v", skipping empty items. False at the first item that
- *  is not key=value with both non-empty; *bad gets that item. */
+ *  is not key=value with both non-empty, or that repeats a key; *error
+ *  then names that item or key. */
 bool splitKeyValues(std::string_view spec,
                     std::vector<std::pair<std::string, std::string>>* pairs,
-                    std::string* bad);
+                    std::string* error);
 
 /** The values a tunable accepts: [lo, hi], or [lo, hi) if hiOpen. */
 struct ValueRange

@@ -74,8 +74,8 @@ Rng::discard(std::uint64_t n)
     setState(s.data());
 }
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)
-    : n_(n), theta_(theta), rng_(seed)
+ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
+    : n_(n), oneBound_(1.0 + std::pow(0.5, theta))
 {
     NDP_ASSERT(n > 0);
     NDP_ASSERT(theta > 0.0 && theta < 1.0, "theta=", theta);
@@ -101,14 +101,14 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)
 }
 
 std::uint64_t
-ZipfSampler::next()
+ZipfSampler::next(Rng& rng) const
 {
-    const double u = rng_.nextDouble();
+    const double u = rng.nextDouble();
     const double uz = u * zetan_;
     if (uz < 1.0) {
         return 0;
     }
-    if (uz < 1.0 + std::pow(0.5, theta_)) {
+    if (uz < oneBound_) {
         return 1;
     }
     const double frac =

@@ -112,26 +112,26 @@ class Rng
 };
 
 /**
- * Zipfian sampler over [0, n) with parameter theta, using the classic
- * Gray-et-al rejection-inversion free approximation (precomputed zeta).
- * Models the skewed popularity of embedding rows / graph vertices.
+ * Zipfian distribution over [0, n) with parameter theta, using the
+ * classic Gray-et-al rejection-inversion free approximation (precomputed
+ * zeta). Models the skewed popularity of embedding rows / graph
+ * vertices. The constants cost up to 10,000 std::pow calls, so build one
+ * per (n, theta) and share it: next() draws from the caller's Rng.
  */
 class ZipfSampler
 {
   public:
-    ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed);
+    ZipfSampler(std::uint64_t n, double theta);
 
-    std::uint64_t next();
-
-    std::uint64_t domain() const { return n_; }
+    std::uint64_t next(Rng& rng) const;
 
   private:
     std::uint64_t n_;
-    double theta_;
     double alpha_;
     double zetan_;
     double eta_;
-    Rng rng_;
+    /** 1 + 0.5^theta: a scaled draw in [1, this) picks 1. */
+    double oneBound_;
 };
 
 /** Fisher-Yates shuffle driven by the given Rng. */

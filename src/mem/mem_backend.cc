@@ -203,12 +203,11 @@ MemBackendConfig::parseSpec(const std::string& spec, MemBackendConfig* out,
         return fail("backend spec '" + spec + "' has an empty name");
     }
     std::vector<std::pair<std::string, std::string>> pairs;
-    std::string bad;
+    std::string why;
     if (comma != std::string::npos
         && !splitKeyValues(std::string_view(spec).substr(comma + 1), &pairs,
-                           &bad)) {
-        return fail("backend option '" + bad
-                    + "' is not of the form key=value");
+                           &why)) {
+        return fail("backend options: " + why);
     }
     for (const auto& [key, value] : pairs) {
         if (key == "preset") {

@@ -14,9 +14,9 @@ parseTenantSpec(const std::string& spec, TenantSpec* out,
 {
     constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
     std::vector<std::pair<std::string, std::string>> pairs;
-    std::string bad;
-    if (!splitKeyValues(spec, &pairs, &bad)) {
-        *error = "--tenant: expected key=value, got '" + bad + "'";
+    std::string why;
+    if (!splitKeyValues(spec, &pairs, &why)) {
+        *error = "--tenant: " + why;
         return false;
     }
     if (pairs.empty()) {

@@ -18,11 +18,11 @@
  * linear walk -- this is the simulator's hottest loop (every NoC
  * inter-stack hop, DRAM bank and CXL link reservation lands here). New
  * intervals land near the tail (future reservations pile up there), so a
- * tail insert is one memmove; dropping the oldest interval slides the
+ * tail insert is one memmove; dropping the earliest interval slides the
  * window right, and the window is compacted to the buffer's front when
  * it reaches the end. The first-fit semantics, the kMaxTracked
- * drop-oldest cap and every returned start time are exactly those of the
- * original linear implementation (pinned by the bench baselines'
+ * drop-earliest cap and every returned start time are exactly those of
+ * the original linear implementation (pinned by the bench baselines'
  * bit-identity gate).
  */
 
@@ -113,7 +113,13 @@ class BandwidthResource
         // sorted insertion point for (t, t + duration).
         insertAt(pos, Interval{t, t + duration});
         if (count_ > kMaxTracked) {
-            popFront(); // oldest interval: far in the past
+            // Drop the earliest-starting interval. That is not always
+            // in the past: when the new interval starts before every
+            // tracked one, it is the one dropped, and later requests
+            // see its slot as free. The NoC and CXL links sit at the cap
+            // almost always, and drop a share of their new reservations
+            // this way; the DRAM banks drop none.
+            popFront();
         }
         ++reservations_;
         queueCycles_ += t - now;
@@ -174,7 +180,8 @@ class BandwidthResource
         Cycles end;
     };
 
-    /** Intervals kept; older ones are in the past and prunable. */
+    /** Intervals kept; past the cap the earliest-starting one is
+     *  dropped (see reserveFor). */
     static constexpr std::size_t kMaxTracked = 128;
     /** Buffer capacity: room for the window (kMaxTracked + 1 while an
      *  insert is pending) to slide before it must be compacted. */

@@ -11,10 +11,37 @@
 #define NDPEXT_WORKLOADS_GRAPH_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace ndpext {
+
+/**
+ * std::allocator whose value-less construct() default-initializes, so
+ * resize() leaves a trivial element unwritten: a buffer whose every slot
+ * is written before it is read skips the zero-fill pass.
+ */
+template <typename T>
+struct NoFillAllocator : std::allocator<T>
+{
+    NoFillAllocator() = default;
+
+    template <typename U>
+    NoFillAllocator(const NoFillAllocator<U>&) noexcept {}
+
+    template <typename U, typename... Args>
+    void
+    construct(U* p, Args&&... args)
+    {
+        if constexpr (sizeof...(Args) == 0) {
+            ::new (static_cast<void*>(p)) U;
+        } else {
+            std::construct_at(p, std::forward<Args>(args)...);
+        }
+    }
+};
 
 struct CsrGraph
 {
@@ -23,7 +50,7 @@ struct CsrGraph
     /** offsets[v]..offsets[v+1] index into `edges`. Size V+1. */
     std::vector<std::uint64_t> offsets;
     /** Destination vertex ids. Size E. */
-    std::vector<std::uint32_t> edges;
+    std::vector<std::uint32_t, NoFillAllocator<std::uint32_t>> edges;
 
     std::uint64_t
     degree(std::uint64_t v) const
@@ -70,9 +97,12 @@ rmatQuadrant(std::uint64_t draw)
  * kept -- both exist in real edge lists). Each edge takes `scale`
  * consecutive draws of an Rng seeded with `seed`, one per bit, most
  * significant bit first; rmatQuadrant() maps a draw to its bits.
- * The draws run on every CPU the process may use (its affinity mask),
- * each drawing one contiguous edge range with drawRmatEdges(); the
- * graph does not depend on the thread count.
+ * The CSR build runs on every CPU the process may use (its affinity
+ * mask, usableCpus()). Each worker draws one contiguous edge range with
+ * drawRmatEdges() and counts its sources; then each places the edges of
+ * one vertex range, scanning the edge list in edge order, so a vertex's
+ * edges are in edge-index order. The graph is the sequential counting
+ * sort's for any worker count.
  */
 CsrGraph makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
                        std::uint64_t seed);

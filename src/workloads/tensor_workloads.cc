@@ -33,6 +33,7 @@ RecsysWorkload::doPrepare()
                                    rowsPerTable_ * kEmbeddingBytes,
                                    kEmbeddingBytes, true));
     }
+    rowPopularity_.emplace(rowsPerTable_, 0.8);
     mlp_ = addDense("mlp_weights", StreamType::Affine,
                     std::max<std::uint64_t>(256_KiB,
                                             p_.footprintBytes / 64),
@@ -47,8 +48,7 @@ class RecsysGenerator : public BoundedGenerator
   public:
     RecsysGenerator(const RecsysWorkload& w, CoreId core)
         : BoundedGenerator(w, core), w_(w),
-          zipf_(w.rowsPerTable_, 0.8,
-                mix64(w.params().seed + 101 * core))
+          rowRng_(mix64(w.params().seed + 101 * core))
     {
     }
 
@@ -66,7 +66,8 @@ class RecsysGenerator : public BoundedGenerator
         if (step < lookups) {
             const std::uint32_t table =
                 step % RecsysWorkload::kNumTables;
-            emit(out, w_.tables_[table], zipf_.next(), false, 4);
+            emit(out, w_.tables_[table], w_.rowPopularity_->next(rowRng_),
+                 false, 4);
         } else if (step < lookups + mlp_lines) {
             mlpCursor_ = (mlpCursor_ + elemsPerLine(4))
                 % cfg(w_.mlp_).numElems();
@@ -80,7 +81,7 @@ class RecsysGenerator : public BoundedGenerator
 
   private:
     const RecsysWorkload& w_;
-    ZipfSampler zipf_;
+    Rng rowRng_;
     std::uint64_t phase_ = 0;
     std::uint64_t mlpCursor_ = 0;
     std::uint64_t outCursor_ = 0;

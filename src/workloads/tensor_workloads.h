@@ -11,6 +11,8 @@
 #ifndef NDPEXT_WORKLOADS_TENSOR_WORKLOADS_H
 #define NDPEXT_WORKLOADS_TENSOR_WORKLOADS_H
 
+#include <optional>
+
 #include "workloads/graph.h"
 #include "workloads/workload.h"
 
@@ -42,6 +44,8 @@ class RecsysWorkload : public Workload
     StreamId mlp_ = 0;
     StreamId out_ = 0;
     std::uint64_t rowsPerTable_ = 0;
+    /** Zipf(0.8) over a table's rows, shared by every core's generator. */
+    std::optional<ZipfSampler> rowPopularity_;
 };
 
 /**

@@ -3,7 +3,8 @@
 # Each must now end within seconds with the expected exit status (2 for a
 # malformed flag, 1 for an invalid configuration) and a one-line
 # diagnostic on stderr that names the flag, key or file:line, and never
-# a panic. Invoked with -DSIM=... -DOUT_DIR=... (see tests/CMakeLists.txt).
+# a panic. Invoked with -DSIM=... -DSUPERVISE=... -DOUT_DIR=... (see
+# tests/CMakeLists.txt).
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 
@@ -21,20 +22,24 @@ file(WRITE ${OUT_DIR}/ragged_stream.trace
 
 set(failures "")
 
-# expect_rejected(<exit status> <diagnostic substring> <ndpext_sim args...>)
+# expect_rejected(<exit status> <diagnostic substring> <args...>) runs
+# ${tool}, whose diagnostics start with ${diag_start}.
+set(tool ${SIM})
+set(diag_start "ndpext_sim: ")
 function(expect_rejected want_rc want_text)
     execute_process(
-        COMMAND ${SIM} ${ARGN}
+        COMMAND ${tool} ${ARGN}
         RESULT_VARIABLE rc
         OUTPUT_QUIET
         ERROR_VARIABLE err
         TIMEOUT ${run_timeout})
     string(FIND "${err}" "\n" eol)
     string(SUBSTRING "${err}" 0 ${eol} first)
+    string(FIND "${first}" "${diag_start}" start)
     set(why "")
     if(NOT rc STREQUAL want_rc)
         set(why "exit status '${rc}', want ${want_rc}")
-    elseif(NOT first MATCHES "^ndpext_sim: ")
+    elseif(NOT start EQUAL 0)
         set(why "stderr does not start with a diagnostic")
     elseif(err MATCHES "panic")
         set(why "stderr reports a panic")
@@ -79,11 +84,19 @@ expect_rejected(2 "bad --horizon"
 expect_rejected(2 "req expects an integer"
     ${serving} ${tenant},req=4294967297)
 expect_rejected(2 "slo expects an integer"
-    ${serving} ${tenant},slo=1e30)
+    ${serving}
+    --tenant=name=a,workload=pr,period=14000,slo=1e30,footprint-mb=4)
 expect_rejected(2 "bad --cache-kb"
     --accesses=100 --cache-kb=18014398509481985)
 expect_rejected(1 "32-bit unit id"
     --accesses=100 --stacks=1024x1024 --units=1024x5)
+
+# A key given twice in one spec: --tenant kept the first value,
+# --mem-backend the last.
+expect_rejected(2 "key 'burst-factor' is given twice"
+    ${serving} ${tenant},arrival=bursty,burst-factor=4,burst-factor=6)
+expect_rejected(2 "key 'queue' is given twice"
+    --accesses=100 --mem-backend.unit=frfcfs,queue=4,queue=16)
 
 # Trace fields: a file:line diagnostic instead of a wrapped compute count
 # or a panic in StreamConfig::dense.
@@ -92,6 +105,18 @@ expect_rejected(2 "negative_compute.trace:2: bad computeCycles '-5'"
 expect_rejected(2 "ragged_stream.trace:1: bad stream geometry"
     --trace=${OUT_DIR}/ragged_stream.trace)
 
+# Supervisor deadlines past the steady clock's range wrapped into the
+# past and SIGKILLed every attempt at once.
+# The supervisor names itself by the path it was started as.
+set(tool ${SUPERVISE})
+set(diag_start "${SUPERVISE}: ")
+expect_rejected(2 "bad value for --kill-after-ms: '10000000000000'"
+    --kill-after-ms=10000000000000 --checkpoint=${OUT_DIR}/ck --
+    ${SIM} --accesses=100)
+expect_rejected(2 "bad value for --hang-after-ms: '10000000000000'"
+    --hang-after-ms=10000000000000 --checkpoint=${OUT_DIR}/ck --
+    ${SIM} --accesses=100)
+
 if(failures)
-    message(FATAL_ERROR "ndpext_sim mishandled bad input:${failures}")
+    message(FATAL_ERROR "the CLI tools mishandled bad input:${failures}")
 endif()

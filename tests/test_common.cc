@@ -114,22 +114,64 @@ TEST(Rng, DiscardComposes)
 
 TEST(Zipf, StaysInDomain)
 {
-    ZipfSampler z(1000, 0.8, 5);
+    const ZipfSampler z(1000, 0.8);
+    Rng rng(5);
     for (int i = 0; i < 10000; ++i) {
-        EXPECT_LT(z.next(), 1000u);
+        EXPECT_LT(z.next(rng), 1000u);
     }
 }
 
 TEST(Zipf, IsSkewedTowardSmallIds)
 {
-    ZipfSampler z(100000, 0.8, 5);
+    const ZipfSampler z(100000, 0.8);
+    Rng rng(5);
     std::uint64_t low = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i) {
-        low += z.next() < 1000 ? 1 : 0; // top 1% of ids
+        low += z.next(rng) < 1000 ? 1 : 0; // top 1% of ids
     }
     // Under uniform sampling low/n would be ~1%; zipf(0.8) gives far more.
     EXPECT_GT(static_cast<double>(low) / n, 0.2);
+}
+
+TEST(Zipf, DrawsArePinned)
+{
+    // Pinned from the sampler that owned its Rng and summed its zeta
+    // terms per instance: sharing one sampler must not move a draw.
+    // 1,000 rows sum zeta exactly and 100,000 integrate past 10,000; the
+    // sums also cover rows 0 and 1, which are picked before the power
+    // law.
+    struct Pin
+    {
+        std::uint64_t rows;
+        std::uint64_t seed;
+        std::uint64_t first[8];
+        std::uint64_t sum;
+    };
+    constexpr std::uint64_t kSeed2 = 0x9e3779b97f4a7c15ULL;
+    const Pin pins[] = {
+        {1000, 5, {41, 62, 327, 17, 410, 10, 24, 422}, 2172713},
+        {1000, kSeed2, {14, 686, 29, 6, 363, 91, 25, 735}, 2105119},
+        {100000, 5, {1935, 3388, 26739, 607, 35128, 289, 926, 36342},
+         189067458},
+        {100000, kSeed2, {454, 64516, 1243, 131, 30405, 5504, 989, 69916},
+         182070123},
+    };
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows " << pin.rows << " seed " << pin.seed);
+        const ZipfSampler z(pin.rows, 0.8);
+        Rng rng(pin.seed);
+        std::uint64_t sum = 0;
+        for (int i = 0; i < 10000; ++i) {
+            const std::uint64_t row = z.next(rng);
+            if (i < 8) {
+                EXPECT_EQ(row, pin.first[i]) << "draw " << i;
+            }
+            sum += row;
+        }
+        EXPECT_EQ(sum, pin.sum);
+    }
 }
 
 TEST(Mix64, IsDeterministicAndSpreads)
@@ -368,22 +410,39 @@ TEST(ParseReal, WholeStringFiniteAndInRange)
 TEST(SplitKeyValues, SplitsAndNamesTheBadItem)
 {
     std::vector<std::pair<std::string, std::string>> pairs;
-    std::string bad;
-    ASSERT_TRUE(splitKeyValues("a=1,,b=x=y,", &pairs, &bad));
+    std::string error;
+    ASSERT_TRUE(splitKeyValues("a=1,,b=x=y,", &pairs, &error));
     ASSERT_EQ(pairs.size(), 2u);
     EXPECT_EQ(pairs[0], (std::pair<std::string, std::string>{"a", "1"}));
     EXPECT_EQ(pairs[1], (std::pair<std::string, std::string>{"b", "x=y"}));
 
     pairs.clear();
-    EXPECT_TRUE(splitKeyValues("", &pairs, &bad));
+    EXPECT_TRUE(splitKeyValues("", &pairs, &error));
     EXPECT_TRUE(pairs.empty());
     for (const char* item : {"a", "=1", "a="}) {
         pairs.clear();
         EXPECT_FALSE(
-            splitKeyValues(std::string("k=v,") + item, &pairs, &bad))
+            splitKeyValues(std::string("k=v,") + item, &pairs, &error))
             << item;
-        EXPECT_EQ(bad, item);
+        EXPECT_EQ(error, std::string("expected key=value, got '") + item
+                      + "'");
     }
+}
+
+TEST(SplitKeyValues, RejectsARepeatedKey)
+{
+    // Each surface read a repeat its own way: --tenant kept the first
+    // burst-factor, --mem-backend the last queue.
+    std::vector<std::pair<std::string, std::string>> pairs;
+    std::string error;
+    EXPECT_FALSE(splitKeyValues("queue=4,cap=2,queue=16", &pairs, &error));
+    EXPECT_EQ(error, "key 'queue' is given twice");
+    pairs.clear();
+    EXPECT_FALSE(splitKeyValues("a=1,a=1", &pairs, &error));
+    EXPECT_EQ(error, "key 'a' is given twice");
+    pairs.clear();
+    EXPECT_TRUE(splitKeyValues("a=1,ab=2,b=a", &pairs, &error));
+    EXPECT_EQ(pairs.size(), 3u);
 }
 
 TEST(ValueRange, ContainsAndDescribe)

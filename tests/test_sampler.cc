@@ -103,9 +103,10 @@ TEST(Sampler, CurveIsMonotoneNonIncreasing)
     MissCurveSampler s(smallParams());
     s.configure(0, 64);
     Rng rng(9);
-    ZipfSampler zipf(1 << 16, 0.8, 11);
+    const ZipfSampler zipf(1 << 16, 0.8);
+    Rng rows(11);
     for (int i = 0; i < 50000; ++i) {
-        s.observe(zipf.next());
+        s.observe(zipf.next(rows));
     }
     const MissCurve c = s.curve(50000);
     for (std::size_t i = 1; i < c.numPoints(); ++i) {

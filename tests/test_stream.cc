@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "stream/stream_config.h"
@@ -73,6 +74,18 @@ struct ShapeCase
     std::uint32_t elem;
     bool colMajor;
 };
+
+/**
+ * Name a shape by its fields, e.g. 16x64_8B_col. gtest's default dumps
+ * the struct's bytes, padding included, so the parameterised test names
+ * would change from one build to the next.
+ */
+void
+PrintTo(const ShapeCase& c, std::ostream* os)
+{
+    *os << c.rows << "x" << c.cols << "_" << c.elem << "B_"
+        << (c.colMajor ? "col" : "row");
+}
 
 class StreamBijectionTest : public ::testing::TestWithParam<ShapeCase>
 {

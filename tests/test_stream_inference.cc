@@ -62,10 +62,11 @@ TEST(StreamInference, RandomAccessIsIndirect)
 
 TEST(StreamInference, ZipfGatherIsIndirectWithReuse)
 {
-    ZipfSampler zipf(4096, 0.8, 11);
+    const ZipfSampler zipf(4096, 0.8);
+    Rng rows(11);
     std::vector<Addr> trace;
     for (int i = 0; i < 5000; ++i) {
-        trace.push_back(0x40000 + zipf.next() * 8);
+        trace.push_back(0x40000 + zipf.next(rows) * 8);
     }
     const auto inferred = inferStream(trace);
     ASSERT_TRUE(inferred.has_value());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "system/host_system.h"
@@ -10,6 +11,17 @@
 #include "workloads/workload.h"
 
 namespace ndpext {
+
+/**
+ * Print a policy by name. gtest's default dumps the enum's bytes, so the
+ * parameterised test names would not say which policy ran.
+ */
+void
+PrintTo(PolicyKind kind, std::ostream* os)
+{
+    *os << policyName(kind);
+}
+
 namespace {
 
 SystemConfig

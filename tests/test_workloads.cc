@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/workers.h"
 #include "workloads/gap_workloads.h"
 #include "workloads/graph.h"
 #include "workloads/workload.h"
@@ -193,6 +194,37 @@ TEST(Graph, Deterministic)
     const auto b = makeRmatGraph(16, 8, 7);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.offsets, b.offsets);
+}
+
+/** usableCpus() reads `count` while this is alive. */
+class UsableCpus
+{
+  public:
+    explicit UsableCpus(std::uint64_t count) { setUsableCpusForTest(count); }
+    ~UsableCpus() { setUsableCpusForTest(0); }
+    UsableCpus(const UsableCpus&) = delete;
+    UsableCpus& operator=(const UsableCpus&) = delete;
+};
+
+TEST(Graph, CsrIsTheSameForAnyWorkerCount)
+{
+    // 2^19 edges: room for 8 workers. Degree 8 counts in per-worker
+    // histograms at every count here, degree 4 on one thread at 7
+    // workers. 3 and 7 workers split the power-of-two vertex and edge
+    // counts into ranges of different sizes.
+    for (const auto& [scale, degree] :
+         {std::pair{16u, 8u}, std::pair{17u, 4u}}) {
+        const CsrGraph want = branchyRmatGraph(scale, degree, 3);
+        for (const std::uint64_t workers : {1u, 2u, 3u, 7u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "scale " << scale << " degree " << degree
+                         << " workers " << workers);
+            const UsableCpus cpus(workers);
+            const CsrGraph got = makeRmatGraph(scale, degree, 3);
+            ASSERT_EQ(got.offsets, want.offsets);
+            ASSERT_EQ(got.edges, want.edges);
+        }
+    }
 }
 
 TEST(Graph, RmatEdgeRangesMatchOnePass)

@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,13 +103,26 @@ parseFlag(const std::string& arg, const char* name, std::string* value)
     return true;
 }
 
+/**
+ * Longest --kill-after-ms / --hang-after-ms: half the steady clock's
+ * range (about 146 years), so launch time plus the limit, in the
+ * clock's signed 64-bit nanoseconds, cannot wrap into the past.
+ */
+constexpr std::uint64_t kMaxWaitMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count()
+    / 2;
+
 std::uint64_t
-count(const std::string& value, const char* flag, const char* argv0)
+count(const std::string& value, const char* flag, const char* argv0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     std::uint64_t v = 0;
-    if (!ndpext::parseCount(value, &v)) {
-        std::fprintf(stderr, "%s: bad value for %s: '%s'\n", argv0, flag,
-                     value.c_str());
+    if (!ndpext::parseCount(value, max, &v)) {
+        std::fprintf(stderr, "%s: bad value for %s: '%s' (at most %llu)\n",
+                     argv0, flag, value.c_str(),
+                     static_cast<unsigned long long>(max));
         std::exit(2);
     }
     return v;
@@ -132,14 +146,16 @@ parseArgs(int argc, char** argv)
         } else if (parseFlag(arg, "--max-retries", &value)) {
             opt.maxRetries = count(value, "--max-retries", argv[0]);
         } else if (parseFlag(arg, "--kill-after-ms", &value)) {
-            opt.killAfterMs = count(value, "--kill-after-ms", argv[0]);
+            opt.killAfterMs =
+                count(value, "--kill-after-ms", argv[0], kMaxWaitMs);
             if (opt.killAfterMs == 0) {
                 std::fprintf(stderr, "%s: --kill-after-ms must be > 0\n",
                              argv[0]);
                 std::exit(2);
             }
         } else if (parseFlag(arg, "--hang-after-ms", &value)) {
-            opt.hangAfterMs = count(value, "--hang-after-ms", argv[0]);
+            opt.hangAfterMs =
+                count(value, "--hang-after-ms", argv[0], kMaxWaitMs);
             if (opt.hangAfterMs == 0) {
                 std::fprintf(stderr, "%s: --hang-after-ms must be > 0\n",
                              argv[0]);
