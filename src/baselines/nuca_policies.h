@@ -128,8 +128,6 @@ class NexusConfigurator : public JigsawConfigurator
     /** The globally chosen replication degree of the last epoch. */
     std::uint32_t lastDegree() const { return lastDegree_; }
 
-    void checkpoint(ckpt::Archive& ar) override { ar.u32(lastDegree_); }
-
   private:
     std::uint32_t maxDegree_;
     std::uint32_t lastDegree_ = 1;

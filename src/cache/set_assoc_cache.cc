@@ -85,7 +85,6 @@ SetAssocCache::insert(std::uint64_t key, bool dirty)
         ev.valid = true;
         ev.key = victim->key;
         ev.dirty = victim->dirty;
-        ++evictions_;
     }
     victim->key = key;
     victim->valid = true;

@@ -63,13 +63,6 @@ class SetAssocCache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t evictions() const { return evictions_; }
-    double
-    hitRate() const
-    {
-        const double total = static_cast<double>(hits_ + misses_);
-        return total == 0.0 ? 0.0 : static_cast<double>(hits_) / total;
-    }
 
     /** Checkpoint pass (geometry is configuration; contents travel). */
     void
@@ -98,7 +91,6 @@ class SetAssocCache
                    "cache use clock out of range: ", useClock_);
         ar.u64(hits_);
         ar.u64(misses_);
-        ar.u64(evictions_);
     }
 
   private:
@@ -126,7 +118,6 @@ class SetAssocCache
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 /**

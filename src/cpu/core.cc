@@ -75,8 +75,6 @@ addShares(RequestTraceRecord& req, const Cycles shares[6])
 void
 InOrderCore::attributeStall(Cycles wait, const MshrSlot& blocking)
 {
-    memStallCycles_ += wait;
-
     const StreamId sid = blocking.pkt.sid;
     Cycles shares[6] = {0, 0, 0, 0, 0, 0};
     splitWait(wait, blocking.pkt.bd, shares);
@@ -232,7 +230,7 @@ InOrderCore::counters(Counters& out, const std::string& prefix) const
     add("cycles", [this] { return double(now_); });
     add("computeCycles", [this] { return double(computeCycles_); });
     add("l1Cycles", [this] { return double(l1Cycles()); });
-    add("memStallCycles", [this] { return double(memStallCycles_); });
+    add("memStallCycles", [this] { return double(memStallCycles()); });
     add("idleCycles", [this] { return double(idleCycles_); });
     add("stall.metadata", [this] { return double(stall_.metadata); });
     add("stall.icnIntra", [this] { return double(stall_.icnIntra); });

@@ -36,7 +36,7 @@ struct PacketSampleBuffer; // telemetry/telemetry.h
  * an explicit MSHR-full queueing bucket). Each stall window is attributed
  * proportionally over the blocking packet's LatencyBreakdown with
  * deterministic largest-remainder rounding, so the integer buckets sum
- * EXACTLY to memStallCycles() (pinned by tests/test_topdown.cc).
+ * EXACTLY to the window; memStallCycles() is their sum.
  * `mshrQueue` absorbs wait cycles that cannot be blamed on a recorded
  * service breakdown (e.g. the blocking slot never carried a packet).
  */
@@ -93,16 +93,11 @@ class InOrderCore
     CoreId id() const { return id_; }
     Cycles now() const { return now_; }
 
-    /** Drop all L1 lines (used at reconfiguration invalidations). */
-    void flushL1() { l1d_.invalidateAll(); }
-
-    const SetAssocCache& l1dTags() const { return l1d_; }
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t l1Hits() const { return l1Hits_; }
-    std::uint64_t l1Misses() const { return accesses_ - l1Hits_; }
     Cycles computeCycles() const { return computeCycles_; }
-    Cycles memStallCycles() const { return memStallCycles_; }
+    /** Memory stall cycles: the sum of the stall buckets. */
+    Cycles memStallCycles() const { return stall_.total(); }
     /** Cycles spent waiting for open-loop request arrivals
      *  (Access::notBefore ahead of the core clock); always 0 for
      *  closed-loop workloads. */
@@ -112,7 +107,6 @@ class InOrderCore
 
     /**
      * Top-down stall attribution. Invariant (pinned by test_topdown):
-     *   stallBreakdown().total() == memStallCycles()
      *   now() == computeCycles() + l1Cycles() + memStallCycles()
      *            + idleCycles()
      */
@@ -170,7 +164,6 @@ class InOrderCore
         ar.u64(accesses_);
         ar.u64(l1Hits_);
         ar.u64(computeCycles_);
-        ar.u64(memStallCycles_);
         ar.u64(idleCycles_);
         ar.u64(stall_.metadata);
         ar.u64(stall_.icnIntra);
@@ -222,10 +215,10 @@ class InOrderCore
 
     /**
      * Account a stall window of `wait` cycles blamed on `blocking`:
-     * bump memStallCycles_, split the window over the blocking packet's
-     * breakdown buckets (largest-remainder rounding; mshrQueue when the
-     * slot has no recorded service), and attribute it to the blocking
-     * packet's stream id.
+     * split the window over the blocking packet's breakdown buckets
+     * (largest-remainder rounding; mshrQueue when the slot has no
+     * recorded service), and attribute it to the blocking packet's
+     * stream id.
      */
     void attributeStall(Cycles wait, const MshrSlot& blocking);
 
@@ -240,7 +233,6 @@ class InOrderCore
     std::uint64_t accesses_ = 0;
     std::uint64_t l1Hits_ = 0;
     Cycles computeCycles_ = 0;
-    Cycles memStallCycles_ = 0;
     Cycles idleCycles_ = 0;
     CoreStallBreakdown stall_;
     /** Stall cycles per blocking stream id (resize-on-demand). */

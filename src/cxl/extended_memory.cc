@@ -42,7 +42,6 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
         at_device = link_.reserveFor(req_service, t) + cxl_.linkLatencyCycles
             + req_service;
         linkEnergyNj_ += 64.0 * 8.0 * cxl_.pjPerBit * 1e-3;
-        linkBytes_ += 64;
         sc.linkBytes += 64;
         if (fault_ == nullptr || !fault_->linkError()) {
             break;
@@ -75,7 +74,6 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     ++accesses_;
     linkEnergyNj_ +=
         static_cast<double>(bytes) * 8.0 * cxl_.pjPerBit * 1e-3;
-    linkBytes_ += bytes;
     sc.linkBytes += bytes;
 
     CxlResult res{done, false};
@@ -92,7 +90,7 @@ ExtendedMemory::counters(Counters& out, const std::string& prefix) const
     const CounterScope add{out, prefix};
     add("accesses", [this] { return double(accesses_); });
     add("linkEnergyNj", [this] { return linkEnergyNj_; });
-    add("linkBytes", [this] { return double(linkBytes_); });
+    add("linkBytes", [this] { return double(linkBytes()); });
     add("linkQueueCycles",
         [this] { return double(link_.totalQueueCycles()); });
     add("linkReservations", [this] { return double(link_.reservations()); });
@@ -101,6 +99,16 @@ ExtendedMemory::counters(Counters& out, const std::string& prefix) const
         [this] { return double(retriesExhausted_); });
     add("degraded.poisonedReads", [this] { return double(poisonedReads_); });
     dram_->counters(out, prefix + ".dram");
+}
+
+std::uint64_t
+ExtendedMemory::linkBytes() const
+{
+    std::uint64_t total = noStream_.linkBytes;
+    for (const StreamCounters& c : stream_) {
+        total += c.linkBytes;
+    }
+    return total;
 }
 
 } // namespace ndpext

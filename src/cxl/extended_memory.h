@@ -81,8 +81,9 @@ class ExtendedMemory
     std::uint64_t accesses() const { return accesses_; }
     double linkEnergyNj() const { return linkEnergyNj_; }
     double dramEnergyNj() const { return dram_->dynamicEnergyNj(); }
-    /** Payload bytes moved over the CXL link (bandwidth telemetry). */
-    std::uint64_t linkBytes() const { return linkBytes_; }
+    /** Payload bytes moved over the CXL link (bandwidth telemetry): the
+     *  sum of the per-stream link bytes. */
+    std::uint64_t linkBytes() const;
 
     /**
      * Per-stream cost attribution: link bytes (incl. the request flit and
@@ -132,7 +133,6 @@ class ExtendedMemory
         noStream_.checkpoint(ar);
         ar.u64(accesses_);
         ar.d(linkEnergyNj_);
-        ar.u64(linkBytes_);
         ar.u64(linkRetries_);
         ar.u64(retriesExhausted_);
         ar.u64(poisonedReads_);
@@ -189,7 +189,6 @@ class ExtendedMemory
 
     std::uint64_t accesses_ = 0;
     double linkEnergyNj_ = 0.0;
-    std::uint64_t linkBytes_ = 0;
     std::uint64_t linkRetries_ = 0;
     std::uint64_t retriesExhausted_ = 0;
     std::uint64_t poisonedReads_ = 0;

@@ -138,7 +138,6 @@ class FaultInjector
     // --- counters ---
     std::uint64_t linkErrorsInjected() const { return linkErrors_; }
     std::uint64_t linesPoisoned() const { return linesPoisoned_; }
-    std::uint64_t dramBitFaultsInjected() const { return dramFaults_; }
 
     /** Declare the injection counters under `prefix`. */
     void counters(Counters& out, const std::string& prefix) const;

@@ -56,11 +56,6 @@ class RefreshDramBackend : public MemBackend
 
     void checkpoint(ckpt::Archive& ar) override;
 
-    Cycles refiCycles() const { return refiCycles_; }
-    Cycles rfcCycles() const { return rfcCycles_; }
-    Cycles pdExitCycles() const { return pdExitCycles_; }
-    Cycles srExitCycles() const { return srExitCycles_; }
-
   private:
     struct Bank
     {

@@ -56,9 +56,6 @@ class SchedDramBackend : public MemBackend
 
     void checkpoint(ckpt::Archive& ar) override;
 
-    std::uint32_t queueDepth() const { return queueDepth_; }
-    std::uint32_t starvationCap() const { return starvationCap_; }
-
   private:
     /** One in-flight request held in a bank queue. */
     struct Pending

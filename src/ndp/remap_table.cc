@@ -207,17 +207,11 @@ StreamRemapTable::buildRing(GroupView& gv, StreamId sid,
 }
 
 void
-StreamRemapTable::computeSurvival(Entry& old_entry, Entry& new_entry,
-                                  StreamId sid)
+StreamRemapTable::computeSurvival(const Entry& old_entry,
+                                  Entry& new_entry) const
 {
-    (void)sid;
-    new_entry.survivalFraction = 0.0;
     new_entry.surviving.clear();
-    if (!old_entry.valid) {
-        return;
-    }
-    const std::uint64_t old_rows = old_entry.alloc.totalRows();
-    if (old_rows == 0) {
+    if (!old_entry.valid || old_entry.alloc.totalRows() == 0) {
         return;
     }
 
@@ -226,7 +220,6 @@ StreamRemapTable::computeSurvival(Entry& old_entry, Entry& new_entry,
         // bit-identical (then no reconfiguration happened at all).
         if (old_entry.alloc.shareRows == new_entry.alloc.shareRows
             && old_entry.alloc.groupOf == new_entry.alloc.groupOf) {
-            new_entry.survivalFraction = 1.0;
             for (UnitId u = 0; u < numUnits_; ++u) {
                 for (std::uint32_t r = 0; r < new_entry.alloc.shareRows[u];
                      ++r) {
@@ -239,17 +232,13 @@ StreamRemapTable::computeSurvival(Entry& old_entry, Entry& new_entry,
 
     // Consistent hashing: a logical row spot (unit, rowOffset) that exists
     // in both allocations keeps (approximately) the same key population.
-    std::uint64_t survived = 0;
     for (UnitId u = 0; u < numUnits_; ++u) {
         const std::uint32_t common = std::min(
             old_entry.alloc.shareRows[u], new_entry.alloc.shareRows[u]);
         for (std::uint32_t r = 0; r < common; ++r) {
             new_entry.surviving.push_back(SurvivingRow{u, r, r});
         }
-        survived += common;
     }
-    new_entry.survivalFraction =
-        static_cast<double>(survived) / static_cast<double>(old_rows);
 }
 
 void
@@ -267,7 +256,7 @@ StreamRemapTable::setAlloc(StreamId sid, StreamAlloc alloc,
     fresh.granuleBytes = granule_bytes;
     fresh.valid = true;
     buildViews(fresh, sid, noc);
-    computeSurvival(entries_[sid], fresh, sid);
+    computeSurvival(entries_[sid], fresh);
     entries_[sid] = std::move(fresh);
 
     // Recompute per-unit usage. A batch of setAlloc calls may transiently
@@ -420,22 +409,6 @@ StreamRemapTable::freeRows(UnitId unit) const
         : rowsPerUnit_ - usedRows_[unit];
 }
 
-std::uint32_t
-StreamRemapTable::usedRows(UnitId unit) const
-{
-    NDP_ASSERT(unit < numUnits_);
-    return usedRows_[unit];
-}
-
-double
-StreamRemapTable::lastSurvivalFraction(StreamId sid) const
-{
-    if (sid >= entries_.size() || !entries_[sid].valid) {
-        return 0.0;
-    }
-    return entries_[sid].survivalFraction;
-}
-
 const std::vector<StreamRemapTable::SurvivingRow>&
 StreamRemapTable::survivingRows(StreamId sid) const
 {
@@ -469,12 +442,6 @@ StreamRemapTable::checkpoint(ckpt::Archive& ar, const NocModel& noc)
                        && a.groupOf.size() == numUnits_,
                    "remap allocation unit-count mismatch");
         ar.u32(e.granuleBytes);
-        ar.d(e.survivalFraction);
-        ar.seq(e.surviving, [&](SurvivingRow& row) {
-            ar.u32(row.unit);
-            ar.u32(row.oldRowOffset);
-            ar.u32(row.newRowOffset);
-        });
         if (ar.loading()) {
             buildViews(e, id, noc);
             for (UnitId u = 0; u < numUnits_; ++u) {

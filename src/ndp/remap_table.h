@@ -126,21 +126,13 @@ class StreamRemapTable
      */
     void validateCapacity() const;
 
-    /** Rows used on a unit across all streams. */
-    std::uint32_t usedRows(UnitId unit) const;
-
-    /**
-     * Fraction of a stream's old row spots that survive in the new
-     * allocation -- the consistent-hashing preservation metric. Computed by
-     * setAlloc for the previous vs new allocation; 0 when mode is Modulo
-     * or the stream had no prior allocation.
-     */
-    double lastSurvivalFraction(StreamId sid) const;
-
     /**
      * Row spots (unit, deviceRow) of the stream's previous allocation that
-     * persist in the current one with identical ring meaning. Used by the
-     * cache to carry tag contents across reconfigurations.
+     * persist in the current one with identical ring meaning -- the
+     * consistent-hashing preservation the cache uses to carry tag
+     * contents across a reconfiguration. Set by setAlloc and read right
+     * after it, so checkpoints do not store it: a restored table reports
+     * none until the next setAlloc.
      */
     struct SurvivingRow
     {
@@ -152,9 +144,9 @@ class StreamRemapTable
 
     /**
      * Checkpoint pass. Only the authoritative per-stream allocations
-     * travel; group views, serving maps and usedRows_ are rebuilt
-     * deterministically by buildViews() at restore (it sorts by spot
-     * hash / unit id, so the rebuilt views are byte-identical).
+     * and granules travel; group views, serving maps and usedRows_ are
+     * rebuilt deterministically by buildViews() at restore (it sorts by
+     * spot hash / unit id, so the rebuilt views are byte-identical).
      */
     void checkpoint(ckpt::Archive& ar, const NocModel& noc);
 
@@ -190,7 +182,6 @@ class StreamRemapTable
         std::vector<GroupView> groups;
         /** Serving group per from-unit. */
         std::vector<std::uint16_t> serving;
-        double survivalFraction = 0.0;
         std::vector<SurvivingRow> surviving;
         bool valid = false;
     };
@@ -198,7 +189,7 @@ class StreamRemapTable
     void buildViews(Entry& entry, StreamId sid, const NocModel& noc);
     void buildRing(GroupView& gv, StreamId sid,
                    const StreamAlloc& alloc) const;
-    void computeSurvival(Entry& old_entry, Entry& new_entry, StreamId sid);
+    void computeSurvival(const Entry& old_entry, Entry& new_entry) const;
 
     std::uint64_t slotsOf(const StreamAlloc& alloc, UnitId unit,
                           std::uint32_t granule_bytes) const;

@@ -1,6 +1,7 @@
 #include "ndp/stream_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitutils.h"
 #include "common/logging.h"
@@ -28,6 +29,7 @@ StreamCacheController::StreamCacheController(
         units_.push_back(
             std::make_unique<UnitState>(unit_dram, core_freq_mhz, params_));
     }
+    stores_.resize(streams_.numStreams() * std::size_t{n});
     unitFailed_.assign(n, false);
 }
 
@@ -127,38 +129,38 @@ StreamCacheController::costFor(StreamId sid)
     return streamCost_[sid];
 }
 
+std::uint32_t
+StreamCacheController::waysOf(const StreamConfig& cfg) const
+{
+    if (params_.cachelineMode) {
+        return 1;
+    }
+    return cfg.type == StreamType::Affine ? params_.affineWays
+                                          : params_.indirectWays;
+}
+
+std::span<std::optional<TagStore>>
+StreamCacheController::storesOf(StreamId sid)
+{
+    const std::size_t n = units_.size();
+    const std::size_t first = static_cast<std::size_t>(sid) * n;
+    if (first + n > stores_.size()) {
+        // A stream added after construction.
+        NDP_ASSERT(sid < streams_.numStreams(), "bad sid ", sid);
+        stores_.resize(streams_.numStreams() * n);
+    }
+    return {stores_.data() + first, n};
+}
+
 TagStore&
 StreamCacheController::storeFor(UnitId unit, StreamId sid)
 {
-    // Memoized fast path: hash lookups into the store maps dominated
-    // the access path; a flat pointer table turns the common repeat
-    // lookup into one load. Map nodes are stable until erased, and
-    // every erase point drops the memo via dropStoreMemo().
-    const std::uint32_t stride =
-        static_cast<std::uint32_t>(streams_.numStreams());
-    if (storeCacheStride_ != stride) {
-        storeCache_.assign(
-            units_.size() * static_cast<std::size_t>(stride), nullptr);
-        storeCacheStride_ = stride;
+    std::optional<TagStore>& ts = storesOf(sid)[unit];
+    if (!ts) {
+        ts.emplace(remap_.unitSlots(sid, unit),
+                   waysOf(streams_.stream(sid)));
     }
-    TagStore*& memo =
-        storeCache_[static_cast<std::size_t>(unit) * stride + sid];
-    if (memo == nullptr) {
-        auto& stores = units_[unit]->stores;
-        auto it = stores.find(sid);
-        if (it == stores.end()) {
-            const StreamConfig& cfg = streams_.stream(sid);
-            const std::uint32_t ways = params_.cachelineMode
-                ? 1
-                : (cfg.type == StreamType::Affine ? params_.affineWays
-                                                  : params_.indirectWays);
-            it = stores.emplace(sid, TagStore(remap_.unitSlots(sid, unit),
-                                              ways))
-                     .first;
-        }
-        memo = &it->second;
-    }
-    return *memo;
+    return *ts;
 }
 
 DramResult
@@ -321,7 +323,6 @@ StreamCacheController::recvAtomic(Packet& pkt)
     }
     handleAccess(pkt);
     pkt.bd.requests += 1;
-    bd_.merge(pkt.bd);
     if (pkt.sid == kNoStream) {
         noStreamBd_.merge(pkt.bd);
     } else {
@@ -496,7 +497,6 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         }
     }
     if (res.hit && !eccFaultOnHit(true)) {
-        ++hits_;
         bumpStreamCounter(streamHits_, cfg.sid);
         if (tag_first) {
             // The checked tag hit: one DRAM data access.
@@ -567,14 +567,6 @@ StreamCacheController::handleWriteback(Packet& pkt)
 }
 
 void
-StreamCacheController::dropStoreMemo()
-{
-    // Geometry changed: every memoized TagStore* may now dangle.
-    storeCache_.clear();
-    storeCacheStride_ = 0;
-}
-
-void
 StreamCacheController::collapseReplication(StreamId sid)
 {
     const StreamAlloc* cur = remap_.alloc(sid);
@@ -593,15 +585,14 @@ StreamCacheController::collapseReplication(StreamId sid)
 
     // Invalidate the stream's cached data everywhere (clean: no writeback
     // needed, Section IV-B) and its SLB entries.
+    const std::span<std::optional<TagStore>> stores = storesOf(sid);
     for (UnitId u = 0; u < units_.size(); ++u) {
-        auto it = units_[u]->stores.find(sid);
-        if (it != units_[u]->stores.end()) {
+        if (stores[u]) {
             invalidatedRows_ += remap_.alloc(sid)->shareRows[u];
-            units_[u]->stores.erase(it);
+            stores[u].reset();
         }
         units_[u]->slb.invalidate(sid);
     }
-    dropStoreMemo();
 }
 
 void
@@ -633,16 +624,27 @@ StreamCacheController::onUnitFailed(UnitId unit)
     // The unit's cache slice, tag stores and sampler state are gone.
     // Accesses hashing there redirect to extended memory until the
     // runtime installs a fresh configuration around the unit.
-    for (const auto& [sid, store] : units_[unit]->stores) {
+    for (std::uint32_t s = 0; s < streams_.numStreams(); ++s) {
+        const StreamId sid = static_cast<StreamId>(s);
+        std::optional<TagStore>& store = storesOf(sid)[unit];
+        if (!store) {
+            continue;
+        }
         const StreamAlloc* alloc = remap_.alloc(sid);
         if (alloc != nullptr && unit < alloc->shareRows.size()) {
             invalidatedRows_ += alloc->shareRows[unit];
         }
+        store.reset();
     }
-    units_[unit]->stores.clear();
     units_[unit]->slb.invalidateAll();
     units_[unit]->samplers.newEpoch();
-    dropStoreMemo();
+}
+
+std::uint64_t
+StreamCacheController::failedUnitCount() const
+{
+    return static_cast<std::uint64_t>(
+        std::count(unitFailed_.begin(), unitFailed_.end(), true));
 }
 
 void
@@ -665,43 +667,34 @@ StreamCacheController::applyConfiguration(
         }
         invalidatedRows_ += remap_.alloc(sid)->totalRows();
         remap_.clearAlloc(sid);
-        for (auto& unit : units_) {
-            unit->stores.erase(sid);
+        for (std::optional<TagStore>& store : storesOf(sid)) {
+            store.reset();
         }
     }
 
     for (const auto& [sid, alloc] : allocs) {
         const StreamConfig& cfg = streams_.stream(sid);
         const std::uint32_t granule = granuleOf(cfg);
-        const std::uint32_t ways = params_.cachelineMode
-            ? 1
-            : (cfg.type == StreamType::Affine ? params_.affineWays
-                                              : params_.indirectWays);
+        const std::uint32_t ways = waysOf(cfg);
 
-        // Capture the outgoing stores to carry surviving rows over.
-        std::unordered_map<UnitId, TagStore> old_stores;
-        std::uint64_t old_rows = 0;
-        const StreamAlloc* prev = remap_.alloc(sid);
-        if (prev != nullptr) {
-            old_rows = prev->totalRows();
-            for (UnitId u = 0; u < units_.size(); ++u) {
-                auto it = units_[u]->stores.find(sid);
-                if (it != units_[u]->stores.end()) {
-                    old_stores.emplace(u, std::move(it->second));
-                    units_[u]->stores.erase(it);
-                }
-            }
+        // Move the outgoing stores aside to carry surviving rows over.
+        const std::span<std::optional<TagStore>> stores = storesOf(sid);
+        std::vector<std::optional<TagStore>> old_stores(stores.size());
+        for (UnitId u = 0; u < stores.size(); ++u) {
+            old_stores[u] = std::exchange(stores[u], std::nullopt);
         }
+        const StreamAlloc* prev = remap_.alloc(sid);
+        const std::uint64_t old_rows =
+            prev != nullptr ? prev->totalRows() : 0;
 
         remap_.setAlloc(sid, alloc, granule, noc_);
 
         // Build fresh stores for every unit with space.
-        for (UnitId u = 0; u < units_.size(); ++u) {
+        for (UnitId u = 0; u < stores.size(); ++u) {
             const std::uint64_t slots = remap_.unitSlots(sid, u);
-            if (slots == 0) {
-                continue;
+            if (slots != 0) {
+                stores[u].emplace(slots, ways);
             }
-            units_[u]->stores.emplace(sid, TagStore(slots, ways));
         }
 
         // Carry rows preserved by consistent hashing.
@@ -709,14 +702,13 @@ StreamCacheController::applyConfiguration(
         const std::uint64_t sets_per_row = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(rowBytes_) / granule / ways);
         for (const auto& row : surviving) {
-            auto oit = old_stores.find(row.unit);
-            auto nit = units_[row.unit]->stores.find(sid);
-            if (oit == old_stores.end()
-                || nit == units_[row.unit]->stores.end()) {
+            const std::optional<TagStore>& from = old_stores[row.unit];
+            std::optional<TagStore>& to = stores[row.unit];
+            if (!from || !to) {
                 continue;
             }
-            nit->second.copyRange(
-                oit->second,
+            to->copyRange(
+                *from,
                 static_cast<std::uint64_t>(row.oldRowOffset) * sets_per_row,
                 static_cast<std::uint64_t>(row.newRowOffset) * sets_per_row,
                 sets_per_row);
@@ -732,7 +724,26 @@ StreamCacheController::applyConfiguration(
     for (auto& unit : units_) {
         unit->slb.invalidateAll();
     }
-    dropStoreMemo();
+}
+
+LatencyBreakdown
+StreamCacheController::breakdown() const
+{
+    LatencyBreakdown total = noStreamBd_;
+    for (const LatencyBreakdown& bd : streamBd_) {
+        total.merge(bd);
+    }
+    return total;
+}
+
+std::uint64_t
+StreamCacheController::cacheHits() const
+{
+    std::uint64_t total = 0;
+    for (const std::uint64_t hits : streamHits_) {
+        total += hits;
+    }
+    return total;
 }
 
 LatencyBreakdown
@@ -877,27 +888,35 @@ StreamCacheController::checkpoint(ckpt::Archive& ar)
         unit->dram->checkpoint(ar);
         unit->slb.checkpoint(ar);
         unit->samplers.checkpoint(ar);
-        ar.map(unit->stores, [&](StreamId& sid, TagStore& ts) {
-            ar.u32(sid);
-            std::uint32_t ways = ts.numWays();
-            std::uint64_t slots = ts.numSets() * ts.numWays();
-            ar.u32(ways);
-            ar.count(slots);
-            if (ar.loading()) {
-                ts = TagStore(slots, ways);
-            }
-            ts.checkpoint(ar);
-        });
         ar.expectFlag(unit->metaCache != nullptr,
                       "metadata-cache mode mismatch");
         if (unit->metaCache != nullptr) {
             unit->metaCache->checkpoint(ar);
         }
     }
+    // A store's geometry is the restored allocation's unitSlots() and
+    // the stream's ways, exactly as storeFor() and applyConfiguration()
+    // build it, so only presence and contents travel.
+    for (std::uint32_t s = 0; s < streams_.numStreams(); ++s) {
+        const StreamId sid = static_cast<StreamId>(s);
+        const std::span<std::optional<TagStore>> stores = storesOf(sid);
+        for (UnitId u = 0; u < stores.size(); ++u) {
+            bool present = stores[u].has_value();
+            ar.b(present);
+            if (ar.loading()) {
+                stores[u].reset();
+                if (present) {
+                    stores[u].emplace(remap_.unitSlots(sid, u),
+                                      waysOf(streams_.stream(sid)));
+                }
+            }
+            if (present) {
+                stores[u]->checkpoint(ar);
+            }
+        }
+    }
     ar.seq(unitFailed_, [&](bool& failed) { ar.b(failed); });
     NDP_ASSERT(unitFailed_.size() == units_.size());
-    ar.bd(bd_);
-    ar.u64(hits_);
     ar.u64(misses_);
     ar.u64(uncached_);
     ar.u64(bypasses_);
@@ -915,10 +934,6 @@ StreamCacheController::checkpoint(ckpt::Archive& ar)
     ar.bd(noStreamBd_);
     ar.seq(streamCost_, [&](StreamCost& c) { c.checkpoint(ar); });
     noStreamCost_.checkpoint(ar);
-    if (ar.loading()) {
-        // Every memoized TagStore* referenced pre-restore storage.
-        dropStoreMemo();
-    }
     ar.u64(invalidatedRows_);
     ar.u64(survivedRows_);
 }

@@ -42,8 +42,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/set_assoc_cache.h"
@@ -190,15 +191,22 @@ class StreamCacheController : public MemSink
      */
     void onUnitFailed(UnitId unit);
 
-    /** Has `unit` been marked failed? */
+    /**
+     * Has `unit` been marked failed? The cache is the one owner of unit
+     * health: the runtime and the configurator read it from here.
+     */
     bool unitFailed(UnitId unit) const
     {
         return unit < unitFailed_.size() && unitFailed_[unit];
     }
+    /** Per-unit failed flags (index = unit). */
+    const std::vector<bool>& failedUnitMask() const { return unitFailed_; }
+    std::uint64_t failedUnitCount() const;
 
     // --- statistics ---
-    LatencyBreakdown breakdown() const { return bd_; }
-    std::uint64_t cacheHits() const { return hits_; }
+    /** Sum of the per-stream rows and the non-stream slot. */
+    LatencyBreakdown breakdown() const;
+    std::uint64_t cacheHits() const;
     std::uint64_t cacheMisses() const { return misses_; }
     std::uint64_t uncachedStreamAccesses() const { return uncached_; }
     std::uint64_t bypasses() const { return bypasses_; }
@@ -261,10 +269,11 @@ class StreamCacheController : public MemSink
 
     /**
      * Checkpoint pass (epoch barriers only). Tag stores are written in
-     * sorted (unit, sid) order with their geometry so restore can
-     * reconstruct stores that applyConfiguration never built in this
-     * process. The NoC/CXL/fault models are checkpointed by their owner
-     * (NdpSystem), not here.
+     * (sid, unit) order, each as a presence flag and its contents; the
+     * restored remap table determines every store's geometry. Totals
+     * that equal a sum of per-stream rows are not stored. The
+     * NoC/CXL/fault models are checkpointed by their owner (NdpSystem),
+     * not here.
      */
     void checkpoint(ckpt::Archive& ar);
 
@@ -274,7 +283,6 @@ class StreamCacheController : public MemSink
         std::unique_ptr<MemBackend> dram;
         Slb slb;
         SamplerBank samplers;
-        std::unordered_map<StreamId, TagStore> stores;
         /** Only in cachelineMode: the baseline metadata cache. */
         std::unique_ptr<SetAssocCache> metaCache;
 
@@ -380,15 +388,18 @@ class StreamCacheController : public MemSink
     /** The serving unit's tag store for `sid` (built on first use). */
     TagStore& storeFor(UnitId unit, StreamId sid);
 
+    /** The tag-store slots of `sid`, one per unit (grows the table). */
+    std::span<std::optional<TagStore>> storesOf(StreamId sid);
+
+    /** Tag-store associativity of a stream. */
+    std::uint32_t waysOf(const StreamConfig& cfg) const;
+
     /**
      * The first write to a read-only stream (Section IV-B): the host
      * exception flips the stream writable and collapses its replicas, so
      * it is raised once per stream machine-wide.
      */
     void raiseWriteException(StreamId sid);
-
-    /** Drop the storeFor() memo (tag-store geometry changed). */
-    void dropStoreMemo();
 
     Addr granuleAddr(const StreamConfig& cfg, std::uint64_t granule) const;
     std::uint32_t granuleFetchBytes(const StreamConfig& cfg) const;
@@ -402,12 +413,15 @@ class StreamCacheController : public MemSink
     MemBackendConfig unitDramCfg_;
     StreamRemapTable remap_;
     std::vector<std::unique_ptr<UnitState>> units_;
+    /**
+     * Tag stores at sid * numUnits() + unit; an empty slot holds no
+     * store. The table grows when a stream is added after construction.
+     */
+    std::vector<std::optional<TagStore>> stores_;
     /** Per-unit failed flag (degraded mode). */
     std::vector<bool> unitFailed_;
     FaultInjector* fault_ = nullptr;
 
-    LatencyBreakdown bd_;
-    std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t uncached_ = 0;
     std::uint64_t bypasses_ = 0;
@@ -419,26 +433,17 @@ class StreamCacheController : public MemSink
     std::uint64_t dramFaults_ = 0;
     std::uint64_t poisonEscalations_ = 0;
     double sramEnergyNj_ = 0.0;
-    /** Per-stream hit/miss counters (index = sid). */
+    /** Per-stream hit/miss counters (index = sid). Misses include the
+     *  stream's uncached accesses; hits alone sum to cacheHits(). */
     std::vector<std::uint64_t> streamHits_;
     std::vector<std::uint64_t> streamMisses_;
     /** Per-stream service latency (index = sid; kNoStream separate);
-     *  excludes core writebacks, mirroring `bd_`. */
+     *  excludes core writebacks. */
     std::vector<LatencyBreakdown> streamBd_;
     LatencyBreakdown noStreamBd_;
     /** Per-stream SRAM/DRAM-cache cost counters. */
     std::vector<StreamCost> streamCost_;
     StreamCost noStreamCost_;
-
-    /**
-     * Flat (unit * stride + sid) -> TagStore* memo over the per-unit
-     * store maps. Map nodes are pointer-stable until erased, so entries
-     * stay valid across inserts; the memo is dropped wholesale whenever
-     * tag-store geometry changes (reconfiguration, replica collapse, unit
-     * failure, restore).
-     */
-    std::vector<TagStore*> storeCache_;
-    std::uint32_t storeCacheStride_ = 0;
 
     /** Row accounting (reconfigurations, collapses). */
     std::uint64_t invalidatedRows_ = 0;

@@ -175,26 +175,27 @@ class TagStore
     }
 
     /**
-     * Checkpoint hooks. Geometry (slots, ways) is re-derived by the
-     * owner from the restored remap allocation; only contents travel,
-     * and the restored store must match the stored geometry exactly.
+     * Checkpoint pass: contents only. Geometry (slots, ways) is
+     * configuration the owner derives from the remap allocation, so a
+     * load fills a store the owner already built with that geometry.
      */
     void
     checkpoint(ckpt::Archive& ar)
     {
-        std::uint32_t ways = ways_;
-        std::uint64_t sets = sets_;
-        ar.u32(ways);
-        ar.u64(sets);
-        NDP_ASSERT(ways == ways_ && sets == sets_,
-                   "tag store geometry mismatch: ", sets, "x", ways,
-                   " != ", sets_, "x", ways_);
-        ar.seq(tags_, [&](std::uint32_t& t) { ar.u32(t); });
-        ar.seq(dirty_, [&](bool& d) { ar.b(d); });
-        ar.seq(use_, [&](std::uint32_t& u) { ar.u32(u); });
+        for (std::uint32_t& t : tags_) {
+            ar.u32(t);
+        }
+        for (std::size_t i = 0; i < dirty_.size(); ++i) {
+            bool d = dirty_[i];
+            ar.b(d);
+            if (ar.loading()) {
+                dirty_[i] = d;
+            }
+        }
+        for (std::uint32_t& u : use_) {
+            ar.u32(u);
+        }
         ar.u32(useClock_);
-        NDP_ASSERT(tags_.size() == sets_ * ways_
-                   && dirty_.size() == tags_.size());
     }
 
   private:

@@ -100,8 +100,6 @@ class NocModel
      *  together with the per-stream shares this covers energyNj(). */
     double unattributedEnergyNj() const { return noStreamEnergyNj_; }
     std::uint64_t transfers() const { return transfers_; }
-    /** Sum over transfers of (arrival - request) cycles. */
-    Cycles totalTransferCycles() const { return totalCycles_; }
     /** Bytes moved, weighted by hops of each link class (bandwidth). */
     std::uint64_t intraHopBytes() const { return intraHopBytes_; }
     std::uint64_t interHopBytes() const { return interHopBytes_; }
@@ -171,6 +169,7 @@ class NocModel
     std::vector<double> streamEnergyNj_;
     double noStreamEnergyNj_ = 0.0;
     std::uint64_t transfers_ = 0;
+    /** Sum over transfers of (arrival - request) cycles. */
     Cycles totalCycles_ = 0;
     std::uint64_t intraHopBytes_ = 0;
     std::uint64_t interHopBytes_ = 0;

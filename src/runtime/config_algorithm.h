@@ -28,7 +28,6 @@
 #include "ndp/remap_table.h"
 #include "noc/noc_model.h"
 #include "sampler/miss_curve.h"
-#include "sim/checkpoint.h"
 
 namespace ndpext {
 
@@ -140,23 +139,6 @@ class ConfigAlgorithm
      * a budget-capped one (bounded-regret checks).
      */
     std::uint64_t lastObjectiveBytes() const { return lastObjective_; }
-
-    /**
-     * Checkpoint pass: run() rebuilds all working state from its
-     * demands, so only the unit-health mask and last-run work counters
-     * persist across calls.
-     */
-    void
-    checkpoint(ckpt::Archive& ar)
-    {
-        ar.seq(failedUnits_, [&](bool& failed) { ar.b(failed); });
-        ar.u64(iterations_);
-        ar.u64(extends_);
-        ar.u64(merges_);
-        ar.u64(budgetHits_);
-        ar.b(lastBudgetHit_);
-        ar.u64(lastObjective_);
-    }
 
   private:
     struct Group

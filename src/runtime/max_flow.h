@@ -49,11 +49,6 @@ class MaxFlow
     /** BFS augmenting paths found by solve() calls (seeding adds none). */
     std::uint64_t augmentingPaths() const { return augmentingPaths_; }
 
-    std::uint32_t numNodes() const
-    {
-        return static_cast<std::uint32_t>(head_.size());
-    }
-
   private:
     struct Edge
     {

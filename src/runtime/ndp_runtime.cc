@@ -122,7 +122,7 @@ NdpRuntime::NdpRuntime(const RuntimeParams& params,
                        std::unique_ptr<Configurator> configurator)
     : params_(params), cache_(cache),
       configurator_(std::move(configurator)),
-      assigner_(params.samplersPerUnit)
+      assigner_(cache.params().samplersPerUnit)
 {
     NDP_ASSERT(configurator_ != nullptr);
 }
@@ -135,23 +135,20 @@ NdpRuntime::assignSamplers(bool first_epoch,
     const StreamTable& table = cache_.streams();
     const std::size_t num_streams = table.numStreams();
 
-    std::vector<std::vector<bool>> accessed(num_units);
+    // The per-unit stream-access bitvectors. With no profile yet (first
+    // epoch), optimistically assume every unit may touch every stream so
+    // the max-flow spreads coverage. Failed units have no working
+    // samplers: give them nothing to cover.
+    std::vector<std::vector<bool>> accessed(
+        num_units, std::vector<bool>(num_streams, false));
     for (UnitId u = 0; u < num_units; ++u) {
-        accessed[u] = cache_.samplerBank(u).accessedBitvector();
-    }
-    if (first_epoch) {
-        // No profile yet: optimistically assume every unit may touch
-        // every stream so the max-flow spreads coverage.
-        for (UnitId u = 0; u < num_units; ++u) {
-            for (std::size_t s = 0; s < num_streams; ++s) {
-                accessed[u][s] = true;
-            }
+        if (cache_.unitFailed(u)) {
+            continue;
         }
-    }
-    // Failed units have no working samplers: give them nothing to cover.
-    for (UnitId u = 0; u < num_units; ++u) {
-        if (unitFailed(u)) {
-            accessed[u].assign(num_streams, false);
+        const SamplerBank& bank = cache_.samplerBank(u);
+        for (std::size_t s = 0; s < num_streams; ++s) {
+            accessed[u][s] =
+                first_epoch || bank.accessed(static_cast<StreamId>(s));
         }
     }
 
@@ -287,7 +284,7 @@ NdpRuntime::gatherDemands()
         std::uint64_t total = 0;
         const MissCurveSampler* sampler = nullptr;
         for (UnitId u = 0; u < num_units; ++u) {
-            if (unitFailed(u)) {
+            if (cache_.unitFailed(u)) {
                 continue; // sampler state died with the unit
             }
             const SamplerBank& bank = cache_.samplerBank(u);
@@ -442,14 +439,13 @@ void
 NdpRuntime::stripFailedUnits(
     std::vector<std::pair<StreamId, StreamAlloc>>& config) const
 {
-    if (failedUnitCount_ == 0) {
+    if (cache_.failedUnitCount() == 0) {
         return;
     }
     for (auto& [sid, alloc] : config) {
         (void)sid;
-        for (UnitId u = 0;
-             u < alloc.shareRows.size() && u < unitFailed_.size(); ++u) {
-            if (unitFailed_[u]) {
+        for (UnitId u = 0; u < alloc.shareRows.size(); ++u) {
+            if (cache_.unitFailed(u)) {
                 alloc.shareRows[u] = 0;
             }
         }
@@ -496,17 +492,12 @@ void
 NdpRuntime::onUnitFailures(const std::vector<UnitId>& units, Cycles now)
 {
     lastNow_ = std::max(lastNow_, now);
-    if (unitFailed_.size() < cache_.numUnits()) {
-        unitFailed_.resize(cache_.numUnits(), false);
-    }
     bool any_new = false;
     for (const UnitId unit : units) {
-        NDP_ASSERT(unit < unitFailed_.size(), "unit=", unit);
-        if (unitFailed_[unit]) {
+        NDP_ASSERT(unit < cache_.numUnits(), "unit=", unit);
+        if (cache_.unitFailed(unit)) {
             continue;
         }
-        unitFailed_[unit] = true;
-        ++failedUnitCount_;
         any_new = true;
         // Degrade the hardware first so redirects are live immediately.
         cache_.onUnitFailed(unit);
@@ -522,7 +513,7 @@ NdpRuntime::onUnitFailures(const std::vector<UnitId>& units, Cycles now)
     if (!any_new) {
         return;
     }
-    configurator_->setUnitHealth(unitFailed_);
+    configurator_->setUnitHealth(cache_.failedUnitMask());
 
     // Simultaneous failures (e.g., a whole stack dying at once) are
     // re-placed with a single reconfiguration, not one per unit.
@@ -628,7 +619,7 @@ NdpRuntime::counters(Counters& out, const std::string& prefix) const
     add("streamsCovered", [this] { return double(covered_); });
     add("degraded.emergencyReconfigs",
         [this] { return double(emergencyReconfigs_); });
-    add("degraded.failedUnits", [this] { return double(failedUnitCount_); });
+    add("degraded.failedUnits", [this] { return double(failedUnits()); });
     add("solver.decisions", [this] { return double(solverDecisions_); });
     add("solver.iterations", [this] { return double(solverIterations_); });
     add("solver.budgetHits", [this] { return double(solverBudgetHits_); });
@@ -641,7 +632,6 @@ void
 NdpRuntime::checkpoint(ckpt::Archive& ar)
 {
     ar.section(0x0707);
-    configurator_->checkpoint(ar);
     ar.map(lastRateCurves_, [&](StreamId& sid, MissCurve& curve) {
         ar.u32(sid);
         curve.checkpoint(ar);
@@ -653,10 +643,8 @@ NdpRuntime::checkpoint(ckpt::Archive& ar)
            [&](std::vector<StreamId>& sids) { ar.sids(sids); });
     ar.sids(lastAssignment_.uncovered);
     ar.u64(lastAssignment_.covered);
-    ar.seq(unitFailed_, [&](bool& failed) { ar.b(failed); });
     ar.u64(reconfigs_);
     ar.u64(emergencyReconfigs_);
-    ar.u64(failedUnitCount_);
     ar.u64(skippedReconfigs_);
     ar.u64(covered_);
     ar.b(configuredOnce_);
@@ -672,6 +660,10 @@ NdpRuntime::checkpoint(ckpt::Archive& ar)
     ar.u64(solverBudgetHits_);
     ar.u64(solverWarmReused_);
     ar.u64(solverDeltaStreams_);
+    if (ar.loading()) {
+        // Unit health lives in the cache, restored before the runtime.
+        configurator_->setUnitHealth(cache_.failedUnitMask());
+    }
 }
 
 } // namespace ndpext

@@ -57,31 +57,29 @@ class Configurator
     /** False for one-shot (static) policies. */
     virtual bool reconfigures() const { return true; }
 
-    /** Work counters of the last configure() (0 for non-NDPExt). */
+    /**
+     * Work counters of the last configure() (0 for non-NDPExt). The
+     * runtime reads them right after each configure(), so they are not
+     * checkpointed.
+     */
     virtual std::uint64_t lastIterations() const { return 0; }
     virtual std::uint64_t lastExtends() const { return 0; }
     virtual std::uint64_t lastMerges() const { return 0; }
-    /** Anytime-budget telemetry (0 for policies without a budget). */
-    virtual std::uint64_t budgetHits() const { return 0; }
+    /** Did the last configure() stop on its anytime budget? */
     virtual bool lastBudgetHit() const { return false; }
-    virtual std::uint64_t lastObjectiveBytes() const { return 0; }
 
     /**
      * Unit-health update (degraded mode): `failed[u]` marks unit u dead.
      * Health-aware configurators exclude those units from capacity and
      * demand; the default ignores it (the runtime strips failed-unit
-     * shares from the emitted configuration regardless).
+     * shares from the emitted configuration regardless). The runtime
+     * passes the stream cache's mask after each failure and after a
+     * restore, so no configurator state is checkpointed.
      */
     virtual void setUnitHealth(const std::vector<bool>& failed)
     {
         (void)failed;
     }
-
-    /**
-     * Checkpoint pass. Default: stateless between configure() calls
-     * (true for every baseline except Nexus's reporting field).
-     */
-    virtual void checkpoint(ckpt::Archive& ar) { (void)ar; }
 
     virtual std::string name() const = 0;
 };
@@ -120,22 +118,10 @@ class NdpExtConfigurator : public Configurator
     {
         return algo_.lastMerges();
     }
-    std::uint64_t budgetHits() const override
-    {
-        return algo_.budgetHits();
-    }
     bool lastBudgetHit() const override
     {
         return algo_.lastBudgetHit();
     }
-    std::uint64_t lastObjectiveBytes() const override
-    {
-        return algo_.lastObjectiveBytes();
-    }
-
-    void checkpoint(ckpt::Archive& ar) override { algo_.checkpoint(ar); }
-
-    ConfigAlgorithm& algorithm() { return algo_; }
 
   private:
     ConfigAlgorithm algo_;
@@ -173,8 +159,6 @@ struct RuntimeParams
     };
     Method method = Method::Full;
     Cycles partialUntilCycles = 8'000'000;
-    /** Samplers per unit (S). */
-    std::uint32_t samplersPerUnit = 4;
     /**
      * Minimum accesses a sampler must have observed before its miss curve
      * is trusted; below this the runtime keeps the previous epoch's curve
@@ -220,7 +204,7 @@ class NdpRuntime
 
     /**
      * NDP units (memory side) failed at the same cycle, e.g. one unit or
-     * a whole stack. Updates the health bitmap, degrades the cache
+     * a whole stack. Degrades the cache, which owns unit health
      * (redirects, replica collapse), informs the configurator, and --
      * for reconfiguring policies -- immediately runs one *out-of-epoch*
      * emergency reconfiguration that re-places every stream around the
@@ -230,13 +214,6 @@ class NdpRuntime
      * telemetry decision record.
      */
     void onUnitFailures(const std::vector<UnitId>& units, Cycles now = 0);
-
-    /** Per-unit health bitmap (true = failed). */
-    const std::vector<bool>& unitHealth() const { return unitFailed_; }
-    bool unitFailed(UnitId unit) const
-    {
-        return unit < unitFailed_.size() && unitFailed_[unit];
-    }
 
     /**
      * Attach per-stream QoS attributes (multi-tenant serving). The
@@ -287,19 +264,15 @@ class NdpRuntime
     {
         return emergencyReconfigs_;
     }
-    std::uint64_t failedUnits() const { return failedUnitCount_; }
+    std::uint64_t failedUnits() const { return cache_.failedUnitCount(); }
+    /** Epoch barriers crossed (the initial configuration is epoch 0). */
+    std::uint64_t epochIndex() const { return epochIndex_; }
     /** Epoch configs skipped because they barely changed anything. */
     std::uint64_t skippedReconfigurations() const
     {
         return skippedReconfigs_;
     }
     std::uint64_t streamsCovered() const { return covered_; }
-    /** Placement decisions taken (initial + epoch + emergency). */
-    std::uint64_t solverDecisions() const { return solverDecisions_; }
-    /** Cumulative configuration-loop iterations across decisions. */
-    std::uint64_t solverIterations() const { return solverIterations_; }
-    /** Decisions cut short by the anytime budget. */
-    std::uint64_t solverBudgetHits() const { return solverBudgetHits_; }
     /** Previous-epoch sampler pairs reused by warm starts. */
     std::uint64_t solverWarmReused() const { return solverWarmReused_; }
     /** Cumulative delta-set size over warm-started decisions. */
@@ -318,7 +291,9 @@ class NdpRuntime
     /**
      * Checkpoint pass. A resumed system restores this state instead of
      * calling start(); advisory wall-clock fields (lastAssignMicros /
-     * lastConfigMicros) intentionally do not travel.
+     * lastConfigMicros) intentionally do not travel. Loading hands the
+     * configurator the cache's unit-health mask, so the cache must be
+     * restored first.
      */
     void checkpoint(ckpt::Archive& ar);
 
@@ -385,19 +360,16 @@ class NdpRuntime
     std::vector<StreamId> pendingUncovered_;
 
     Telemetry* telemetry_ = nullptr;
-    /** Epoch counter for decision records (0 = initial config). */
+    /** Epoch barriers crossed; the machine's one epoch count (decision
+     *  records, telemetry samples and checkpoint names read it). */
     std::uint64_t epochIndex_ = 0;
     /** Last sim time seen (epoch boundary); stamps emergency records. */
     Cycles lastNow_ = 0;
     /** Last max-flow sampler assignment (for the decision log). */
     SamplerAssignment lastAssignment_;
 
-    /** Health bitmap: unitFailed_[u] is true once unit u died. */
-    std::vector<bool> unitFailed_;
-
     std::uint64_t reconfigs_ = 0;
     std::uint64_t emergencyReconfigs_ = 0;
-    std::uint64_t failedUnitCount_ = 0;
     std::uint64_t skippedReconfigs_ = 0;
     std::uint64_t covered_ = 0;
     double lastAssignMicros_ = 0.0;

@@ -106,7 +106,6 @@ MissCurveSampler::curve(std::uint64_t total_stream_accesses) const
 SamplerBank::SamplerBank(std::uint32_t num_samplers,
                          const SamplerParams& params)
     : samplers_(num_samplers, MissCurveSampler(params)),
-      accessed_(StreamTable::kMaxStreams, false),
       counts_(StreamTable::kMaxStreams, 0)
 {
     NDP_ASSERT(num_samplers > 0);
@@ -155,10 +154,9 @@ SamplerBank::assign(
 void
 SamplerBank::observe(StreamId sid, std::uint64_t granule_id)
 {
-    if (sid >= accessed_.size()) {
+    if (sid >= counts_.size()) {
         return;
     }
-    accessed_[sid] = true;
     ++counts_[sid];
     for (auto& s : samplers_) {
         if (s.assigned() && s.sid() == sid) {
@@ -188,7 +186,6 @@ SamplerBank::samplerFor(StreamId sid) const
 void
 SamplerBank::newEpoch()
 {
-    std::fill(accessed_.begin(), accessed_.end(), false);
     std::fill(counts_.begin(), counts_.end(), 0);
 }
 

@@ -106,18 +106,14 @@ class MissCurveSampler
 };
 
 /**
- * The per-unit sampling hardware: S = 4 samplers, the 512-bit bitvector of
- * streams accessed this epoch, and per-stream access counters.
+ * The per-unit sampling hardware: S = 4 samplers and per-stream access
+ * counters, whose nonzero entries form the 512-bit bitvector of streams
+ * accessed this epoch.
  */
 class SamplerBank
 {
   public:
     SamplerBank(std::uint32_t num_samplers, const SamplerParams& params);
-
-    std::uint32_t numSamplers() const
-    {
-        return static_cast<std::uint32_t>(samplers_.size());
-    }
 
     /**
      * Install the epoch's assignments: stream (and its caching granule)
@@ -129,16 +125,16 @@ class SamplerBank
     /** Record an access from this unit to `sid`. */
     void observe(StreamId sid, std::uint64_t granule_id);
 
-    /** Streams accessed this epoch (the bitvector sent to the host). */
-    const std::vector<bool>& accessedBitvector() const { return accessed_; }
+    /** Was `sid` accessed this epoch (its bit in the bitvector)? */
+    bool accessed(StreamId sid) const { return accessCount(sid) > 0; }
 
     /** Per-stream access count from this unit this epoch. */
     std::uint64_t accessCount(StreamId sid) const;
 
     const MissCurveSampler* samplerFor(StreamId sid) const;
 
-    /** Clear bitvector/counters for the next epoch (samplers keep state
-     *  until reassigned). */
+    /** Clear the counters for the next epoch (samplers keep state until
+     *  reassigned). */
     void newEpoch();
 
     /** Checkpoint pass. */
@@ -149,14 +145,11 @@ class SamplerBank
         for (MissCurveSampler& s : samplers_) {
             s.checkpoint(ar);
         }
-        ar.seq(accessed_, [&](bool& a) { ar.b(a); });
         ar.seq(counts_, [&](std::uint64_t& n) { ar.u64(n); });
-        NDP_ASSERT(accessed_.size() == counts_.size());
     }
 
   private:
     std::vector<MissCurveSampler> samplers_;
-    std::vector<bool> accessed_;
     std::vector<std::uint64_t> counts_;
 };
 

@@ -52,7 +52,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 5;
+constexpr std::uint32_t kCheckpointVersion = 6;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 
@@ -120,6 +120,9 @@ class Writer
     }
 
     const std::vector<std::uint8_t>& bytes() const { return buf_; }
+
+    /** Drop the bytes but keep the buffer for the next stream. */
+    void clear() { buf_.clear(); }
 
   private:
     /** Append `v` little-endian in one insert. */

@@ -75,12 +75,6 @@ class BandwidthResource
     BandwidthResource(BandwidthResource&&) = default;
     BandwidthResource& operator=(BandwidthResource&&) = default;
 
-    void
-    setBandwidth(double bytes_per_cycle)
-    {
-        bytesPerCycle_ = bytes_per_cycle;
-    }
-
     /**
      * Occupy the resource for `duration` cycles (a transfer's
      * serviceCycles) starting at the earliest gap at or after `now`

@@ -243,7 +243,6 @@ NdpSystem::configHash(const Workload& workload) const
     w.u64(cfg_.runtime.epochCycles);
     w.u32(static_cast<std::uint32_t>(cfg_.runtime.method));
     w.u64(cfg_.runtime.partialUntilCycles);
-    w.u32(cfg_.runtime.samplersPerUnit);
     w.u64(cfg_.runtime.minSamplerAccesses);
     w.b(cfg_.runtime.solverWarmStart);
     w.u64(cfg_.runtime.solverBudgetIters);
@@ -542,15 +541,13 @@ NdpSystem::run(const Workload& workload)
         }
     };
 
-    // --- barrier loop state (checkpointed alongside component state) ---
-    Cycles next_epoch = cfg_.runtime.epochCycles;
-    Cycles next_failure =
-        fault != nullptr ? fault->nextFailureAt() : FaultInjector::kNoFailure;
-    Cycles epoch_start = 0;
-    std::uint64_t epoch_idx = 0;
-    /** Epoch barriers crossed, counted whether or not telemetry is
-     *  attached (epoch_idx is telemetry-local). Names checkpoints. */
-    std::uint64_t completed_epochs = 0;
+    // --- barrier loop state: the runtime's epoch count is the one
+    // record of the barriers crossed; the loop derives its bounds from
+    // it, and the injector knows the remaining failure schedule.
+    const Cycles epoch_cycles = cfg_.runtime.epochCycles;
+    const auto epochStart = [&] {
+        return runtime.epochIndex() * epoch_cycles;
+    };
 
     // Full-machine checkpoint pass at an epoch barrier: the only point
     // where no core is mid-step and no packet is in flight between
@@ -559,10 +556,6 @@ NdpSystem::run(const Workload& workload)
     // -- asserts, not recoverable errors.
     const auto machineState = [&](ckpt::Archive& ar) {
         ar.section(0x0515);
-        ar.u64(completed_epochs);
-        ar.u64(next_epoch);
-        ar.u64(epoch_start);
-        ar.u64(epoch_idx);
         // Stream-table read-only bits: the only mutable stream state
         // (write-to-read-only exceptions clear them mid-run).
         ar.expect(table.numStreams(), "checkpoint stream-count mismatch");
@@ -583,7 +576,7 @@ NdpSystem::run(const Workload& workload)
             fault->checkpoint(ar);
         }
         cache.checkpoint(ar);
-        runtime.checkpoint(ar);
+        runtime.checkpoint(ar); // after the cache: reads its unit health
         ar.expect(cores.size(), "checkpoint core-count mismatch");
         for (InOrderCore& core : cores) {
             core.checkpoint(ar);
@@ -626,10 +619,6 @@ NdpSystem::run(const Workload& workload)
         ckpt::Archive ar(r);
         machineState(ar);
         NDP_ASSERT(r.atEnd(), "checkpoint payload has trailing state");
-        // Derived, not stored: the restored injector knows the remaining
-        // failure schedule.
-        next_failure = fault != nullptr ? fault->nextFailureAt()
-                                        : FaultInjector::kNoFailure;
     } else {
         runtime.start();
         for (const InOrderCore& core : cores) {
@@ -638,6 +627,10 @@ NdpSystem::run(const Workload& workload)
     }
     const std::uint64_t ckpt_hash =
         ckptEvery_ != 0 ? configHash(workload) : 0;
+    // One encode buffer for every image. Images of one run are about the
+    // same size, so after the first one an image neither grows a buffer
+    // by doubling nor leaves the discarded halves resident in the heap.
+    ckpt::Writer image;
 
     // --- barrier loop: the cores advance to the next global event (epoch
     // boundary or scheduled failure); the runtime acts at the barrier,
@@ -645,9 +638,12 @@ NdpSystem::run(const Workload& workload)
     const auto engine_start = std::chrono::steady_clock::now();
     // First heartbeat before any epoch completes, so staleness monitors
     // have a baseline mtime from the moment the engine starts.
-    writeHeartbeat(completed_epochs,
-                   completed_epochs * cfg_.runtime.epochCycles, false);
+    writeHeartbeat(runtime.epochIndex(), epochStart(), false);
     for (;;) {
+        const Cycles next_epoch = epochStart() + epoch_cycles;
+        const Cycles next_failure = fault != nullptr
+            ? fault->nextFailureAt()
+            : FaultInjector::kNoFailure;
         ready.runUntil(std::min(next_epoch, next_failure), cores, gens);
 
         // Barrier-side telemetry: drain the per-core packet samples and
@@ -663,33 +659,28 @@ NdpSystem::run(const Workload& workload)
             // Failures fire before a coinciding epoch boundary.
             runtime.onUnitFailures(fault->popFailuresUpTo(next_failure),
                                    next_failure);
-            next_failure = fault->nextFailureAt();
         } else {
             if (telemetry_ != nullptr) {
                 // Snapshot before onEpochEnd clears the sampler counters.
                 if (servingWl != nullptr) {
                     refreshTenantLatency();
                 }
-                telemetry_->sampleEpoch(epoch_idx, next_epoch);
-                telemetry_->finalizeRequestEpoch(epoch_idx);
+                const std::uint64_t epoch = runtime.epochIndex();
+                telemetry_->sampleEpoch(epoch, next_epoch);
+                telemetry_->finalizeRequestEpoch(epoch);
                 std::string args = "{\"epoch\":";
-                args += std::to_string(epoch_idx);
+                args += std::to_string(epoch);
                 args += '}';
                 telemetry_->trace().completeSpan(
                     "epoch", "epoch", TraceWriter::kPidRuntime, 0,
-                    epoch_start, next_epoch - epoch_start, args);
-                epoch_start = next_epoch;
-                ++epoch_idx;
+                    epochStart(), epoch_cycles, args);
             }
             // Serving churn feeds the incremental solver's delta set:
             // streams of any tenant whose activity window opened or
             // closed during the elapsed epoch are re-solved from
             // scratch even if their demand fingerprints look stable.
             if (servingWl != nullptr && cfg_.runtime.solverWarmStart) {
-                const Cycles lo =
-                    next_epoch > cfg_.runtime.epochCycles
-                    ? next_epoch - cfg_.runtime.epochCycles
-                    : 0;
+                const Cycles lo = epochStart();
                 const std::size_t ntenants =
                     servingWl->serving().tenants.size();
                 std::vector<bool> churned(ntenants, false);
@@ -715,8 +706,7 @@ NdpSystem::run(const Workload& workload)
                 }
             }
             runtime.onEpochEnd(next_epoch);
-            next_epoch += cfg_.runtime.epochCycles;
-            ++completed_epochs;
+            const std::uint64_t completed_epochs = runtime.epochIndex();
             if (ckptEvery_ != 0 && completed_epochs % ckptEvery_ == 0) {
                 if (telemetry_ != nullptr) {
                     // Bound image growth: append the rendered telemetry
@@ -727,14 +717,14 @@ NdpSystem::run(const Workload& workload)
                         warn(ferr);
                     }
                 }
-                ckpt::Writer w;
-                ckpt::Archive ar(w);
+                image.clear();
+                ckpt::Archive ar(image);
                 machineState(ar);
                 const std::string path = ckptPrefix_ + "."
                     + std::to_string(completed_epochs) + ".ckpt";
                 std::string err;
                 if (!ckpt::saveCheckpoint(path, ckpt_hash,
-                                          completed_epochs, w.bytes(),
+                                          completed_epochs, image.bytes(),
                                           &err)) {
                     // The run itself is unaffected; keep going so a
                     // transient disk problem does not kill hours of
@@ -742,8 +732,7 @@ NdpSystem::run(const Workload& workload)
                     warn(err);
                 }
             }
-            writeHeartbeat(completed_epochs,
-                           next_epoch - cfg_.runtime.epochCycles, false);
+            writeHeartbeat(completed_epochs, next_epoch, false);
         }
     }
     const auto engine_end = std::chrono::steady_clock::now();
@@ -758,18 +747,19 @@ NdpSystem::run(const Workload& workload)
         if (servingWl != nullptr) {
             refreshTenantLatency();
         }
-        telemetry_->sampleEpoch(epoch_idx, finish);
-        telemetry_->finalizeRequestEpoch(epoch_idx);
-        if (finish > epoch_start) {
+        const std::uint64_t epoch = runtime.epochIndex();
+        telemetry_->sampleEpoch(epoch, finish);
+        telemetry_->finalizeRequestEpoch(epoch);
+        if (finish > epochStart()) {
             std::string args = "{\"epoch\":";
-            args += std::to_string(epoch_idx);
+            args += std::to_string(epoch);
             args += '}';
             telemetry_->trace().completeSpan(
-                "epoch", "epoch", TraceWriter::kPidRuntime, 0, epoch_start,
-                finish - epoch_start, args);
+                "epoch", "epoch", TraceWriter::kPidRuntime, 0, epochStart(),
+                finish - epochStart(), args);
         }
     }
-    writeHeartbeat(completed_epochs, finish, true);
+    writeHeartbeat(runtime.epochIndex(), finish, true);
 
     // --- collect results ---
     RunResult res;

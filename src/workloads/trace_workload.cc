@@ -1,11 +1,14 @@
 #include "workloads/trace_workload.h"
 
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/parse.h"
+#include "stream/stream_table.h"
 
 namespace ndpext {
 
@@ -71,6 +74,9 @@ TraceWorkload::parse(std::istream& in, std::uint32_t num_cores,
     w->perCore_.resize(num_cores);
 
     std::uint64_t footprint = 0;
+    // Declared streams by base address, to reject overlaps as the
+    // stream table would (one address belongs to at most one stream).
+    std::map<Addr, std::size_t> by_base;
     std::string line;
     std::size_t line_no = 0;
     // Diagnostics carry the source name and line so a user can fix the
@@ -138,10 +144,29 @@ TraceWorkload::parse(std::istream& in, std::uint32_t num_cores,
                             + "; size must be a positive multiple of "
                               "elemSize)");
             }
-            if (w->configs_.size() >= kNoStream) {
+            if (w->configs_.size() >= StreamTable::kMaxStreams) {
                 return fail("too many streams (at most "
-                            + std::to_string(kNoStream) + ")");
+                            + std::to_string(StreamTable::kMaxStreams)
+                            + ")");
             }
+            if (size > ~base) {
+                return fail("stream " + tok[1]
+                            + " runs past the end of the address space");
+            }
+            const auto next = by_base.upper_bound(base);
+            if (next != by_base.end() && base + size > next->first) {
+                return fail("stream " + tok[1] + " overlaps stream "
+                            + w->configs_[next->second].name);
+            }
+            if (next != by_base.begin()) {
+                const StreamConfig& prev =
+                    w->configs_[std::prev(next)->second];
+                if (prev.end() > base) {
+                    return fail("stream " + tok[1] + " overlaps stream "
+                                + prev.name);
+                }
+            }
+            by_base.emplace(base, w->configs_.size());
             StreamConfig cfg =
                 StreamConfig::dense(tok[1], type, base, size, elem_size);
             cfg.readOnly = rw == "ro";

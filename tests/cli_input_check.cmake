@@ -19,6 +19,22 @@ file(WRITE ${OUT_DIR}/negative_compute.trace
      "stream s affine 0x100000 16384 4 ro\na 0 0 0 r -5\n")
 file(WRITE ${OUT_DIR}/ragged_stream.trace
      "stream s affine 0x100000 16385 4 ro\na 0 0 0 r\n")
+file(WRITE ${OUT_DIR}/overlap.trace
+     "stream a affine 0x100000 4096 8 ro\n"
+     "stream b affine 0x100800 4096 8 ro\n")
+# One stream more than the stream table holds (512).
+file(WRITE ${OUT_DIR}/many_streams.trace "")
+foreach(i RANGE 512)
+    math(EXPR base "0x100000 + 4096 * ${i}" OUTPUT_FORMAT HEXADECIMAL)
+    file(APPEND ${OUT_DIR}/many_streams.trace
+         "stream s${i} affine ${base} 4096 8 ro\n")
+endforeach()
+# 55 recsys tenants of 10 streams each.
+set(many_tenants "")
+foreach(i RANGE 54)
+    list(APPEND many_tenants
+         --tenant=name=t${i},workload=recsys,period=80000,footprint-mb=1)
+endforeach()
 
 set(failures "")
 
@@ -92,8 +108,8 @@ expect_rejected(1 "32-bit unit id"
     --accesses=100 --stacks=1024x1024 --units=1024x5)
 
 # A key given twice in one spec: --tenant kept the first value,
-# --mem-backend the last.
-expect_rejected(2 "key 'burst-factor' is given twice"
+# --mem-backend the last. The --tenant diagnostic names its flag once.
+expect_rejected(2 "ndpext_sim: --tenant: key 'burst-factor' is given twice"
     ${serving} ${tenant},arrival=bursty,burst-factor=4,burst-factor=6)
 expect_rejected(2 "key 'queue' is given twice"
     --accesses=100 --mem-backend.unit=frfcfs,queue=4,queue=16)
@@ -104,6 +120,15 @@ expect_rejected(2 "negative_compute.trace:2: bad computeCycles '-5'"
     --trace=${OUT_DIR}/negative_compute.trace)
 expect_rejected(2 "ragged_stream.trace:1: bad stream geometry"
     --trace=${OUT_DIR}/ragged_stream.trace)
+
+# Stream sets the stream table cannot hold: an assert once the run
+# registered them.
+expect_rejected(2 "overlap.trace:2: stream b overlaps stream a"
+    --trace=${OUT_DIR}/overlap.trace)
+expect_rejected(2 "many_streams.trace:513: too many streams (at most 512)"
+    --trace=${OUT_DIR}/many_streams.trace)
+expect_rejected(1 "550 streams; the stream table holds at most 512"
+    ${serving} ${many_tenants})
 
 # Supervisor deadlines past the steady clock's range wrapped into the
 # past and SIGKILLed every attempt at once.

@@ -105,7 +105,7 @@ TEST(SramCache, InvalidateAllDropsEverything)
 /*
  * A SetAssocCache checkpoint is a u64 entry count, then per entry its
  * key and lastUse (u64 each) and its valid and dirty bytes, then the
- * use clock and three u64 counters.
+ * use clock and two u64 counters.
  */
 constexpr std::size_t kEntryBytes = 18;
 

@@ -530,14 +530,18 @@ expectIdentical(const RunResult& a, const RunResult& b)
 /**
  * Resume cases, one per kind of state a resume restores: the stream
  * path (pr), the cacheline-mode metadata caches (bfs under
- * static-interleave), a configurator with state (recsys under nexus),
+ * static-interleave), a baseline configurator (recsys under nexus),
  * the read-only replay after a write exception (backprop), and the
  * fault injector's RNGs, poisoned and failed sets, failure cursor and
- * emergency reconfiguration (faulty pr).
+ * emergency reconfiguration, plus the unit health Algorithm 1 reads
+ * after a restore (faulty pr).
  */
 class CheckpointResume : public ::testing::TestWithParam<RunCase>
 {
   protected:
+    /** The faulty case's unit failure. */
+    static constexpr Cycles kFailureAt = 100'000;
+
     SystemConfig
     config() const
     {
@@ -545,7 +549,7 @@ class CheckpointResume : public ::testing::TestWithParam<RunCase>
         if (GetParam().faulty) {
             // Rates high enough that every fault class draws after each
             // resume point, so a lost RNG state shows.
-            addFaults(cfg, 5, 100'000, 1e-3);
+            addFaults(cfg, 5, kFailureAt, 1e-3);
         }
         return cfg;
     }
@@ -582,9 +586,19 @@ TEST_P(CheckpointResume, ResumeIsBitIdentical)
         << error;
     ASSERT_GE(h.epoch, 3u) << "run too short to exercise resume";
 
-    // Resume from the first, a middle, and the newest image.
-    for (const std::uint64_t epoch :
-         {std::uint64_t{1}, h.epoch / 2, h.epoch}) {
+    // Resume from the first, a middle, and the newest image. A faulty
+    // run also resumes from the first image after the unit failure, with
+    // reconfigurations still to come, so Algorithm 1 must run on the
+    // unit health restored from the image.
+    std::vector<std::uint64_t> epochs = {1, h.epoch / 2, h.epoch};
+    if (GetParam().faulty) {
+        const std::uint64_t after_failure =
+            kFailureAt / config().runtime.epochCycles + 1;
+        ASSERT_LT(after_failure, h.epoch)
+            << "no reconfiguration follows the failure's first image";
+        epochs.push_back(after_failure);
+    }
+    for (const std::uint64_t epoch : epochs) {
         NdpSystem resumed(config(), GetParam().policy);
         const std::string image =
             prefix + "." + std::to_string(epoch) + ".ckpt";
@@ -641,20 +655,20 @@ TEST(CheckpointFormat, ImageIsPinned)
 
     const ckpt::CheckpointHeader plain =
         firstImage(nullptr, freshPrefix("pinned"));
-    EXPECT_EQ(plain.version, 5u) << why;
-    EXPECT_EQ(plain.configHash, 791912146930649146u) << why;
-    EXPECT_EQ(plain.payloadSize, 409302u) << why;
-    EXPECT_EQ(plain.payloadCrc, 1095608923u) << why;
+    EXPECT_EQ(plain.version, 6u) << why;
+    EXPECT_EQ(plain.configHash, 13499614244034063102u) << why;
+    EXPECT_EQ(plain.payloadSize, 396705u) << why;
+    EXPECT_EQ(plain.payloadCrc, 1893598747u) << why;
 
     TelemetryConfig tc;
     tc.outPrefix = freshPrefix("pinned_telemetry");
     Telemetry tel(tc);
     const ckpt::CheckpointHeader traced =
         firstImage(&tel, tc.outPrefix + ".ckpt");
-    EXPECT_EQ(traced.version, 5u) << why;
-    EXPECT_EQ(traced.configHash, 12540278523562607767u) << why;
-    EXPECT_EQ(traced.payloadSize, 411106u) << why;
-    EXPECT_EQ(traced.payloadCrc, 3679856855u) << why;
+    EXPECT_EQ(traced.version, 6u) << why;
+    EXPECT_EQ(traced.configHash, 6533915903173500323u) << why;
+    EXPECT_EQ(traced.payloadSize, 398509u) << why;
+    EXPECT_EQ(traced.payloadCrc, 1366660954u) << why;
 }
 
 /**

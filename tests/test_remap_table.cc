@@ -49,11 +49,10 @@ TEST(RemapTable, AllocAccounting)
     StreamRemapTable t(kUnits, kRowsPerUnit, kRowBytes, RemapMode::Modulo);
     EXPECT_EQ(t.freeRows(0), kRowsPerUnit);
     t.setAlloc(0, twoGroupAlloc(), 8, f.noc);
-    EXPECT_EQ(t.usedRows(0), 8u);
     EXPECT_EQ(t.freeRows(0), kRowsPerUnit - 8);
-    EXPECT_EQ(t.usedRows(4), 4u);
+    EXPECT_EQ(t.freeRows(4), kRowsPerUnit - 4);
     t.clearAlloc(0);
-    EXPECT_EQ(t.usedRows(0), 0u);
+    EXPECT_EQ(t.freeRows(0), kRowsPerUnit);
     EXPECT_EQ(t.alloc(0), nullptr);
 }
 
@@ -144,8 +143,13 @@ TEST(RemapTable, ConsistentHashSurvivalOnShrink)
     auto shrunk = twoGroupAlloc();
     shrunk.shareRows = {6, 6, 0, 0, 4, 2, 0, 0}; // unit 0 loses 2 rows
     t.setAlloc(0, shrunk, 8, f.noc);
-    EXPECT_NEAR(t.lastSurvivalFraction(0), 18.0 / 20.0, 1e-9);
+    // 18 of the 20 old rows keep their spot: unit 0 keeps 6 of its 8.
     EXPECT_EQ(t.survivingRows(0).size(), 18u);
+    std::uint32_t unit0 = 0;
+    for (const auto& row : t.survivingRows(0)) {
+        unit0 += row.unit == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(unit0, 6u);
 }
 
 TEST(RemapTable, ModuloSurvivalOnlyWhenIdentical)
@@ -154,11 +158,11 @@ TEST(RemapTable, ModuloSurvivalOnlyWhenIdentical)
     StreamRemapTable t(kUnits, kRowsPerUnit, kRowBytes, RemapMode::Modulo);
     t.setAlloc(0, twoGroupAlloc(), 8, f.noc);
     t.setAlloc(0, twoGroupAlloc(), 8, f.noc); // identical
-    EXPECT_DOUBLE_EQ(t.lastSurvivalFraction(0), 1.0);
+    EXPECT_EQ(t.survivingRows(0).size(), twoGroupAlloc().totalRows());
     auto changed = twoGroupAlloc();
     changed.shareRows[0] = 7;
     t.setAlloc(0, changed, 8, f.noc);
-    EXPECT_DOUBLE_EQ(t.lastSurvivalFraction(0), 0.0);
+    EXPECT_TRUE(t.survivingRows(0).empty());
 }
 
 TEST(RemapTable, ConsistentHashKeepsMostMappingsStable)

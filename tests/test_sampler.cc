@@ -132,9 +132,9 @@ TEST(SamplerBank, TracksBitvectorAndCounts)
     bank.observe(2, 10);
     bank.observe(2, 11);
     bank.observe(9, 1); // not sampled, still counted
-    EXPECT_TRUE(bank.accessedBitvector()[2]);
-    EXPECT_TRUE(bank.accessedBitvector()[9]);
-    EXPECT_FALSE(bank.accessedBitvector()[3]);
+    EXPECT_TRUE(bank.accessed(2));
+    EXPECT_TRUE(bank.accessed(9));
+    EXPECT_FALSE(bank.accessed(3));
     EXPECT_EQ(bank.accessCount(2), 2u);
     EXPECT_EQ(bank.accessCount(9), 1u);
     ASSERT_NE(bank.samplerFor(2), nullptr);
@@ -148,7 +148,7 @@ TEST(SamplerBank, NewEpochClearsCountersNotAssignments)
     bank.assign({{2, 64}});
     bank.observe(2, 10);
     bank.newEpoch();
-    EXPECT_FALSE(bank.accessedBitvector()[2]);
+    EXPECT_FALSE(bank.accessed(2));
     EXPECT_EQ(bank.accessCount(2), 0u);
     ASSERT_NE(bank.samplerFor(2), nullptr); // still assigned
 }

@@ -126,7 +126,7 @@ TEST(StreamCache, SamplersObserveAccesses)
     for (ElemId e = 0; e < 100; ++e) {
         send(*rig.cache, 0, rig.accessOf(sid, e), e * 10000);
     }
-    EXPECT_TRUE(rig.cache->samplerBank(0).accessedBitvector()[sid]);
+    EXPECT_TRUE(rig.cache->samplerBank(0).accessed(sid));
     EXPECT_EQ(rig.cache->samplerBank(0).accessCount(sid), 100u);
     ASSERT_NE(rig.cache->samplerBank(0).samplerFor(sid), nullptr);
     EXPECT_EQ(rig.cache->samplerBank(0).samplerFor(sid)->accesses(), 100u);

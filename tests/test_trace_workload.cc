@@ -168,7 +168,12 @@ TEST(TraceWorkload, RecoverableParseReportsSourceAndLine)
           Case{"stream t affine 0100 64 8 ro", "bad stream base '0100'"},
           Case{"stream t affine 0x2000 64x 8 ro", "bad stream size '64x'"},
           Case{"stream t affine 0x2000 64 4294967296 ro",
-               "bad stream elemSize '4294967296'"}}) {
+               "bad stream elemSize '4294967296'"},
+          Case{"stream t affine 0x1020 64 8 ro", "stream t overlaps stream s"},
+          Case{"stream t affine 0xfc0 72 8 ro", "stream t overlaps stream s"},
+          Case{"stream t affine 0x1000 8 8 ro", "stream t overlaps stream s"},
+          Case{"stream t affine 0xfffffffffffffff8 16 8 ro",
+               "stream t runs past the end of the address space"}}) {
         std::istringstream bad(std::string(
                                    "stream s affine 0x1000 64 8 ro\n")
                                + c.line + "\n");
@@ -189,16 +194,17 @@ TEST(TraceWorkload, RecoverableParseReportsSourceAndLine)
 
 TEST(TraceWorkload, StreamIdsFitTheirType)
 {
-    // Stream ids are 16-bit and kNoStream is reserved, so the 65536th
-    // stream is a diagnostic rather than a wrapped id.
+    // The stream table holds 512 streams, so the 513th is a diagnostic
+    // rather than an assert when the run registers them.
     std::string text;
-    for (std::uint32_t i = 0; i <= kNoStream; ++i) {
-        text += "stream s affine 0x0 8 8 ro\n";
+    for (std::size_t i = 0; i <= StreamTable::kMaxStreams; ++i) {
+        text += "stream s" + std::to_string(i) + " affine "
+            + std::to_string(4096 + 8 * i) + " 8 8 ro\n";
     }
     std::istringstream in(text);
     std::string error;
     EXPECT_EQ(TraceWorkload::parse(in, 1, "many.trace", &error), nullptr);
-    EXPECT_NE(error.find("many.trace:65536: too many streams"),
+    EXPECT_NE(error.find("many.trace:513: too many streams (at most 512)"),
               std::string::npos)
         << error;
 }

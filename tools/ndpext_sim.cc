@@ -602,7 +602,7 @@ main(int argc, char** argv)
         TenantSpec tenant;
         std::string error;
         if (!parseTenantSpec(spec, &tenant, &error)) {
-            usageError("bad --tenant: " + error);
+            usageError(error); // already names --tenant
         }
         cfg.serving.tenants.push_back(std::move(tenant));
     }
@@ -661,6 +661,18 @@ main(int argc, char** argv)
         params.accessesPerCore = opt.accesses;
         params.seed = opt.seed;
         serving->prepare(params);
+        // Each tenant brings its workload's streams; together they must
+        // fit the stream table.
+        const std::size_t streams = serving->streamConfigs().size();
+        if (streams > StreamTable::kMaxStreams) {
+            std::fprintf(stderr,
+                         "ndpext_sim: invalid configuration: --tenant: "
+                         "%zu tenants declare %zu streams; the stream "
+                         "table holds at most %zu\n",
+                         cfg.serving.tenants.size(), streams,
+                         StreamTable::kMaxStreams);
+            return 1;
+        }
         workload = std::move(serving);
     } else if (!opt.trace.empty()) {
         std::string error;
