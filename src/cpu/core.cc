@@ -75,7 +75,6 @@ addShares(RequestTraceRecord& req, const Cycles shares[6])
 void
 InOrderCore::attributeStall(Cycles wait, const MshrSlot& blocking)
 {
-    const StreamId sid = blocking.pkt.sid;
     Cycles shares[6] = {0, 0, 0, 0, 0, 0};
     splitWait(wait, blocking.pkt.bd, shares);
     stall_.metadata += shares[0];
@@ -91,14 +90,7 @@ InOrderCore::attributeStall(Cycles wait, const MshrSlot& blocking)
     }
 
     // Per-stream attribution: the wait is the blocking packet's fault.
-    if (sid == kNoStream) {
-        noStreamStall_ += wait;
-    } else {
-        if (streamStall_.size() <= sid) {
-            streamStall_.resize(sid + 1, 0);
-        }
-        streamStall_[sid] += wait;
-    }
+    streamStall_[blocking.pkt.sid] += wait;
 }
 
 bool

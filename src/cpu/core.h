@@ -25,6 +25,7 @@
 #include "sim/breakdown.h"
 #include "sim/packet.h"
 #include "sim/stats.h"
+#include "sim/stream_ledger.h"
 #include "telemetry/request_trace.h"
 
 namespace ndpext {
@@ -112,17 +113,15 @@ class InOrderCore
      */
     const CoreStallBreakdown& stallBreakdown() const { return stall_; }
 
-    /** Stall cycles attributed to the blocking packet's stream id
-     *  (0 for sids this core never waited on). */
+    /** Stall cycles blamed on blocking packets of stream `sid`
+     *  (kNoStream: non-stream packets; 0 for sids this core never
+     *  waited on). Over every sid they sum exactly to
+     *  memStallCycles(). */
     Cycles
     streamStallCycles(StreamId sid) const
     {
-        return sid < streamStall_.size() ? streamStall_[sid] : 0;
+        return streamStall_.at(sid);
     }
-    /** Stall cycles blamed on non-stream (kNoStream) packets; together
-     *  with the per-stream counts this sums exactly to
-     *  memStallCycles(). */
-    Cycles noStreamStallCycles() const { return noStreamStall_; }
 
     /**
      * Declare the core's 13 counters under `prefix`: accesses, l1Hits,
@@ -171,8 +170,7 @@ class InOrderCore
         ar.u64(stall_.dramCache);
         ar.u64(stall_.extMem);
         ar.u64(stall_.mshrQueue);
-        ar.seq(streamStall_, [&](Cycles& c) { ar.u64(c); });
-        ar.u64(noStreamStall_);
+        streamStall_.checkpoint(ar, [&](Cycles& c) { ar.u64(c); });
         l1d_.checkpoint(ar);
         ar.expect(mshr_.size(), "MSHR count mismatch");
         for (MshrSlot& slot : mshr_) {
@@ -235,9 +233,8 @@ class InOrderCore
     Cycles computeCycles_ = 0;
     Cycles idleCycles_ = 0;
     CoreStallBreakdown stall_;
-    /** Stall cycles per blocking stream id (resize-on-demand). */
-    std::vector<Cycles> streamStall_;
-    Cycles noStreamStall_ = 0;
+    /** Stall cycles per blocking stream id. */
+    StreamLedger<Cycles> streamStall_;
     /** Telemetry sink (null = sampling off; the default). */
     PacketSampleBuffer* telSink_ = nullptr;
     /** Request-trace sink (null = request tracing off; the default). */

@@ -12,23 +12,11 @@ ExtendedMemory::ExtendedMemory(const CxlParams& cxl,
 {
 }
 
-ExtendedMemory::StreamCounters&
-ExtendedMemory::countersFor(StreamId sid)
-{
-    if (sid == kNoStream) {
-        return noStream_;
-    }
-    if (stream_.size() <= sid) {
-        stream_.resize(sid + 1);
-    }
-    return stream_[sid];
-}
-
 CxlResult
 ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
                        Cycles now, StreamId sid)
 {
-    StreamCounters& sc = countersFor(sid);
+    StreamCounters& sc = stream_[sid];
     // Request flit over the link (64 B header+address class payload).
     // A transient link error loses the transaction; the endpoint retries
     // after capped exponential backoff. Every attempt occupies link
@@ -104,11 +92,10 @@ ExtendedMemory::counters(Counters& out, const std::string& prefix) const
 std::uint64_t
 ExtendedMemory::linkBytes() const
 {
-    std::uint64_t total = noStream_.linkBytes;
-    for (const StreamCounters& c : stream_) {
-        total += c.linkBytes;
-    }
-    return total;
+    return stream_.fold(std::uint64_t{0},
+                        [](std::uint64_t n, const StreamCounters& c) {
+                            return n + c.linkBytes;
+                        });
 }
 
 } // namespace ndpext

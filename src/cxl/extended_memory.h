@@ -19,13 +19,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "fault/fault_injector.h"
 #include "mem/mem_backend.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
+#include "sim/stream_ledger.h"
 
 namespace ndpext {
 
@@ -88,29 +88,23 @@ class ExtendedMemory
     /**
      * Per-stream cost attribution: link bytes (incl. the request flit and
      * any fault retries), DRAM bytes, and DRAM row activations are counted
-     * per owning stream id, and the energy shares are derived from those
-     * integer counters with the device's energy coefficients. Summed over
-     * every stream plus the kNoStream slot, the integer counters equal the
-     * machine totals exactly; the derived energies match linkEnergyNj() /
-     * dramEnergyNj() up to float association order.
+     * per owning stream id (kNoStream included), and the energy shares
+     * are derived from those integer counters with the device's energy
+     * coefficients. Summed over every sid, the integer counters equal
+     * the machine totals exactly; the derived energies match
+     * linkEnergyNj() / dramEnergyNj() up to float association order.
      */
     double
     streamLinkEnergyNj(StreamId sid) const
     {
-        return linkEnergyFor(counters(sid));
+        return static_cast<double>(stream_.at(sid).linkBytes) * 8.0
+            * cxl_.pjPerBit * 1e-3;
     }
     double
     streamDramEnergyNj(StreamId sid) const
     {
-        return dramEnergyFor(counters(sid));
-    }
-    double unattributedLinkEnergyNj() const
-    {
-        return linkEnergyFor(noStream_);
-    }
-    double unattributedDramEnergyNj() const
-    {
-        return dramEnergyFor(noStream_);
+        const StreamCounters& c = stream_.at(sid);
+        return dram_->params().energyNj(c.dramBytes, c.dramActivations);
     }
 
     /** Transient-link-error retries performed (degraded mode). */
@@ -129,8 +123,11 @@ class ExtendedMemory
     {
         dram_->checkpoint(ar);
         link_.checkpoint(ar);
-        ar.seq(stream_, [&](StreamCounters& c) { c.checkpoint(ar); });
-        noStream_.checkpoint(ar);
+        stream_.checkpoint(ar, [&](StreamCounters& c) {
+            ar.u64(c.linkBytes);
+            ar.u64(c.dramBytes);
+            ar.u64(c.dramActivations);
+        });
         ar.u64(accesses_);
         ar.d(linkEnergyNj_);
         ar.u64(linkRetries_);
@@ -145,47 +142,15 @@ class ExtendedMemory
         std::uint64_t linkBytes = 0;
         std::uint64_t dramBytes = 0;
         std::uint64_t dramActivations = 0;
-
-        void
-        checkpoint(ckpt::Archive& ar)
-        {
-            ar.u64(linkBytes);
-            ar.u64(dramBytes);
-            ar.u64(dramActivations);
-        }
     };
-
-    const StreamCounters&
-    counters(StreamId sid) const
-    {
-        static const StreamCounters kZero{};
-        return sid < stream_.size() ? stream_[sid] : kZero;
-    }
-    StreamCounters& countersFor(StreamId sid);
-
-    double
-    linkEnergyFor(const StreamCounters& c) const
-    {
-        return static_cast<double>(c.linkBytes) * 8.0 * cxl_.pjPerBit
-            * 1e-3;
-    }
-    double
-    dramEnergyFor(const StreamCounters& c) const
-    {
-        return static_cast<double>(c.dramBytes) * 8.0
-            * dram_->params().rdWrPjPerBit * 1e-3
-            + static_cast<double>(c.dramActivations)
-            * dram_->params().actPreNj;
-    }
 
     CxlParams cxl_;
     std::unique_ptr<MemBackend> dram_;
     BandwidthResource link_;
     FaultInjector* fault_ = nullptr;
 
-    /** Per-stream attribution (resize-on-demand by sid). */
-    std::vector<StreamCounters> stream_;
-    StreamCounters noStream_;
+    /** Per-stream attribution. */
+    StreamLedger<StreamCounters> stream_;
 
     std::uint64_t accesses_ = 0;
     double linkEnergyNj_ = 0.0;

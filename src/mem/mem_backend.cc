@@ -256,15 +256,6 @@ MemBackend::burstCycles(std::uint32_t bytes) const
         1, whole + (static_cast<double>(whole) < c ? 1 : 0));
 }
 
-double
-MemBackend::dynamicEnergyNj() const
-{
-    const double bits =
-        static_cast<double>(bytesRead_ + bytesWritten_) * 8.0;
-    return bits * params_.rdWrPjPerBit * 1e-3
-        + static_cast<double>(activations_) * params_.actPreNj;
-}
-
 void
 MemBackend::counters(Counters& out, const std::string& prefix) const
 {

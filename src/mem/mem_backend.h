@@ -76,6 +76,15 @@ struct DramTimingParams
         return channels * ranks * banks;
     }
 
+    /** Dynamic energy of moving `bytes` with `activations` row
+     *  activations, in nanojoules. */
+    double
+    energyNj(std::uint64_t bytes, std::uint64_t activations) const
+    {
+        return static_cast<double>(bytes) * 8.0 * rdWrPjPerBit * 1e-3
+            + static_cast<double>(activations) * actPreNj;
+    }
+
     /** NDP-stack HBM3 slice owned by one NDP unit (Table II). */
     static DramTimingParams hbm3Unit();
     /** NDP-stack HMC2 vault owned by one NDP unit (Table II). */
@@ -228,7 +237,11 @@ class MemBackend
     void setBackendName(std::string name) { backendName_ = std::move(name); }
 
     /** Total dynamic energy so far, in nanojoules. */
-    virtual double dynamicEnergyNj() const;
+    double
+    dynamicEnergyNj() const
+    {
+        return params_.energyNj(bytesRead_ + bytesWritten_, activations_);
+    }
 
     std::uint64_t rowHits() const { return rowHits_; }
     std::uint64_t rowMisses() const { return rowMisses_; }

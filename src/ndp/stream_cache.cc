@@ -117,18 +117,6 @@ StreamCacheController::unitDram(UnitId unit) const
     return *units_[unit]->dram;
 }
 
-StreamCacheController::StreamCost&
-StreamCacheController::costFor(StreamId sid)
-{
-    if (sid == kNoStream) {
-        return noStreamCost_;
-    }
-    if (streamCost_.size() <= sid) {
-        streamCost_.resize(sid + 1);
-    }
-    return streamCost_[sid];
-}
-
 std::uint32_t
 StreamCacheController::waysOf(const StreamConfig& cfg) const
 {
@@ -174,7 +162,7 @@ StreamCacheController::dramAt(const CacheLocation& loc, std::uint32_t bytes,
     const std::uint32_t bank = loc.deviceRow % banks;
     const std::uint64_t row = loc.deviceRow / banks;
     const DramResult dr = dram.accessRow(bank, row, bytes, is_write, t);
-    StreamCost& cost = costFor(sid);
+    StreamRow& cost = ledger_[sid];
     cost.dramBytes += bytes;
     if (!dr.rowHit) {
         ++cost.dramActivations; // backends activate on every non-hit
@@ -294,7 +282,7 @@ StreamCacheController::metadataLookup(UnitId unit, Packet& pkt)
     }
     const DramResult dr = units_[home]->dram->access(
         key * 4, kCachelineBytes, false, pkt.ready);
-    StreamCost& cost = costFor(pkt.sid);
+    StreamRow& cost = ledger_[pkt.sid];
     cost.dramBytes += kCachelineBytes;
     if (!dr.rowHit) {
         ++cost.dramActivations;
@@ -323,28 +311,8 @@ StreamCacheController::recvAtomic(Packet& pkt)
     }
     handleAccess(pkt);
     pkt.bd.requests += 1;
-    if (pkt.sid == kNoStream) {
-        noStreamBd_.merge(pkt.bd);
-    } else {
-        if (streamBd_.size() <= pkt.sid) {
-            streamBd_.resize(pkt.sid + 1);
-        }
-        streamBd_[pkt.sid].merge(pkt.bd);
-    }
+    ledger_[pkt.sid].bd.merge(pkt.bd);
 }
-
-namespace {
-
-void
-bumpStreamCounter(std::vector<std::uint64_t>& v, StreamId sid)
-{
-    if (v.size() <= sid) {
-        v.resize(sid + 1, 0);
-    }
-    ++v[sid];
-}
-
-} // namespace
 
 void
 StreamCacheController::handleAccess(Packet& pkt)
@@ -360,8 +328,7 @@ StreamCacheController::handleAccess(Packet& pkt)
         pkt.ready += params_.slbHitCycles;
         pkt.bd.metadata += params_.slbHitCycles;
         sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
-        ++noStreamCost_.slbLookups;
-        ++bypasses_;
+        ++ledger_[kNoStream].slbLookups;
         extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     } else {
@@ -369,11 +336,10 @@ StreamCacheController::handleAccess(Packet& pkt)
         pkt.ready += slb_lat;
         pkt.bd.metadata += slb_lat;
         sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
-        ++costFor(pkt.sid).slbLookups;
+        ++ledger_[pkt.sid].slbLookups;
     }
 
     if (pkt.sid == kNoStream) {
-        ++bypasses_;
         extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
@@ -395,18 +361,6 @@ StreamCacheController::handleAccess(Packet& pkt)
     accessCached(u, cfg, pkt);
 }
 
-std::uint64_t
-StreamCacheController::streamHits(StreamId sid) const
-{
-    return sid < streamHits_.size() ? streamHits_[sid] : 0;
-}
-
-std::uint64_t
-StreamCacheController::streamMisses(StreamId sid) const
-{
-    return sid < streamMisses_.size() ? streamMisses_[sid] : 0;
-}
-
 void
 StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
                                     Packet& pkt)
@@ -417,7 +371,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         // No cache space allocated (e.g., affine space restriction or
         // pre-first-epoch): stream directly from extended memory.
         ++uncached_;
-        bumpStreamCounter(streamMisses_, cfg.sid);
+        ++ledger_[cfg.sid].misses;
         extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
@@ -429,7 +383,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         // emergency reconfiguration will re-place the stream.
         ++failedRedirects_;
         ++uncached_;
-        bumpStreamCounter(streamMisses_, cfg.sid);
+        ++ledger_[cfg.sid].misses;
         extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
     }
@@ -462,7 +416,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
             pkt.ready += params_.ataCycles;
             pkt.bd.metadata += params_.ataCycles;
             sramEnergyNj_ += params_.ataPjPerLookup * 1e-3;
-            ++costFor(cfg.sid).ataLookups;
+            ++ledger_[cfg.sid].ataLookups;
         }
         res = ts.accessFill(loc.unitSlot, granule, is_write);
     } else {
@@ -497,7 +451,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         }
     }
     if (res.hit && !eccFaultOnHit(true)) {
-        bumpStreamCounter(streamHits_, cfg.sid);
+        ++ledger_[cfg.sid].hits;
         if (tag_first) {
             // The checked tag hit: one DRAM data access.
             const DramResult dr =
@@ -507,7 +461,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         }
     } else {
         ++misses_;
-        bumpStreamCounter(streamMisses_, cfg.sid);
+        ++ledger_[cfg.sid].misses;
         if (!res.hit && res.evictedDirty) {
             writebackVictim(loc.unit, cfg, res.evictedKey, pkt.ready);
         }
@@ -729,58 +683,37 @@ StreamCacheController::applyConfiguration(
 LatencyBreakdown
 StreamCacheController::breakdown() const
 {
-    LatencyBreakdown total = noStreamBd_;
-    for (const LatencyBreakdown& bd : streamBd_) {
-        total.merge(bd);
-    }
-    return total;
+    return ledger_.fold(LatencyBreakdown{},
+                        [](LatencyBreakdown total, const StreamRow& row) {
+                            total.merge(row.bd);
+                            return total;
+                        });
 }
 
 std::uint64_t
 StreamCacheController::cacheHits() const
 {
-    std::uint64_t total = 0;
-    for (const std::uint64_t hits : streamHits_) {
-        total += hits;
-    }
-    return total;
-}
-
-LatencyBreakdown
-StreamCacheController::streamBreakdown(StreamId sid) const
-{
-    return sid < streamBd_.size() ? streamBd_[sid] : LatencyBreakdown{};
-}
-
-double
-StreamCacheController::sramEnergyFor(const StreamCost& c) const
-{
-    return static_cast<double>(c.slbLookups) * params_.slbPjPerLookup
-        * 1e-3
-        + static_cast<double>(c.ataLookups) * params_.ataPjPerLookup
-        * 1e-3;
-}
-
-double
-StreamCacheController::dramCacheEnergyFor(const StreamCost& c) const
-{
-    return static_cast<double>(c.dramBytes) * 8.0
-        * unitDramCfg_.timing.rdWrPjPerBit * 1e-3
-        + static_cast<double>(c.dramActivations)
-        * unitDramCfg_.timing.actPreNj;
+    return ledger_.fold(std::uint64_t{0},
+                        [](std::uint64_t total, const StreamRow& row) {
+                            return total + row.hits;
+                        });
 }
 
 double
 StreamCacheController::streamSramEnergyNj(StreamId sid) const
 {
-    return sid < streamCost_.size() ? sramEnergyFor(streamCost_[sid]) : 0.0;
+    const StreamRow& row = ledger_.at(sid);
+    return static_cast<double>(row.slbLookups) * params_.slbPjPerLookup
+        * 1e-3
+        + static_cast<double>(row.ataLookups) * params_.ataPjPerLookup
+        * 1e-3;
 }
 
 double
 StreamCacheController::streamDramCacheEnergyNj(StreamId sid) const
 {
-    return sid < streamCost_.size() ? dramCacheEnergyFor(streamCost_[sid])
-                                    : 0.0;
+    const StreamRow& row = ledger_.at(sid);
+    return unitDramCfg_.timing.energyNj(row.dramBytes, row.dramActivations);
 }
 
 std::uint64_t
@@ -919,7 +852,6 @@ StreamCacheController::checkpoint(ckpt::Archive& ar)
     NDP_ASSERT(unitFailed_.size() == units_.size());
     ar.u64(misses_);
     ar.u64(uncached_);
-    ar.u64(bypasses_);
     ar.u64(writeExceptions_);
     ar.u64(wayPredictions_);
     ar.u64(wayMispredictions_);
@@ -928,12 +860,15 @@ StreamCacheController::checkpoint(ckpt::Archive& ar)
     ar.u64(dramFaults_);
     ar.u64(poisonEscalations_);
     ar.d(sramEnergyNj_);
-    ar.seq(streamHits_, [&](std::uint64_t& n) { ar.u64(n); });
-    ar.seq(streamMisses_, [&](std::uint64_t& n) { ar.u64(n); });
-    ar.seq(streamBd_, [&](LatencyBreakdown& bd) { ar.bd(bd); });
-    ar.bd(noStreamBd_);
-    ar.seq(streamCost_, [&](StreamCost& c) { c.checkpoint(ar); });
-    noStreamCost_.checkpoint(ar);
+    ledger_.checkpoint(ar, [&](StreamRow& row) {
+        ar.u64(row.hits);
+        ar.u64(row.misses);
+        ar.bd(row.bd);
+        ar.u64(row.slbLookups);
+        ar.u64(row.ataLookups);
+        ar.u64(row.dramBytes);
+        ar.u64(row.dramActivations);
+    });
     ar.u64(invalidatedRows_);
     ar.u64(survivedRows_);
 }

@@ -58,6 +58,7 @@
 #include "sampler/sampler.h"
 #include "sim/breakdown.h"
 #include "sim/packet.h"
+#include "sim/stream_ledger.h"
 #include "stream/stream_table.h"
 
 namespace ndpext {
@@ -204,12 +205,18 @@ class StreamCacheController : public MemSink
     std::uint64_t failedUnitCount() const;
 
     // --- statistics ---
-    /** Sum of the per-stream rows and the non-stream slot. */
+    /** Sum of the ledger's rows, the none row included. */
     LatencyBreakdown breakdown() const;
     std::uint64_t cacheHits() const;
     std::uint64_t cacheMisses() const { return misses_; }
     std::uint64_t uncachedStreamAccesses() const { return uncached_; }
-    std::uint64_t bypasses() const { return bypasses_; }
+    /** Non-stream accesses: each bypasses the cache, so they are the
+     *  none row's requests. */
+    std::uint64_t
+    bypasses() const
+    {
+        return ledger_.at(kNoStream).bd.requests;
+    }
     std::uint64_t writeExceptions() const { return writeExceptions_; }
     /** Way-prediction accuracy (1.0 when prediction is off/unused). */
     double wayPredictionRate() const;
@@ -228,34 +235,35 @@ class StreamCacheController : public MemSink
     /** Poisoned extended-memory reads escalated to the host. */
     std::uint64_t poisonEscalations() const { return poisonEscalations_; }
     /** Per-stream hit/miss counts (0 for never-accessed sids). */
-    std::uint64_t streamHits(StreamId sid) const;
-    std::uint64_t streamMisses(StreamId sid) const;
+    std::uint64_t
+    streamHits(StreamId sid) const
+    {
+        return ledger_.at(sid).hits;
+    }
+    std::uint64_t
+    streamMisses(StreamId sid) const
+    {
+        return ledger_.at(sid).misses;
+    }
     double dramCacheEnergyNj() const;
     double sramEnergyNj() const { return sramEnergyNj_; }
 
     /**
-     * Per-stream cost attribution. Service latency is merged per owning
-     * sid on request completion, so summed over every stream plus the
-     * non-stream slot it equals breakdown() exactly (integer cycles).
-     * SRAM and DRAM-cache energy shares are derived from per-stream
-     * integer counters (lookups, bytes, activations) with the same
-     * coefficients as the machine totals, so the shares sum to
+     * Per-stream cost attribution (kNoStream: the non-stream row).
+     * Service latency is merged per owning sid on request completion,
+     * so summed over every sid it equals breakdown() exactly (integer
+     * cycles). SRAM and DRAM-cache energy shares are derived from
+     * per-stream integer counters (lookups, bytes, activations) with
+     * the same coefficients as the machine totals, so the shares sum to
      * sramEnergyNj()/dramCacheEnergyNj() up to float association order.
      */
-    LatencyBreakdown streamBreakdown(StreamId sid) const;
-    LatencyBreakdown nonStreamBreakdown() const { return noStreamBd_; }
+    LatencyBreakdown
+    streamBreakdown(StreamId sid) const
+    {
+        return ledger_.at(sid).bd;
+    }
     double streamSramEnergyNj(StreamId sid) const;
-    double
-    nonStreamSramEnergyNj() const
-    {
-        return sramEnergyFor(noStreamCost_);
-    }
     double streamDramCacheEnergyNj(StreamId sid) const;
-    double
-    nonStreamDramCacheEnergyNj() const
-    {
-        return dramCacheEnergyFor(noStreamCost_);
-    }
     const MemBackend& unitDram(UnitId unit) const;
 
     /**
@@ -306,26 +314,22 @@ class StreamCacheController : public MemSink
         }
     };
 
-    /** Integer cost counters of one stream; its energy shares are
-     *  derived from these with the machine coefficients. */
-    struct StreamCost
+    /**
+     * One stream's ledger row: hits and misses (misses include the
+     * stream's uncached accesses; hits alone sum to cacheHits()), its
+     * service latency (core writebacks excluded), and the integer cost
+     * counters its energy shares are derived from.
+     */
+    struct StreamRow
     {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        LatencyBreakdown bd;
         std::uint64_t slbLookups = 0;
         std::uint64_t ataLookups = 0;
         std::uint64_t dramBytes = 0;
         std::uint64_t dramActivations = 0;
-
-        void
-        checkpoint(ckpt::Archive& ar)
-        {
-            ar.u64(slbLookups);
-            ar.u64(ataLookups);
-            ar.u64(dramBytes);
-            ar.u64(dramActivations);
-        }
     };
-
-    StreamCost& costFor(StreamId sid);
 
     /** The full L1-miss service path. */
     void handleAccess(Packet& pkt);
@@ -381,10 +385,6 @@ class StreamCacheController : public MemSink
     DramResult dramAt(const CacheLocation& loc, std::uint32_t bytes,
                       bool is_write, Cycles t, StreamId sid);
 
-    /** Energy of a stream's cost counters (machine coefficients). */
-    double sramEnergyFor(const StreamCost& c) const;
-    double dramCacheEnergyFor(const StreamCost& c) const;
-
     /** The serving unit's tag store for `sid` (built on first use). */
     TagStore& storeFor(UnitId unit, StreamId sid);
 
@@ -424,7 +424,6 @@ class StreamCacheController : public MemSink
 
     std::uint64_t misses_ = 0;
     std::uint64_t uncached_ = 0;
-    std::uint64_t bypasses_ = 0;
     std::uint64_t writeExceptions_ = 0;
     std::uint64_t wayPredictions_ = 0;
     std::uint64_t wayMispredictions_ = 0;
@@ -433,17 +432,8 @@ class StreamCacheController : public MemSink
     std::uint64_t dramFaults_ = 0;
     std::uint64_t poisonEscalations_ = 0;
     double sramEnergyNj_ = 0.0;
-    /** Per-stream hit/miss counters (index = sid). Misses include the
-     *  stream's uncached accesses; hits alone sum to cacheHits(). */
-    std::vector<std::uint64_t> streamHits_;
-    std::vector<std::uint64_t> streamMisses_;
-    /** Per-stream service latency (index = sid; kNoStream separate);
-     *  excludes core writebacks. */
-    std::vector<LatencyBreakdown> streamBd_;
-    LatencyBreakdown noStreamBd_;
-    /** Per-stream SRAM/DRAM-cache cost counters. */
-    std::vector<StreamCost> streamCost_;
-    StreamCost noStreamCost_;
+    /** Per-stream attribution. */
+    StreamLedger<StreamRow> ledger_;
 
     /** Row accounting (reconfigurations, collapses). */
     std::uint64_t invalidatedRows_ = 0;

@@ -80,14 +80,7 @@ void
 NocModel::chargeEnergy(StreamId sid, double nj)
 {
     energyNj_ += nj;
-    if (sid == kNoStream) {
-        noStreamEnergyNj_ += nj;
-    } else {
-        if (streamEnergyNj_.size() <= sid) {
-            streamEnergyNj_.resize(sid + 1, 0.0);
-        }
-        streamEnergyNj_[sid] += nj;
-    }
+    streamEnergyNj_[sid] += nj;
 }
 
 NocResult

@@ -23,6 +23,7 @@
 #include "noc/mesh.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
+#include "sim/stream_ledger.h"
 
 namespace ndpext {
 
@@ -90,15 +91,14 @@ class NocModel
     const NocParams& params() const { return params_; }
 
     double energyNj() const { return energyNj_; }
-    /** Energy of transfers owned by stream `sid` (0 if never seen). */
+    /** Energy of transfers owned by stream `sid` (kNoStream: core
+     *  writebacks, metadata, ...; 0 if never seen). Over every sid the
+     *  shares cover energyNj(). */
     double
     streamEnergyNj(StreamId sid) const
     {
-        return sid < streamEnergyNj_.size() ? streamEnergyNj_[sid] : 0.0;
+        return streamEnergyNj_.at(sid);
     }
-    /** Energy of kNoStream transfers (core writebacks, metadata, ...);
-     *  together with the per-stream shares this covers energyNj(). */
-    double unattributedEnergyNj() const { return noStreamEnergyNj_; }
     std::uint64_t transfers() const { return transfers_; }
     /** Bytes moved, weighted by hops of each link class (bandwidth). */
     std::uint64_t intraHopBytes() const { return intraHopBytes_; }
@@ -119,8 +119,7 @@ class NocModel
             }
         }
         ar.d(energyNj_);
-        ar.seq(streamEnergyNj_, [&](double& e) { ar.d(e); });
-        ar.d(noStreamEnergyNj_);
+        streamEnergyNj_.checkpoint(ar, [&](double& e) { ar.d(e); });
         ar.u64(transfers_);
         ar.u64(totalCycles_);
         ar.u64(intraHopBytes_);
@@ -140,7 +139,7 @@ class NocModel
                                  std::uint32_t bytes, Cycles now,
                                  bool to_portal, StreamId sid);
 
-    /** Add `nj` to the machine total and to `sid`'s attribution slot. */
+    /** Add `nj` to the machine total and to `sid`'s ledger row. */
     void chargeEnergy(StreamId sid, double nj);
 
     /** Cached hop counts of the (static) route src -> dst. */
@@ -165,9 +164,8 @@ class NocModel
     std::vector<std::uint32_t> portalHops_;
 
     double energyNj_ = 0.0;
-    /** Per-stream energy attribution (resize-on-demand by sid). */
-    std::vector<double> streamEnergyNj_;
-    double noStreamEnergyNj_ = 0.0;
+    /** Per-stream energy attribution. */
+    StreamLedger<double> streamEnergyNj_;
     std::uint64_t transfers_ = 0;
     /** Sum over transfers of (arrival - request) cycles. */
     Cycles totalCycles_ = 0;

@@ -77,14 +77,6 @@ MissCurve::missesAt(std::uint64_t capacity) const
     return misses_[lo] + f * (misses_[hi] - misses_[lo]);
 }
 
-std::uint64_t
-MissCurve::nextPointAbove(std::uint64_t capacity) const
-{
-    const auto it = std::upper_bound(capacities_.begin(), capacities_.end(),
-                                     capacity);
-    return it == capacities_.end() ? 0 : *it;
-}
-
 MissCurve
 MissCurve::pointwiseMin(const MissCurve& a, const MissCurve& b)
 {
@@ -99,18 +91,6 @@ MissCurve::pointwiseMin(const MissCurve& a, const MissCurve& b)
         out.setZeroMisses(std::max(a.zeroMisses_, b.zeroMisses_));
     }
     return out;
-}
-
-double
-MissCurve::slopeAt(std::uint64_t capacity) const
-{
-    const std::uint64_t next = nextPointAbove(capacity);
-    if (next == 0) {
-        return 0.0;
-    }
-    const double gained = missesAt(capacity) - missesAt(next);
-    const double bytes = static_cast<double>(next - capacity);
-    return gained <= 0.0 ? 0.0 : gained / bytes;
 }
 
 MissCurve::Segment

@@ -58,18 +58,6 @@ class MissCurve
     double missesAt(std::uint64_t capacity) const;
 
     /**
-     * The next capacity point strictly above `capacity`, or 0 if the
-     * curve is exhausted (allocating further cannot help).
-     */
-    std::uint64_t nextPointAbove(std::uint64_t capacity) const;
-
-    /**
-     * Marginal utility of growing from `capacity` to the next point:
-     * (misses avoided) / (bytes added). Returns 0 at the curve end.
-     */
-    double slopeAt(std::uint64_t capacity) const;
-
-    /**
      * True lookahead (UCP): the segment from `capacity` to the future
      * point with the maximum (misses avoided)/(bytes added). A single
      * flat region therefore cannot hide a steep cliff behind it.

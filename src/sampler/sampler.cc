@@ -105,8 +105,7 @@ MissCurveSampler::curve(std::uint64_t total_stream_accesses) const
 
 SamplerBank::SamplerBank(std::uint32_t num_samplers,
                          const SamplerParams& params)
-    : samplers_(num_samplers, MissCurveSampler(params)),
-      counts_(StreamTable::kMaxStreams, 0)
+    : samplers_(num_samplers, MissCurveSampler(params))
 {
     NDP_ASSERT(num_samplers > 0);
 }
@@ -155,7 +154,7 @@ void
 SamplerBank::observe(StreamId sid, std::uint64_t granule_id)
 {
     if (sid >= counts_.size()) {
-        return;
+        counts_.resize(sid + std::size_t{1});
     }
     ++counts_[sid];
     for (auto& s : samplers_) {
@@ -186,7 +185,7 @@ SamplerBank::samplerFor(StreamId sid) const
 void
 SamplerBank::newEpoch()
 {
-    std::fill(counts_.begin(), counts_.end(), 0);
+    counts_.clear();
 }
 
 } // namespace ndpext

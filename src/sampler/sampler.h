@@ -22,7 +22,6 @@
 #include "sampler/miss_curve.h"
 #include "sim/checkpoint.h"
 #include "sim/stats.h"
-#include "stream/stream_table.h"
 
 namespace ndpext {
 
@@ -108,7 +107,8 @@ class MissCurveSampler
 /**
  * The per-unit sampling hardware: S = 4 samplers and per-stream access
  * counters, whose nonzero entries form the 512-bit bitvector of streams
- * accessed this epoch.
+ * accessed this epoch. The counters reach only as far as the highest
+ * stream id the unit observed since the last newEpoch().
  */
 class SamplerBank
 {
@@ -134,7 +134,8 @@ class SamplerBank
     const MissCurveSampler* samplerFor(StreamId sid) const;
 
     /** Clear the counters for the next epoch (samplers keep state until
-     *  reassigned). */
+     *  reassigned). Every epoch barrier calls it before taking a
+     *  checkpoint, so each image holds an empty counter list. */
     void newEpoch();
 
     /** Checkpoint pass. */

@@ -52,7 +52,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 6;
+constexpr std::uint32_t kCheckpointVersion = 7;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 

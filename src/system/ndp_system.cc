@@ -66,8 +66,8 @@ makeConfigurator(PolicyKind policy, const SystemConfig& cfg,
 /**
  * Declare the per-stream cost attribution counters (ndpext_report
  * topdown): stream.<sid>.<series> for every stream, then
- * stream.none.<series>. The getters take kNoStream for the "none" slot,
- * which keeps each series summing to the machine total.
+ * stream.none.<series>. Every getter takes kNoStream for the "none"
+ * row, which keeps each series summing to the machine total.
  */
 void
 streamCounters(Counters& out, const StreamTable& table,
@@ -80,39 +80,31 @@ streamCounters(Counters& out, const StreamTable& table,
     series.emplace_back("stallCycles", [&cores](StreamId sid) {
         Cycles total = 0;
         for (const auto& core : cores) {
-            total += sid == kNoStream ? core.noStreamStallCycles()
-                                      : core.streamStallCycles(sid);
+            total += core.streamStallCycles(sid);
         }
         return double(total);
     });
     for (const ServiceStage& stage : kServiceStages) {
         series.emplace_back(std::string("serviceCycles.") + stage.name,
                             [&cache, field = stage.field](StreamId sid) {
-                                const LatencyBreakdown bd = sid == kNoStream
-                                    ? cache.nonStreamBreakdown()
-                                    : cache.streamBreakdown(sid);
-                                return double(bd.*field);
+                                return double(
+                                    cache.streamBreakdown(sid).*field);
                             });
     }
     series.emplace_back("energyNj.icn", [&noc](StreamId sid) {
-        return sid == kNoStream ? noc.unattributedEnergyNj()
-                                : noc.streamEnergyNj(sid);
+        return noc.streamEnergyNj(sid);
     });
     series.emplace_back("energyNj.cxlLink", [&ext](StreamId sid) {
-        return sid == kNoStream ? ext.unattributedLinkEnergyNj()
-                                : ext.streamLinkEnergyNj(sid);
+        return ext.streamLinkEnergyNj(sid);
     });
     series.emplace_back("energyNj.extDram", [&ext](StreamId sid) {
-        return sid == kNoStream ? ext.unattributedDramEnergyNj()
-                                : ext.streamDramEnergyNj(sid);
+        return ext.streamDramEnergyNj(sid);
     });
     series.emplace_back("energyNj.dramCache", [&cache](StreamId sid) {
-        return sid == kNoStream ? cache.nonStreamDramCacheEnergyNj()
-                                : cache.streamDramCacheEnergyNj(sid);
+        return cache.streamDramCacheEnergyNj(sid);
     });
     series.emplace_back("energyNj.sram", [&cache](StreamId sid) {
-        return sid == kNoStream ? cache.nonStreamSramEnergyNj()
-                                : cache.streamSramEnergyNj(sid);
+        return cache.streamSramEnergyNj(sid);
     });
     std::vector<std::pair<std::string, StreamId>> slots;
     for (const StreamConfig& scfg : table.all()) {

@@ -8,64 +8,58 @@
 
 namespace ndpext {
 
+const NamedTable<PolicyInfo>&
+policies()
+{
+    static const NamedTable<PolicyInfo> table{
+        "policy",
+        {
+            {"ndpext", PolicyKind::NdpExt, false},
+            {"ndpext-static", PolicyKind::NdpExtStatic, false},
+            {"jigsaw", PolicyKind::Jigsaw, true},
+            {"whirlpool", PolicyKind::Whirlpool, true},
+            {"nexus", PolicyKind::Nexus, true},
+            {"static-interleave", PolicyKind::StaticInterleave, true},
+        },
+    };
+    return table;
+}
+
+namespace {
+
+const PolicyInfo&
+policyInfo(PolicyKind kind)
+{
+    for (const PolicyInfo& info : policies().rows()) {
+        if (info.kind == kind) {
+            return info;
+        }
+    }
+    NDP_PANIC("bad policy kind");
+}
+
+} // namespace
+
 std::string
 policyName(PolicyKind kind)
 {
-    switch (kind) {
-      case PolicyKind::NdpExt:
-        return "ndpext";
-      case PolicyKind::NdpExtStatic:
-        return "ndpext-static";
-      case PolicyKind::Jigsaw:
-        return "jigsaw";
-      case PolicyKind::Whirlpool:
-        return "whirlpool";
-      case PolicyKind::Nexus:
-        return "nexus";
-      case PolicyKind::StaticInterleave:
-        return "static-interleave";
-    }
-    NDP_PANIC("bad policy kind");
+    return policyInfo(kind).name;
 }
 
 PolicyKind
 policyFromName(const std::string& name)
 {
-    if (name == "ndpext") {
-        return PolicyKind::NdpExt;
+    const PolicyInfo* info = policies().find(name);
+    if (info == nullptr) {
+        NDP_FATAL("unknown policy: ", name);
     }
-    if (name == "ndpext-static") {
-        return PolicyKind::NdpExtStatic;
-    }
-    if (name == "jigsaw") {
-        return PolicyKind::Jigsaw;
-    }
-    if (name == "whirlpool") {
-        return PolicyKind::Whirlpool;
-    }
-    if (name == "nexus") {
-        return PolicyKind::Nexus;
-    }
-    if (name == "static-interleave") {
-        return PolicyKind::StaticInterleave;
-    }
-    NDP_FATAL("unknown policy: ", name);
+    return info->kind;
 }
 
 bool
 isCachelinePolicy(PolicyKind kind)
 {
-    switch (kind) {
-      case PolicyKind::NdpExt:
-      case PolicyKind::NdpExtStatic:
-        return false;
-      case PolicyKind::Jigsaw:
-      case PolicyKind::Whirlpool:
-      case PolicyKind::Nexus:
-      case PolicyKind::StaticInterleave:
-        return true;
-    }
-    NDP_PANIC("bad policy kind");
+    return policyInfo(kind).cachelineMode;
 }
 
 DramTimingParams

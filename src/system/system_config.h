@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/named_table.h"
 #include "cpu/core.h"
 #include "cxl/extended_memory.h"
 #include "fault/fault_injector.h"
@@ -38,6 +39,19 @@ enum class PolicyKind
     Nexus,
     StaticInterleave,
 };
+
+/** One policy: its CLI name, its kind and its caching mode. */
+struct PolicyInfo
+{
+    std::string name;
+    PolicyKind kind;
+    /** Caches 64 B lines behind a metadata cache: the adapted-NUCA
+     *  baselines (StreamCacheParams::cachelineMode). */
+    bool cachelineMode;
+};
+
+/** The six policies, sorted by name; the functions below read it. */
+const NamedTable<PolicyInfo>& policies();
 
 std::string policyName(PolicyKind kind);
 PolicyKind policyFromName(const std::string& name);

@@ -655,20 +655,20 @@ TEST(CheckpointFormat, ImageIsPinned)
 
     const ckpt::CheckpointHeader plain =
         firstImage(nullptr, freshPrefix("pinned"));
-    EXPECT_EQ(plain.version, 6u) << why;
+    EXPECT_EQ(plain.version, 7u) << why;
     EXPECT_EQ(plain.configHash, 13499614244034063102u) << why;
-    EXPECT_EQ(plain.payloadSize, 396705u) << why;
-    EXPECT_EQ(plain.payloadCrc, 1893598747u) << why;
+    EXPECT_EQ(plain.payloadSize, 363921u) << why;
+    EXPECT_EQ(plain.payloadCrc, 1928244756u) << why;
 
     TelemetryConfig tc;
     tc.outPrefix = freshPrefix("pinned_telemetry");
     Telemetry tel(tc);
     const ckpt::CheckpointHeader traced =
         firstImage(&tel, tc.outPrefix + ".ckpt");
-    EXPECT_EQ(traced.version, 6u) << why;
+    EXPECT_EQ(traced.version, 7u) << why;
     EXPECT_EQ(traced.configHash, 6533915903173500323u) << why;
-    EXPECT_EQ(traced.payloadSize, 398509u) << why;
-    EXPECT_EQ(traced.payloadCrc, 1366660954u) << why;
+    EXPECT_EQ(traced.payloadSize, 365725u) << why;
+    EXPECT_EQ(traced.payloadCrc, 2287287529u) << why;
 }
 
 /**

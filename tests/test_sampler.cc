@@ -38,22 +38,11 @@ TEST(MissCurve, EnforcesMonotonicity)
     EXPECT_DOUBLE_EQ(c.missesAt(4096), 50.0);
 }
 
-TEST(MissCurve, NextPointAndSlope)
-{
-    MissCurve c({1024, 4096, 16384}, {100.0, 50.0, 10.0});
-    EXPECT_EQ(c.nextPointAbove(0), 1024u);
-    EXPECT_EQ(c.nextPointAbove(1024), 4096u);
-    EXPECT_EQ(c.nextPointAbove(16384), 0u);
-    EXPECT_GT(c.slopeAt(1024), 0.0);
-    EXPECT_DOUBLE_EQ(c.slopeAt(16384), 0.0);
-}
-
 TEST(MissCurve, EmptyCurveIsSafe)
 {
     MissCurve c;
     EXPECT_TRUE(c.empty());
     EXPECT_DOUBLE_EQ(c.missesAt(1024), 0.0);
-    EXPECT_EQ(c.nextPointAbove(0), 0u);
 }
 
 TEST(Sampler, GeometricCapacities)
@@ -156,9 +145,9 @@ TEST(SamplerBank, NewEpochClearsCountersNotAssignments)
 TEST(MissCurve, ZeroMissesEnablesFirstSegmentSlope)
 {
     MissCurve c({1024, 4096}, {100.0, 100.0}); // flat measured curve
-    EXPECT_DOUBLE_EQ(c.slopeAt(0), 0.0);
+    EXPECT_DOUBLE_EQ(c.bestSegment(0).slope, 0.0);
     c.setZeroMisses(1000.0);
-    EXPECT_GT(c.slopeAt(0), 0.0);
+    EXPECT_GT(c.bestSegment(0).slope, 0.0);
     EXPECT_DOUBLE_EQ(c.missesAt(0), 1000.0);
     EXPECT_DOUBLE_EQ(c.missesAt(1024), 100.0);
 }
@@ -172,10 +161,10 @@ TEST(MissCurve, ZeroMissesClampedToFirstPoint)
 
 TEST(MissCurve, BestSegmentSeesPastFlatRegions)
 {
-    // Flat from 1k to 4k, cliff at 16k: one-point slope at 1024 is zero
-    // but the lookahead must find the 16k target.
+    // Flat from 1k to 4k, cliff at 16k: growing to the next point gains
+    // nothing, but the lookahead must find the 16k target.
     MissCurve c({1024, 4096, 16384}, {100.0, 100.0, 10.0});
-    EXPECT_DOUBLE_EQ(c.slopeAt(1024), 0.0);
+    EXPECT_DOUBLE_EQ(c.missesAt(1024), c.missesAt(4096));
     const auto seg = c.bestSegment(1024);
     EXPECT_EQ(seg.target, 16384u);
     EXPECT_GT(seg.slope, 0.0);

@@ -1,12 +1,16 @@
-/** Tests for the simulation substrate: stats and resources. */
+/** Tests for the simulation substrate: stats, resources and the
+ *  per-stream ledger. */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "sim/breakdown.h"
+#include "sim/checkpoint.h"
 #include "sim/resource.h"
 #include "sim/stats.h"
+#include "sim/stream_ledger.h"
 
 namespace ndpext {
 namespace {
@@ -150,6 +154,95 @@ TEST(LatencyBreakdown, TotalsAndAverages)
     EXPECT_EQ(bd.total(), 150u);
     EXPECT_EQ(bd.icn(), 50u);
     EXPECT_DOUBLE_EQ(bd.avg(bd.extMem), 5.0);
+}
+
+/** A ledger row with two counters. */
+struct TestRow
+{
+    std::uint64_t hits = 0;
+    std::uint64_t bytes = 0;
+};
+
+/** Rows a fold visits: the stream rows, then the none row. */
+std::size_t
+rowCount(const StreamLedger<TestRow>& ledger)
+{
+    return ledger.fold(std::size_t{0},
+                       [](std::size_t n, const TestRow&) { return n + 1; });
+}
+
+std::uint64_t
+totalHits(const StreamLedger<TestRow>& ledger)
+{
+    return ledger.fold(std::uint64_t{0},
+                       [](std::uint64_t n, const TestRow& row) {
+                           return n + row.hits;
+                       });
+}
+
+TEST(StreamLedger, NoStreamChargesOnlyTheNoneRow)
+{
+    StreamLedger<TestRow> ledger;
+    ledger[kNoStream].hits += 3;
+    ledger[kNoStream].bytes += 64;
+    EXPECT_EQ(rowCount(ledger), 1u); // no stream row was grown
+    EXPECT_EQ(ledger.at(kNoStream).hits, 3u);
+    EXPECT_EQ(ledger.at(kNoStream).bytes, 64u);
+    EXPECT_EQ(ledger.at(0).hits, 0u);
+
+    ledger[1].hits += 2;
+    EXPECT_EQ(ledger.at(kNoStream).hits, 3u);
+    EXPECT_EQ(totalHits(ledger), 5u);
+}
+
+TEST(StreamLedger, UnchargedStreamReadsZeroWithoutGrowing)
+{
+    StreamLedger<TestRow> ledger;
+    ledger[2].hits = 5;
+    EXPECT_EQ(rowCount(ledger), 4u); // rows 0-2, then the none row
+    EXPECT_EQ(ledger.at(1).hits, 0u); // below the last row
+    EXPECT_EQ(ledger.at(3).hits, 0u); // one past the last row
+    EXPECT_EQ(ledger.at(500).bytes, 0u);
+    EXPECT_EQ(rowCount(ledger), 4u);
+    EXPECT_EQ(ledger.at(2).hits, 5u);
+}
+
+TEST(StreamLedger, CheckpointRoundTripsRowsAndNoneRow)
+{
+    StreamLedger<TestRow> ledger;
+    ledger[1] = {7, 640};
+    ledger[kNoStream] = {2, 128};
+    const auto pass = [](StreamLedger<TestRow>& l, ckpt::Archive& ar) {
+        l.checkpoint(ar, [&ar](TestRow& row) {
+            ar.u64(row.hits);
+            ar.u64(row.bytes);
+        });
+    };
+    ckpt::Writer w;
+    ckpt::Archive save(w);
+    pass(ledger, save);
+
+    // The wire format: the stream rows as a sequence, then the none row.
+    ckpt::Reader r(w.bytes());
+    EXPECT_EQ(r.u64(), 2u);
+    for (const std::uint64_t v : {0u, 0u, 7u, 640u, 2u, 128u}) {
+        EXPECT_EQ(r.u64(), v);
+    }
+    EXPECT_TRUE(r.atEnd());
+
+    StreamLedger<TestRow> restored;
+    restored[5].hits = 99; // replaced by the load
+    restored[kNoStream].hits = 99;
+    ckpt::Reader again(w.bytes());
+    ckpt::Archive load(again);
+    pass(restored, load);
+    EXPECT_TRUE(again.atEnd());
+    EXPECT_EQ(rowCount(restored), 3u);
+    EXPECT_EQ(restored.at(1).hits, 7u);
+    EXPECT_EQ(restored.at(1).bytes, 640u);
+    EXPECT_EQ(restored.at(5).hits, 0u);
+    EXPECT_EQ(restored.at(kNoStream).hits, 2u);
+    EXPECT_EQ(restored.at(kNoStream).bytes, 128u);
 }
 
 } // namespace

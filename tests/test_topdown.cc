@@ -22,6 +22,7 @@
 #include "cpu/core.h"
 #include "sim/packet.h"
 #include "system/ndp_system.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -110,7 +111,7 @@ TEST(CoreStall, LargestRemainderSplitSumsExactly)
               core.computeCycles() + core.l1Cycles()
                   + core.memStallCycles());
     EXPECT_EQ(core.streamStallCycles(5), core.memStallCycles());
-    EXPECT_EQ(core.noStreamStallCycles(), 0u);
+    EXPECT_EQ(core.streamStallCycles(kNoStream), 0u);
 }
 
 TEST(CoreStall, ZeroServiceBreakdownFallsToMshrQueue)
@@ -139,7 +140,7 @@ TEST(CoreStall, ZeroServiceBreakdownFallsToMshrQueue)
     EXPECT_GT(core.memStallCycles(), 0u);
     EXPECT_EQ(core.stallBreakdown().mshrQueue, core.memStallCycles());
     EXPECT_EQ(core.stallBreakdown().total(), core.memStallCycles());
-    EXPECT_EQ(core.noStreamStallCycles(), core.memStallCycles());
+    EXPECT_EQ(core.streamStallCycles(kNoStream), core.memStallCycles());
 }
 
 TEST(CoreStall, SplitIsExactForAdversarialRatios)
@@ -161,7 +162,7 @@ TEST(CoreStall, SplitIsExactForAdversarialRatios)
                 << "meta=" << meta << " ext=" << ext;
             EXPECT_EQ(core.streamStallCycles(1) + core.streamStallCycles(2)
                           + core.streamStallCycles(3)
-                          + core.noStreamStallCycles(),
+                          + core.streamStallCycles(kNoStream),
                       core.memStallCycles());
         }
     }
@@ -183,18 +184,38 @@ tinyConfig()
     return cfg;
 }
 
+/**
+ * The coverage cases: the fault-free stream datapath (pr), the
+ * cacheline-mode datapath, whose metadata-cache DRAM lookups are charged
+ * per stream (recsys under nexus), and the degraded paths: a unit
+ * failure, CXL retries and poison, DRAM bit faults (faulty pr).
+ */
+const RunCase kCoverageCases[] = {
+    {"pr", "pr", PolicyKind::NdpExt, false},
+    {"recsys_nexus", "recsys", PolicyKind::Nexus, false},
+    {"faulty_pr", "pr", PolicyKind::NdpExt, true},
+};
+
 RunResult
-tinyRun()
+tinyRun(const RunCase& c = kCoverageCases[0])
 {
-    auto w = makeWorkload("pr");
+    auto w = makeWorkload(c.workload);
     WorkloadParams p;
     p.numCores = 8;
     p.footprintBytes = 16_MiB;
     p.accessesPerCore = 4000;
     p.seed = 7;
     w->prepare(p);
-    NdpSystem sys(tinyConfig(), PolicyKind::NdpExt);
-    return sys.run(*w);
+    SystemConfig cfg = tinyConfig();
+    if (c.faulty) {
+        addFaults(cfg, 5, 100'000, 1e-3);
+    }
+    NdpSystem sys(cfg, c.policy);
+    const RunResult res = sys.run(*w);
+    if (c.faulty) {
+        EXPECT_EQ(res.degraded.failedUnits, 1u) << c.name;
+    }
+    return res;
 }
 
 /** Names of the per-stream metric roots present in `stats`. */
@@ -244,64 +265,71 @@ TEST(TopdownSystem, StallBucketsPartitionMemStallCycles)
 
 TEST(TopdownSystem, PerStreamCyclesCoverMachineTotals)
 {
-    const RunResult res = tinyRun();
-    const StatGroup& s = res.stats;
-    const std::vector<std::string> bases = streamBases(s);
-    ASSERT_GE(bases.size(), 2u); // at least one stream + "stream.none"
+    for (const RunCase& c : kCoverageCases) {
+        SCOPED_TRACE(c.name);
+        const RunResult res = tinyRun(c);
+        const StatGroup& s = res.stats;
+        const std::vector<std::string> bases = streamBases(s);
+        ASSERT_GE(bases.size(), 2u); // at least one stream + "stream.none"
 
-    double stall = 0.0;
-    double metadata = 0.0;
-    double icn_intra = 0.0;
-    double icn_inter = 0.0;
-    double dram_cache = 0.0;
-    double ext_mem = 0.0;
-    for (const std::string& base : bases) {
-        stall += s.get(base + ".stallCycles");
-        metadata += s.get(base + ".serviceCycles.metadata");
-        icn_intra += s.get(base + ".serviceCycles.icnIntra");
-        icn_inter += s.get(base + ".serviceCycles.icnInter");
-        dram_cache += s.get(base + ".serviceCycles.dramCache");
-        ext_mem += s.get(base + ".serviceCycles.extMem");
+        double stall = 0.0;
+        double metadata = 0.0;
+        double icn_intra = 0.0;
+        double icn_inter = 0.0;
+        double dram_cache = 0.0;
+        double ext_mem = 0.0;
+        for (const std::string& base : bases) {
+            stall += s.get(base + ".stallCycles");
+            metadata += s.get(base + ".serviceCycles.metadata");
+            icn_intra += s.get(base + ".serviceCycles.icnIntra");
+            icn_inter += s.get(base + ".serviceCycles.icnInter");
+            dram_cache += s.get(base + ".serviceCycles.dramCache");
+            ext_mem += s.get(base + ".serviceCycles.extMem");
+        }
+        // Integer counters: exact coverage, no cycle left behind.
+        EXPECT_EQ(stall, s.get("cores.memStallCycles"));
+        EXPECT_EQ(metadata, static_cast<double>(res.bd.metadata));
+        EXPECT_EQ(icn_intra, static_cast<double>(res.bd.icnIntra));
+        EXPECT_EQ(icn_inter, static_cast<double>(res.bd.icnInter));
+        EXPECT_EQ(dram_cache, static_cast<double>(res.bd.dramCache));
+        EXPECT_EQ(ext_mem, static_cast<double>(res.bd.extMem));
     }
-    // Integer counters: exact coverage, no cycle left behind.
-    EXPECT_EQ(stall, s.get("cores.memStallCycles"));
-    EXPECT_EQ(metadata, static_cast<double>(res.bd.metadata));
-    EXPECT_EQ(icn_intra, static_cast<double>(res.bd.icnIntra));
-    EXPECT_EQ(icn_inter, static_cast<double>(res.bd.icnInter));
-    EXPECT_EQ(dram_cache, static_cast<double>(res.bd.dramCache));
-    EXPECT_EQ(ext_mem, static_cast<double>(res.bd.extMem));
 }
 
 TEST(TopdownSystem, PerStreamEnergyCoversMachineTotals)
 {
-    const RunResult res = tinyRun();
-    const StatGroup& s = res.stats;
+    for (const RunCase& c : kCoverageCases) {
+        SCOPED_TRACE(c.name);
+        const RunResult res = tinyRun(c);
+        const StatGroup& s = res.stats;
 
-    double icn = 0.0;
-    double link = 0.0;
-    double ext_dram = 0.0;
-    double dram_cache = 0.0;
-    double sram = 0.0;
-    for (const std::string& base : streamBases(s)) {
-        icn += s.get(base + ".energyNj.icn");
-        link += s.get(base + ".energyNj.cxlLink");
-        ext_dram += s.get(base + ".energyNj.extDram");
-        dram_cache += s.get(base + ".energyNj.dramCache");
-        sram += s.get(base + ".energyNj.sram");
+        double icn = 0.0;
+        double link = 0.0;
+        double ext_dram = 0.0;
+        double dram_cache = 0.0;
+        double sram = 0.0;
+        for (const std::string& base : streamBases(s)) {
+            icn += s.get(base + ".energyNj.icn");
+            link += s.get(base + ".energyNj.cxlLink");
+            ext_dram += s.get(base + ".energyNj.extDram");
+            dram_cache += s.get(base + ".energyNj.dramCache");
+            sram += s.get(base + ".energyNj.sram");
+        }
+        // Per-stream energies are derived from integer event counters
+        // with the same coefficients the accumulators use, so the sums
+        // agree up to floating-point association order.
+        const double rel = 1e-9;
+        EXPECT_NEAR(icn, res.energy.icnNj, rel * res.energy.icnNj);
+        EXPECT_NEAR(link, res.energy.cxlLinkNj,
+                    rel * res.energy.cxlLinkNj);
+        EXPECT_NEAR(ext_dram, res.energy.extDramNj,
+                    rel * res.energy.extDramNj);
+        EXPECT_NEAR(dram_cache, res.energy.ndpDramNj,
+                    rel * res.energy.ndpDramNj);
+        EXPECT_NEAR(sram, res.energy.sramNj, rel * res.energy.sramNj);
+        EXPECT_GT(icn, 0.0);
+        EXPECT_GT(ext_dram, 0.0);
     }
-    // Per-stream energies are derived from integer event counters with
-    // the same coefficients the accumulators use, so the sums agree up
-    // to floating-point association order.
-    const double rel = 1e-9;
-    EXPECT_NEAR(icn, res.energy.icnNj, rel * res.energy.icnNj);
-    EXPECT_NEAR(link, res.energy.cxlLinkNj, rel * res.energy.cxlLinkNj);
-    EXPECT_NEAR(ext_dram, res.energy.extDramNj,
-                rel * res.energy.extDramNj);
-    EXPECT_NEAR(dram_cache, res.energy.ndpDramNj,
-                rel * res.energy.ndpDramNj);
-    EXPECT_NEAR(sram, res.energy.sramNj, rel * res.energy.sramNj);
-    EXPECT_GT(icn, 0.0);
-    EXPECT_GT(ext_dram, 0.0);
 }
 
 } // namespace

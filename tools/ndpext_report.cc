@@ -493,6 +493,9 @@ constexpr const char* kStallBuckets[] = {"metadata",  "icnIntra",
                                          "icnInter",  "dramCache",
                                          "extMem",    "mshrQueue"};
 constexpr std::size_t kNumStallBuckets = 6;
+/** The first five buckets are also the stream cache's service stages
+ *  (`cache.lat.<stage>`, `stream.<sid>.serviceCycles.<stage>`). */
+constexpr std::size_t kNumServiceStages = 5;
 
 /** One CPI stack read from a metric namespace (cores / stack.<s>). */
 struct CpiStack
@@ -635,24 +638,41 @@ cmdTopdown(const Run& run)
                     "stream", "stall", "metadata", "icnIntra", "icnInter",
                     "dramCache", "extMem");
         double stall_sum = 0.0;
+        double service_sum[kNumServiceStages] = {};
         for (const std::string& sid : sids) {
             const std::string base = sprefix + sid;
             const double stall = metrics->num(base + ".stallCycles");
             stall_sum += stall;
-            std::printf(
-                "  %-8s %-12.0f %-10.0f %-10.0f %-10.0f %-10.0f %-10.0f\n",
-                sid.c_str(), stall,
-                metrics->num(base + ".serviceCycles.metadata"),
-                metrics->num(base + ".serviceCycles.icnIntra"),
-                metrics->num(base + ".serviceCycles.icnInter"),
-                metrics->num(base + ".serviceCycles.dramCache"),
-                metrics->num(base + ".serviceCycles.extMem"));
+            std::printf("  %-8s %-12.0f", sid.c_str(), stall);
+            for (std::size_t i = 0; i < kNumServiceStages; ++i) {
+                const double service = metrics->num(
+                    base + ".serviceCycles." + kStallBuckets[i]);
+                service_sum[i] += service;
+                std::printf(" %-10.0f", service);
+            }
+            std::printf("\n");
         }
         if (stall_sum != machine.memStall) {
             fail("invariant violation: per-stream stall cycles sum to "
                  + std::to_string(stall_sum)
                  + " but cores.memStallCycles = "
                  + std::to_string(machine.memStall));
+        }
+        // Each service-cycle column, stream.none included, partitions
+        // the stream cache's latency breakdown.
+        for (std::size_t i = 0; i < kNumServiceStages; ++i) {
+            const std::string total = std::string("cache.lat.")
+                + kStallBuckets[i];
+            const json::Value* v = metrics->get(total);
+            if (v == nullptr || !v->isNumber()) {
+                fail(run.prefix + ": no " + total + " series");
+            }
+            if (service_sum[i] != v->number) {
+                fail("invariant violation: per-stream serviceCycles."
+                     + std::string(kStallBuckets[i]) + " sum to "
+                     + std::to_string(service_sum[i]) + " but " + total
+                     + " = " + std::to_string(v->number));
+            }
         }
 
         std::printf("\nper-stream attribution (energy, nJ):\n");
@@ -671,6 +691,8 @@ cmdTopdown(const Run& run)
         std::printf("\nper-stream stall cycles sum exactly to "
                     "memStallCycles (%.0f)\n",
                     stall_sum);
+        std::printf("per-stream service cycles sum exactly to "
+                    "cache.lat.*\n");
     }
 
     warnLowSamples(stageSamples(run));

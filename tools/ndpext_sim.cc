@@ -427,19 +427,10 @@ parseArgs(int argc, char** argv)
             usageError("unknown argument: '" + arg + "'");
         }
     }
-    if (opt.policy != "host") {
-        // Validate the policy name up front so a typo is a usage error,
-        // not a mid-run abort.
-        const char* known[] = {"ndpext",    "ndpext-static",
-                               "jigsaw",    "whirlpool",
-                               "nexus",     "static-interleave"};
-        bool ok = false;
-        for (const char* name : known) {
-            ok = ok || opt.policy == name;
-        }
-        if (!ok) {
-            usageError("unknown --policy: '" + opt.policy + "'");
-        }
+    // Validate the policy name up front so a typo is a usage error, not
+    // a mid-run abort.
+    if (opt.policy != "host" && policies().find(opt.policy) == nullptr) {
+        usageError("unknown --policy: '" + opt.policy + "'");
     }
     return opt;
 }
