@@ -29,16 +29,10 @@ using namespace ndpext;
 
 namespace {
 
-struct PolicyRow
-{
-    const char* label;
-    PolicyKind policy;
-};
-
-const std::vector<PolicyRow> kPolicies = {
-    {"ndpext", PolicyKind::NdpExt},
-    {"ndpext-static", PolicyKind::NdpExtStatic},
-    {"static-interleave", PolicyKind::StaticInterleave},
+const std::vector<PolicyKind> kPolicies = {
+    PolicyKind::NdpExt,
+    PolicyKind::NdpExtStatic,
+    PolicyKind::StaticInterleave,
 };
 
 void
@@ -56,7 +50,7 @@ unitFailureStudy(const bench::BenchArgs& args)
             const Workload& w =
                 bench::preparedWorkload(name, args, clean.numUnits());
             base[p].push_back(
-                bench::runPolicy(clean, kPolicies[p].policy, w));
+                bench::runPolicy(clean, kPolicies[p], w));
         }
     }
 
@@ -91,7 +85,7 @@ unitFailureStudy(const bench::BenchArgs& args)
                         UnitFailure{stack_base + u, at});
                 }
                 const RunResult r =
-                    bench::runPolicy(faulty, kPolicies[p].policy, w);
+                    bench::runPolicy(faulty, kPolicies[p], w);
                 perf.push_back(static_cast<double>(base[p][i].cycles)
                                / static_cast<double>(r.cycles));
                 redirects += static_cast<double>(
@@ -99,7 +93,7 @@ unitFailureStudy(const bench::BenchArgs& args)
                 reconfigs += static_cast<double>(
                     r.degraded.emergencyReconfigs);
             }
-            table.addRow(kPolicies[p].label,
+            table.addRow(policyName(kPolicies[p]),
                          {bench::geomean(perf), redirects, reconfigs});
         }
         table.print();

@@ -7,9 +7,11 @@ namespace ndpext {
 
 SetAssocCache::SetAssocCache(std::uint32_t sets, std::uint32_t ways)
     : sets_(sets), ways_(ways),
-      entries_(static_cast<std::size_t>(sets) * ways)
+      words_(static_cast<std::size_t>(sets) * ways)
 {
     NDP_ASSERT(sets > 0 && ways > 0);
+    NDP_ASSERT(ways <= kMaxWays, "cache ways ", ways, " exceed ",
+               kMaxWays);
 }
 
 SetAssocCache
@@ -22,86 +24,122 @@ SetAssocCache::fromCapacity(std::uint64_t capacity_bytes,
     return SetAssocCache(static_cast<std::uint32_t>(lines / ways), ways);
 }
 
-SetAssocCache::Entry*
-SetAssocCache::find(std::uint64_t key)
+SetAssocCache::Word
+SetAssocCache::tagOf(std::uint64_t key)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(key)) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry& e = entries_[base + w];
-        if (e.valid && e.key == key) {
-            return &e;
-        }
-    }
-    return nullptr;
+    NDP_ASSERT(key <= kMaxKey, "cache key too large: ", key);
+    return key + 1;
 }
 
-const SetAssocCache::Entry*
-SetAssocCache::find(std::uint64_t key) const
+SetAssocCache::Word*
+SetAssocCache::setOf(std::uint64_t key)
 {
-    return const_cast<SetAssocCache*>(this)->find(key);
+    return words_.data() + static_cast<std::size_t>(key % sets_) * ways_;
+}
+
+const SetAssocCache::Word*
+SetAssocCache::setOf(std::uint64_t key) const
+{
+    return const_cast<SetAssocCache*>(this)->setOf(key);
+}
+
+std::uint32_t
+SetAssocCache::wayOf(const Word* set, Word tag) const
+{
+    std::uint32_t w = 0;
+    while (w < ways_ && (set[w] & kTagMask) != tag) {
+        ++w;
+    }
+    return w;
 }
 
 bool
 SetAssocCache::access(std::uint64_t key, bool is_write)
 {
-    Entry* e = find(key);
-    if (e != nullptr) {
-        e->lastUse = ++useClock_;
-        e->dirty = e->dirty || is_write;
-        ++hits_;
-        return true;
+    Word* set = setOf(key);
+    const std::uint32_t hit = wayOf(set, tagOf(key));
+    if (hit == ways_) {
+        ++misses_;
+        return false;
     }
-    ++misses_;
-    return false;
+    // The entries used since the hit one age by one; it becomes rank 0.
+    const Word rank = rankOf(set[hit]);
+    if (rank != 0) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (set[w] != 0 && rankOf(set[w]) < rank) {
+                set[w] += kRankOne;
+            }
+        }
+        set[hit] -= rank << kRankShift;
+    }
+    if (is_write) {
+        set[hit] |= kDirty;
+    }
+    ++hits_;
+    return true;
 }
 
 bool
 SetAssocCache::contains(std::uint64_t key) const
 {
-    return find(key) != nullptr;
+    return wayOf(setOf(key), tagOf(key)) != ways_;
 }
 
 SetAssocCache::Eviction
 SetAssocCache::insert(std::uint64_t key, bool dirty)
 {
-    NDP_ASSERT(find(key) == nullptr, "double insert of key ", key);
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(key)) * ways_;
-    Entry* victim = &entries_[base];
+    const Word tag = tagOf(key);
+    Word* set = setOf(key);
+    // The victim is the first empty way, else the least recently used
+    // (highest rank). Every valid entry ages by one in the same walk, as
+    // the new entry is the most recent; the victim's rank may wrap off
+    // the word's top, but its key and dirty bit stay for the eviction.
+    std::uint32_t victim = 0;
+    Word victim_rank = 0;
+    bool empty = false;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry& e = entries_[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
+        const Word e = set[w];
+        NDP_ASSERT((e & kTagMask) != tag, "double insert of key ", key);
+        if (e == 0) {
+            if (!empty) {
+                victim = w;
+                empty = true;
+            }
+            continue;
         }
-        if (e.lastUse < victim->lastUse) {
-            victim = &e;
+        if (!empty && rankOf(e) >= victim_rank) {
+            victim = w;
+            victim_rank = rankOf(e);
         }
+        set[w] = e + kRankOne;
     }
 
     Eviction ev;
-    if (victim->valid) {
+    if (!empty) {
         ev.valid = true;
-        ev.key = victim->key;
-        ev.dirty = victim->dirty;
+        ev.key = (set[victim] & kTagMask) - 1;
+        ev.dirty = (set[victim] & kDirty) != 0;
     }
-    victim->key = key;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock_;
+    set[victim] = tag | (dirty ? kDirty : 0);
     return ev;
 }
 
 bool
 SetAssocCache::invalidate(std::uint64_t key)
 {
-    Entry* e = find(key);
-    if (e == nullptr) {
+    Word* set = setOf(key);
+    const std::uint32_t gone = wayOf(set, tagOf(key));
+    if (gone == ways_) {
         return false;
     }
-    e->valid = false;
-    e->dirty = false;
+    // Close the gap: the entries used before it move up one rank.
+    const Word rank = rankOf(set[gone]);
+    set[gone] = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (set[w] != 0 && rankOf(set[w]) > rank) {
+            set[w] -= kRankOne;
+        }
+    }
     return true;
 }
 
@@ -109,14 +147,42 @@ std::uint64_t
 SetAssocCache::invalidateAll()
 {
     std::uint64_t dropped = 0;
-    for (auto& e : entries_) {
-        if (e.valid) {
-            ++dropped;
-            e.valid = false;
-            e.dirty = false;
-        }
+    for (Word& w : words_) {
+        dropped += w != 0 ? 1 : 0;
+        w = 0;
     }
     return dropped;
+}
+
+void
+SetAssocCache::checkpoint(ckpt::Archive& ar)
+{
+    ar.expect(words_.size(), "cache geometry mismatch");
+    ar.words(words_.data(), words_.size());
+    if (ar.loading()) {
+        for (std::size_t base = 0; base < words_.size(); base += ways_) {
+            const Word* set = words_.data() + base;
+            std::uint32_t valid = 0;
+            for (std::uint32_t w = 0; w < ways_; ++w) {
+                NDP_ASSERT(set[w] == 0 || (set[w] & kTagMask) != 0,
+                           "cache word ", set[w], " has flags but no key");
+                valid += set[w] != 0 ? 1 : 0;
+            }
+            std::uint32_t seen = 0; // one bit per rank
+            for (std::uint32_t w = 0; w < ways_; ++w) {
+                if (set[w] == 0) {
+                    continue;
+                }
+                const Word rank = rankOf(set[w]);
+                NDP_ASSERT(rank < valid && ((seen >> rank) & 1U) == 0,
+                           "cache set ", base / ways_, " of ", valid,
+                           " entries has a bad or repeated rank ", rank);
+                seen |= 1U << rank;
+            }
+        }
+    }
+    ar.u64(hits_);
+    ar.u64(misses_);
 }
 
 SramCache::SramCache(std::uint64_t capacity_bytes, std::uint32_t line_bytes,

@@ -3,14 +3,21 @@
  * Generic set-associative cache with true-LRU replacement.
  *
  * Tracks tags only (the simulator never stores data). Used for the per-core
- * L1I/L1D SRAM caches, the baselines' metadata caches, the host LLC banks,
- * and the NDPExt affine tag array.
+ * L1D SRAM caches, the baselines' metadata caches and the host LLC banks.
+ *
+ * Each entry is one 8-byte word: key + 1 (0 means empty), the dirty bit
+ * and the entry's LRU rank in its set, the number of valid entries of the
+ * set used more recently. The valid entries of a set hold the ranks
+ * 0..n-1, so the least recently used one is the one ranked ways - 1 in a
+ * full set. The words sit on 64 B host lines, so an 8-way set is one line.
  */
 
 #ifndef NDPEXT_CACHE_SET_ASSOC_CACHE_H
 #define NDPEXT_CACHE_SET_ASSOC_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/types.h"
@@ -21,9 +28,14 @@ namespace ndpext {
 class SetAssocCache
 {
   public:
+    /** The largest key a word holds (key + 1 takes its low 59 bits). */
+    static constexpr std::uint64_t kMaxKey = (1ULL << 59) - 2;
+    /** The rank takes the top four bits. */
+    static constexpr std::uint32_t kMaxWays = 16;
+
     /**
      * @param sets  Number of sets (>= 1).
-     * @param ways  Associativity (>= 1).
+     * @param ways  Associativity, 1..kMaxWays.
      */
     SetAssocCache(std::uint32_t sets, std::uint32_t ways);
 
@@ -41,7 +53,8 @@ class SetAssocCache
     };
 
     /**
-     * Look up `key`; updates LRU and the dirty bit on hit.
+     * Look up `key` (at most kMaxKey, as for every call below); updates
+     * LRU and the dirty bit on hit.
      * @return true on hit.
      */
     bool access(std::uint64_t key, bool is_write);
@@ -64,57 +77,65 @@ class SetAssocCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Checkpoint pass (geometry is configuration; contents travel). */
-    void
-    checkpoint(ckpt::Archive& ar)
-    {
-        ar.expect(entries_.size(), "cache geometry mismatch");
-        for (Entry& e : entries_) {
-            // Bit-fields bind no references: go through locals.
-            std::uint64_t last_use = e.lastUse;
-            bool valid = e.valid;
-            bool dirty = e.dirty;
-            ar.u64(e.key);
-            ar.u64(last_use);
-            ar.b(valid);
-            ar.b(dirty);
-            if (ar.loading()) {
-                NDP_ASSERT(last_use < kUseClockLimit,
-                           "cache lastUse out of range: ", last_use);
-                e.lastUse = last_use;
-                e.valid = valid;
-                e.dirty = dirty;
-            }
-        }
-        ar.u64(useClock_);
-        NDP_ASSERT(useClock_ < kUseClockLimit,
-                   "cache use clock out of range: ", useClock_);
-        ar.u64(hits_);
-        ar.u64(misses_);
-    }
+    /**
+     * Checkpoint pass (geometry is configuration): the entry count, one
+     * u64 word per entry, then the hit and miss counts. A load asserts
+     * that each set's ranks are 0..n-1 over its n valid entries.
+     */
+    void checkpoint(ckpt::Archive& ar);
 
   private:
-    /** useClock_ never gets here: at one use per ns it takes 146 years. */
-    static constexpr std::uint64_t kUseClockLimit = 1ULL << 62;
+    using Word = std::uint64_t;
+    static constexpr unsigned kRankShift = 60;
+    static constexpr Word kRankOne = Word{1} << kRankShift;
+    static constexpr Word kDirty = Word{1} << 59;
+    static constexpr Word kTagMask = kDirty - 1;
 
-    /** 16 B: the flags share a word with a 62-bit lastUse. */
-    struct Entry
+    /** Allocates on 64 B boundaries, the host's cache line. */
+    template <typename T>
+    struct LineAllocator
     {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse : 62 = 0;
-        bool valid : 1 = false;
-        bool dirty : 1 = false;
-    };
-    static_assert(sizeof(Entry) == 16);
+        using value_type = T;
+        static constexpr std::align_val_t kAlign{64};
 
-    std::uint32_t setOf(std::uint64_t key) const { return key % sets_; }
-    Entry* find(std::uint64_t key);
-    const Entry* find(std::uint64_t key) const;
+        LineAllocator() = default;
+        template <typename U>
+        LineAllocator(const LineAllocator<U>&)
+        {
+        }
+
+        T*
+        allocate(std::size_t n)
+        {
+            return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+        }
+
+        void
+        deallocate(T* p, std::size_t)
+        {
+            ::operator delete(p, kAlign);
+        }
+
+        template <typename U>
+        bool
+        operator==(const LineAllocator<U>&) const
+        {
+            return true;
+        }
+    };
+
+    static Word rankOf(Word w) { return w >> kRankShift; }
+    /** key + 1, the tag a word stores; asserts that it fits. */
+    static Word tagOf(std::uint64_t key);
+
+    Word* setOf(std::uint64_t key);
+    const Word* setOf(std::uint64_t key) const;
+    /** Way of the set holding `tag`, or ways_ if none does. */
+    std::uint32_t wayOf(const Word* set, Word tag) const;
 
     std::uint32_t sets_;
     std::uint32_t ways_;
-    std::vector<Entry> entries_; // sets_ * ways_, row-major by set
-    std::uint64_t useClock_ = 0;
+    std::vector<Word, LineAllocator<Word>> words_; // sets_ * ways_, by set
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -29,7 +29,7 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     for (;;) {
         at_device = link_.reserveFor(req_service, t) + cxl_.linkLatencyCycles
             + req_service;
-        linkEnergyNj_ += 64.0 * 8.0 * cxl_.pjPerBit * 1e-3;
+        linkEnergyNj_ += cxl_.energyNj(64);
         sc.linkBytes += 64;
         if (fault_ == nullptr || !fault_->linkError()) {
             break;
@@ -60,8 +60,7 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
         + cxl_.linkLatencyCycles + rsp_service;
 
     ++accesses_;
-    linkEnergyNj_ +=
-        static_cast<double>(bytes) * 8.0 * cxl_.pjPerBit * 1e-3;
+    linkEnergyNj_ += cxl_.energyNj(bytes);
     sc.linkBytes += bytes;
 
     CxlResult res{done, false};

@@ -37,6 +37,13 @@ struct CxlParams
     double linkBytesPerCycle = 60.0;
     /** Link transfer energy, pJ per bit. */
     double pjPerBit = 11.4;
+
+    /** Energy of moving `bytes` over the link, in nanojoules. */
+    double
+    energyNj(std::uint64_t bytes) const
+    {
+        return static_cast<double>(bytes) * 8.0 * pjPerBit * 1e-3;
+    }
 };
 
 /** Completion info of one extended-memory access. */
@@ -97,8 +104,7 @@ class ExtendedMemory
     double
     streamLinkEnergyNj(StreamId sid) const
     {
-        return static_cast<double>(stream_.at(sid).linkBytes) * 8.0
-            * cxl_.pjPerBit * 1e-3;
+        return cxl_.energyNj(stream_.at(sid).linkBytes);
     }
     double
     streamDramEnergyNj(StreamId sid) const

@@ -9,6 +9,17 @@
 
 namespace ndpext {
 
+namespace {
+
+/** Energy of `lookups` SRAM lookups at `pj_per_lookup` each, in nJ. */
+double
+lookupEnergyNj(std::uint64_t lookups, double pj_per_lookup)
+{
+    return static_cast<double>(lookups) * pj_per_lookup * 1e-3;
+}
+
+} // namespace
+
 StreamCacheController::StreamCacheController(
     const StreamCacheParams& params, StreamTable& streams, NocModel& noc,
     ExtendedMemory& ext, const MemBackendConfig& unit_dram,
@@ -327,7 +338,7 @@ StreamCacheController::handleAccess(Packet& pkt)
         // SLB TCAM search finds no stream: bypass (rare, Section IV-C).
         pkt.ready += params_.slbHitCycles;
         pkt.bd.metadata += params_.slbHitCycles;
-        sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
+        sramEnergyNj_ += lookupEnergyNj(1, params_.slbPjPerLookup);
         ++ledger_[kNoStream].slbLookups;
         extRoundTrip(u, pkt, pkt.addr, kCachelineBytes, pkt.isWrite());
         return;
@@ -335,7 +346,7 @@ StreamCacheController::handleAccess(Packet& pkt)
         const Cycles slb_lat = units_[u]->slb.lookup(pkt.sid);
         pkt.ready += slb_lat;
         pkt.bd.metadata += slb_lat;
-        sramEnergyNj_ += params_.slbPjPerLookup * 1e-3;
+        sramEnergyNj_ += lookupEnergyNj(1, params_.slbPjPerLookup);
         ++ledger_[pkt.sid].slbLookups;
     }
 
@@ -415,7 +426,7 @@ StreamCacheController::accessCached(UnitId u, const StreamConfig& cfg,
         if (!params_.cachelineMode) {
             pkt.ready += params_.ataCycles;
             pkt.bd.metadata += params_.ataCycles;
-            sramEnergyNj_ += params_.ataPjPerLookup * 1e-3;
+            sramEnergyNj_ += lookupEnergyNj(1, params_.ataPjPerLookup);
             ++ledger_[cfg.sid].ataLookups;
         }
         res = ts.accessFill(loc.unitSlot, granule, is_write);
@@ -703,10 +714,8 @@ double
 StreamCacheController::streamSramEnergyNj(StreamId sid) const
 {
     const StreamRow& row = ledger_.at(sid);
-    return static_cast<double>(row.slbLookups) * params_.slbPjPerLookup
-        * 1e-3
-        + static_cast<double>(row.ataLookups) * params_.ataPjPerLookup
-        * 1e-3;
+    return lookupEnergyNj(row.slbLookups, params_.slbPjPerLookup)
+        + lookupEnergyNj(row.ataLookups, params_.ataPjPerLookup);
 }
 
 double

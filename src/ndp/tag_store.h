@@ -182,9 +182,7 @@ class TagStore
     void
     checkpoint(ckpt::Archive& ar)
     {
-        for (std::uint32_t& t : tags_) {
-            ar.u32(t);
-        }
+        ar.words(tags_.data(), tags_.size());
         for (std::size_t i = 0; i < dirty_.size(); ++i) {
             bool d = dirty_[i];
             ar.b(d);
@@ -192,9 +190,7 @@ class TagStore
                 dirty_[i] = d;
             }
         }
-        for (std::uint32_t& u : use_) {
-            ar.u32(u);
-        }
+        ar.words(use_.data(), use_.size());
         ar.u32(useClock_);
     }
 

@@ -150,6 +150,7 @@ ConfigAlgorithm::doAlloc(SState& s, std::int32_t group, UnitId unit,
                && group < static_cast<std::int32_t>(s.groups.size()));
     NDP_ASSERT(freeRows_[unit] >= rows);
     s.groups[static_cast<std::size_t>(group)].rows[unit] += rows;
+    s.servedBy.clear();
     s.groupOfUnit[unit] = group;
     freeRows_[unit] -= rows;
     if (s.d.affine) {
@@ -176,11 +177,12 @@ ConfigAlgorithm::groupForUnit(SState& s, std::size_t acc_idx)
     // merged away, join the nearest live group, or resurrect it.
     std::int32_t g = s.initGroupOf[acc_idx];
     if (s.groups[static_cast<std::size_t>(g)].dead) {
-        const std::int32_t live = servingGroup(s, acc_idx);
+        const std::int32_t live = servingGroups(s)[acc_idx];
         if (live >= 0) {
             g = live;
         } else {
             s.groups[static_cast<std::size_t>(g)].dead = false;
+            s.servedBy.clear();
         }
     }
     return g;
@@ -215,12 +217,25 @@ ConfigAlgorithm::servingGroup(const SState& s, std::size_t acc_idx) const
     return best_g;
 }
 
+const std::vector<std::int32_t>&
+ConfigAlgorithm::servingGroups(const SState& s) const
+{
+    if (s.servedBy.empty()) {
+        s.servedBy.resize(s.d.accUnits.size());
+        for (std::size_t i = 0; i < s.servedBy.size(); ++i) {
+            s.servedBy[i] = servingGroup(s, i);
+        }
+    }
+    return s.servedBy;
+}
+
 std::vector<std::size_t>
 ConfigAlgorithm::accessorsOf(const SState& s, std::int32_t g) const
 {
+    const std::vector<std::int32_t>& served = servingGroups(s);
     std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < s.d.accUnits.size(); ++i) {
-        if (servingGroup(s, i) == g) {
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        if (served[i] == g) {
             out.push_back(i);
         }
     }
@@ -467,6 +482,7 @@ ConfigAlgorithm::applyMerge(const MergePlan& plan, UnitId uid)
 
     a.rows = std::move(merged.rows);
     b.dead = true;
+    s.servedBy.clear();
     for (const auto& [unit, rows] : a.rows) {
         (void)rows;
         s.groupOfUnit[unit] = plan.groupA;
@@ -573,6 +589,7 @@ ConfigAlgorithm::run(std::vector<StreamDemand> demands)
                     static_cast<double>(s.d.accUnits.size())));
             }
             s.groups.resize(std::max<std::size_t>(1, k));
+            s.servedBy.clear();
             s.initGroupOf.resize(s.d.accUnits.size());
             for (std::size_t i = 0; i < s.d.accUnits.size(); ++i) {
                 s.initGroupOf[i] = static_cast<std::int32_t>(

@@ -170,6 +170,11 @@ class ConfigAlgorithm
         std::uint64_t totalAccesses = 0;
         /** Round-robin cursor for read-write target selection. */
         std::size_t rwCursor = 0;
+        /**
+         * servingGroup of each accessor index, filled by servingGroups()
+         * and cleared whenever a group's rows or liveness change.
+         */
+        mutable std::vector<std::int32_t> servedBy;
     };
 
     bool canAlloc(const StreamDemand& d, UnitId unit,
@@ -210,6 +215,8 @@ class ConfigAlgorithm
                                          std::int32_t g) const;
     /** Group index serving accesses from accUnits[idx]. */
     std::int32_t servingGroup(const SState& s, std::size_t acc_idx) const;
+    /** servingGroup of every accessor index, memoized in the state. */
+    const std::vector<std::int32_t>& servingGroups(const SState& s) const;
 
     /** Live group that new allocation for accUnits[idx] should join. */
     std::int32_t groupForUnit(SState& s, std::size_t acc_idx);

@@ -36,6 +36,7 @@
 #define NDPEXT_SIM_CHECKPOINT_H
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -52,7 +53,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 7;
+constexpr std::uint32_t kCheckpointVersion = 8;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 
@@ -60,6 +61,11 @@ constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
 template <typename T>
 concept Wire = (std::integral<T> && !std::same_as<T, bool>)
     || std::is_enum_v<T>;
+
+/** The word types a bulk run stores: u32 and u64. */
+template <typename T>
+concept RunWord = std::same_as<T, std::uint32_t>
+    || std::same_as<T, std::uint64_t>;
 
 /** CRC-32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
@@ -106,6 +112,27 @@ class Writer
     {
         u64(s.size());
         buf_.insert(buf_.end(), s.begin(), s.end());
+    }
+
+    /**
+     * `n` words from `p`: the bytes `n` u32() or u64() calls write, in
+     * one insert. The words may be the fields of an array of structs
+     * made only of T fields; they are read through memcpy.
+     */
+    template <RunWord T>
+    void
+    words(const T* p, std::size_t n)
+    {
+        const auto* bytes = reinterpret_cast<const std::uint8_t*>(p);
+        if constexpr (std::endian::native == std::endian::little) {
+            buf_.insert(buf_.end(), bytes, bytes + n * sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < n; ++i) {
+                T v;
+                std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
+                put(v);
+            }
+        }
     }
 
     /**
@@ -205,6 +232,27 @@ class Reader
         std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
         pos_ += n;
         return s;
+    }
+
+    /** `n` words into `p`, the inverse of Writer::words. */
+    template <RunWord T>
+    void
+    words(T* p, std::size_t n)
+    {
+        NDP_ASSERT(n <= remaining() / sizeof(T), "checkpoint payload overrun");
+        if (n == 0) {
+            return;
+        }
+        auto* bytes = reinterpret_cast<std::uint8_t*>(p);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(bytes, data_ + pos_, n * sizeof(T));
+            pos_ += n * sizeof(T);
+        } else {
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto v = static_cast<T>(sizeof(T) == 4 ? u32() : u64());
+                std::memcpy(bytes + i * sizeof(T), &v, sizeof(T));
+            }
+        }
     }
 
     void
@@ -323,6 +371,22 @@ class Archive
             r_->section(tag);
         } else {
             w_->section(tag);
+        }
+    }
+
+    /**
+     * A contiguous run of `n` u32 or u64 words, as `n` u32() or u64()
+     * calls store it, copied in one step. A load asserts that the run
+     * fits in the bytes left before it writes a word.
+     */
+    template <RunWord T>
+    void
+    words(T* p, std::size_t n)
+    {
+        if (loading()) {
+            r_->words(p, n);
+        } else {
+            w_->words(p, n);
         }
     }
 

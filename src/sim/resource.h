@@ -159,9 +159,9 @@ class BandwidthResource
             head_ = 0;
             count_ = n;
         }
-        for (std::size_t i = 0; i < count_; ++i) {
-            ar.u64(at(i).start);
-            ar.u64(at(i).end);
+        // The window is 2 * count_ words: each interval's start, end.
+        if (count_ > 0) {
+            ar.words(reinterpret_cast<Cycles*>(&at(0)), 2 * count_);
         }
         ar.u64(reservations_);
         ar.u64(queueCycles_);
@@ -173,6 +173,7 @@ class BandwidthResource
         Cycles start;
         Cycles end;
     };
+    static_assert(sizeof(Interval) == 2 * sizeof(Cycles));
 
     /** Intervals kept; past the cap the earliest-starting one is
      *  dropped (see reserveFor). */

@@ -193,6 +193,54 @@ TEST(CheckpointStream, StringLengthCannotWrapTheBound)
     EXPECT_DEATH(r.str(), "overrun");
 }
 
+/**
+ * A bulk run writes the bytes of one u32() or u64() call per word, and
+ * reads them back; a run longer than the bytes left asserts before it
+ * writes a word.
+ */
+TEST(CheckpointStream, BulkWordsEqualPerFieldBytes)
+{
+    Rng rng(8);
+    std::vector<std::uint32_t> narrow(37);
+    std::vector<std::uint64_t> wide(29);
+    for (auto& v : narrow) {
+        v = static_cast<std::uint32_t>(rng.next());
+    }
+    for (auto& v : wide) {
+        v = rng.next();
+    }
+    ckpt::Writer per_field;
+    ckpt::Archive a(per_field);
+    for (auto& v : narrow) {
+        a.u32(v);
+    }
+    for (auto& v : wide) {
+        a.u64(v);
+    }
+    ckpt::Writer bulk;
+    ckpt::Archive b(bulk);
+    b.words(narrow.data(), narrow.size());
+    b.words(wide.data(), 0);
+    b.words(wide.data(), wide.size());
+    EXPECT_EQ(bulk.bytes(), per_field.bytes());
+
+    std::vector<std::uint32_t> narrow2(narrow.size());
+    std::vector<std::uint64_t> wide2(wide.size());
+    ckpt::Reader r(bulk.bytes());
+    ckpt::Archive load(r);
+    load.words(narrow2.data(), narrow2.size());
+    load.words(wide2.data(), wide2.size());
+    EXPECT_EQ(narrow2, narrow);
+    EXPECT_EQ(wide2, wide);
+    EXPECT_TRUE(r.atEnd());
+
+    ckpt::Reader tail(bulk.bytes());
+    tail.words(narrow2.data(), narrow2.size());
+    std::vector<std::uint64_t> more(wide.size() + 1);
+    EXPECT_DEATH(tail.words(more.data(), more.size()), "overrun");
+    EXPECT_DEATH(tail.words(more.data(), ~std::size_t{0} / 4), "overrun");
+}
+
 TEST(CheckpointStream, DoubleBitPatternsSurvive)
 {
     // NaN payload bits and signed zero must survive the round trip
@@ -655,20 +703,20 @@ TEST(CheckpointFormat, ImageIsPinned)
 
     const ckpt::CheckpointHeader plain =
         firstImage(nullptr, freshPrefix("pinned"));
-    EXPECT_EQ(plain.version, 7u) << why;
+    EXPECT_EQ(plain.version, 8u) << why;
     EXPECT_EQ(plain.configHash, 13499614244034063102u) << why;
-    EXPECT_EQ(plain.payloadSize, 363921u) << why;
-    EXPECT_EQ(plain.payloadCrc, 1928244756u) << why;
+    EXPECT_EQ(plain.payloadSize, 281937u) << why;
+    EXPECT_EQ(plain.payloadCrc, 3032623833u) << why;
 
     TelemetryConfig tc;
     tc.outPrefix = freshPrefix("pinned_telemetry");
     Telemetry tel(tc);
     const ckpt::CheckpointHeader traced =
         firstImage(&tel, tc.outPrefix + ".ckpt");
-    EXPECT_EQ(traced.version, 7u) << why;
+    EXPECT_EQ(traced.version, 8u) << why;
     EXPECT_EQ(traced.configHash, 6533915903173500323u) << why;
-    EXPECT_EQ(traced.payloadSize, 365725u) << why;
-    EXPECT_EQ(traced.payloadCrc, 2287287529u) << why;
+    EXPECT_EQ(traced.payloadSize, 283741u) << why;
+    EXPECT_EQ(traced.payloadCrc, 2683323882u) << why;
 }
 
 /**

@@ -21,8 +21,8 @@
  * Options:
  *   --workload=NAME      built-in workload (see --list)
  *   --trace=FILE         trace file instead of a built-in workload
- *   --policy=NAME        ndpext | ndpext-static | jigsaw | whirlpool |
- *                        nexus | static-interleave | host
+ *   --policy=NAME        a policy `--list` prints (the policy table's
+ *                        rows, then host)
  *   --mem=hbm|hmc        NDP memory technology
  *   --stacks=XxY         inter-stack mesh (default 4x2)
  *   --units=XxY          intra-stack mesh (default 2x4)
@@ -99,11 +99,11 @@ using namespace ndpext;
 
 namespace {
 
-constexpr const char* kUsage =
+/** The usage text before and after its --policy entry (usage()). */
+constexpr const char* kUsageHead =
     "usage: ndpext_sim [options]\n"
-    "  --workload=NAME | --trace=FILE   input (default: --workload=pr)\n"
-    "  --policy=NAME       ndpext | ndpext-static | jigsaw | whirlpool |\n"
-    "                      nexus | static-interleave | host\n"
+    "  --workload=NAME | --trace=FILE   input (default: --workload=pr)\n";
+constexpr const char* kUsageTail =
     "  --mem=hbm|hmc       NDP memory technology\n"
     "  --stacks=XxY        inter-stack mesh, X,Y > 0 (default 4x2)\n"
     "  --units=XxY         intra-stack mesh, X,Y > 0 (default 2x4)\n"
@@ -148,11 +148,37 @@ constexpr const char* kUsage =
     "  --list-workloads    print the workload archetypes\n"
     "  --list-arrivals     print arrival processes and their tunables\n";
 
+/** The --policy names: the policy table's, then host. */
+std::vector<std::string>
+policyNames()
+{
+    std::vector<std::string> names = policies().names();
+    names.emplace_back("host");
+    return names;
+}
+
+/** The usage text, its --policy entry filled from policyNames(). */
+std::string
+usage()
+{
+    std::string text = kUsageHead;
+    std::string line = "  --policy=NAME      ";
+    for (const std::string& name : policyNames()) {
+        if (line.size() + 1 + name.size() > 78) {
+            text += line + "\n";
+            line = std::string(21, ' ');
+        }
+        line += " " + name;
+    }
+    return text + line + "\n" + kUsageTail;
+}
+
 /** Print a diagnostic plus usage and exit with status 2 (bad input). */
 [[noreturn]] void
 usageError(const std::string& message)
 {
-    std::fprintf(stderr, "ndpext_sim: %s\n%s", message.c_str(), kUsage);
+    std::fprintf(stderr, "ndpext_sim: %s\n%s", message.c_str(),
+                 usage().c_str());
     std::exit(2);
 }
 
@@ -295,8 +321,11 @@ parseArgs(int argc, char** argv)
             for (const auto& name : allWorkloadNames()) {
                 std::printf(" %s", name.c_str());
             }
-            std::printf("\npolicies: ndpext ndpext-static jigsaw "
-                        "whirlpool nexus static-interleave host\n");
+            std::printf("\npolicies:");
+            for (const std::string& name : policyNames()) {
+                std::printf(" %s", name.c_str());
+            }
+            std::printf("\n");
             std::exit(0);
         } else if (arg == "--list-mem-backends") {
             printMemBackends();
@@ -421,7 +450,7 @@ parseArgs(int argc, char** argv)
         } else if (arg == "--dump-stats") {
             opt.dumpStats = true;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("%s", kUsage);
+            std::printf("%s", usage().c_str());
             std::exit(0);
         } else {
             usageError("unknown argument: '" + arg + "'");
